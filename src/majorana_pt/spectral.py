@@ -73,14 +73,12 @@ class EigenSystem:
     eigenvalues : np.ndarray
         Sorted ascending by (real, imaginary) part.
     right, left : np.ndarray
-        Unit-norm eigenvector columns; ``left[:, i]`` solves the
-        conjugate-transpose problem for the eigenvalue matched to
-        ``eigenvalues[i]``.
+        Unit-norm eigenvector columns.  The left vectors come from a second
+        solve, of the conjugate transpose; ``left[:, i]`` is the one whose
+        eigenvalue is paired greedily, by nearest distance, with
+        ``conj(eigenvalues[i])``.
     residuals, left_residuals : np.ndarray
         Per-column residual magnitudes, each against its own eigenvalue.
-    matching_gaps : np.ndarray
-        ``|conj(eigenvalue_i) - left eigenvalue_i|`` for the greedy pairing;
-        order of the numerical eigenvalue splitting at an exceptional point.
     biorth_norms : np.ndarray
         Complex overlaps ``<left_i|right_i>`` of the unit-norm pairs; these
         approach zero when two levels coalesce.
@@ -93,7 +91,6 @@ class EigenSystem:
     left: np.ndarray
     residuals: np.ndarray
     left_residuals: np.ndarray
-    matching_gaps: np.ndarray
     biorth_norms: np.ndarray
     norm_inf: float
 
@@ -110,6 +107,16 @@ class EigenSystem:
 
 def _sort_by_re_im(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
+
+
+def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
+    """Row by row, the column of least gap not taken by an earlier row."""
+    free = gaps.copy()
+    assignment = np.empty(len(gaps), dtype=int)
+    for i, row in enumerate(free):
+        assignment[i] = np.argmin(row)
+        free[:, assignment[i]] = np.inf
+    return assignment
 
 
 def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
@@ -158,17 +165,9 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
     right = right / np.linalg.norm(right, axis=0)
 
     # Greedy nearest-eigenvalue pairing of the left system to conj(values).
-    targets = values.conj()
-    used = np.zeros(n, dtype=bool)
-    assignment = np.empty(n, dtype=int)
-    gaps = np.empty(n)
-    for i in range(n):
-        dist = np.abs(left_values - targets[i])
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        assignment[i] = j
-        gaps[i] = dist[j]
-        used[j] = True
+    gaps = np.abs(left_values[None, :] - values.conj()[:, None])
+    assignment = _greedy_pairing(gaps)
+    gaps = gaps[np.arange(n), assignment]
     scale = max(float(np.max(np.abs(values))), 1.0) if n else 1.0
     if n and float(np.max(gaps)) > 1e-3 * scale:
         worst = int(np.argmax(gaps))
@@ -199,7 +198,6 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
         left=left,
         residuals=residuals,
         left_residuals=left_residuals,
-        matching_gaps=gaps,
         biorth_norms=biorth,
         norm_inf=norm_inf,
     )
@@ -268,7 +266,9 @@ def detect_coalescence(
     no exceptional point is present.
     """
     n = es.dim
-    scale = es.scale
+    values = es.eigenvalues
+    close = np.abs(values[:, None] - values[None, :]) <= ep_tolerance * es.scale
+    parallel = np.abs(es.right.conj().T @ es.right) >= 1.0 - ep_tolerance
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -277,14 +277,9 @@ def detect_coalescence(
             i = parent[i]
         return i
 
-    overlaps = np.abs(es.right.conj().T @ es.right)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(es.eigenvalues[i] - es.eigenvalues[j]) > ep_tolerance * scale:
-                continue
-            if overlaps[i, j] < 1.0 - ep_tolerance:
-                continue
-            parent[find(i)] = find(j)
+    rows, cols = np.nonzero(np.triu(close & parallel, 1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        parent[find(i)] = find(j)
 
     groups: dict[int, list[int]] = {}
     for i in range(n):

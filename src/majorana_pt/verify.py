@@ -1,7 +1,9 @@
 """Verification suite: the checks that pin the library to its exact results.
 
-Each criterion is a self-contained function returning a
-:class:`CriterionResult`; :func:`run_criteria` executes a filtered subset.
+Each criterion is a function of the tolerances and, optionally, of
+``solved``, the run's cache of solved grid chains (see :func:`_grid_eig`),
+returning a :class:`CriterionResult`; :func:`run_criteria` executes a
+filtered subset and shares one cache among them.
 The six-site chains have fully explicit spectra and eigenvectors, the
 censuses and closed forms are checked across the desk-scale grid
 (n up to 30, matrices up to 60 x 60), and the dense eigensolver serves as
@@ -83,7 +85,7 @@ def _six_site_case(criterion_id, mu, gamma, exact_values, target_vector,
     return _result(criterion_id, passed, "; ".join(msg for _, msg in checks), started)
 
 
-def six_site_mu2(tolerances):
+def six_site_mu2(tolerances, solved=None):
     exact = [
         0.0, 0.0,
         np.sqrt(350 + 2 * np.sqrt(3553)) / 8,
@@ -96,7 +98,7 @@ def six_site_mu2(tolerances):
                             tolerances, time_budget=0.010)
 
 
-def six_site_mu_half(tolerances):
+def six_site_mu_half(tolerances, solved=None):
     exact = [
         0.0, 0.0,
         0.5j * np.sqrt(2 * np.sqrt(238) + 25),
@@ -108,7 +110,7 @@ def six_site_mu_half(tolerances):
     return _six_site_case("six-site-mu-half", 0.5, 4.0, exact, target, tolerances)
 
 
-def mode_census(tolerances):
+def mode_census(tolerances, solved=None):
     started = time.perf_counter()
     t0 = time.perf_counter()
     failures = []
@@ -132,7 +134,7 @@ def mode_census(tolerances):
                    "; ".join(m for _, m in checks), started)
 
 
-def zero_mode_closed_form(tolerances):
+def zero_mode_closed_form(tolerances, solved=None):
     started = time.perf_counter()
     worst_res = worst_biorth = worst_parity = worst_conj = 0.0
     for n in CLOSED_FORM_N:
@@ -162,7 +164,7 @@ def zero_mode_closed_form(tolerances):
                    "; ".join(m for _, m in checks), started)
 
 
-def bethe_spectrum_equivalence(tolerances):
+def bethe_spectrum_equivalence(tolerances, solved=None):
     started = time.perf_counter()
     worst_match = worst_root_res = 0.0
     for n in CLOSED_FORM_N:
@@ -187,7 +189,7 @@ def bethe_spectrum_equivalence(tolerances):
                    "; ".join(m for _, m in checks), started)
 
 
-def evanescent_asymptotics(tolerances):
+def evanescent_asymptotics(tolerances, solved=None):
     started = time.perf_counter()
     mu = 0.5
     ratios = []
@@ -214,7 +216,7 @@ def evanescent_asymptotics(tolerances):
                    "; ".join(m for _, m in checks), started)
 
 
-def block_decomposition(tolerances):
+def block_decomposition(tolerances, solved=None):
     started = time.perf_counter()
     worst_comm = worst_spec = 0.0
     scales = []
@@ -245,7 +247,7 @@ def block_decomposition(tolerances):
                    "; ".join(m for _, m in checks), started)
 
 
-def common_part(tolerances):
+def common_part(tolerances, solved=None):
     started = time.perf_counter()
     mu = 1.5
     worst_ratio = 0.0
@@ -265,13 +267,28 @@ def common_part(tolerances):
                    "; ".join(m for _, m in checks), started)
 
 
-def scattering_gap_bound(tolerances):
+def _grid_eig(n, mu, tolerances, solved):
+    """Chain ``h`` at ``(n, mu, gamma_ep)`` and its eigensystem, solved once.
+
+    ``solved`` maps ``(n, mu, tolerances.residual)`` to the pairs already
+    computed in this run, so the criteria that walk the grid share them.
+    Without it (a criterion called alone) every call solves afresh.
+    """
+    key = (n, mu, tolerances.residual)
+    if solved is None:
+        solved = {}
+    if key not in solved:
+        h = model.build_ssh(n, mu, model.gamma_ep(mu, n))
+        solved[key] = h, spectral.eig(h, tolerances.residual)
+    return solved[key]
+
+
+def scattering_gap_bound(tolerances, solved=None):
     started = time.perf_counter()
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            gamma = model.gamma_ep(mu, n)
-            es = spectral.eig(model.build_ssh(n, mu, gamma), tolerances.residual)
+            _, es = _grid_eig(n, mu, tolerances, solved)
             records, _ = spectral.classify_modes(es, tolerances)
             if not analysis.gap_bound_check(records, mu, tolerance=1e-10):
                 failures.append((n, mu))
@@ -282,16 +299,14 @@ def scattering_gap_bound(tolerances):
     return _result("scattering-gap-bound", not failures, detail, started)
 
 
-def pseudo_hermiticity_pt(tolerances):
+def pseudo_hermiticity_pt(tolerances, solved=None):
     started = time.perf_counter()
     worst_pt = 0.0
     unmatched_points = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            gamma = model.gamma_ep(mu, n)
-            h = model.build_ssh(n, mu, gamma)
+            h, es = _grid_eig(n, mu, tolerances, solved)
             worst_pt = max(worst_pt, model.pt_deviation(h))
-            es = spectral.eig(h, tolerances.residual)
             values = spectral.coalesced_eigenvalues(es, tolerances.ep)
             ok, unmatched = spectral.pseudo_hermiticity_check(values, 1e-8 * es.scale)
             if not ok:
@@ -333,10 +348,11 @@ def run_criteria(only: str | None = None,
     if only and not selected:
         raise ValueError(f"no criterion id contains {only!r}")
     results = []
+    solved = {}
     for cid, fn in selected:
         started = time.perf_counter()
         try:
-            results.append(fn(tolerances))
+            results.append(fn(tolerances, solved))
         except Exception as exc:
             results.append(
                 CriterionResult(cid, False, f"raised {type(exc).__name__}: {exc}",

@@ -34,3 +34,44 @@ def test_full_suite_runs_quickly():
     elapsed = time.perf_counter() - started
     assert all(r.passed for r in results)
     assert elapsed < 60.0
+
+
+def test_grid_criteria_share_solved_eigensystems(monkeypatch):
+    tolerances = verify.spectral.DEFAULT_TOLERANCES
+    solved = {}
+    gap = verify.scattering_gap_bound(tolerances, solved)
+    assert len(solved) == len(verify.GRID_N) * 6
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("grid point built or solved twice")
+
+    monkeypatch.setattr(verify.spectral, "eig", no_solve)
+    monkeypatch.setattr(verify.model, "build_ssh", no_solve)
+    pt = verify.pseudo_hermiticity_pt(tolerances, solved)
+    assert gap.passed and pt.passed
+    assert pt.detail == _run("pseudo-hermiticity-pt").detail
+
+
+def test_shared_grid_is_keyed_on_the_residual_tolerance():
+    solved = {}
+    loose = verify.spectral.DEFAULT_TOLERANCES
+    tight = verify.spectral.Tolerances(residual=loose.residual / 10)
+    assert verify.scattering_gap_bound(loose, solved).passed
+    assert verify.scattering_gap_bound(tight, solved).passed
+    assert len(solved) == 2 * len(verify.GRID_N) * 6
+    assert {key[2] for key in solved} == {loose.residual, tight.residual}
+
+
+def test_suite_solves_the_shared_grid_once(monkeypatch):
+    solved = []
+    original = verify._grid_eig
+
+    def counted(n, mu, tolerances, shared):
+        if (n, mu, tolerances.residual) not in shared:
+            solved.append((n, mu))
+        return original(n, mu, tolerances, shared)
+
+    monkeypatch.setattr(verify, "_grid_eig", counted)
+    results = verify.run_criteria()
+    assert all(r.passed for r in results)
+    assert len(solved) == len(set(solved)) == len(verify.GRID_N) * 6

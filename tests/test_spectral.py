@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from majorana_pt import (
     ClassificationError,
+    ModelParams,
     ModeClass,
     Tolerances,
+    build_majorana_ring,
     build_ssh,
     classify_modes,
     coalesced_eigenvalues,
@@ -16,6 +19,8 @@ from majorana_pt import (
     pseudo_hermiticity_check,
 )
 from majorana_pt.model import MAX_DIM
+from majorana_pt.spectral import _canonical_phase
+from majorana_pt.verify import GRID_MU_TOPO, GRID_MU_TRIV, GRID_N
 
 M1_NONZERO = [
     np.sqrt(350 + 2 * np.sqrt(3553)) / 8,
@@ -31,6 +36,99 @@ M2_EXACT = [
     0.5 * np.sqrt(2 * np.sqrt(238) - 25),
     -0.5 * np.sqrt(2 * np.sqrt(238) - 25),
 ]
+
+
+def _ring(n, mu):
+    return build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma_ep(mu, n)))
+
+
+def _two_solve_eig(a):
+    """Reference: the former eig, two solves paired by a per-row greedy loop."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    values, right = np.linalg.eig(a)
+    left_values, left = np.linalg.eig(a.conj().T)
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    right = right[:, order]
+    right = right / np.linalg.norm(right, axis=0)
+    targets = values.conj()
+    used = np.zeros(n, dtype=bool)
+    assignment = np.empty(n, dtype=int)
+    for i in range(n):
+        dist = np.abs(left_values - targets[i])
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        assignment[i] = j
+        used[j] = True
+    left = left[:, assignment]
+    left_values = left_values[assignment]
+    left = left / np.linalg.norm(left, axis=0)
+    residuals = np.max(np.abs(a @ right - right * values[None, :]), axis=0)
+    left_residuals = np.max(
+        np.abs(a.conj().T @ left - left * left_values[None, :]), axis=0
+    )
+    biorth = np.einsum("ij,ij->j", left.conj(), right)
+    return values, right, left, residuals, left_residuals, biorth
+
+
+def _double_loop_coalescence(es, ep_tolerance=Tolerances().ep):
+    """Reference: the former O(N^2) pair loop over the full Gram matrix."""
+    n = es.dim
+    scale = es.scale
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    overlaps = np.abs(es.right.conj().T @ es.right)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(es.eigenvalues[i] - es.eigenvalues[j]) > ep_tolerance * scale:
+                continue
+            if overlaps[i, j] < 1.0 - ep_tolerance:
+                continue
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        idx = tuple(sorted(members))
+        u_r, _, _ = np.linalg.svd(es.right[:, idx], full_matrices=False)
+        u_l, _, _ = np.linalg.svd(es.left[:, idx], full_matrices=False)
+        v_coal = _canonical_phase(u_r[:, 0])
+        w_coal = _canonical_phase(u_l[:, 0])
+        biorth = complex(np.vdot(w_coal, v_coal))
+        if abs(biorth) > ep_tolerance:
+            continue
+        centroid = complex(np.mean(es.eigenvalues[list(idx)]))
+        clusters.append((idx, centroid, v_coal, w_coal, biorth))
+    clusters.sort(key=lambda c: (c[1].real, c[1].imag))
+    return clusters
+
+
+def _planted_pair(n, split, parallel):
+    """Real symmetric background plus one planted near-degenerate 2 x 2 block.
+
+    The background levels lie near 1..n-2, away from the pair. With
+    ``parallel`` the block is a Jordan block perturbed by ``split**2``, whose
+    eigenvalues split by ``2 split`` with nearly parallel eigenvectors;
+    otherwise it is ``diag(0, split)``, a close pair with orthogonal
+    eigenvectors.
+    """
+    g = np.random.default_rng(0).normal(size=(n - 2, n - 2))
+    background = np.diag(np.arange(1.0, n - 1)) + 0.02 * (g + g.T)
+    block = np.array([[0.0, 1.0], [split**2, 0.0]]) if parallel else np.diag([0.0, split])
+    a = np.zeros((n, n), dtype=complex)
+    a[:2, :2] = block
+    a[2:, 2:] = background
+    return a
 
 
 class TestEig:
@@ -68,6 +166,60 @@ class TestEig:
             w = es.left[:, i]
             nu = np.vdot(w, h.conj().T @ w)  # Rayleigh quotient
             assert np.max(np.abs(h.conj().T @ w - nu * w)) < 1e-10 * es.norm_inf
+
+    def test_solves_matrix_and_adjoint_with_numpy(self, monkeypatch):
+        calls = []
+
+        def counted(name, solver):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solver(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eig", counted("numpy", np.linalg.eig))
+        monkeypatch.setattr(scipy.linalg, "eig", counted("scipy", scipy.linalg.eig))
+        eig(build_ssh(10, 1.5, gamma_ep(1.5, 10)))
+        assert calls == ["numpy", "numpy"]
+        calls.clear()
+        eig(_ring(6, 2.0))
+        assert calls == ["numpy", "numpy"]
+
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    def test_ring_left_vectors_solve_adjoint_problem(self, n, mu):
+        h = _ring(n, mu)
+        assert not np.array_equal(h, h.T)
+        es = eig(h)
+        bound = Tolerances().residual * es.norm_inf
+        adjoint = h.conj().T
+        for i in range(es.dim):
+            w = es.left[:, i]
+            nu = np.vdot(w, adjoint @ w)  # the paired left eigenvalue
+            assert np.max(np.abs(adjoint @ w - nu * w)) <= bound
+            # off conj(eigenvalue) by at most the splitting at the EP
+            assert abs(nu - es.eigenvalues[i].conjugate()) <= 1e-6 * es.scale
+            assert abs(np.linalg.norm(w) - 1.0) < 1e-14
+        assert float(np.max(es.left_residuals)) <= bound
+        assert float(np.max(es.residuals)) <= bound
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [build_ssh(n, mu, gamma_ep(mu, n))
+         for n, mu in [(6, 2.0), (6, 0.5), (14, 0.5), (30, 1.5), (30, 0.3), (64, 2.0)]]
+        + [_ring(n, mu) for n, mu in [(6, 0.5), (6, 2.0), (10, 0.5), (16, 1.5)]]
+        + [
+            np.diag([1.0, 1.0, 2.0j]),
+            np.kron(np.eye(2), [[1.0, 0.5j, 0.2], [0.5j, -1.0, 0.3], [0.2, 0.3, 0.4j]]),
+        ],
+        ids=[f"chain{i}" for i in range(6)] + [f"ring{i}" for i in range(4)]
+        + ["repeated-diagonal", "repeated-block"],
+    )
+    def test_matches_greedy_pairing_loop(self, matrix):
+        es = eig(matrix)
+        got = (es.eigenvalues, es.right, es.left, es.residuals,
+               es.left_residuals, es.biorth_norms)
+        for g, w in zip(got, _two_solve_eig(matrix)):
+            assert np.array_equal(g, w)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -138,6 +290,49 @@ class TestDetectCoalescence:
         clusters = detect_coalescence(es)
         assert len(clusters) == 1
         assert abs(clusters[0].eigenvalue) < 1e-12
+
+    @staticmethod
+    def _assert_same_clusters(es):
+        got = detect_coalescence(es)
+        want = _double_loop_coalescence(es)
+        assert len(got) == len(want)
+        for cluster, (idx, centroid, v, w, biorth) in zip(got, want):
+            assert cluster.indices == idx
+            assert cluster.eigenvalue == centroid
+            assert np.array_equal(cluster.right_vector, v)
+            assert np.array_equal(cluster.left_vector, w)
+            assert cluster.biorth_norm == biorth
+        return got
+
+    def test_matches_double_loop_on_verify_grid(self):
+        found = 0
+        for n in GRID_N:
+            for mu in GRID_MU_TOPO + GRID_MU_TRIV:
+                found += len(self._assert_same_clusters(
+                    eig(build_ssh(n, mu, gamma_ep(mu, n)))))
+        assert found == len(GRID_N) * len(GRID_MU_TOPO + GRID_MU_TRIV)
+
+    @pytest.mark.parametrize("n,mu", [(6, 0.5), (10, 2.0)])
+    def test_matches_double_loop_on_ring(self, n, mu):
+        self._assert_same_clusters(eig(_ring(n, mu)))
+
+    def test_matches_double_loop_when_every_pair_is_close(self):
+        # beyond the domain edge the evanescent pair at ~gamma_ep ~ 6e14 sets
+        # the scale, so every pair of O(1) levels falls inside the cluster width
+        es = eig(build_ssh(100, 0.5, gamma_ep(0.5, 100)))
+        small = np.abs(es.eigenvalues) < 0.5 * Tolerances().ep * es.scale
+        assert small.sum() >= es.dim - 2
+        self._assert_same_clusters(es)
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    @pytest.mark.parametrize("split", [1e-9, 1e-7, 1e-5])
+    def test_matches_double_loop_on_planted_pair(self, parallel, split):
+        es = eig(_planted_pair(12, split, parallel))
+        clusters = self._assert_same_clusters(es)
+        # the pair is a candidate whenever it lies inside the width; only
+        # the parallel (Jordan-like) one passes the overlap test
+        expected = 1 if parallel and 2 * split <= Tolerances().ep * es.scale else 0
+        assert len(clusters) == expected
 
     def test_zero_tolerance_detects_nothing(self):
         es = eig(build_ssh(6, 2.0, 0.25))
