@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -188,9 +187,13 @@ def dump_json(payload) -> str:
 
 
 def atomic_write(path: str, content: str) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temporary file in the target directory, then rename.
+
+    The file gets mode 0o666 less the umask, as a plain ``open`` would give.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
+    tmp = os.path.join(directory, f".tmp-artifact-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)

@@ -3,7 +3,9 @@
 Each criterion is a function of the tolerances and, optionally, of
 ``solved``, the run's cache of solved grid chains (see :func:`_grid_eig`),
 returning a :class:`CriterionResult`; :func:`run_criteria` executes a
-filtered subset and shares one cache among them.
+filtered subset and shares one cache among them, so a run solves each grid
+chain once; only the six-site criteria, whose budget times a real solve, and
+the rings are solved outside it.
 The six-site chains have fully explicit spectra and eigenvectors, the
 censuses and closed forms are checked across the desk-scale grid
 (n up to 30, matrices up to 60 x 60), and the dense eigensolver serves as
@@ -112,19 +114,18 @@ def six_site_mu_half(tolerances, solved=None):
 
 def mode_census(tolerances, solved=None):
     started = time.perf_counter()
-    t0 = time.perf_counter()
     failures = []
     count = 0
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
             expected = (0, 1, n - 2) if mu > 1 else (2, 1, n - 4)
-            point = analysis.census_sweep([n], [mu], tolerances).points[0]
-            census = point.census
+            _, es = _grid_eig(n, mu, tolerances, solved)
+            _, census = spectral.classify_modes(es, tolerances)
             count += 1
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
                 failures.append(f"(n={n}, mu={mu}): {got} != {expected}")
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - started
     checks = [
         (not failures, f"{count} grid points match the expected censuses"
          + ("" if not failures else f"; failures: {failures[:4]}")),
@@ -170,7 +171,7 @@ def bethe_spectrum_equivalence(tolerances, solved=None):
     for n in CLOSED_FORM_N:
         for mu in CLOSED_FORM_MU:
             gamma = model.gamma_ep(mu, n)
-            es = spectral.eig(model.build_ssh(n, mu, gamma), tolerances.residual)
+            _, es = _grid_eig(n, mu, tolerances, solved)
             records, _ = spectral.classify_modes(es, tolerances)
             analytic = [r.epsilon for r in bethe.solve_real_k(mu, gamma, n)]
             analytic += [0.0, 0.0]
@@ -195,7 +196,7 @@ def evanescent_asymptotics(tolerances, solved=None):
     ratios = []
     for n in GRID_N:
         gamma = model.gamma_ep(mu, n)
-        es = spectral.eig(model.build_ssh(n, mu, gamma), tolerances.residual)
+        _, es = _grid_eig(n, mu, tolerances, solved)
         records, _ = spectral.classify_modes(es, tolerances)
         imag = [abs(r.eigenvalue) for r in records
                 if r.mode_class is spectral.ModeClass.IMAGINARY_EVANESCENT]
@@ -230,9 +231,8 @@ def block_decomposition(tolerances, solved=None):
             worst_comm = max(worst_comm, blocks.commutator / ring_norm**2)
             s = model.fit_block_scale(blocks.h_plus, n, mu, gamma)
             scales.append(s)
-            ssh = model.build_ssh(n, mu, gamma)
             es_ring = spectral.eig(ring, tolerances.residual)
-            es_ssh = spectral.eig(ssh, tolerances.residual)
+            _, es_ssh = _grid_eig(n, mu, tolerances, solved)
             ring_values = spectral.coalesced_eigenvalues(es_ring, tolerances.ep) / s
             ssh_values = spectral.coalesced_eigenvalues(es_ssh, tolerances.ep)
             union = np.concatenate([ssh_values, ssh_values.conj()])
@@ -271,7 +271,7 @@ def _grid_eig(n, mu, tolerances, solved):
     """Chain ``h`` at ``(n, mu, gamma_ep)`` and its eigensystem, solved once.
 
     ``solved`` maps ``(n, mu, tolerances.residual)`` to the pairs already
-    computed in this run, so the criteria that walk the grid share them.
+    computed in this run; every criterion that solves a grid chain reads it.
     Without it (a criterion called alone) every call solves afresh.
     """
     key = (n, mu, tolerances.residual)

@@ -4,7 +4,9 @@ Runs the same registry the ``majorana-pt verify`` command uses and prints
 one PASS/FAIL line per criterion (run pytest with ``-s`` to see them all).
 """
 
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -75,3 +77,33 @@ def test_suite_solves_the_shared_grid_once(monkeypatch):
     results = verify.run_criteria()
     assert all(r.passed for r in results)
     assert len(solved) == len(set(solved)) == len(verify.GRID_N) * 6
+
+
+def test_suite_solves_each_distinct_matrix_once(monkeypatch):
+    solved = []
+    original = verify.spectral.eig
+
+    def counted(h, *args, **kwargs):
+        solved.append(h.tobytes())
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(verify.spectral, "eig", counted)
+    verify.run_criteria()
+    # 78 grid chains and 6 rings, plus the two timed six-site solves, whose
+    # chains are the grid points (6, 2.0) and (6, 0.5)
+    counts = Counter(solved)
+    assert len(solved) == 86 and max(counts.values()) == 2
+    assert {h for h, k in counts.items() if k == 2} == {
+        verify.model.build_ssh(6, 2.0, 0.25).tobytes(),
+        verify.model.build_ssh(6, 0.5, 4.0).tobytes(),
+    }
+
+
+def _without_runtimes(detail):
+    return re.sub(r"runtime [0-9.]+ m?s", "runtime", detail)
+
+
+def test_shared_run_gives_the_details_of_criteria_run_alone():
+    for shared in verify.run_criteria():
+        alone = _run(shared.criterion_id)
+        assert _without_runtimes(shared.detail) == _without_runtimes(alone.detail)

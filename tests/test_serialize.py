@@ -109,3 +109,18 @@ class TestAtomicWrite:
         assert target.read_text() == "two\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "artifact.csv"
+        previous = os.umask(umask)
+        try:
+            serialize.atomic_write(str(target), "x\n")
+        finally:
+            os.umask(previous)
+        assert target.stat().st_mode & 0o777 == mode
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            serialize.atomic_write(str(tmp_path / "artifact.csv"), b"not text")
+        assert os.listdir(tmp_path) == []
