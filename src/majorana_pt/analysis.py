@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,18 +150,14 @@ def _sweep_point(n: int, mu: float, tolerances: Tolerances) -> SweepPoint:
 
 
 def census_sweep(
-    n_list,
-    mu_list,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    max_workers: int | None = None,
+    n_list, mu_list, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> SweepResult:
     """Mode census over a grid of chain lengths and couplings.
 
     Every grid point is solved at its own coalescence coupling
-    ``gamma_ep(mu, n)``.  Points are independent; with ``max_workers > 1``
-    they are computed in a thread pool and merged back in grid order, so the
-    result is deterministic either way.  A census identity violation at any
-    point aborts with the offending (n, mu).
+    ``gamma_ep(mu, n)``, in row-major grid order.  A failure at any point
+    (a census identity violation, a residual over the bound) is re-raised
+    with the offending (n, mu) prefixed to its message and its type kept.
     """
     n_list = [int(n) for n in n_list]
     mu_list = [float(mu) for mu in mu_list]
@@ -172,17 +166,12 @@ def census_sweep(
     for mu in mu_list:
         if mu <= 0 or mu == 1.0:
             raise ValueError(f"sweep requires mu > 0 and mu != 1, got {mu}")
-    grid = [(n, mu) for n in n_list for mu in mu_list]
-    if max_workers is None or max_workers <= 1:
-        points = [_sweep_point(n, mu, tolerances) for n, mu in grid]
-    else:
-        workers = min(max_workers, len(grid), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_point, n, mu, tolerances) for n, mu in grid]
-            points = []
-            for (n, mu), future in zip(grid, futures):
-                try:
-                    points.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(f"sweep failed at (n={n}, mu={mu}): {exc}") from exc
+    points = []
+    for n in n_list:
+        for mu in mu_list:
+            try:
+                points.append(_sweep_point(n, mu, tolerances))
+            except (ValueError, RuntimeError) as exc:
+                exc.args = (f"sweep failed at (n={n}, mu={mu}): {exc}",)
+                raise
     return SweepResult(points=points)

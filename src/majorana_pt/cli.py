@@ -10,17 +10,17 @@ sweep      census over an (N, mu) grid with derived edge-mode counts
 plot       stacked stem plot of zero-mode amplitude profiles (SVG)
 verify     run the verification suite; exit 3 on any failure
 
-Exit codes: 0 success, 1 usage or parameter error, 2 classification failure
-(off the coalescence locus), 3 verification failure.  Flags override values
-from an optional ``--config`` file of ``key = value`` lines; the effective
-configuration is echoed into every artifact.  All computations are
-deterministic, so identical configurations give byte-identical artifacts.
+Exit codes: 0 success, 1 usage, parameter or numerical error, 2
+classification failure (off the coalescence locus), 3 verification failure.
+Flags override values from an optional ``--config`` file of ``key = value``
+lines; the effective configuration is echoed into every artifact.  All
+computations are deterministic, so identical configurations give
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import analysis, bethe, model, serialize, spectral, svgfig, verify
@@ -91,14 +91,19 @@ def _model_config(args, command: str):
     if n is None or mu is None:
         raise ValueError(f"{command} requires --N and --mu")
     gamma = _resolve_gamma(args, n, mu)
+    t = _merge(args, "t", float, 1.0)
+    delta = _merge(args, "delta", float, 1.0)
+    if t != 1.0 or delta != 1.0:
+        raise ValueError(f"only t = delta = 1 is implemented, got t={t}, "
+                         f"delta={delta}")
     tol = _tolerances(args)
     config = {
         "command": command,
         "N": n,
         "mu": mu,
         "gamma": gamma,
-        "t": _merge(args, "t", float, 1.0),
-        "delta": _merge(args, "delta", float, 1.0),
+        "t": t,
+        "delta": delta,
         "tol_residual": tol.residual,
         "tol_class": tol.mode_class,
         "tol_ep": tol.ep,
@@ -141,16 +146,7 @@ def _cmd_spectrum(args) -> int:
         payload["unmatched"] = [serialize.complex_pair(z) for z in unmatched]
         _emit(args, serialize.dump_json(payload))
     elif fmt == "csv":
-        lines = _config_lines(config)
-        rows = ["re,im,residual,biorth_re,biorth_im,mode_class"]
-        for i, record in enumerate(records):
-            z = complex(es.eigenvalues[i])
-            b = complex(es.biorth_norms[i])
-            rows.append(
-                f"{z.real!r},{z.imag!r},{es.residuals[i]!r},{b.real!r},"
-                f"{b.imag!r},{record.mode_class.value}"
-            )
-        _emit(args, "".join(f"# {l}\n" for l in lines) + "\n".join(rows) + "\n")
+        _emit(args, serialize.spectrum_csv(es, records, _config_lines(config)))
     elif fmt == "text":
         lines = [f"# {l}" for l in _config_lines(config)]
         lines.append(serialize.matrix_to_text(h).rstrip("\n"))
@@ -164,6 +160,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_zero_mode(args) -> int:
     n, mu, gamma, tol, config = _model_config(args, "zero-mode")
+    locus = model.gamma_ep(mu, n)
+    if abs(gamma - locus) > 1e-9 * locus:
+        raise ValueError(f"the coalescing zero mode exists only at gamma = "
+                         f"gamma_ep(mu, N) = {locus!r}, got {gamma!r}")
     side = _merge(args, "side", str, "right")
     config["side"] = side
     fmt = _merge(args, "format", str, "csv")
@@ -223,14 +223,6 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _sweep_workers(grid_size: int) -> int:
-    workers = min(os.cpu_count() or 1, grid_size)
-    cap = os.environ.get("MAJORANA_PT_THREADS")
-    if cap is not None:
-        workers = max(1, min(workers, int(cap)))
-    return workers
-
-
 def _cmd_sweep(args) -> int:
     n_grid = _merge(args, "N_grid", _csv_ints)
     mu_grid = _merge(args, "mu_grid", _csv_floats)
@@ -246,9 +238,7 @@ def _cmd_sweep(args) -> int:
         "tol_class": tol.mode_class,
         "tol_ep": tol.ep,
     }
-    result = analysis.census_sweep(
-        n_grid, mu_grid, tol, max_workers=_sweep_workers(len(n_grid) * len(mu_grid))
-    )
+    result = analysis.census_sweep(n_grid, mu_grid, tol)
     if fmt == "csv":
         _emit(args, serialize.sweep_csv(result, _config_lines(config)))
     elif fmt == "json":
@@ -324,8 +314,8 @@ def _cmd_verify(args) -> int:
 def _add_model_flags(parser) -> None:
     parser.add_argument("--N", type=int, help="even site count >= 4")
     parser.add_argument("--mu", type=float, help="bulk coupling mu > 0")
-    parser.add_argument("--t", type=float, help="hopping amplitude (default 1)")
-    parser.add_argument("--delta", type=float, help="pairing amplitude (default t)")
+    parser.add_argument("--t", type=float, help="hopping amplitude (only 1)")
+    parser.add_argument("--delta", type=float, help="pairing amplitude (only 1)")
     parser.add_argument("--gamma", help="end potential, a number or 'auto'")
 
 
@@ -390,7 +380,7 @@ def main(argv=None) -> int:
     except spectral.ClassificationError as exc:
         print(f"classification error: {exc}", file=sys.stderr)
         return CLASSIFICATION_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

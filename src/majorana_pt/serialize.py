@@ -8,7 +8,6 @@ documented in docs/FORMATS.md.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 
@@ -20,6 +19,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_text",
     "eigensystem_to_json",
+    "spectrum_csv",
     "census_csv",
     "sweep_csv",
     "roots_to_json",
@@ -94,32 +94,43 @@ def eigensystem_to_json(es, include_vectors: bool = False) -> dict:
     return payload
 
 
+def _csv(config_lines, header: str, rows) -> str:
+    """``# key=value`` comment lines, the header, then one line per row."""
+    lines = [f"# {line}" for line in config_lines] + [header, *rows]
+    return "\n".join(lines) + "\n"
+
+
+SPECTRUM_HEADER = "re,im,residual,biorth_re,biorth_im,mode_class"
+
+
+def spectrum_csv(es, records, config_lines=()) -> str:
+    """CSV ``re,im,residual,biorth_re,biorth_im,mode_class``, one row per level."""
+    rows = []
+    for i, record in enumerate(records):
+        z, b = complex(es.eigenvalues[i]), complex(es.biorth_norms[i])
+        rows.append(f"{z.real!r},{z.imag!r},{es.residuals[i]!r},{b.real!r},"
+                    f"{b.imag!r},{record.mode_class.value}")
+    return _csv(config_lines, SPECTRUM_HEADER, rows)
+
+
 CENSUS_HEADER = "N,mu,gamma,n_I,n_EP,n_S"
 SWEEP_HEADER = "N,mu,gamma,n_I,n_EP,n_S,edge_modes"
 
 
 def census_csv(rows, config_lines=()) -> str:
     """CSV ``N,mu,gamma,n_I,n_EP,n_S``; rows are (n, mu, gamma, census)."""
-    out = io.StringIO()
-    for line in config_lines:
-        out.write(f"# {line}\n")
-    out.write(CENSUS_HEADER + "\n")
-    for n, mu, gamma, census in rows:
-        out.write(f"{n},{mu!r},{gamma!r},{census.n_I},{census.n_EP},{census.n_S}\n")
-    return out.getvalue()
+    return _csv(config_lines, CENSUS_HEADER, (
+        f"{n},{mu!r},{gamma!r},{census.n_I},{census.n_EP},{census.n_S}"
+        for n, mu, gamma, census in rows
+    ))
 
 
 def sweep_csv(result, config_lines=()) -> str:
-    out = io.StringIO()
-    for line in config_lines:
-        out.write(f"# {line}\n")
-    out.write(SWEEP_HEADER + "\n")
-    for p in result.points:
-        out.write(
-            f"{p.n},{p.mu!r},{p.gamma!r},{p.census.n_I},{p.census.n_EP},"
-            f"{p.census.n_S},{p.edge_modes}\n"
-        )
-    return out.getvalue()
+    return _csv(config_lines, SWEEP_HEADER, (
+        f"{p.n},{p.mu!r},{p.gamma!r},{p.census.n_I},{p.census.n_EP},"
+        f"{p.census.n_S},{p.edge_modes}"
+        for p in result.points
+    ))
 
 
 def roots_to_json(roots) -> list[dict]:
@@ -139,18 +150,13 @@ ROOTS_HEADER = "k_re,k_im,branch,sector,eps_re,eps_im,residual"
 
 
 def roots_csv(roots, config_lines=()) -> str:
-    out = io.StringIO()
-    for line in config_lines:
-        out.write(f"# {line}\n")
-    out.write(ROOTS_HEADER + "\n")
+    rows = []
     for r in roots:
         k, e = complex(r.k), complex(r.epsilon)
         sign = "+" if r.branch > 0 else "-"
-        out.write(
-            f"{k.real!r},{k.imag!r},{sign},{r.sector},{e.real!r},{e.imag!r},"
-            f"{r.residual!r}\n"
-        )
-    return out.getvalue()
+        rows.append(f"{k.real!r},{k.imag!r},{sign},{r.sector},{e.real!r},"
+                    f"{e.imag!r},{r.residual!r}")
+    return _csv(config_lines, ROOTS_HEADER, rows)
 
 
 ZERO_MODE_HEADER = "j,re,im,P_j"
@@ -158,27 +164,20 @@ ZERO_MODE_HEADER = "j,re,im,P_j"
 
 def zero_mode_csv(wavefunction, config_lines=()) -> str:
     """CSV ``j,re,im,P_j`` over the chain sites (1-based)."""
-    out = io.StringIO()
-    for line in config_lines:
-        out.write(f"# {line}\n")
-    out.write(ZERO_MODE_HEADER + "\n")
-    for j, amp in enumerate(wavefunction.amplitudes, start=1):
-        amp = complex(amp)
-        out.write(f"{j},{amp.real!r},{amp.imag!r},{abs(amp)!r}\n")
-    return out.getvalue()
+    amps = (complex(amp) for amp in wavefunction.amplitudes)
+    return _csv(config_lines, ZERO_MODE_HEADER, (
+        f"{j},{amp.real!r},{amp.imag!r},{abs(amp)!r}"
+        for j, amp in enumerate(amps, start=1)
+    ))
 
 
 DISTRIBUTION_HEADER = "j,P"
 
 
 def distribution_csv(profile, config_lines=()) -> str:
-    out = io.StringIO()
-    for line in config_lines:
-        out.write(f"# {line}\n")
-    out.write(DISTRIBUTION_HEADER + "\n")
-    for j, p in enumerate(profile.values, start=1):
-        out.write(f"{j},{p!r}\n")
-    return out.getvalue()
+    return _csv(config_lines, DISTRIBUTION_HEADER, (
+        f"{j},{p!r}" for j, p in enumerate(profile.values, start=1)
+    ))
 
 
 def dump_json(payload) -> str:

@@ -425,18 +425,20 @@ def coalesced_eigenvalues(
 def match_multisets(a, b) -> float:
     """Greedy nearest-neighbor distance between two complex multisets.
 
-    Returns the largest pairing distance; raises if the lengths differ.
+    Walks ``a`` in (real, imaginary) order, pairs each value with the
+    nearest still unpaired value of ``b`` (:func:`_greedy_pairing`) and
+    returns the largest pairing distance; raises if the lengths differ.
     Used to compare spectra coming from independent routes.
     """
-    a = sorted((complex(z) for z in a), key=lambda z: (z.real, z.imag))
-    b = [complex(z) for z in b]
-    if len(a) != len(b):
-        raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
-    worst = 0.0
-    remaining = b[:]
-    for z in a:
-        dist = [abs(z - w) for w in remaining]
-        j = int(np.argmin(dist))
-        worst = max(worst, dist[j])
-        remaining.pop(j)
-    return worst
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.size != b.size:
+        raise ValueError(f"multiset sizes differ: {a.size} vs {b.size}")
+    if not a.size:
+        return 0.0
+    a = a[_sort_by_re_im(a)]
+    d = a[:, None] - b[None, :]
+    # hypot, as Python's abs(complex); np.abs can differ from it by an ulp,
+    # which flips the greedy choice on near-ties
+    gaps = np.hypot(d.real, d.imag)
+    return float(np.max(gaps[np.arange(a.size), _greedy_pairing(gaps)]))

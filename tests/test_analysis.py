@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from majorana_pt import (
+    ClassificationError,
     ModeClass,
     ModeRecord,
+    Tolerances,
     build_ssh,
     census_sweep,
     classify_modes,
@@ -132,17 +136,13 @@ class TestCensusSweep:
         counts = {p.mu: p.edge_modes for p in result.points}
         assert counts[0.8] == 4 and counts[1.5] == 2
 
-    def test_parallel_matches_serial(self):
-        grid_n, grid_mu = [6, 10, 14], [0.5, 2.0]
-        serial = census_sweep(grid_n, grid_mu)
-        parallel = census_sweep(grid_n, grid_mu, max_workers=4)
-        assert [
-            (p.n, p.mu, p.census.n_I, p.census.n_EP, p.census.n_S)
-            for p in serial.points
-        ] == [
-            (p.n, p.mu, p.census.n_I, p.census.n_EP, p.census.n_S)
-            for p in parallel.points
-        ]
+    def test_has_no_worker_parameter(self):
+        assert "max_workers" not in inspect.signature(census_sweep).parameters
+
+    def test_failure_names_the_grid_point_and_keeps_its_type(self):
+        tiny = Tolerances(mode_class=1e-20)
+        with pytest.raises(ClassificationError, match=r"\(n=6, mu=2\.0\)"):
+            census_sweep([6, 8], [2.0], tiny)
 
     def test_rejects_uniform_mu(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -129,8 +130,7 @@ class TestCensusAndSweep:
         lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
         assert lines == ["N,mu,gamma,n_I,n_EP,n_S", "6,0.5,4.0,2,1,2"]
 
-    def test_sweep_grid(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAJORANA_PT_THREADS", "2")
+    def test_sweep_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--N-grid", "6,8", "--mu-grid", "0.5,2.0")
         assert code == 0
         lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
@@ -141,6 +141,21 @@ class TestCensusAndSweep:
             "8,0.5,8.0,2,1,4,4",
             "8,2.0,0.125,0,1,6,2",
         ]
+
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    def test_sweep_failure_names_the_point_and_exits_two(
+        self, capsys, monkeypatch, threads
+    ):
+        if threads is None:
+            monkeypatch.delenv("MAJORANA_PT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MAJORANA_PT_THREADS", threads)
+        code, out, err = run(capsys, "sweep", "--N-grid", "6,8", "--mu-grid", "2.0",
+                             "--tol-class", "1e-20")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("classification error: ")
+        assert "n=6" in err and "mu=2.0" in err
 
     def test_sweep_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--N-grid", "6,10", "--mu-grid", "1.5")
@@ -237,3 +252,92 @@ class TestArtifactDeterminism:
         run(capsys, "spectrum", "--N", "10", "--mu", "0.5", "--gamma", "auto",
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestModelFlags:
+    @pytest.mark.parametrize("flags", [
+        ("--t", "2"), ("--delta", "0.3"), ("--t", "2", "--delta", "0.3"),
+    ])
+    @pytest.mark.parametrize("command", ["spectrum", "census", "bethe", "zero-mode"])
+    def test_rejects_t_and_delta_other_than_one(self, capsys, command, flags):
+        code, out, err = run(capsys, command, "--N", "6", "--mu", "2", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: only t = delta = 1")
+
+    def test_explicit_unit_t_and_delta_keep_the_artifact(self, capsys):
+        _, default, _ = run(capsys, "census", "--N", "6", "--mu", "2")
+        code, explicit, _ = run(capsys, "census", "--N", "6", "--mu", "2",
+                                "--t", "1", "--delta", "1")
+        assert code == 0
+        assert explicit == default
+        assert "# delta=1.0\n" in explicit and "# t=1.0\n" in explicit
+
+    def test_zero_mode_rejects_gamma_off_the_locus(self, capsys):
+        code, out, err = run(capsys, "zero-mode", "--N", "6", "--mu", "2",
+                             "--gamma", "0.7")
+        assert code == 1
+        assert out == ""
+        assert "gamma_ep" in err
+
+    @pytest.mark.parametrize("gamma,code", [
+        ("0.25", 0), (repr(0.25 * (1 + 5e-10)), 0), (repr(0.25 * (1 + 2e-9)), 1),
+    ])
+    def test_zero_mode_gamma_tolerance(self, capsys, gamma, code):
+        assert run(capsys, "zero-mode", "--N", "6", "--mu", "2",
+                   "--gamma", gamma)[0] == code
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("n", ["132", "300"])
+    def test_bethe_root_scan_failure_is_an_error_line(self, capsys, n):
+        code, out, err = run(capsys, "bethe", "--N", n, "--mu", "2.0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: polished root")
+        assert "Traceback" not in err
+
+    def test_eigensolver_residual_failure_is_an_error_line(self, capsys):
+        code, out, err = run(capsys, "census", "--N", "6", "--mu", "2",
+                             "--tol-residual", "1e-20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: right eigenpair")
+
+
+class TestCsvArtifactBytes:
+    """CSV artifacts keep the bytes written before the shared CSV writer.
+
+    The spectrum rows hold LAPACK residuals and overlaps, so their digests
+    were recorded with numpy 2.4 on OpenBLAS; the other artifacts do not
+    depend on the BLAS build.
+    """
+
+    @pytest.mark.parametrize("argv,digest", [
+        ("spectrum --N 6 --mu 2.0",
+         "e3765d3a631ad2f085a19286d8f7d1302447a1724c8f8796adbf51f682f961a5"),
+        ("census --N 6 --mu 2.0",
+         "675af7f9a1f645d893159fd97b59ca7870dd00e4c4a3fd434beb189476cbbb2e"),
+        ("bethe --N 6 --mu 2.0",
+         "7b30215c4d1b14487020ed5f505a02125bfdfca915e7960bab1ecfd453ae6dff"),
+        ("zero-mode --N 6 --mu 2.0",
+         "22e1ed336c3680414c34d5cc03ec9486d46ad3117778500daf9338749f7ab2a1"),
+        ("sweep --N-grid 6 --mu-grid 2.0",
+         "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde"),
+        ("spectrum --N 14 --mu 0.5",
+         "2c2e8693253f3db4461455efc2d60a9f366f4637253921836bdaf079b974a902"),
+        ("census --N 14 --mu 0.5",
+         "6b2a98d6f883ad2f566c3b9b27f4547b8b84436618a6b675a23923140d332414"),
+        ("bethe --N 14 --mu 0.5",
+         "c12568a32181e6c637743e3b11298557024090ac204c7d7925548bb6d3a9c64d"),
+        ("zero-mode --N 14 --mu 0.5",
+         "c10cba6b36f9c3329b84cb294a4f59ba2b0026e62d2ba451be6ffd8a259fe718"),
+        ("sweep --N-grid 14 --mu-grid 0.5",
+         "63641852fd26400e834175460454bb294c083f067e2e48e43cffec52efcc316f"),
+        ("sweep --N-grid 6,8 --mu-grid 0.5,2.0",
+         "97390f36b8a3221c4b261489af72858d6a55034683d398ad841519aa3ad9ce7b"),
+    ])
+    def test_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

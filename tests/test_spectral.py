@@ -113,6 +113,22 @@ def _double_loop_coalescence(es, ep_tolerance=Tolerances().ep):
     return clusters
 
 
+def _loop_match_multisets(a, b):
+    """Reference: the former per-value greedy loop over a shrinking list."""
+    a = sorted((complex(z) for z in a), key=lambda z: (z.real, z.imag))
+    b = [complex(z) for z in b]
+    if len(a) != len(b):
+        raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
+    worst = 0.0
+    remaining = b[:]
+    for z in a:
+        dist = [abs(z - w) for w in remaining]
+        j = int(np.argmin(dist))
+        worst = max(worst, dist[j])
+        remaining.pop(j)
+    return worst
+
+
 def _planted_pair(n, split, parallel):
     """Real symmetric background plus one planted near-degenerate 2 x 2 block.
 
@@ -426,6 +442,38 @@ class TestUtilities:
         assert match_multisets([1.0], [1.0 + 1e-12]) <= 2e-12
         with pytest.raises(ValueError):
             match_multisets([1.0], [1.0, 2.0])
+
+    def test_match_multisets_empty(self):
+        assert match_multisets([], []) == 0.0
+
+    @staticmethod
+    def _assert_matches_loop(a, b):
+        got = match_multisets(a, b)
+        assert type(got) is float
+        assert got == _loop_match_multisets(a, b)
+
+    def test_match_multisets_matches_loop_on_verify_grid(self):
+        for n in GRID_N:
+            for mu in GRID_MU_TOPO + GRID_MU_TRIV:
+                es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
+                values = es.eigenvalues
+                # conjugate and negated spectra pair the PT and chiral
+                # partners: exact ties on the real levels, near-ties elsewhere
+                for other in (coalesced_eigenvalues(es), values.conj(), -values):
+                    self._assert_matches_loop(values, other)
+                    self._assert_matches_loop(other[::-1], values)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12])
+    def test_match_multisets_matches_loop_on_small_integer_multisets(self, jitter):
+        rng = np.random.default_rng(7)
+        for _ in range(400):
+            size = int(rng.integers(1, 9))
+            a = rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size)
+            b = rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size)
+            a = a + jitter * (rng.normal(size=size) + 1j * rng.normal(size=size))
+            b = b + jitter * (rng.normal(size=size) + 1j * rng.normal(size=size))
+            self._assert_matches_loop(a, b)
+            self._assert_matches_loop(list(a), b[::-1])
 
     def test_default_tolerances(self):
         tol = Tolerances()
