@@ -41,15 +41,10 @@ from .bethe import (
     RootScanError,
     UniformChainError,
     ZeroModeWavefunction,
-    amplitude_ratio,
-    bethe_wavefunction,
-    epsilon_of_k,
-    evanescent_modes,
     evanescent_residual,
     k_from_epsilon,
     match_spectrum_to_roots,
     omega_constant,
-    omega_limit,
     quantization_residual,
     quantization_scale,
     solve_evanescent_pair,
@@ -58,9 +53,7 @@ from .bethe import (
     zero_mode_root,
 )
 from .analysis import (
-    DistributionProfile,
     SweepPoint,
-    SweepResult,
     census_sweep,
     common_part_compare,
     dirac_distribution,

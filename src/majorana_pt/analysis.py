@@ -31,9 +31,7 @@ from .spectral import (
 )
 
 __all__ = [
-    "DistributionProfile",
     "SweepPoint",
-    "SweepResult",
     "dirac_distribution",
     "common_part_compare",
     "gap_bound_check",
@@ -42,31 +40,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DistributionProfile:
-    """Site-resolved amplitude moduli P(j) = |<j|psi>| of a unit vector."""
-
-    n: int
-    mu: float | None
-    values: np.ndarray
-
-
-def dirac_distribution(wavefunction) -> DistributionProfile:
-    """Amplitude-modulus profile of a normalized wavefunction.
+def dirac_distribution(wavefunction) -> np.ndarray:
+    """Site-resolved amplitude moduli P(j) = |<j|psi>| of a unit vector.
 
     Accepts a :class:`~.bethe.ZeroModeWavefunction` or a plain vector.
     The input must be Dirac-normalized; the squared profile then sums to 1.
     """
     if isinstance(wavefunction, bethe.ZeroModeWavefunction):
         amps = wavefunction.amplitudes
-        n, mu = wavefunction.n, wavefunction.mu
     else:
         amps = np.asarray(wavefunction, dtype=complex)
-        n, mu = amps.size, None
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"wavefunction is not Dirac-normalized (norm {norm})")
-    return DistributionProfile(n=n, mu=mu, values=np.abs(amps))
+    return np.abs(amps)
 
 
 def common_part_compare(n_small: int, n_large: int, mu: float) -> float:
@@ -84,8 +71,8 @@ def common_part_compare(n_small: int, n_large: int, mu: float) -> float:
         raise ValueError("expected n_small <= n_large")
     if mu <= 1:
         raise ValueError("the shared-profile comparison applies for mu > 1")
-    p_small = dirac_distribution(bethe.zero_mode(n_small, mu)).values
-    p_large = dirac_distribution(bethe.zero_mode(n_large, mu)).values
+    p_small = dirac_distribution(bethe.zero_mode(n_small, mu))
+    p_large = dirac_distribution(bethe.zero_mode(n_large, mu))
     deviation = 0.0
     for j in range(1, n_small + 1, 2):
         deviation = max(deviation, abs(p_small[j - 1] - p_large[j - 1]))
@@ -134,11 +121,6 @@ class SweepPoint:
     edge_modes: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    points: list[SweepPoint]
-
-
 def _sweep_point(n: int, mu: float, tolerances: Tolerances) -> SweepPoint:
     gamma = gamma_ep(mu, n)
     es = eig(build_ssh(n, mu, gamma), tolerances.residual)
@@ -151,7 +133,7 @@ def _sweep_point(n: int, mu: float, tolerances: Tolerances) -> SweepPoint:
 
 def census_sweep(
     n_list, mu_list, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> SweepResult:
+) -> list[SweepPoint]:
     """Mode census over a grid of chain lengths and couplings.
 
     Every grid point is solved at its own coalescence coupling
@@ -174,4 +156,4 @@ def census_sweep(
             except (ValueError, RuntimeError) as exc:
                 exc.args = (f"sweep failed at (n={n}, mu={mu}): {exc}",)
                 raise
-    return SweepResult(points=points)
+    return points

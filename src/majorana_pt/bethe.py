@@ -15,9 +15,8 @@ Three solution families exhaust the spectrum:
 * ``k = (i/2) ln mu``: the coalescing zero mode, in closed form
   (:func:`zero_mode`),
 * ``k = i kappa`` with large real kappa, only for ``mu < 1``: a pair of
-  end-localized levels with imaginary eigenvalues (exact roots from
-  :func:`solve_evanescent_pair`, asymptotic form from
-  :func:`evanescent_modes`).
+  end-localized levels with imaginary eigenvalues
+  (:func:`solve_evanescent_pair`).
 
 The sign convention matches :func:`~.model.build_ssh` (positive couplings);
 closed-form amplitudes therefore carry the
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "RootScanError",
     "BetheRoot",
     "ZeroModeWavefunction",
-    "epsilon_of_k",
     "quantization_residual",
     "quantization_scale",
     "evanescent_residual",
@@ -50,10 +48,6 @@ __all__ = [
     "zero_mode",
     "zero_mode_root",
     "omega_constant",
-    "omega_limit",
-    "evanescent_modes",
-    "amplitude_ratio",
-    "bethe_wavefunction",
     "k_from_epsilon",
     "match_spectrum_to_roots",
 ]
@@ -61,6 +55,12 @@ __all__ = [
 #: Trivial quantization roots: every sine factor vanishes identically there
 #: for even n, but the ansatz degenerates and no eigenstate corresponds.
 _TRIVIAL_ROOT_WINDOW = 1e-9
+
+#: Threefold grid refinements :func:`solve_real_k` makes before it gives up.
+_MAX_REFINEMENTS = 3
+
+#: Working digits of the extended-precision evanescent root.
+_EVANESCENT_DPS = 60
 
 
 class UniformChainError(ValueError):
@@ -80,21 +80,6 @@ def _require_mu(mu: float, *, forbid_uniform: bool = False) -> float:
             "mu = 1 is the uniform chain; the dimerized closed forms do not apply"
         )
     return mu
-
-
-def epsilon_of_k(k: complex, mu: float) -> tuple[complex, complex]:
-    """Both branches of the dispersion at wave vector k.
-
-    ``eps^2 = 1 + mu^2 - mu (e^{2ik} + e^{-2ik})``; returns
-    ``(+sqrt, -sqrt)`` with the principal square root.  Entire in k, so any
-    complex wave vector is accepted; ``k = (i/2) ln mu`` annihilates both
-    branches.
-    """
-    _require_mu(mu)
-    k = complex(k)
-    e2 = 1 + mu * mu - mu * (cmath.exp(2j * k) + cmath.exp(-2j * k))
-    root = cmath.sqrt(e2)
-    return root, -root
 
 
 def _quantization_terms(k: complex, mu: float, gamma: float, n: int):
@@ -197,18 +182,16 @@ def solve_real_k(
     gamma: float,
     n: int,
     root_tolerance: float = 1e-12,
-    grid_points: int | None = None,
-    max_refinements: int = 3,
 ) -> list[BetheRoot]:
     """All scattering roots: real k in (0, pi), both eigenvalue branches.
 
-    Scans a uniform grid (at least 20n points) for sign changes of the real
+    Scans a uniform grid of 20n points for sign changes of the real
     quantization function, polishes each bracket with Brent's method, drops
     the trivial roots k = 0, pi/2, pi (every sine factor vanishes there for
     even n), and deduplicates k and pi - k, which carry the same eigenvalue
     pair.  On the coalescence locus the number of distinct roots must equal
-    (n-2)/2 for mu > 1 and (n-4)/2 for mu < 1; the grid is refined up to
-    ``max_refinements`` times before giving up.
+    (n-2)/2 for mu > 1 and (n-4)/2 for mu < 1; the grid is refined
+    threefold, up to three times, before giving up.
 
     Returns two :class:`BetheRoot` entries per distinct k, one per branch,
     ordered by ascending k then descending branch.
@@ -229,8 +212,8 @@ def solve_real_k(
     if on_locus:
         expected = (n - 2) // 2 if mu > 1 else (n - 4) // 2
 
-    points = max(grid_points or 0, 20 * n)
-    for attempt in range(max_refinements + 1):
+    points = 20 * n
+    for _ in range(_MAX_REFINEMENTS + 1):
         ks = np.linspace(0.0, np.pi, points + 2)[1:-1]
         vals = _real_line(ks, mu, gamma, n)
         found: list[float] = []
@@ -285,12 +268,12 @@ def solve_real_k(
     return roots
 
 
-def solve_evanescent_pair(mu: float, gamma: float, n: int, dps: int = 60) -> list[BetheRoot]:
+def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     """Exact imaginary-eigenvalue pair for mu < 1, by high-precision root finding.
 
     The quantization condition along ``k = i kappa``, rescaled by
     ``sinh(n kappa)`` to keep every term of order one, is solved with a
-    ``dps``-digit Newton iteration seeded at the asymptotic root
+    60-digit Newton iteration seeded at the asymptotic root
     ``kappa = (n-1)/2 * ln(1/mu)``.  The individual hyperbolic terms reach
     ~ e^{n kappa} while the balanced combination ``gamma^2 + eps^2`` is of
     order one, so double precision cannot certify small residuals here;
@@ -303,7 +286,7 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int, dps: int = 60) -> lis
     _require_even_sites(n)
     if mu >= 1:
         raise ValueError("the imaginary pair exists only for mu < 1")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_EVANESCENT_DPS):
         mmu = mpmath.mpf(repr(mu))
         mgam = mpmath.mpf(repr(gamma))
 
@@ -349,14 +332,6 @@ def omega_constant(n: int, mu: float) -> float:
     return mu ** (n // 2 - 1) * np.sqrt((1 - mu * mu) / (2 - 2.0 * mu ** n))
 
 
-def omega_limit(mu: float) -> float:
-    """Large-n limit of :func:`omega_constant` for mu > 1: sqrt((mu^2-1)/2)/mu."""
-    mu = _require_mu(mu, forbid_uniform=True)
-    if mu < 1:
-        raise ValueError("the normalization converges only for mu > 1")
-    return np.sqrt((mu * mu - 1) / 2) / mu
-
-
 @dataclass(frozen=True)
 class ZeroModeWavefunction:
     """Closed-form coalescing zero mode (right) or its left partner.
@@ -397,86 +372,6 @@ def zero_mode(n: int, mu: float, side: str = "right") -> ZeroModeWavefunction:
     return ZeroModeWavefunction(n=n, mu=mu, side=side, omega=float(omega), amplitudes=amps)
 
 
-def evanescent_modes(n: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Asymptotic end-localized pair for mu < 1.
-
-    Returns ``(vectors, eigenvalues)`` with ``vectors[0] = |1>`` (sigma=+1)
-    and ``vectors[1] = |n>`` (sigma=-1), and eigenvalues
-    ``+/- i mu^{1-n/2}``.  Both are asymptotic, valid for large n or small
-    mu; the dense eigensolver is the accuracy reference, never this.
-    """
-    _require_even_sites(n)
-    mu = _require_mu(mu, forbid_uniform=True)
-    if mu >= 1:
-        raise ValueError("evanescent imaginary modes exist only for mu < 1")
-    vectors = np.zeros((2, n), dtype=complex)
-    vectors[0, 0] = 1.0
-    vectors[1, n - 1] = 1.0
-    eps = gamma_ep(mu, n)
-    return vectors, np.array([1j * eps, -1j * eps])
-
-
-def amplitude_ratio(k: complex, mu: float) -> complex:
-    """Plane-wave coefficient ratio ``B/D = C/A`` at wave vector k.
-
-    ``exp(-ik) sqrt((1 - mu e^{2ik}) / (1 - mu e^{-2ik}))`` with the
-    principal square root.  Unimodular for real k.  At ``k = (i/2) ln mu``
-    the numerator vanishes (B = C = 0); the mirrored root has the vanishing
-    denominator and is a pole, reported as an error.
-    """
-    _require_mu(mu)
-    k = complex(k)
-    num = 1 - mu * cmath.exp(2j * k)
-    den = 1 - mu * cmath.exp(-2j * k)
-    if abs(den) <= 1e-14 * (1 + mu):
-        raise ValueError(f"amplitude ratio pole: 1 - mu e^(-2ik) = {den}")
-    return cmath.exp(-1j * k) * cmath.sqrt(num / den)
-
-
-def bethe_wavefunction(
-    k: complex, epsilon: complex, mu: float, gamma: float, n: int
-) -> np.ndarray:
-    """Eigenvector for a quantization root with nonzero eigenvalue.
-
-    Builds ``f_l = A e^{ikl} + B e^{-ikl}`` (odd l) and
-    ``C e^{ikl} + D e^{-ikl}`` (even l) with the branch-consistent ratio
-    ``C/A = B/D = e^{-ik} (1 - mu e^{2ik}) / epsilon`` and the free pair
-    (A, D) from the null space of the two end conditions; applies the
-    staggered sign pattern and Dirac-normalizes.  The zero mode has
-    epsilon = 0 and its own closed form, :func:`zero_mode`.
-    """
-    mu = _require_mu(mu)
-    _require_even_sites(n)
-    k = complex(k)
-    epsilon = complex(epsilon)
-    if epsilon == 0:
-        raise ValueError("epsilon = 0 is the coalescing zero mode; use zero_mode()")
-    ratio = cmath.exp(-1j * k) * (1 - mu * cmath.exp(2j * k)) / epsilon
-    e_p = cmath.exp(1j * k)
-    e_m = cmath.exp(-1j * k)
-    end = np.array(
-        [
-            [
-                (epsilon - 1j * gamma) * e_p - ratio * e_p ** 2,
-                (epsilon - 1j * gamma) * ratio * e_m - e_m ** 2,
-            ],
-            [
-                e_p ** (n - 1) - (epsilon + 1j * gamma) * ratio * e_p ** n,
-                ratio * e_m ** (n - 1) - (epsilon + 1j * gamma) * e_m ** n,
-            ],
-        ],
-        dtype=complex,
-    )
-    _, _, vh = np.linalg.svd(end)
-    a_coef, d_coef = vh.conj()[-1]
-    b_coef, c_coef = ratio * d_coef, ratio * a_coef
-    l = np.arange(1, n + 1)
-    odd = a_coef * np.exp(1j * k * l) + b_coef * np.exp(-1j * k * l)
-    even = c_coef * np.exp(1j * k * l) + d_coef * np.exp(-1j * k * l)
-    f = np.where(l % 2 == 1, odd, even) * staggered_signs(n)
-    return f / np.linalg.norm(f)
-
-
 def k_from_epsilon(epsilon: complex, mu: float) -> complex:
     """Invert the dispersion: a wave vector with the given eigenvalue.
 
@@ -495,27 +390,24 @@ def match_spectrum_to_roots(
     mu: float,
     gamma: float,
     n: int,
-) -> tuple[list, list[float]]:
-    """Attach a quantization root to every classified level.
+) -> list[float]:
+    """Normalized quantization residual of every classified level.
 
     Real scattering levels and the coalescing pair are inverted through the
     dispersion; the imaginary pair (mu < 1) is matched against
     :func:`solve_evanescent_pair`, whose residual certificate survives the
-    hyperbolic term growth.  Returns new records with
-    ``matched_bethe_root`` filled, plus the list of normalized residuals in
-    record order.
+    hyperbolic term growth.  Returns the residuals in record order.
     """
     from .spectral import ModeClass
 
     mu = _require_mu(mu, forbid_uniform=True)
     imag_pair = None
-    out, residuals = [], []
+    residuals = []
     for record in records:
         if record.mode_class is ModeClass.IMAGINARY_EVANESCENT:
             if imag_pair is None:
                 imag_pair = solve_evanescent_pair(mu, gamma, n)
             root = min(imag_pair, key=lambda r: abs(r.epsilon - record.eigenvalue))
-            k = root.k if record.eigenvalue.imag >= 0 else -root.k
             res = root.residual
         else:
             if record.mode_class is ModeClass.ZERO_COALESCING:
@@ -526,6 +418,5 @@ def match_spectrum_to_roots(
             res = abs(quantization_residual(k, mu, gamma, n)) / quantization_scale(
                 k, mu, gamma, n
             )
-        out.append(replace(record, matched_bethe_root=k))
         residuals.append(res)
-    return out, residuals
+    return residuals

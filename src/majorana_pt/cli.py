@@ -13,8 +13,9 @@ verify     run the verification suite; exit 3 on any failure
 Exit codes: 0 success, 1 usage, parameter or numerical error, 2
 classification failure (off the coalescence locus), 3 verification failure.
 Flags override values from an optional ``--config`` file of ``key = value``
-lines; the effective configuration is echoed into every artifact.  All
-computations are deterministic, so identical configurations give
+lines, whose keys must name flags of the subcommand; the effective
+configuration is echoed into every artifact.  Flags must be spelled out in
+full.  All computations are deterministic, so identical configurations give
 byte-identical artifacts.
 """
 
@@ -29,14 +30,18 @@ USAGE_ERROR, CLASSIFICATION_ERROR, VERIFY_FAILURE = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """Flags match only when spelled out; usage errors exit 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_on_error_code) from None
-
-    exit_on_error_code = USAGE_ERROR
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str, keys) -> dict[str, str]:
+    """``key = value`` lines; every key must be one of ``keys``."""
     config = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -46,7 +51,10 @@ def _read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            config[key.replace("-", "_")] = value
+            name = key.replace("-", "_")
+            if name not in keys:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            config[name] = value
     return config
 
 
@@ -71,10 +79,11 @@ def _csv_floats(text: str) -> list[float]:
 
 
 def _tolerances(args) -> spectral.Tolerances:
+    default = spectral.DEFAULT_TOLERANCES
     return spectral.Tolerances(
-        residual=_merge(args, "tol_residual", float, 1e-11),
-        mode_class=_merge(args, "tol_class", float, 1e-8),
-        ep=_merge(args, "tol_ep", float, 1e-6),
+        residual=_merge(args, "tol_residual", float, default.residual),
+        mode_class=_merge(args, "tol_class", float, default.mode_class),
+        ep=_merge(args, "tol_ep", float, default.ep),
     )
 
 
@@ -91,19 +100,12 @@ def _model_config(args, command: str):
     if n is None or mu is None:
         raise ValueError(f"{command} requires --N and --mu")
     gamma = _resolve_gamma(args, n, mu)
-    t = _merge(args, "t", float, 1.0)
-    delta = _merge(args, "delta", float, 1.0)
-    if t != 1.0 or delta != 1.0:
-        raise ValueError(f"only t = delta = 1 is implemented, got t={t}, "
-                         f"delta={delta}")
     tol = _tolerances(args)
     config = {
         "command": command,
         "N": n,
         "mu": mu,
         "gamma": gamma,
-        "t": t,
-        "delta": delta,
         "tol_residual": tol.residual,
         "tol_class": tol.mode_class,
         "tol_ep": tol.ep,
@@ -238,9 +240,9 @@ def _cmd_sweep(args) -> int:
         "tol_class": tol.mode_class,
         "tol_ep": tol.ep,
     }
-    result = analysis.census_sweep(n_grid, mu_grid, tol)
+    points = analysis.census_sweep(n_grid, mu_grid, tol)
     if fmt == "csv":
-        _emit(args, serialize.sweep_csv(result, _config_lines(config)))
+        _emit(args, serialize.sweep_csv(points, _config_lines(config)))
     elif fmt == "json":
         payload = {
             "config": config,
@@ -250,7 +252,7 @@ def _cmd_sweep(args) -> int:
                     "n_I": p.census.n_I, "n_EP": p.census.n_EP,
                     "n_S": p.census.n_S, "edge_modes": p.edge_modes,
                 }
-                for p in result.points
+                for p in points
             ],
         }
         _emit(args, serialize.dump_json(payload))
@@ -272,7 +274,7 @@ def _cmd_plot(args) -> int:
     panels = []
     for n in sorted(n_grid, reverse=True):
         profile = analysis.dirac_distribution(bethe.zero_mode(n, mu))
-        panels.append((f"N={n}, mu={mu}", list(profile.values)))
+        panels.append((f"N={n}, mu={mu}", list(profile)))
     svg = svgfig.stem_panels(
         panels,
         title=f"Coalescing zero-mode profile P(j), mu={mu}",
@@ -314,8 +316,6 @@ def _cmd_verify(args) -> int:
 def _add_model_flags(parser) -> None:
     parser.add_argument("--N", type=int, help="even site count >= 4")
     parser.add_argument("--mu", type=float, help="bulk coupling mu > 0")
-    parser.add_argument("--t", type=float, help="hopping amplitude (only 1)")
-    parser.add_argument("--delta", type=float, help="pairing amplitude (only 1)")
     parser.add_argument("--gamma", help="end potential, a number or 'auto'")
 
 
@@ -375,7 +375,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        args._config = _read_config(args.config) if getattr(args, "config", None) else {}
+        flags = set(vars(args)) - {"command", "handler", "config"}
+        args._config = _read_config(args.config, flags) if args.config else {}
         return args.handler(args)
     except spectral.ClassificationError as exc:
         print(f"classification error: {exc}", file=sys.stderr)

@@ -109,23 +109,6 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
 
-    @property
-    def is_pt_configuration(self) -> bool:
-        """True when both impurities are purely imaginary and conjugate."""
-        return (
-            self.mu_left.real == 0.0
-            and self.mu_right.real == 0.0
-            and self.mu_left == -self.mu_right
-        )
-
-    @property
-    def is_symmetric_pairing(self) -> bool:
-        return self.delta == self.t
-
-    def gamma_at_ep(self) -> float:
-        """Coalescence-locus coupling for these (mu, n)."""
-        return gamma_ep(self.mu, self.n)
-
 
 def gamma_ep(mu: float, n: int) -> float:
     """Coupling ``gamma = mu**(1 - n/2)`` at which the zero modes coalesce.

@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "complex_pair",
-    "matrix_to_json",
-    "matrix_from_json",
     "matrix_to_text",
     "eigensystem_to_json",
     "spectrum_csv",
@@ -25,7 +23,6 @@ __all__ = [
     "roots_to_json",
     "roots_csv",
     "zero_mode_csv",
-    "distribution_csv",
     "dump_json",
     "atomic_write",
 ]
@@ -39,26 +36,6 @@ def _f(x) -> float:
 def complex_pair(z) -> list[float]:
     z = complex(z)
     return [_f(z.real), _f(z.imag)]
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    """``{"dim": d, "entries": [[re, im], ...]}`` with row-major entries."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [complex_pair(z) for z in m.reshape(-1)],
-    }
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    dim = int(payload["dim"])
-    entries = payload["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)
 
 
 def format_complex(z) -> str:
@@ -75,8 +52,8 @@ def matrix_to_text(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eigensystem_to_json(es, include_vectors: bool = False) -> dict:
-    payload = {
+def eigensystem_to_json(es) -> dict:
+    return {
         "dim": es.dim,
         "eigenvalues": [complex_pair(z) for z in es.eigenvalues],
         "residuals": [_f(r) for r in es.residuals],
@@ -84,14 +61,6 @@ def eigensystem_to_json(es, include_vectors: bool = False) -> dict:
         "biorth_norms": [complex_pair(z) for z in es.biorth_norms],
         "norm_inf": _f(es.norm_inf),
     }
-    if include_vectors:
-        payload["right_vectors"] = [
-            [complex_pair(z) for z in es.right[:, i]] for i in range(es.dim)
-        ]
-        payload["left_vectors"] = [
-            [complex_pair(z) for z in es.left[:, i]] for i in range(es.dim)
-        ]
-    return payload
 
 
 def _csv(config_lines, header: str, rows) -> str:
@@ -108,7 +77,7 @@ def spectrum_csv(es, records, config_lines=()) -> str:
     rows = []
     for i, record in enumerate(records):
         z, b = complex(es.eigenvalues[i]), complex(es.biorth_norms[i])
-        rows.append(f"{z.real!r},{z.imag!r},{es.residuals[i]!r},{b.real!r},"
+        rows.append(f"{z.real!r},{z.imag!r},{float(es.residuals[i])!r},{b.real!r},"
                     f"{b.imag!r},{record.mode_class.value}")
     return _csv(config_lines, SPECTRUM_HEADER, rows)
 
@@ -125,11 +94,11 @@ def census_csv(rows, config_lines=()) -> str:
     ))
 
 
-def sweep_csv(result, config_lines=()) -> str:
+def sweep_csv(points, config_lines=()) -> str:
     return _csv(config_lines, SWEEP_HEADER, (
         f"{p.n},{p.mu!r},{p.gamma!r},{p.census.n_I},{p.census.n_EP},"
         f"{p.census.n_S},{p.edge_modes}"
-        for p in result.points
+        for p in points
     ))
 
 
@@ -168,15 +137,6 @@ def zero_mode_csv(wavefunction, config_lines=()) -> str:
     return _csv(config_lines, ZERO_MODE_HEADER, (
         f"{j},{amp.real!r},{amp.imag!r},{abs(amp)!r}"
         for j, amp in enumerate(amps, start=1)
-    ))
-
-
-DISTRIBUTION_HEADER = "j,P"
-
-
-def distribution_csv(profile, config_lines=()) -> str:
-    return _csv(config_lines, DISTRIBUTION_HEADER, (
-        f"{j},{p!r}" for j, p in enumerate(profile.values, start=1)
     ))
 
 

@@ -323,7 +323,6 @@ class ModeRecord:
     eigenvalue: complex
     mode_class: ModeClass
     biorth_norm: complex
-    matched_bethe_root: complex | None = None
 
 
 @dataclass(frozen=True)

@@ -27,21 +27,19 @@ class TestDiracDistribution:
         # norm^2 of (4i, 1, -2i, -2, i, 4) is 16+1+4+4+1+16 = 42
         profile = dirac_distribution(zero_mode(6, 2.0))
         expected = np.array([4, 1, 2, 2, 1, 4]) / np.sqrt(42.0)
-        assert np.allclose(profile.values, expected, atol=1e-15)
-        assert profile.n == 6 and profile.mu == 2.0
+        assert np.allclose(profile, expected, atol=1e-15)
 
     def test_basis_state(self):
         profile = dirac_distribution(np.eye(5)[0])
-        assert np.array_equal(profile.values, [1, 0, 0, 0, 0])
-        assert profile.mu is None
+        assert np.array_equal(profile, [1, 0, 0, 0, 0])
 
     def test_squared_profile_sums_to_one(self):
         profile = dirac_distribution(zero_mode(30, 1.5))
-        assert np.sum(profile.values**2) == pytest.approx(1.0, abs=1e-13)
+        assert np.sum(profile**2) == pytest.approx(1.0, abs=1e-13)
 
     def test_odd_sites_follow_closed_form(self):
         n, mu = 30, 1.5
-        profile = dirac_distribution(zero_mode(n, mu)).values
+        profile = dirac_distribution(zero_mode(n, mu))
         j = np.arange(1, n // 2 + 1)
         assert np.allclose(profile[0::2], omega_constant(n, mu) * mu ** (1.0 - j),
                            atol=1e-15)
@@ -111,20 +109,18 @@ class TestGapBound:
 
 class TestCensusSweep:
     def test_topological_rows(self):
-        result = census_sweep([6, 14, 22, 30], [1.5, 2.0])
-        for p in result.points:
+        for p in census_sweep([6, 14, 22, 30], [1.5, 2.0]):
             assert (p.census.n_I, p.census.n_EP, p.census.n_S) == (0, 1, p.n - 2)
             assert p.edge_modes == 2
             assert p.gamma == gamma_ep(p.mu, p.n)
 
     def test_trivial_rows(self):
-        result = census_sweep([6, 14, 30], [0.3, 0.5, 0.8])
-        for p in result.points:
+        for p in census_sweep([6, 14, 30], [0.3, 0.5, 0.8]):
             assert (p.census.n_I, p.census.n_EP, p.census.n_S) == (2, 1, p.n - 4)
             assert p.edge_modes == 4
 
     def test_single_point_matches_classify(self):
-        point = census_sweep([6], [2.0]).points[0]
+        point = census_sweep([6], [2.0])[0]
         es = eig(build_ssh(6, 2.0, gamma_ep(2.0, 6)))
         _, census = classify_modes(es)
         assert (point.census.n_I, point.census.n_EP, point.census.n_S) == (
@@ -132,8 +128,7 @@ class TestCensusSweep:
         )
 
     def test_phase_boundary_in_edge_count(self):
-        result = census_sweep([10], [0.8, 1.5])
-        counts = {p.mu: p.edge_modes for p in result.points}
+        counts = {p.mu: p.edge_modes for p in census_sweep([10], [0.8, 1.5])}
         assert counts[0.8] == 4 and counts[1.5] == 2
 
     def test_has_no_worker_parameter(self):
@@ -149,8 +144,8 @@ class TestCensusSweep:
             census_sweep([6], [1.0])
 
     def test_grid_order_is_row_major(self):
-        result = census_sweep([6, 8], [0.5, 2.0])
-        assert [(p.n, p.mu) for p in result.points] == [
+        points = census_sweep([6, 8], [0.5, 2.0])
+        assert [(p.n, p.mu) for p in points] == [
             (6, 0.5), (6, 2.0), (8, 0.5), (8, 2.0),
         ]
 

@@ -58,6 +58,18 @@ class TestSpectrum:
         assert lines[0] == "re,im,residual,biorth_re,biorth_im,mode_class"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("n,mu", [("6", "2.0"), ("14", "0.5")])
+    def test_csv_residuals_are_plain_floats(self, capsys, n, mu):
+        code, out, _ = run(capsys, "spectrum", "--N", n, "--mu", mu, "--format", "csv")
+        assert code == 0
+        lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
+        column = lines[0].split(",").index("residual")
+        fields = [line.split(",")[column] for line in lines[1:]]
+        assert len(fields) == int(n)
+        for field in fields:
+            assert "np." not in field
+            float(field)
+
     def test_text_format_prints_matrix_and_levels(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--N", "6", "--mu", "2",
                            "--gamma", "auto", "--format", "text")
@@ -236,6 +248,43 @@ class TestConfigAndErrors:
         code, _, _ = run(capsys, "census", "--N", "7", "--mu", "2.0")
         assert code == 1
 
+    def test_misspelt_config_key_exits_one(self, capsys, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("N = 6\nmu = 2.0\ntol_residul = 1e-30\n")
+        code, out, err = run(capsys, "census", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: unknown key 'tol_residul'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--N", "6", "--mu", "2"), ("zero-mode", "--N", "6", "--mu", "2"),
+        ("bethe", "--N", "6", "--mu", "2"), ("census", "--N", "6", "--mu", "2"),
+        ("sweep", "--N-grid", "6", "--mu-grid", "2"), ("plot", "--N-grid", "6", "--mu", "2"),
+        ("verify", "--only", "six-site-mu2"),
+    ])
+    def test_config_t_is_an_unknown_key(self, capsys, tmp_path, argv):
+        config = tmp_path / "c.cfg"
+        config.write_text("t = 2\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: unknown key 't'\n"
+
+    @pytest.mark.parametrize("key", ["N", "mu"])
+    def test_sweep_config_rejects_single_point_keys(self, capsys, tmp_path, key):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"N-grid = 6\nmu-grid = 2.0\n{key} = 8\n")
+        code, _, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 1
+        assert err == f"error: {config}: unknown key '{key}'\n"
+
+    def test_config_keys_take_dashes_or_underscores(self, capsys, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("N-grid = 6\nmu_grid = 2.0\ntol-class = 1e-8\n")
+        code, out, _ = run(capsys, "sweep", "--config", str(config))
+        assert code == 0
+        assert "6,2.0,0.25,0,1,4,2" in out
+
     def test_malformed_config_exits_one(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("just words\n")
@@ -263,15 +312,27 @@ class TestModelFlags:
         code, out, err = run(capsys, command, "--N", "6", "--mu", "2", *flags)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: only t = delta = 1")
+        assert f"error: unrecognized arguments: {flags[0]} " in err
 
-    def test_explicit_unit_t_and_delta_keep_the_artifact(self, capsys):
-        _, default, _ = run(capsys, "census", "--N", "6", "--mu", "2")
-        code, explicit, _ = run(capsys, "census", "--N", "6", "--mu", "2",
-                                "--t", "1", "--delta", "1")
+    @pytest.mark.parametrize("command", ["spectrum", "census", "bethe", "zero-mode"])
+    def test_unit_t_and_delta_are_unrecognized_too(self, capsys, command):
+        code, out, err = run(capsys, command, "--N", "6", "--mu", "2",
+                             "--t", "1", "--delta", "1")
+        assert code == 1
+        assert out == ""
+        assert "error: unrecognized arguments: --t 1 --delta 1" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "census", "bethe", "zero-mode"])
+    def test_echoed_config_has_no_t_or_delta(self, capsys, command):
+        code, out, _ = run(capsys, command, "--N", "6", "--mu", "2", "--format", "json")
         assert code == 0
-        assert explicit == default
-        assert "# delta=1.0\n" in explicit and "# t=1.0\n" in explicit
+        assert not {"t", "delta"} & set(json.loads(out)["config"])
+
+    def test_flag_prefixes_are_not_expanded(self, capsys):
+        code, out, err = run(capsys, "sweep", "--N", "6", "--mu-grid", "2.0")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --N 6" in err
 
     def test_zero_mode_rejects_gamma_off_the_locus(self, capsys):
         code, out, err = run(capsys, "zero-mode", "--N", "6", "--mu", "2",
@@ -306,7 +367,7 @@ class TestNumericalFailures:
 
 
 class TestCsvArtifactBytes:
-    """CSV artifacts keep the bytes written before the shared CSV writer.
+    """CSV artifacts keep their recorded bytes.
 
     The spectrum rows hold LAPACK residuals and overlaps, so their digests
     were recorded with numpy 2.4 on OpenBLAS; the other artifacts do not
@@ -315,23 +376,23 @@ class TestCsvArtifactBytes:
 
     @pytest.mark.parametrize("argv,digest", [
         ("spectrum --N 6 --mu 2.0",
-         "e3765d3a631ad2f085a19286d8f7d1302447a1724c8f8796adbf51f682f961a5"),
+         "da0485efcfc95d35be2ead5f861f25a9bbf78654a0ae55395015b01468f854be"),
         ("census --N 6 --mu 2.0",
-         "675af7f9a1f645d893159fd97b59ca7870dd00e4c4a3fd434beb189476cbbb2e"),
+         "b6a14ce08e018e5a46ad8333ba09d9b1b9b87e97048993ec3ec5844e98df1cf0"),
         ("bethe --N 6 --mu 2.0",
-         "7b30215c4d1b14487020ed5f505a02125bfdfca915e7960bab1ecfd453ae6dff"),
+         "607b357a1d953e546b04a615010d0e3579b8e4b3a91b3a3d70c033852b5d6ae4"),
         ("zero-mode --N 6 --mu 2.0",
-         "22e1ed336c3680414c34d5cc03ec9486d46ad3117778500daf9338749f7ab2a1"),
+         "5fd12672d24189dd83a48c4321acc8d64d9e575aa5e610a6894a2ada8367c78f"),
         ("sweep --N-grid 6 --mu-grid 2.0",
          "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde"),
         ("spectrum --N 14 --mu 0.5",
-         "2c2e8693253f3db4461455efc2d60a9f366f4637253921836bdaf079b974a902"),
+         "fc03905d8d876348e731ee4694870a68e17218683dba213f8a4a2b598e367a5b"),
         ("census --N 14 --mu 0.5",
-         "6b2a98d6f883ad2f566c3b9b27f4547b8b84436618a6b675a23923140d332414"),
+         "5e7bcd0014f5078d54d7a2bc44c7fe7f175d76aa5a880471b2269b3a0f31c72d"),
         ("bethe --N 14 --mu 0.5",
-         "c12568a32181e6c637743e3b11298557024090ac204c7d7925548bb6d3a9c64d"),
+         "0df31936d15866124df1af02d38e6afa00f3d75bd7ff93503b6e3d99d49bbdca"),
         ("zero-mode --N 14 --mu 0.5",
-         "c10cba6b36f9c3329b84cb294a4f59ba2b0026e62d2ba451be6ffd8a259fe718"),
+         "246c98f940ecdbe0df14e70581778e5ea0ad50c52a3579ce25098cb0660a3afe"),
         ("sweep --N-grid 14 --mu-grid 0.5",
          "63641852fd26400e834175460454bb294c083f067e2e48e43cffec52efcc316f"),
         ("sweep --N-grid 6,8 --mu-grid 0.5,2.0",

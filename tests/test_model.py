@@ -102,13 +102,6 @@ class TestModelParams:
         p = ModelParams(n=6, mu=2.0, gamma=0.25)
         assert p.mu_left == 0.25j
         assert p.mu_right == -0.25j
-        assert p.is_pt_configuration
-        assert p.is_symmetric_pairing
-        assert p.gamma_at_ep() == 0.25
-
-    def test_general_impurities_are_not_pt(self):
-        p = ModelParams(n=6, mu=2.0, gamma=0.0, mu_left=0.0, mu_right=2.0)
-        assert not p.is_pt_configuration
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,4 +1,4 @@
-import json
+import inspect
 import os
 
 import numpy as np
@@ -6,31 +6,11 @@ import pytest
 
 from majorana_pt import bethe, build_ssh, eig, zero_mode
 from majorana_pt import serialize
-from majorana_pt.analysis import census_sweep, dirac_distribution
+from majorana_pt.analysis import census_sweep
 from majorana_pt.spectral import classify_modes
 
 
 class TestMatrixFormats:
-    def test_round_trip(self):
-        m = build_ssh(6, 2.0, 0.25)
-        payload = serialize.matrix_to_json(m)
-        assert payload["dim"] == 6
-        assert len(payload["entries"]) == 36
-        assert payload["entries"][0] == [0.0, 0.25]  # row-major: (1,1) = i/4
-        back = serialize.matrix_from_json(payload)
-        assert np.array_equal(back, m)
-
-    def test_json_is_valid_and_deterministic(self):
-        m = build_ssh(4, 1.5, 0.3)
-        a = serialize.dump_json(serialize.matrix_to_json(m))
-        b = serialize.dump_json(serialize.matrix_to_json(m))
-        assert a == b
-        assert json.loads(a)["dim"] == 4
-
-    def test_entry_count_validated(self):
-        with pytest.raises(ValueError):
-            serialize.matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]]})
-
     def test_text_table(self):
         text = serialize.matrix_to_text(np.array([[1 + 2j, -0.5 - 1j]] * 2)[:, :2])
         lines = text.strip().split("\n")
@@ -49,9 +29,8 @@ class TestEigenSystemFormat:
             "dim", "eigenvalues", "residuals", "left_residuals",
             "biorth_norms", "norm_inf",
         }
-        with_vectors = serialize.eigensystem_to_json(es, include_vectors=True)
-        assert len(with_vectors["right_vectors"]) == 4
-        assert len(with_vectors["right_vectors"][0]) == 4
+        assert "include_vectors" not in inspect.signature(
+            serialize.eigensystem_to_json).parameters
 
 
 class TestCsvFormats:
@@ -79,12 +58,6 @@ class TestCsvFormats:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[3]) == pytest.approx(4 / np.sqrt(42), rel=1e-12)
-
-    def test_distribution_csv(self):
-        profile = dirac_distribution(zero_mode(6, 2.0))
-        lines = serialize.distribution_csv(profile).strip().split("\n")
-        assert lines[0] == "j,P"
-        assert len(lines) == 7
 
     def test_roots_csv(self):
         roots = bethe.solve_real_k(2.0, 0.25, 6)
