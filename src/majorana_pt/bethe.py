@@ -390,23 +390,22 @@ def match_spectrum_to_roots(
     mu: float,
     gamma: float,
     n: int,
+    imag_pair: list[BetheRoot],
 ) -> list[float]:
     """Normalized quantization residual of every classified level.
 
     Real scattering levels and the coalescing pair are inverted through the
-    dispersion; the imaginary pair (mu < 1) is matched against
-    :func:`solve_evanescent_pair`, whose residual certificate survives the
-    hyperbolic term growth.  Returns the residuals in record order.
+    dispersion; the imaginary levels are matched against ``imag_pair``, the
+    caller's :func:`solve_evanescent_pair` roots (``[]`` for mu > 1), whose
+    residual certificate survives the hyperbolic term growth.  Returns the
+    residuals in record order.
     """
     from .spectral import ModeClass
 
     mu = _require_mu(mu, forbid_uniform=True)
-    imag_pair = None
     residuals = []
     for record in records:
         if record.mode_class is ModeClass.IMAGINARY_EVANESCENT:
-            if imag_pair is None:
-                imag_pair = solve_evanescent_pair(mu, gamma, n)
             root = min(imag_pair, key=lambda r: abs(r.epsilon - record.eigenvalue))
             res = root.residual
         else:

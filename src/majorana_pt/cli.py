@@ -322,10 +322,11 @@ def _add_model_flags(parser) -> None:
 def _add_common_flags(parser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", help="artifact format")
-    parser.add_argument("--tol-residual", dest="tol_residual", type=float)
-    parser.add_argument("--tol-class", dest="tol_class", type=float)
-    parser.add_argument("--tol-ep", dest="tol_ep", type=float)
+
+
+def _add_tolerance_flags(parser) -> None:
+    for flag in ("--tol-residual", "--tol-class", "--tol-ep"):
+        parser.add_argument(flag, type=float)
 
 
 def build_parser() -> _Parser:
@@ -342,6 +343,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         _add_model_flags(p)
         _add_common_flags(p)
+        p.add_argument("--format", help="artifact format")
+        _add_tolerance_flags(p)
         if name == "zero-mode":
             p.add_argument("--side", choices=("right", "left"))
         p.set_defaults(handler=handler)
@@ -352,6 +355,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mu-grid", dest="mu_grid", type=_csv_floats,
                    help="comma-separated couplings")
     _add_common_flags(p)
+    p.add_argument("--format", help="artifact format")
+    _add_tolerance_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plot")
@@ -363,6 +368,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify")
     p.add_argument("--only", help="run only criteria whose id contains this")
     _add_common_flags(p)
+    _add_tolerance_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -11,7 +11,7 @@ This module builds every matrix in that chain of reductions:
 
 * :func:`build_majorana_ring` -- the ``2n x 2n`` Majorana core matrix,
 * :func:`build_block_transform` -- the change of basis that block-diagonalizes it,
-* :func:`decompose_blocks` -- the two SSH blocks plus consistency diagnostics,
+* :func:`decompose_blocks` -- the two SSH blocks plus their off-block leakage,
 * :func:`build_ssh` -- the ``n x n`` non-Hermitian SSH chain itself,
 * :func:`gamma_ep` -- the coupling ``gamma = mu**(1 - n/2)`` at which the two
   zero modes of the SSH chain coalesce (the exceptional point used throughout).
@@ -253,32 +253,27 @@ class BlockDecomposition:
         site 1 (``h_minus`` is its conjugate transpose).
     leakage : float
         Largest off-block entry magnitude after the change of basis.
-    commutator : float
-        Largest entry of the commutator of the two blocks re-embedded in the
-        ring space; vanishes for a consistent decomposition.
     """
 
     h_plus: np.ndarray
     h_minus: np.ndarray
     leakage: float
-    commutator: float
 
 
 def decompose_blocks(h: np.ndarray, n: int) -> BlockDecomposition:
     """Split a PT-configured Majorana ring matrix into its two SSH blocks.
 
-    Conjugates ``h`` by :func:`build_block_transform` (inverting the
-    transform explicitly rather than assuming unitarity) and returns the two
-    diagonal blocks.  Raises if the off-diagonal blocks do not vanish or the
-    blocks are not conjugate transposes of each other, which signals an input
-    not built in the PT configuration at ``delta == t``.
+    Conjugates ``h`` by :func:`build_block_transform`, whose inverse is
+    ``V^dag / BLOCK_GRAM``, and returns the two diagonal blocks.  Raises if
+    the off-diagonal blocks do not vanish or the blocks are not conjugate
+    transposes of each other, which signals an input not built in the PT
+    configuration at ``delta == t``.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (2 * n, 2 * n):
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix, got {h.shape}")
     v = build_block_transform(n)
-    v_inv = np.linalg.inv(v)
-    ht = v_inv @ h @ v
+    ht = (v.conj().T / BLOCK_GRAM) @ h @ v
     scale = max(float(np.max(np.abs(h))), 1e-300)
     leakage = float(max(np.max(np.abs(ht[:n, n:])), np.max(np.abs(ht[n:, :n]))))
     if leakage > 1e-10 * scale:
@@ -293,14 +288,7 @@ def decompose_blocks(h: np.ndarray, n: int) -> BlockDecomposition:
         h_plus, h_minus = first, second
     if np.max(np.abs(h_minus - h_plus.conj().T)) > 1e-10 * scale:
         raise ValueError("blocks are not conjugate transposes; inconsistent input")
-    embed_p = np.zeros_like(ht)
-    embed_m = np.zeros_like(ht)
-    embed_p[:n, :n] = first
-    embed_m[n:, n:] = second
-    hp = v @ embed_p @ v_inv
-    hm = v @ embed_m @ v_inv
-    commutator = float(np.max(np.abs(hp @ hm - hm @ hp)))
-    return BlockDecomposition(h_plus, h_minus, leakage, commutator)
+    return BlockDecomposition(h_plus, h_minus, leakage)
 
 
 def fit_block_scale(block: np.ndarray, n: int, mu: float, gamma: float) -> complex:

@@ -4,6 +4,7 @@ Runs the same registry the ``majorana-pt verify`` command uses and prints
 one PASS/FAIL line per criterion (run pytest with ``-s`` to see them all).
 """
 
+import dataclasses
 import re
 import time
 from collections import Counter
@@ -18,7 +19,7 @@ _RESULTS = {}
 def _run(criterion_id):
     if criterion_id not in _RESULTS:
         fn = dict(verify.CRITERIA)[criterion_id]
-        _RESULTS[criterion_id] = fn(verify.spectral.DEFAULT_TOLERANCES)
+        _RESULTS[criterion_id] = fn(verify.spectral.DEFAULT_TOLERANCES, {})
     return _RESULTS[criterion_id]
 
 
@@ -41,39 +42,46 @@ def test_full_suite_runs_quickly():
 def test_grid_criteria_share_solved_eigensystems(monkeypatch):
     tolerances = verify.spectral.DEFAULT_TOLERANCES
     solved = {}
-    gap = verify.scattering_gap_bound(tolerances, solved)
+    census = verify.mode_census(tolerances, solved)
+    pt = verify.pseudo_hermiticity_pt(tolerances, solved)
     assert len(solved) == len(verify.GRID_N) * 6
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("grid point built or solved twice")
+    def no_repeat(*args, **kwargs):
+        raise AssertionError("grid point built, solved or analysed twice")
 
-    monkeypatch.setattr(verify.spectral, "eig", no_solve)
-    monkeypatch.setattr(verify.model, "build_ssh", no_solve)
-    pt = verify.pseudo_hermiticity_pt(tolerances, solved)
-    assert gap.passed and pt.passed
-    assert pt.detail == _run("pseudo-hermiticity-pt").detail
+    for name in ("eig", "classify_modes", "coalesced_eigenvalues"):
+        monkeypatch.setattr(verify.spectral, name, no_repeat)
+    monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
+    gap = verify.scattering_gap_bound(tolerances, solved)
+    evanescent = verify.evanescent_asymptotics(tolerances, solved)
+    assert census.passed and pt.passed and gap.passed and evanescent.passed
+    assert gap.detail == _run("scattering-gap-bound").detail
+    assert evanescent.detail == _run("evanescent-asymptotics").detail
 
 
-def test_shared_grid_is_keyed_on_the_residual_tolerance():
+def test_shared_grid_is_keyed_on_the_tolerances():
     solved = {}
-    loose = verify.spectral.DEFAULT_TOLERANCES
-    tight = verify.spectral.Tolerances(residual=loose.residual / 10)
-    assert verify.scattering_gap_bound(loose, solved).passed
-    assert verify.scattering_gap_bound(tight, solved).passed
-    assert len(solved) == 2 * len(verify.GRID_N) * 6
-    assert {key[2] for key in solved} == {loose.residual, tight.residual}
+    default = verify.spectral.DEFAULT_TOLERANCES
+    variants = [default] + [
+        dataclasses.replace(default, **{field.name: getattr(default, field.name) / 10})
+        for field in dataclasses.fields(default)
+    ]
+    for tolerances in variants:
+        assert verify.scattering_gap_bound(tolerances, solved).passed
+    assert len(solved) == len(variants) * len(verify.GRID_N) * 6
+    assert {key[2] for key in solved} == set(variants)
 
 
 def test_suite_solves_the_shared_grid_once(monkeypatch):
     solved = []
-    original = verify._grid_eig
+    original = verify._grid_chain
 
     def counted(n, mu, tolerances, shared):
-        if (n, mu, tolerances.residual) not in shared:
+        if (n, mu, tolerances) not in shared:
             solved.append((n, mu))
         return original(n, mu, tolerances, shared)
 
-    monkeypatch.setattr(verify, "_grid_eig", counted)
+    monkeypatch.setattr(verify, "_grid_chain", counted)
     results = verify.run_criteria()
     assert all(r.passed for r in results)
     assert len(solved) == len(set(solved)) == len(verify.GRID_N) * 6
@@ -107,3 +115,53 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
     for shared in verify.run_criteria():
         alone = _run(shared.criterion_id)
         assert _without_runtimes(shared.detail) == _without_runtimes(alone.detail)
+
+
+def test_suite_analyses_each_chain_once(monkeypatch):
+    calls = Counter()
+    for module, name in [
+        (verify.spectral, "eig"), (verify.spectral, "classify_modes"),
+        (verify.spectral, "coalesced_eigenvalues"), (verify.spectral, "detect_coalescence"),
+        (verify.bethe, "solve_evanescent_pair"),
+    ]:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert all(r.passed for r in verify.run_criteria())
+    # 78 grid chains, 6 rings and the two six-site chains; the evanescent
+    # pair is solved once per closed-form chain at mu = 0.5
+    assert calls == {"eig": 86, "classify_modes": 78, "coalesced_eigenvalues": 86,
+                     "detect_coalescence": 166, "solve_evanescent_pair": 5}
+
+
+def test_classification_failure_fails_only_the_criteria_that_classify():
+    results = verify.run_criteria(tolerances=verify.spectral.Tolerances(mode_class=1e-20))
+    failed = {r.criterion_id for r in results if not r.passed}
+    assert failed == {"mode-census", "bethe-spectrum-equivalence",
+                      "evanescent-asymptotics", "scattering-gap-bound"}
+    assert all(r.detail.startswith("raised ClassificationError: ")
+               for r in results if not r.passed)
+
+
+def _spin(seconds):
+    end = time.thread_time() + seconds
+    while time.thread_time() < end:
+        pass
+
+
+@pytest.mark.parametrize("stall,within_budget", [(time.sleep, True), (_spin, False)])
+def test_six_site_budget_counts_thread_time(monkeypatch, stall, within_budget):
+    original = verify.spectral.eig
+
+    def stalled(*args, **kwargs):
+        stall(0.020)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify.spectral, "eig", stalled)
+    result = verify.six_site_mu2(verify.spectral.DEFAULT_TOLERANCES, {})
+    budget = result.detail.split("; ")[-1]
+    assert re.fullmatch(r"runtime [0-9.]+ ms < 10 ms", budget)
+    assert (float(budget.split()[1]) < 10) is within_budget
+    assert result.passed is within_budget

@@ -231,7 +231,8 @@ class TestRootMatching:
         gamma = gamma_ep(mu, n)
         es = eig(build_ssh(n, mu, gamma))
         records, _ = classify_modes(es)
-        residuals = match_spectrum_to_roots(records, mu, gamma, n)
+        pair = solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
+        residuals = match_spectrum_to_roots(records, mu, gamma, n, pair)
         assert len(residuals) == n
         assert max(residuals) <= 1e-9
 

@@ -270,6 +270,25 @@ class TestConfigAndErrors:
         assert out == ""
         assert err == f"error: {config}: unknown key 't'\n"
 
+    @pytest.mark.parametrize("command,flag", [
+        ("plot", "--format"), ("plot", "--tol-residual"), ("plot", "--tol-class"),
+        ("plot", "--tol-ep"), ("verify", "--format"),
+    ])
+    def test_flags_the_subcommand_does_not_read_are_refused(self, capsys, tmp_path,
+                                                            command, flag):
+        argv = {"plot": ("plot", "--N-grid", "6", "--mu", "2"),
+                "verify": ("verify", "--only", "six-site-mu2")}[command]
+        code, out, err = run(capsys, *argv, flag, "1")
+        assert code == 1
+        assert out == ""
+        assert f"error: unrecognized arguments: {flag} 1" in err
+        config = tmp_path / "c.cfg"
+        config.write_text(f"{flag[2:]} = 1\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: unknown key '{flag[2:]}'\n"
+
     @pytest.mark.parametrize("key", ["N", "mu"])
     def test_sweep_config_rejects_single_point_keys(self, capsys, tmp_path, key):
         config = tmp_path / "c.cfg"
@@ -374,31 +393,33 @@ class TestCsvArtifactBytes:
     depend on the BLAS build.
     """
 
-    @pytest.mark.parametrize("argv,digest", [
-        ("spectrum --N 6 --mu 2.0",
-         "da0485efcfc95d35be2ead5f861f25a9bbf78654a0ae55395015b01468f854be"),
-        ("census --N 6 --mu 2.0",
-         "b6a14ce08e018e5a46ad8333ba09d9b1b9b87e97048993ec3ec5844e98df1cf0"),
-        ("bethe --N 6 --mu 2.0",
-         "607b357a1d953e546b04a615010d0e3579b8e4b3a91b3a3d70c033852b5d6ae4"),
-        ("zero-mode --N 6 --mu 2.0",
-         "5fd12672d24189dd83a48c4321acc8d64d9e575aa5e610a6894a2ada8367c78f"),
-        ("sweep --N-grid 6 --mu-grid 2.0",
-         "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde"),
-        ("spectrum --N 14 --mu 0.5",
-         "fc03905d8d876348e731ee4694870a68e17218683dba213f8a4a2b598e367a5b"),
-        ("census --N 14 --mu 0.5",
-         "5e7bcd0014f5078d54d7a2bc44c7fe7f175d76aa5a880471b2269b3a0f31c72d"),
-        ("bethe --N 14 --mu 0.5",
-         "0df31936d15866124df1af02d38e6afa00f3d75bd7ff93503b6e3d99d49bbdca"),
-        ("zero-mode --N 14 --mu 0.5",
-         "246c98f940ecdbe0df14e70581778e5ea0ad50c52a3579ce25098cb0660a3afe"),
-        ("sweep --N-grid 14 --mu-grid 0.5",
-         "63641852fd26400e834175460454bb294c083f067e2e48e43cffec52efcc316f"),
-        ("sweep --N-grid 6,8 --mu-grid 0.5,2.0",
-         "97390f36b8a3221c4b261489af72858d6a55034683d398ad841519aa3ad9ce7b"),
-    ])
-    def test_sha256(self, capsys, argv, digest):
+    DIGESTS = {
+        "spectrum --N 6 --mu 2.0":
+            "da0485efcfc95d35be2ead5f861f25a9bbf78654a0ae55395015b01468f854be",
+        "census --N 6 --mu 2.0":
+            "b6a14ce08e018e5a46ad8333ba09d9b1b9b87e97048993ec3ec5844e98df1cf0",
+        "bethe --N 6 --mu 2.0":
+            "607b357a1d953e546b04a615010d0e3579b8e4b3a91b3a3d70c033852b5d6ae4",
+        "zero-mode --N 6 --mu 2.0":
+            "5fd12672d24189dd83a48c4321acc8d64d9e575aa5e610a6894a2ada8367c78f",
+        "sweep --N-grid 6 --mu-grid 2.0":
+            "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde",
+        "spectrum --N 14 --mu 0.5":
+            "fc03905d8d876348e731ee4694870a68e17218683dba213f8a4a2b598e367a5b",
+        "census --N 14 --mu 0.5":
+            "5e7bcd0014f5078d54d7a2bc44c7fe7f175d76aa5a880471b2269b3a0f31c72d",
+        "bethe --N 14 --mu 0.5":
+            "0df31936d15866124df1af02d38e6afa00f3d75bd7ff93503b6e3d99d49bbdca",
+        "zero-mode --N 14 --mu 0.5":
+            "246c98f940ecdbe0df14e70581778e5ea0ad50c52a3579ce25098cb0660a3afe",
+        "sweep --N-grid 14 --mu-grid 0.5":
+            "63641852fd26400e834175460454bb294c083f067e2e48e43cffec52efcc316f",
+        "sweep --N-grid 6,8 --mu-grid 0.5,2.0":
+            "97390f36b8a3221c4b261489af72858d6a55034683d398ad841519aa3ad9ce7b",
+    }
+
+    @pytest.mark.parametrize("argv", DIGESTS)
+    def test_sha256(self, capsys, argv):
         code, out, _ = run(capsys, *argv.split(), "--format", "csv")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
