@@ -15,13 +15,17 @@ classification failure (off the coalescence locus), 3 verification failure.
 Flags override values from an optional ``--config`` file of ``key = value``
 lines, whose keys must name flags of the subcommand; the effective
 configuration is echoed into every artifact.  Flags must be spelled out in
-full.  All computations are deterministic, so identical configurations give
-byte-identical artifacts.
+full.  ``--tol-residual``, ``--tol-class`` and ``--tol-ep`` are taken by
+``spectrum``, ``bethe``, ``census``, ``sweep`` and ``verify``.  All
+computations are deterministic, so identical configurations give
+byte-identical artifacts.  ``main`` may be called any number of times in
+one process; the parser is built on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analysis, bethe, model, serialize, spectral, svgfig, verify
@@ -87,6 +91,13 @@ def _tolerances(args) -> spectral.Tolerances:
     )
 
 
+def _echo_tolerances(args, config: dict) -> spectral.Tolerances:
+    """The effective tolerances, also echoed into ``config``."""
+    tol = _tolerances(args)
+    config.update(tol_residual=tol.residual, tol_class=tol.mode_class, tol_ep=tol.ep)
+    return tol
+
+
 def _resolve_gamma(args, n: int, mu: float) -> float:
     raw = _merge(args, "gamma", str, "auto")
     if str(raw).strip() == "auto":
@@ -100,17 +111,7 @@ def _model_config(args, command: str):
     if n is None or mu is None:
         raise ValueError(f"{command} requires --N and --mu")
     gamma = _resolve_gamma(args, n, mu)
-    tol = _tolerances(args)
-    config = {
-        "command": command,
-        "N": n,
-        "mu": mu,
-        "gamma": gamma,
-        "tol_residual": tol.residual,
-        "tol_class": tol.mode_class,
-        "tol_ep": tol.ep,
-    }
-    return n, mu, gamma, tol, config
+    return n, mu, gamma, {"command": command, "N": n, "mu": mu, "gamma": gamma}
 
 
 def _config_lines(config: dict) -> list[str]:
@@ -127,7 +128,8 @@ def _emit(args, content: str) -> None:
 
 
 def _cmd_spectrum(args) -> int:
-    n, mu, gamma, tol, config = _model_config(args, "spectrum")
+    n, mu, gamma, config = _model_config(args, "spectrum")
+    tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "json")
     h = model.build_ssh(n, mu, gamma)
     es = spectral.eig(h, tol.residual)
@@ -161,7 +163,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_zero_mode(args) -> int:
-    n, mu, gamma, tol, config = _model_config(args, "zero-mode")
+    n, mu, gamma, config = _model_config(args, "zero-mode")
     locus = model.gamma_ep(mu, n)
     if abs(gamma - locus) > 1e-9 * locus:
         raise ValueError(f"the coalescing zero mode exists only at gamma = "
@@ -185,7 +187,8 @@ def _cmd_zero_mode(args) -> int:
 
 
 def _cmd_bethe(args) -> int:
-    n, mu, gamma, tol, config = _model_config(args, "bethe")
+    n, mu, gamma, config = _model_config(args, "bethe")
+    _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "json")
     roots = bethe.solve_real_k(mu, gamma, n)
     zero_k = bethe.zero_mode_root(mu)
@@ -206,7 +209,8 @@ def _cmd_bethe(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    n, mu, gamma, tol, config = _model_config(args, "census")
+    n, mu, gamma, config = _model_config(args, "census")
+    tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "csv")
     es = spectral.eig(model.build_ssh(n, mu, gamma), tol.residual)
     _, census = spectral.classify_modes(es, tol)
@@ -230,16 +234,13 @@ def _cmd_sweep(args) -> int:
     mu_grid = _merge(args, "mu_grid", _csv_floats)
     if not n_grid or not mu_grid:
         raise ValueError("sweep requires --N-grid and --mu-grid")
-    tol = _tolerances(args)
-    fmt = _merge(args, "format", str, "csv")
     config = {
         "command": "sweep",
         "N_grid": ",".join(str(n) for n in n_grid),
         "mu_grid": ",".join(repr(mu) for mu in mu_grid),
-        "tol_residual": tol.residual,
-        "tol_class": tol.mode_class,
-        "tol_ep": tol.ep,
     }
+    tol = _echo_tolerances(args, config)
+    fmt = _merge(args, "format", str, "csv")
     points = analysis.census_sweep(n_grid, mu_grid, tol)
     if fmt == "csv":
         _emit(args, serialize.sweep_csv(points, _config_lines(config)))
@@ -329,7 +330,13 @@ def _add_tolerance_flags(parser) -> None:
         parser.add_argument(flag, type=float)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``majorana-pt`` parser, built once per process and shared.
+
+    Parsing leaves it unchanged: every ``parse_args`` call returns a fresh
+    namespace, and errors and help go to the streams current at that call.
+    """
     parser = _Parser(prog="majorana-pt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -344,9 +351,10 @@ def build_parser() -> _Parser:
         _add_model_flags(p)
         _add_common_flags(p)
         p.add_argument("--format", help="artifact format")
-        _add_tolerance_flags(p)
         if name == "zero-mode":
             p.add_argument("--side", choices=("right", "left"))
+        else:
+            _add_tolerance_flags(p)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("sweep")

@@ -1,11 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from majorana_pt import cli
 from majorana_pt.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -272,12 +279,14 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("command,flag", [
         ("plot", "--format"), ("plot", "--tol-residual"), ("plot", "--tol-class"),
-        ("plot", "--tol-ep"), ("verify", "--format"),
+        ("plot", "--tol-ep"), ("verify", "--format"), ("zero-mode", "--tol-residual"),
+        ("zero-mode", "--tol-class"), ("zero-mode", "--tol-ep"),
     ])
     def test_flags_the_subcommand_does_not_read_are_refused(self, capsys, tmp_path,
                                                             command, flag):
         argv = {"plot": ("plot", "--N-grid", "6", "--mu", "2"),
-                "verify": ("verify", "--only", "six-site-mu2")}[command]
+                "verify": ("verify", "--only", "six-site-mu2"),
+                "zero-mode": ("zero-mode", "--N", "6", "--mu", "2")}[command]
         code, out, err = run(capsys, *argv, flag, "1")
         assert code == 1
         assert out == ""
@@ -401,7 +410,7 @@ class TestCsvArtifactBytes:
         "bethe --N 6 --mu 2.0":
             "607b357a1d953e546b04a615010d0e3579b8e4b3a91b3a3d70c033852b5d6ae4",
         "zero-mode --N 6 --mu 2.0":
-            "5fd12672d24189dd83a48c4321acc8d64d9e575aa5e610a6894a2ada8367c78f",
+            "a6d9c1d4db183dbf7d45a0275abab8e93f09b3d49bdf47fa3d20f281960b2934",
         "sweep --N-grid 6 --mu-grid 2.0":
             "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde",
         "spectrum --N 14 --mu 0.5":
@@ -411,7 +420,7 @@ class TestCsvArtifactBytes:
         "bethe --N 14 --mu 0.5":
             "0df31936d15866124df1af02d38e6afa00f3d75bd7ff93503b6e3d99d49bbdca",
         "zero-mode --N 14 --mu 0.5":
-            "246c98f940ecdbe0df14e70581778e5ea0ad50c52a3579ce25098cb0660a3afe",
+            "f9896dd7ab3e8eb998ed007df646e5bc10d963e5d98523cfece0b417a639a460",
         "sweep --N-grid 14 --mu-grid 0.5":
             "63641852fd26400e834175460454bb294c083f067e2e48e43cffec52efcc316f",
         "sweep --N-grid 6,8 --mu-grid 0.5,2.0":
@@ -423,3 +432,80 @@ class TestCsvArtifactBytes:
         code, out, _ = run(capsys, *argv.split(), "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and reuse keeps no state."""
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        run(capsys, "census", "--N", "6", "--mu", "2.0")
+        built.clear()
+        for argv in [
+            ("spectrum", "--N", "6", "--mu", "2"), ("census", "--N", "8", "--mu", "0.5"),
+            ("bethe", "--N", "6", "--mu", "2"), ("zero-mode", "--N", "6", "--mu", "2"),
+            ("sweep", "--N-grid", "6", "--mu-grid", "2"),
+            ("plot", "--N-grid", "6", "--mu", "2"), ("verify", "--only", "six-site-mu2"),
+            ("census", "--frobnicate"), ("frobnicate",), ("bethe", "--help"),
+        ]:
+            run(capsys, *argv)
+        assert built == []
+
+    def test_reuse_keeps_no_state(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "--N", "6", "--frobnicate")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --frobnicate" in err
+        code, out, _ = run(capsys, "spectrum", "--help")
+        assert code == 0 and out.startswith("usage: majorana-pt spectrum")
+        config = tmp_path / "c.cfg"
+        config.write_text("tol-residual = 1e-9\ntol-class = 1e-7\n")
+        code, out, _ = run(capsys, "census", "--N", "6", "--mu", "2.0", "--format", "csv",
+                           "--config", str(config), "--tol-ep", "1e-5")
+        assert code == 0
+        assert "# tol_class=1e-07\n# tol_ep=1e-05\n# tol_residual=1e-09\n" in out
+        for argv in ("census --N 6 --mu 2.0", "spectrum --N 14 --mu 0.5"):
+            code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+            assert code == 0
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == TestCsvArtifactBytes.DIGESTS[argv]
+
+    def test_help_width_follows_columns_at_call_time(self, capsys, monkeypatch):
+        helps = []
+        for columns in (40, 160):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, out, _ = run(capsys, "spectrum", "--help")
+            assert code == 0
+            helps.append(out.splitlines())
+        narrow, wide = helps
+        assert len(narrow) > len(wide)
+        assert max(map(len, wide)) > 40
+
+
+class TestModuleEntryPoint:
+    """``python -m majorana_pt`` runs the CLI from a checkout without an install."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "majorana_pt", *argv],
+                              capture_output=True, env=env, timeout=300)
+
+    def test_verify_six_site_exits_zero(self):
+        result = self.run_module("verify", "--only", "six-site")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.decode().count("PASS") == 2
+
+    def test_census_csv_matches_the_recorded_digest(self):
+        argv = "census --N 6 --mu 2.0"
+        result = self.run_module(*argv.split(), "--format", "csv")
+        assert result.returncode == 0, result.stderr
+        digest = hashlib.sha256(result.stdout).hexdigest()
+        assert digest == TestCsvArtifactBytes.DIGESTS[argv]
