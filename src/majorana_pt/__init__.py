@@ -14,9 +14,11 @@ from .model import (
     build_block_transform,
     build_majorana_ring,
     build_ssh,
+    build_ssh_real,
     decompose_blocks,
     fit_block_scale,
     gamma_ep,
+    on_locus,
     parity_matrix,
     pt_deviation,
     staggered_signs,
@@ -29,6 +31,7 @@ from .spectral import (
     ModeClass,
     ModeRecord,
     Tolerances,
+    chain_census,
     classify_modes,
     coalesced_eigenvalues,
     detect_coalescence,

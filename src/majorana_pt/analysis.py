@@ -5,9 +5,9 @@
 * :func:`common_part_compare` -- the finite-size projection property: zero
   modes of different chain lengths share their edge profiles, up to the
   length dependence of the normalization constant.
-* :func:`census_sweep` -- (n, mu) parameter sweep of the mode census; the
-  derived edge-mode count jumps exactly at mu = 1, the phase boundary of
-  the underlying Hermitian chain.
+* :func:`census_sweep` -- (n, mu) parameter sweep of the mode census; for
+  long enough chains the derived edge-mode count jumps at mu = 1, the phase
+  boundary of the underlying Hermitian chain (see :func:`edge_mode_count`).
 * :func:`gap_bound_check` -- scattering eigenvalues stay inside the band
   ``|1 - mu| <= |eps| <= 1 + mu``.
 """
@@ -104,8 +104,10 @@ def edge_mode_count(census: ModeCensus, mu: float) -> int:
     """Derived edge-mode count: 2 n_EP for mu > 1, 2 n_EP + n_I for mu < 1.
 
     Counts the coalescing pair as two states and, below the phase boundary,
-    adds the imaginary evanescent pair, so the count jumps from 2 to 4
-    across mu = 1 for every chain length.
+    adds the imaginary evanescent pair.  The count jumps from 2 to 4 across
+    mu = 1 only for chains of at least N*(mu) sites: a shorter mu < 1 chain
+    has no imaginary pair and counts 2, as at (6, 0.9), whose census is
+    (0, 1, 4).
     """
     if mu > 1:
         return 2 * census.n_EP
@@ -124,7 +126,7 @@ class SweepPoint:
 def _sweep_point(n: int, mu: float, tolerances: Tolerances) -> SweepPoint:
     gamma = gamma_ep(mu, n)
     es = eig(build_ssh(n, mu, gamma), tolerances.residual)
-    _, census = classify_modes(es, tolerances)
+    _, census = classify_modes(es, mu, gamma, tolerances)
     return SweepPoint(
         n=n, mu=mu, gamma=gamma, census=census,
         edge_modes=edge_mode_count(census, mu),
@@ -137,8 +139,9 @@ def census_sweep(
     """Mode census over a grid of chain lengths and couplings.
 
     Every grid point is solved at its own coalescence coupling
-    ``gamma_ep(mu, n)``, in row-major grid order.  A failure at any point
-    (a census identity violation, a residual over the bound) is re-raised
+    ``gamma_ep(mu, n)``, in row-major grid order, and classified by
+    :func:`~.spectral.classify_modes`.  A failure at any point (a refused
+    zero pair, a residual over its bound) is re-raised
     with the offending (n, mu) prefixed to its message and its type kept.
     """
     n_list = [int(n) for n in n_list]

@@ -33,7 +33,7 @@ import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import gamma_ep, staggered_signs, _require_even_sites
+from .model import on_locus, staggered_signs, _require_even_sites
 
 __all__ = [
     "UniformChainError",
@@ -200,16 +200,14 @@ def solve_real_k(
     _require_even_sites(n)
     if root_tolerance <= 0:
         raise ValueError("root_tolerance must be positive")
-    locus = gamma_ep(mu, n)
-    on_locus = abs(gamma - locus) <= 1e-9 * locus
-    if not on_locus:
+    expected = None
+    if not on_locus(mu, n, gamma):
         warnings.warn(
-            f"gamma={gamma!r} is off the coalescence locus {locus!r}; "
+            f"gamma={gamma!r} is off the coalescence locus mu**(1 - n/2); "
             "the root census is not enforced",
             stacklevel=2,
         )
-    expected = None
-    if on_locus:
+    else:
         expected = (n - 2) // 2 if mu > 1 else (n - 4) // 2
 
     points = 20 * n

@@ -16,7 +16,10 @@ Flags override values from an optional ``--config`` file of ``key = value``
 lines, whose keys must name flags of the subcommand; the effective
 configuration is echoed into every artifact.  Flags must be spelled out in
 full.  ``--tol-residual``, ``--tol-class`` and ``--tol-ep`` are taken by
-``spectrum``, ``bethe``, ``census``, ``sweep`` and ``verify``.  All
+``spectrum``, ``bethe``, ``census``, ``sweep`` and ``verify``; ``census``
+reads them in its closed-form zero-mode certificate and its level classes,
+``spectrum``, ``sweep`` and ``verify`` also in the dense eigensolver, and
+``bethe`` only echoes them.  All
 computations are deterministic, so identical configurations give
 byte-identical artifacts.  ``main`` may be called any number of times in
 one process; the parser is built on the first call and reused.
@@ -133,14 +136,13 @@ def _cmd_spectrum(args) -> int:
     fmt = _merge(args, "format", str, "json")
     h = model.build_ssh(n, mu, gamma)
     es = spectral.eig(h, tol.residual)
-    records, census = spectral.classify_modes(es, tol)
+    records, census = spectral.classify_modes(es, mu, gamma, tol)
     ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues, 1e-8 * es.scale)
     if fmt == "json":
         payload = serialize.eigensystem_to_json(es)
         payload["config"] = config
         payload["coalesced_eigenvalues"] = [
-            serialize.complex_pair(z)
-            for z in spectral.coalesced_eigenvalues(es, tol.ep)
+            serialize.complex_pair(r.eigenvalue) for r in records
         ]
         payload["mode_classes"] = [r.mode_class.value for r in records]
         payload["census"] = {
@@ -164,10 +166,9 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_zero_mode(args) -> int:
     n, mu, gamma, config = _model_config(args, "zero-mode")
-    locus = model.gamma_ep(mu, n)
-    if abs(gamma - locus) > 1e-9 * locus:
+    if not model.on_locus(mu, n, gamma):
         raise ValueError(f"the coalescing zero mode exists only at gamma = "
-                         f"gamma_ep(mu, N) = {locus!r}, got {gamma!r}")
+                         f"gamma_ep(mu, N) = {model.gamma_ep(mu, n)!r}, got {gamma!r}")
     side = _merge(args, "side", str, "right")
     config["side"] = side
     fmt = _merge(args, "format", str, "csv")
@@ -212,8 +213,7 @@ def _cmd_census(args) -> int:
     n, mu, gamma, config = _model_config(args, "census")
     tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "csv")
-    es = spectral.eig(model.build_ssh(n, mu, gamma), tol.residual)
-    _, census = spectral.classify_modes(es, tol)
+    census = spectral.chain_census(n, mu, gamma, tol)
     if fmt == "csv":
         _emit(args, serialize.census_csv([(n, mu, gamma, census)],
                                          _config_lines(config)))
@@ -325,9 +325,21 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
-def _add_tolerance_flags(parser) -> None:
-    for flag in ("--tol-residual", "--tol-class", "--tol-ep"):
-        parser.add_argument(flag, type=float)
+def _add_tolerance_flags(parser, read: bool = True) -> None:
+    default = spectral.DEFAULT_TOLERANCES
+    for flag, value, text in [
+        ("--tol-residual", default.residual,
+         "residual bound relative to ||h||_inf: of the closed-form zero mode, "
+         "and in spectrum, sweep and verify of every dense eigenpair"),
+        ("--tol-class", default.mode_class,
+         "real/imaginary class threshold relative to the largest |eigenvalue|"),
+        ("--tol-ep", default.ep,
+         "exceptional-point bound: the zero pair's distance from zero relative "
+         "to the largest |eigenvalue|, and the closed-form |<eta|psi>|; verify "
+         "also bounds eigenvector coalescence by it"),
+    ]:
+        parser.add_argument(flag, type=float, help=f"{text} (default {value:g})"
+                            if read else "echoed into the artifact; not read")
 
 
 @functools.cache
@@ -354,7 +366,7 @@ def build_parser() -> _Parser:
         if name == "zero-mode":
             p.add_argument("--side", choices=("right", "left"))
         else:
-            _add_tolerance_flags(p)
+            _add_tolerance_flags(p, read=name != "bethe")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("sweep")

@@ -13,8 +13,11 @@ This module builds every matrix in that chain of reductions:
 * :func:`build_block_transform` -- the change of basis that block-diagonalizes it,
 * :func:`decompose_blocks` -- the two SSH blocks plus their off-block leakage,
 * :func:`build_ssh` -- the ``n x n`` non-Hermitian SSH chain itself,
+* :func:`build_ssh_real` -- the real matrix that the chain's PT symmetry
+  makes it similar to,
 * :func:`gamma_ep` -- the coupling ``gamma = mu**(1 - n/2)`` at which the two
-  zero modes of the SSH chain coalesce (the exceptional point used throughout).
+  zero modes of the SSH chain coalesce (the exceptional point used throughout),
+  and :func:`on_locus`, the test that a coupling sits there.
 
 Sign convention: :func:`build_ssh` uses positive couplings ``(1, mu)`` on the
 alternating bonds.  The equivalent convention with ``(1, -mu)`` is related by
@@ -23,6 +26,8 @@ conjugation with ``diag(staggered_signs(n))``; see :func:`staggered_signs`.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +38,9 @@ __all__ = [
     "BLOCK_GRAM",
     "MAX_DIM",
     "gamma_ep",
+    "on_locus",
     "build_ssh",
+    "build_ssh_real",
     "build_majorana_ring",
     "build_block_transform",
     "decompose_blocks",
@@ -110,6 +117,15 @@ class ModelParams:
             object.__setattr__(self, name, value)
 
 
+def _locus(mu: float, n: int) -> float:
+    """``mu**(1 - n/2)``, or infinity where that overflows a float."""
+    _require_chain(n, mu)
+    try:
+        return float(mu) ** (1 - n // 2)
+    except OverflowError:
+        return math.inf
+
+
 def gamma_ep(mu: float, n: int) -> float:
     """Coupling ``gamma = mu**(1 - n/2)`` at which the zero modes coalesce.
 
@@ -119,12 +135,38 @@ def gamma_ep(mu: float, n: int) -> float:
     Raises
     ------
     ValueError
-        If ``mu <= 0`` or ``n`` is odd or smaller than 4.
+        If ``mu <= 0``, if ``n`` is odd or smaller than 4, or if the coupling
+        overflows a float: ``(n/2 - 1) ln(1/mu) > ln(float max)``, which the
+        message turns into the largest ``n`` this ``mu`` allows.
     """
+    locus = _locus(mu, n)
+    if locus == math.inf:
+        largest = 2 * (int(math.log(sys.float_info.max) / math.log(1 / mu)) + 1)
+        raise ValueError(f"gamma_ep(mu={mu}, N={n}) = mu**(1 - N/2) overflows a float; "
+                         f"the largest N for mu={mu} is {largest}")
+    return locus
+
+
+def on_locus(mu: float, n: int, gamma: float) -> bool:
+    """True when ``gamma`` is ``gamma_ep(mu, n)`` to a relative 1e-9.
+
+    False where ``gamma_ep`` overflows: no float coupling lies there.
+    """
+    locus = _locus(mu, n)
+    return locus < math.inf and abs(gamma - locus) <= 1e-9 * locus
+
+
+def _require_chain(n: int, mu: float, gamma: float = 0.0) -> None:
     _require_even_sites(n)
     if not np.isfinite(mu) or mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return float(mu) ** (1 - n // 2)
+    if not np.isfinite(gamma):
+        raise ValueError("gamma must be finite")
+
+
+def _bonds(n: int, mu: float) -> np.ndarray:
+    """Bond amplitudes ``(1, mu, 1, ..., mu, 1)`` of the n-site chain."""
+    return np.where(np.arange(n - 1) % 2 == 0, 1.0, float(mu))
 
 
 def build_ssh(n: int, mu: float, gamma: float) -> np.ndarray:
@@ -151,21 +193,33 @@ def build_ssh(n: int, mu: float, gamma: float) -> np.ndarray:
     np.ndarray
         Complex ``(n, n)`` matrix.
     """
-    _require_even_sites(n)
-    if not np.isfinite(mu) or mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not np.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    _require_chain(n, mu, gamma)
     h = np.zeros((n, n), dtype=complex)
-    for l in range(1, n // 2 + 1):
-        h[2 * l - 2, 2 * l - 1] = 1.0
-        h[2 * l - 1, 2 * l - 2] = 1.0
-    for l in range(1, n // 2):
-        h[2 * l - 1, 2 * l] = mu
-        h[2 * l, 2 * l - 1] = mu
+    i = np.arange(n - 1)
+    h[i, i + 1] = h[i + 1, i] = _bonds(n, mu)
     h[0, 0] = 1j * gamma
     h[n - 1, n - 1] = -1j * gamma
     return h
+
+
+def build_ssh_real(n: int, mu: float, gamma: float) -> np.ndarray:
+    """Real matrix similar to ``build_ssh(n, mu, gamma)`` for every real gamma.
+
+    The chain is PT symmetric, ``P conj(h) P = h`` with ``P`` the site
+    reversal (:func:`parity_matrix`).  So ``Q = (I + i P) / sqrt(2)``, which
+    is unitary, takes it to a real matrix: ``Q^dag h Q = M``.  ``M`` keeps
+    the chain's bonds and trades the end potentials ``+/- i gamma`` for two
+    corner entries, ``M[0, n-1] = -gamma`` and ``M[n-1, 0] = +gamma``.  The
+    two matrices share their spectrum, which a real eigensolver finds with
+    real levels exactly real.
+    """
+    _require_chain(n, mu, gamma)
+    m = np.zeros((n, n))
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = _bonds(n, mu)
+    m[0, n - 1] = -gamma
+    m[n - 1, 0] = gamma
+    return m
 
 
 def build_majorana_ring(params: ModelParams) -> np.ndarray:

@@ -1,16 +1,21 @@
 """Dense biorthogonal eigendecomposition and mode classification.
 
-Everything downstream of the matrix builders rests on :func:`eig`: a dense
-non-Hermitian eigensolver contract that pairs every right eigenvector with a
-left eigenvector of the conjugate-transpose problem, verifies residuals, and
-reports the biorthogonal overlaps ``<w_i|v_i>`` whose vanishing signals an
-exceptional point.
-
+:func:`eig` is a dense non-Hermitian eigensolver contract that pairs every
+right eigenvector with a left eigenvector of the conjugate-transpose
+problem, verifies residuals, and reports the biorthogonal overlaps
+``<w_i|v_i>`` whose vanishing signals an exceptional point.
 :func:`detect_coalescence` groups numerically split eigenvalue pairs whose
 eigenvectors have become parallel (the dense solver returns two nearly equal
-eigenvalues rather than a Jordan block at an exceptional point), and
-:func:`classify_modes` produces the (n_I, n_EP, n_S) census of real
-scattering levels, coalescing zero modes, and imaginary evanescent levels.
+eigenvalues rather than a Jordan block at an exceptional point).
+
+The (n_I, n_EP, n_S) census of imaginary evanescent levels, coalescing zero
+modes and real scattering levels needs eigenvalues only.  On the
+coalescence locus the coalescing pair is the two levels nearest zero,
+accepted only when they are isolated there and when the closed-form zero
+mode (:func:`~.bethe.zero_mode`) certifies the Jordan block; off the locus
+there is no pair.  :func:`classify_modes` applies this to a computed
+eigensystem, and :func:`chain_census` to the eigenvalues of the chain's
+real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bethe, model
 from .model import MAX_DIM
 
 __all__ = [
@@ -34,26 +40,37 @@ __all__ = [
     "pseudo_hermiticity_check",
     "detect_coalescence",
     "classify_modes",
+    "chain_census",
     "coalesced_eigenvalues",
     "match_multisets",
 ]
 
 
 class ClassificationError(ValueError):
-    """An eigenvalue fits no mode class: the chain is off the coalescence locus."""
+    """The levels admit no census: an eigenvalue fits no mode class, or no
+    isolated zero pair exists on the coalescence locus."""
+
+
+#: On the coalescence locus the third level nearest zero must lie this many
+#: times farther out than the second; a pair less isolated is refused.
+PAIR_SEPARATION = 1e3
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Tolerance bundle used by the eigensolver and the classifier.
 
-    residual : right/left eigenpair residual bound, relative to the matrix
-        infinity norm.
+    residual : eigenpair residual bound, relative to the matrix infinity
+        norm: of every right/left pair in :func:`eig`, and of the
+        closed-form zero mode ``h psi`` in the census.
     mode_class : real/imaginary classification threshold, relative to the
         largest eigenvalue magnitude.
-    ep : exceptional-point detection threshold: eigenvalue cluster width
-        (relative to the largest eigenvalue magnitude), eigenvector
-        parallelism deficit, and coalesced biorthogonal norm.
+    ep : exceptional-point bound.  In the census: the distance from zero
+        (relative to the largest eigenvalue magnitude) within which the
+        coalescing pair must lie, and the bound on the closed-form
+        biorthogonal norm ``<eta|psi> = psi^T psi``.  In
+        :func:`detect_coalescence`: the eigenvalue cluster width, the
+        eigenvector parallelism deficit and the coalesced biorthogonal norm.
     """
 
     residual: float = 1e-11
@@ -313,10 +330,10 @@ class ModeClass(enum.Enum):
 class ModeRecord:
     """Classification of a single level.
 
-    ``eigenvalue`` is the cluster centroid for coalescing levels (the raw
+    ``eigenvalue`` is the pair's centroid for coalescing levels (the raw
     numerically split values remain in the eigensystem) and the raw computed
-    value otherwise.  ``biorth_norm`` is the coalesced-pair overlap for
-    coalescing levels, the per-pair overlap otherwise.
+    value otherwise.  ``biorth_norm`` is the closed-form zero mode's
+    ``<eta|psi>`` for coalescing levels, the per-pair overlap otherwise.
     """
 
     index: int
@@ -342,67 +359,131 @@ class ModeCensus:
             )
 
 
-def classify_modes(
-    es: EigenSystem, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[list[ModeRecord], ModeCensus]:
-    """Assign every eigenvalue a mode class and count the census.
+def _certify_zero_mode(n: int, mu: float, gamma: float, tolerances: Tolerances) -> complex:
+    """``<eta|psi> = psi^T psi`` of the closed-form zero mode, once certified.
 
-    Coalescing zero modes are identified first via
-    :func:`detect_coalescence`; every zero cluster must contain exactly two
-    levels.  Remaining eigenvalues are real scattering levels when the
-    imaginary part is below ``mode_class * scale``, imaginary evanescent
-    levels when instead the real part is below threshold.  An eigenvalue
-    exceeding the threshold in both parts signals a chain off the
-    coalescence locus and raises :class:`ClassificationError`.
+    ``h = build_ssh(n, mu, gamma)`` is complex symmetric, so ``eta =
+    conj(psi)``.  ``h psi`` is applied bond by bond.  Raises ``RuntimeError``
+    when ``|h psi|_inf`` exceeds ``residual * |h|_inf`` or ``|psi^T psi|``
+    exceeds ``ep``.
     """
-    scale = es.scale
+    if mu == 1.0:  # the uniform chain: zero_mode's limit, |psi_j| = 1/sqrt(n)
+        psi = np.tile([1, -1j], n // 2) * model.staggered_signs(n) / np.sqrt(n)
+    else:
+        psi = bethe.zero_mode(n, mu).amplitudes
+    bonds = model._bonds(n, mu)
+    h_psi = np.zeros_like(psi)
+    h_psi[:-1] += bonds * psi[1:]
+    h_psi[1:] += bonds * psi[:-1]
+    h_psi[0] += 1j * gamma * psi[0]
+    h_psi[-1] -= 1j * gamma * psi[-1]
+    residual = float(np.max(np.abs(h_psi)))
+    bound = tolerances.residual * (1.0 + max(mu, abs(gamma)))
+    if residual > bound:
+        raise RuntimeError(f"closed-form zero mode residual {residual:.3e} exceeds "
+                           f"{bound:.3e}")
+    biorth = complex(psi @ psi)
+    if abs(biorth) > tolerances.ep:
+        raise RuntimeError(f"closed-form zero mode <eta|psi> {abs(biorth):.3e} exceeds "
+                           f"{tolerances.ep:.3e}")
+    return biorth
+
+
+def _classify_levels(values, mu: float, gamma: float, tolerances: Tolerances):
+    """Mode class of each eigenvalue of ``build_ssh(len(values), mu, gamma)``.
+
+    Returns ``(classes, pair, biorth)``: ``pair`` holds the indices of the
+    coalescing levels and ``biorth`` their closed-form ``<eta|psi>``, both
+    ``None`` off the locus.  The classes follow the rules of
+    :func:`classify_modes`.
+    """
+    values = np.asarray(values, dtype=complex)
+    magnitudes = np.abs(values)
+    scale = float(np.max(magnitudes)) if values.size else 0.0
+    scale = scale if scale > 0 else 1.0
     threshold = tolerances.mode_class * scale
-    clusters = detect_coalescence(es, tolerances.ep)
-    zero_clusters = [c for c in clusters if abs(c.eigenvalue) <= threshold]
-
-    class_by_index: dict[int, ModeRecord] = {}
-    for cluster in zero_clusters:
-        if len(cluster.indices) != 2:
+    pair = biorth = None
+    if model.on_locus(mu, values.size, gamma):
+        first, second, third = np.argsort(magnitudes, kind="stable")[:3]
+        if magnitudes[third] <= PAIR_SEPARATION * magnitudes[second]:
             raise ClassificationError(
-                f"zero-mode cluster of size {len(cluster.indices)}; expected a "
-                "two-fold coalescence"
+                f"no isolated zero pair: the third smallest |eps|, "
+                f"{magnitudes[third]:.3e}, is under {PAIR_SEPARATION:g} times the "
+                f"second, {magnitudes[second]:.3e}"
             )
-        for i in cluster.indices:
-            class_by_index[i] = ModeRecord(
-                index=i,
-                eigenvalue=cluster.eigenvalue,
-                mode_class=ModeClass.ZERO_COALESCING,
-                biorth_norm=cluster.biorth_norm,
+        if magnitudes[second] > tolerances.ep * scale:
+            raise ClassificationError(
+                f"zero pair |eps| {magnitudes[second]:.3e} exceeds the "
+                f"exceptional-point width {tolerances.ep * scale:.3e}"
             )
+        biorth = _certify_zero_mode(values.size, mu, gamma, tolerances)
+        pair = tuple(sorted((int(first), int(second))))
 
-    records: list[ModeRecord] = []
-    n_imag = n_real = 0
-    for i, value in enumerate(es.eigenvalues):
-        if i in class_by_index:
-            records.append(class_by_index[i])
-            continue
-        value = complex(value)
-        if abs(value.imag) <= threshold:
-            mode = ModeClass.REAL_SCATTERING
-            n_real += 1
+    classes = []
+    for i, value in enumerate(values):
+        if pair and i in pair:
+            classes.append(ModeClass.ZERO_COALESCING)
+        elif abs(value.imag) <= threshold:
+            classes.append(ModeClass.REAL_SCATTERING)
         elif abs(value.real) <= threshold:
-            mode = ModeClass.IMAGINARY_EVANESCENT
-            n_imag += 1
+            classes.append(ModeClass.IMAGINARY_EVANESCENT)
         else:
             raise ClassificationError(
-                f"eigenvalue {value} is neither real nor imaginary at "
+                f"eigenvalue {complex(value)} is neither real nor imaginary at "
                 f"threshold {threshold:.3e}; off the coalescence locus"
             )
-        records.append(
-            ModeRecord(
-                index=i,
-                eigenvalue=value,
-                mode_class=mode,
-                biorth_norm=complex(es.biorth_norms[i]),
-            )
-        )
-    census = ModeCensus(n_I=n_imag, n_EP=len(zero_clusters), n_S=n_real, n=es.dim)
-    return records, census
+    return classes, pair, biorth
+
+
+def _census(classes) -> ModeCensus:
+    return ModeCensus(
+        n_I=classes.count(ModeClass.IMAGINARY_EVANESCENT),
+        n_EP=classes.count(ModeClass.ZERO_COALESCING) // 2,
+        n_S=classes.count(ModeClass.REAL_SCATTERING),
+        n=len(classes),
+    )
+
+
+def classify_modes(
+    es: EigenSystem, mu: float, gamma: float,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> tuple[list[ModeRecord], ModeCensus]:
+    """Assign every level of ``es = eig(build_ssh(n, mu, gamma))`` a mode class.
+
+    On the coalescence locus (:func:`~.model.on_locus`) the coalescing pair
+    is the two eigenvalues of least modulus.  They are refused with
+    :class:`ClassificationError` unless the third lies more than
+    ``PAIR_SEPARATION`` times farther out than the second and both lie
+    within ``ep * scale`` of zero; the closed-form zero mode must then pass
+    :func:`_certify_zero_mode`.  Off the locus there is no pair.  Every
+    other eigenvalue is a real scattering level when its imaginary part is
+    at most ``mode_class * scale``, an imaginary evanescent level when
+    instead its real part is; one exceeding the threshold in both parts
+    raises :class:`ClassificationError`.
+
+    The pair's records carry its centroid and the closed-form
+    ``<eta|psi>``; the others carry the raw eigenvalue and its overlap.
+    """
+    classes, pair, biorth = _classify_levels(es.eigenvalues, mu, gamma, tolerances)
+    centroid = complex(np.mean(es.eigenvalues[list(pair)])) if pair else None
+    records = [
+        ModeRecord(i, centroid, mode, biorth) if mode is ModeClass.ZERO_COALESCING
+        else ModeRecord(i, complex(value), mode, complex(es.biorth_norms[i]))
+        for i, (value, mode) in enumerate(zip(es.eigenvalues, classes))
+    ]
+    return records, _census(classes)
+
+
+def chain_census(
+    n: int, mu: float, gamma: float, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> ModeCensus:
+    """Census of ``build_ssh(n, mu, gamma)`` from the eigenvalues alone.
+
+    One real, eigenvalues-only LAPACK solve of the similar real form
+    :func:`~.model.build_ssh_real`, classified as in :func:`classify_modes`.
+    """
+    values = np.linalg.eigvals(model.build_ssh_real(n, mu, gamma))
+    return _census(_classify_levels(values, mu, gamma, tolerances)[0])
 
 
 def coalesced_eigenvalues(

@@ -268,6 +268,7 @@ class _GridChain:
     """
 
     def __init__(self, n, mu, tolerances):
+        self.mu = mu
         self.tolerances = tolerances
         self.gamma = model.gamma_ep(mu, n)
         self.h = model.build_ssh(n, mu, self.gamma)
@@ -275,7 +276,7 @@ class _GridChain:
 
     @functools.cached_property
     def modes(self):
-        return spectral.classify_modes(self.es, self.tolerances)
+        return spectral.classify_modes(self.es, self.mu, self.gamma, self.tolerances)
 
     @functools.cached_property
     def coalesced(self):

@@ -131,9 +131,11 @@ def test_suite_analyses_each_chain_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
     # 78 grid chains, 6 rings and the two six-site chains; the evanescent
-    # pair is solved once per closed-form chain at mu = 0.5
+    # pair is solved once per closed-form chain at mu = 0.5.  Classification
+    # reads eigenvalues only, so detect_coalescence serves the coalesced
+    # spectra (86) and the two timed six-site solves
     assert calls == {"eig": 86, "classify_modes": 78, "coalesced_eigenvalues": 86,
-                     "detect_coalescence": 166, "solve_evanescent_pair": 5}
+                     "detect_coalescence": 88, "solve_evanescent_pair": 5}
 
 
 def test_classification_failure_fails_only_the_criteria_that_classify():

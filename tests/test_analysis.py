@@ -82,7 +82,7 @@ class TestCommonPartCompare:
 class TestGapBound:
     def test_six_site_respects_band(self):
         es = eig(build_ssh(6, 2.0, 0.25))
-        records, _ = classify_modes(es)
+        records, _ = classify_modes(es, 2.0, 0.25)
         assert gap_bound_check(records, 2.0)
         smallest = min(abs(r.eigenvalue) for r in records
                        if r.mode_class is ModeClass.REAL_SCATTERING)
@@ -92,7 +92,7 @@ class TestGapBound:
 
     def test_uniform_bound_is_trivial(self):
         es = eig(build_ssh(8, 1.0, 1.0))
-        records, _ = classify_modes(es)
+        records, _ = classify_modes(es, 1.0, 1.0)
         assert gap_bound_check(records, 1.0)
 
     def test_synthetic_violation_detected(self):
@@ -103,7 +103,7 @@ class TestGapBound:
     @pytest.mark.parametrize("n,mu", [(30, 0.5), (30, 3.0)])
     def test_large_chains(self, n, mu):
         es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
-        records, _ = classify_modes(es)
+        records, _ = classify_modes(es, mu, gamma_ep(mu, n))
         assert gap_bound_check(records, mu)
 
 
@@ -122,7 +122,7 @@ class TestCensusSweep:
     def test_single_point_matches_classify(self):
         point = census_sweep([6], [2.0])[0]
         es = eig(build_ssh(6, 2.0, gamma_ep(2.0, 6)))
-        _, census = classify_modes(es)
+        _, census = classify_modes(es, 2.0, gamma_ep(2.0, 6))
         assert (point.census.n_I, point.census.n_EP, point.census.n_S) == (
             census.n_I, census.n_EP, census.n_S,
         )
@@ -135,7 +135,8 @@ class TestCensusSweep:
         assert "max_workers" not in inspect.signature(census_sweep).parameters
 
     def test_failure_names_the_grid_point_and_keeps_its_type(self):
-        tiny = Tolerances(mode_class=1e-20)
+        # the computed zero pair splits by ~1e-8, far outside an EP width of 1e-20
+        tiny = Tolerances(ep=1e-20)
         with pytest.raises(ClassificationError, match=r"\(n=6, mu=2\.0\)"):
             census_sweep([6, 8], [2.0], tiny)
 

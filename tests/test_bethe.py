@@ -230,7 +230,7 @@ class TestRootMatching:
     def test_every_level_maps_to_a_root(self, n, mu):
         gamma = gamma_ep(mu, n)
         es = eig(build_ssh(n, mu, gamma))
-        records, _ = classify_modes(es)
+        records, _ = classify_modes(es, mu, gamma)
         pair = solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
         residuals = match_spectrum_to_roots(records, mu, gamma, n, pair)
         assert len(residuals) == n

@@ -161,20 +161,57 @@ class TestCensusAndSweep:
             "8,2.0,0.125,0,1,6,2",
         ]
 
-    @pytest.mark.parametrize("threads", [None, "1", "2"])
-    def test_sweep_failure_names_the_point_and_exits_two(
-        self, capsys, monkeypatch, threads
-    ):
-        if threads is None:
-            monkeypatch.delenv("MAJORANA_PT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MAJORANA_PT_THREADS", threads)
+    def test_sweep_failure_names_the_point_and_exits_two(self, capsys):
+        # the computed zero pair splits by ~1e-8, far outside an EP width of 1e-20
         code, out, err = run(capsys, "sweep", "--N-grid", "6,8", "--mu-grid", "2.0",
-                             "--tol-class", "1e-20")
+                             "--tol-ep", "1e-20")
         assert code == 2
         assert out == ""
         assert err.startswith("classification error: ")
         assert "n=6" in err and "mu=2.0" in err
+
+    @pytest.mark.parametrize("n,mu", [
+        (44, 3.0), (64, 2.0), (66, 0.5), (104, 1.5), (180, 0.8), (42, 0.3), (398, 1.1),
+        (300, 0.8), (300, 2.0),
+    ])
+    def test_census_and_spectrum_past_the_former_edges(self, capsys, n, mu):
+        # the first failing points of the eigenvector route, and two chains beyond
+        expected = [0, 1, n - 2] if mu > 1 else [2, 1, n - 4]
+        code, out, _ = run(capsys, "census", "--N", str(n), "--mu", str(mu))
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[3:] == [str(c) for c in expected]
+        code, out, _ = run(capsys, "spectrum", "--N", str(n), "--mu", str(mu))
+        assert code == 0
+        census = json.loads(out)["census"]
+        assert [census["n_I"], census["n_EP"], census["n_S"]] == expected
+
+    @pytest.mark.parametrize("command", ["census", "spectrum"])
+    def test_pair_without_a_gap_is_refused(self, capsys, command):
+        # the third |eps| is 660 times the second, under the required 1e3
+        code, out, err = run(capsys, command, "--N", "78", "--mu", "0.99901401")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("classification error: no isolated zero pair")
+
+    def test_census_off_the_locus(self, capsys):
+        code, out, _ = run(capsys, "census", "--N", "6", "--mu", "2", "--gamma", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "6,2.0,0.0,0,0,6"
+        code, out, err = run(capsys, "census", "--N", "6", "--mu", "0.5", "--gamma", "0.55")
+        assert code == 2
+        assert out == ""
+        assert "neither real nor imaginary" in err
+
+    def test_census_needs_no_eigenvectors(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census must not reach this solver")
+
+        for module, name in [(cli.spectral, "eig"), (cli.spectral, "detect_coalescence"),
+                             (np.linalg, "eig")]:
+            monkeypatch.setattr(module, name, refuse)
+        code, out, _ = run(capsys, "census", "--N", "14", "--mu", "0.5")
+        assert code == 0
+        assert out.splitlines()[-1] == "14,0.5,64.0,2,1,10"
 
     def test_sweep_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--N-grid", "6,10", "--mu-grid", "1.5")
@@ -387,11 +424,32 @@ class TestNumericalFailures:
         assert "Traceback" not in err
 
     def test_eigensolver_residual_failure_is_an_error_line(self, capsys):
-        code, out, err = run(capsys, "census", "--N", "6", "--mu", "2",
+        code, out, err = run(capsys, "spectrum", "--N", "6", "--mu", "2",
                              "--tol-residual", "1e-20")
         assert code == 1
         assert out == ""
         assert err.startswith("error: right eigenpair")
+
+    def test_census_certificate_failure_is_an_error_line(self, capsys):
+        # |h psi| of the closed-form zero mode is 5.6e-17 at (6, 0.8)
+        code, out, err = run(capsys, "census", "--N", "6", "--mu", "0.8",
+                             "--tol-residual", "1e-20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: closed-form zero mode residual")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "census --N 1182 --mu 0.3", "census --N 1400 --mu 0.3",
+        "zero-mode --N 2000 --mu 0.3", "bethe --N 2000 --mu 0.3",
+        "spectrum --N 2000 --mu 0.3",
+    ])
+    def test_unrepresentable_locus_is_an_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: gamma_ep(mu=0.3, N={argv.split()[2]}) = mu**(1 - N/2) "
+                       "overflows a float; the largest N for mu=0.3 is 1180\n")
 
 
 class TestCsvArtifactBytes:

@@ -7,9 +7,11 @@ from majorana_pt import (
     build_block_transform,
     build_majorana_ring,
     build_ssh,
+    build_ssh_real,
     decompose_blocks,
     fit_block_scale,
     gamma_ep,
+    on_locus,
     parity_matrix,
     pt_deviation,
     staggered_signs,
@@ -60,6 +62,22 @@ class TestGammaEp:
         with pytest.raises(ValueError):
             gamma_ep(2.0, n)
 
+    def test_largest_representable_chain(self):
+        # (N/2 - 1) ln(1/mu) <= ln(float max) holds at N = 1180 for mu = 0.3
+        assert gamma_ep(0.3, 1180) == 0.3 ** -589
+        assert on_locus(0.3, 1180, 0.3 ** -589)
+
+    def test_overflow_names_the_largest_chain(self):
+        with pytest.raises(ValueError, match="the largest N for mu=0.3 is 1180"):
+            gamma_ep(0.3, 1182)
+        assert not on_locus(0.3, 1182, 1e308)
+
+    @pytest.mark.parametrize("gamma,expected", [
+        (0.25, True), (0.25 * (1 + 5e-10), True), (0.25 * (1 + 2e-9), False), (0.0, False),
+    ])
+    def test_on_locus_relative_tolerance(self, gamma, expected):
+        assert on_locus(2.0, 6, gamma) is expected
+
 
 class TestBuildSsh:
     def test_matches_six_site_mu2(self):
@@ -95,6 +113,31 @@ class TestBuildSsh:
             build_ssh(6, -2.0, 0.1)
         with pytest.raises(ValueError):
             build_ssh(6, 2.0, float("inf"))
+
+
+class TestBuildSshReal:
+    @pytest.mark.parametrize("n,mu,gamma", [
+        (6, 2.0, 0.25), (14, 0.5, gamma_ep(0.5, 14)), (30, 1.5, gamma_ep(1.5, 30)),
+        (6, 2.0, 0.0), (6, 0.5, 0.55), (12, 0.8, -3.0),
+    ])
+    def test_is_the_pt_rotation_of_the_chain(self, n, mu, gamma):
+        # Q = (I + iP)/sqrt(2) is unitary and Q^dag h Q is real, on and off the locus
+        q = (np.eye(n) + 1j * parity_matrix(n)) / np.sqrt(2)
+        assert np.allclose(q.conj().T @ q, np.eye(n), atol=1e-15)
+        m = build_ssh_real(n, mu, gamma)
+        assert m.dtype == np.float64
+        scale = 1 + max(mu, abs(gamma))
+        assert np.max(np.abs(q.conj().T @ build_ssh(n, mu, gamma) @ q - m)) <= 1e-14 * scale
+
+    def test_bonds_and_corners(self):
+        expected = np.diag([1.0, 2, 1, 2, 1], 1) + np.diag([1.0, 2, 1, 2, 1], -1)
+        expected[0, 5], expected[5, 0] = -0.25, 0.25
+        assert np.array_equal(build_ssh_real(6, 2.0, 0.25), expected)
+
+    def test_rejects_invalid_parameters(self):
+        for args in [(5, 2.0, 0.1), (6, -2.0, 0.1), (6, 2.0, float("inf"))]:
+            with pytest.raises(ValueError):
+                build_ssh_real(*args)
 
 
 class TestModelParams:

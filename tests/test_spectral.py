@@ -9,6 +9,7 @@ from majorana_pt import (
     Tolerances,
     build_majorana_ring,
     build_ssh,
+    chain_census,
     classify_modes,
     coalesced_eigenvalues,
     detect_coalescence,
@@ -368,14 +369,14 @@ class TestClassifyModes:
     )
     def test_census_counts(self, n, mu, expected):
         es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
-        records, census = classify_modes(es)
+        records, census = classify_modes(es, mu, gamma_ep(mu, n))
         assert (census.n_I, census.n_EP, census.n_S) == expected
         assert census.n_I + 2 * census.n_EP + census.n_S == n
         assert len(records) == n
 
     def test_record_invariants(self):
         es = eig(build_ssh(14, 0.5, gamma_ep(0.5, 14)))
-        records, _ = classify_modes(es)
+        records, _ = classify_modes(es, 0.5, gamma_ep(0.5, 14))
         scale = es.scale
         for record in records:
             if record.mode_class is ModeClass.REAL_SCATTERING:
@@ -389,19 +390,57 @@ class TestClassifyModes:
 
     def test_hermitian_chain_is_all_scattering(self):
         es = eig(build_ssh(6, 2.0, 0.0))
-        _, census = classify_modes(es)
+        _, census = classify_modes(es, 2.0, 0.0)
         assert (census.n_I, census.n_EP, census.n_S) == (0, 0, 6)
 
     def test_broken_pt_levels_are_unclassifiable(self):
         # gamma between the band scales drives scattering levels complex
         es = eig(build_ssh(6, 0.5, 0.55))
         with pytest.raises(ClassificationError):
-            classify_modes(es)
+            classify_modes(es, 0.5, 0.55)
+
+    def test_uniform_chain_pair_is_certified(self):
+        # at mu = 1 the certificate takes zero_mode's limit, |psi_j| = 1/sqrt(n)
+        es = eig(build_ssh(8, 1.0, 1.0))
+        records, census = classify_modes(es, 1.0, 1.0)
+        assert (census.n_I, census.n_EP, census.n_S) == (0, 1, 6)
+        assert chain_census(8, 1.0, 1.0) == census
+        assert all(abs(r.biorth_norm) < 1e-15 for r in records
+                   if r.mode_class is ModeClass.ZERO_COALESCING)
+
+    def test_pair_records_carry_the_centroid(self):
+        es = eig(build_ssh(14, 1.5, gamma_ep(1.5, 14)))
+        records, _ = classify_modes(es, 1.5, gamma_ep(1.5, 14))
+        pair = [r for r in records if r.mode_class is ModeClass.ZERO_COALESCING]
+        assert [r.index for r in pair] == sorted(np.argsort(np.abs(es.eigenvalues))[:2])
+        assert pair[0].eigenvalue == pair[1].eigenvalue == np.mean(es.eigenvalues[[r.index for r in pair]])
+
+    def test_pair_without_a_gap_is_refused(self):
+        n, mu = 78, 0.99901401
+        with pytest.raises(ClassificationError, match="no isolated zero pair"):
+            chain_census(n, mu, gamma_ep(mu, n))
+
+    @pytest.mark.parametrize("tolerances,error,match", [
+        (Tolerances(ep=1e-20), ClassificationError, "exceptional-point width"),
+        (Tolerances(residual=1e-20), RuntimeError, "closed-form zero mode residual"),
+    ])
+    def test_pair_bounds_are_read(self, tolerances, error, match):
+        with pytest.raises(error, match=match):
+            chain_census(6, 0.8, gamma_ep(0.8, 6), tolerances)
+
+    def test_chain_census_matches_classify_modes_on_a_request_grid(self):
+        # the couplings of the benchmark's requests; 20 log-spaced N in 6..200
+        for mu in (0.5, 0.8, 1.1, 1.5, 2.0):
+            for n in sorted({2 * round(3 * (200 / 6) ** (i / 19)) for i in range(20)}):
+                gamma = gamma_ep(mu, n)
+                _, census = classify_modes(eig(build_ssh(n, mu, gamma)), mu, gamma)
+                assert chain_census(n, mu, gamma) == census, (n, mu)
+                assert (census.n_I, census.n_EP) == ((0, 1) if mu > 1 else (2, 1))
 
     def test_synthetic_complex_eigenvalue_raises(self):
         es = eig(np.diag([1 + 1j, 1 - 1j, 2.0, 3.0]))
         with pytest.raises(ClassificationError):
-            classify_modes(es)
+            classify_modes(es, 2.0, 0.0)
 
 
 class TestPtActionOnEigenvectors:
@@ -419,7 +458,7 @@ class TestPtActionOnEigenvectors:
     def test_imaginary_pair_are_pt_partners(self, n):
         mu = 0.5
         es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
-        records, _ = classify_modes(es)
+        records, _ = classify_modes(es, mu, gamma_ep(mu, n))
         idx = [r.index for r in records
                if r.mode_class is ModeClass.IMAGINARY_EVANESCENT]
         assert len(idx) == 2
