@@ -161,7 +161,15 @@ class TestCensusAndSweep:
             "8,2.0,0.125,0,1,6,2",
         ]
 
-    def test_sweep_failure_names_the_point_and_exits_two(self, capsys):
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    def test_sweep_failure_names_the_point_and_exits_two(
+        self, capsys, monkeypatch, threads
+    ):
+        # the outcome must not depend on the thread setting a caller exports
+        if threads is None:
+            monkeypatch.delenv("MAJORANA_PT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MAJORANA_PT_THREADS", threads)
         # the computed zero pair splits by ~1e-8, far outside an EP width of 1e-20
         code, out, err = run(capsys, "sweep", "--N-grid", "6,8", "--mu-grid", "2.0",
                              "--tol-ep", "1e-20")
