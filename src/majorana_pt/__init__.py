@@ -11,6 +11,7 @@ from .model import (
     BLOCK_GRAM,
     BlockDecomposition,
     ModelParams,
+    apply_ssh,
     build_block_transform,
     build_majorana_ring,
     build_ssh,
@@ -53,6 +54,7 @@ from .bethe import (
     solve_evanescent_pair,
     solve_real_k,
     zero_mode,
+    zero_mode_amplitudes,
     zero_mode_root,
 )
 from .analysis import (

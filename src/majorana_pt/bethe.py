@@ -46,6 +46,7 @@ __all__ = [
     "solve_real_k",
     "solve_evanescent_pair",
     "zero_mode",
+    "zero_mode_amplitudes",
     "zero_mode_root",
     "omega_constant",
     "k_from_epsilon",
@@ -324,10 +325,17 @@ def zero_mode_root(mu: float) -> complex:
 
 
 def omega_constant(n: int, mu: float) -> float:
-    """Dirac normalization ``mu^{n/2-1} sqrt((1 - mu^2) / (2 - 2 mu^n))``."""
+    """Dirac normalization ``mu^{n/2-1} sqrt((1 - mu^2) / (2 - 2 mu^n))``.
+
+    Where ``mu^n`` overflows a float (mu > 1 only, from n = 1024 at mu = 2)
+    it returns the equal ``sqrt((mu^2 - 1) / (2 - 2 mu^-n)) / mu``.
+    """
     _require_even_sites(n)
     mu = _require_mu(mu, forbid_uniform=True)
-    return mu ** (n // 2 - 1) * np.sqrt((1 - mu * mu) / (2 - 2.0 * mu ** n))
+    try:
+        return mu ** (n // 2 - 1) * np.sqrt((1 - mu * mu) / (2 - 2.0 * mu ** n))
+    except OverflowError:
+        return np.sqrt((mu * mu - 1) / (2 - 2.0 * mu ** -n)) / mu
 
 
 @dataclass(frozen=True)
@@ -368,6 +376,18 @@ def zero_mode(n: int, mu: float, side: str = "right") -> ZeroModeWavefunction:
     amps[1::2] = sign * omega * mu ** (j - n / 2.0)
     amps *= staggered_signs(n)
     return ZeroModeWavefunction(n=n, mu=mu, side=side, omega=float(omega), amplitudes=amps)
+
+
+def zero_mode_amplitudes(n: int, mu: float) -> np.ndarray:
+    """Right amplitudes of :func:`zero_mode`, extended to the uniform chain.
+
+    At ``mu = 1`` they are zero_mode's limit, ``|psi_j| = 1/sqrt(n)`` with
+    the phases ``1, -i`` on odd and even sites times the staggered signs.
+    """
+    if mu == 1.0:
+        _require_even_sites(n)
+        return np.tile([1, -1j], n // 2) * staggered_signs(n) / np.sqrt(n)
+    return zero_mode(n, mu).amplitudes
 
 
 def k_from_epsilon(epsilon: complex, mu: float) -> complex:

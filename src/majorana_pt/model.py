@@ -15,6 +15,7 @@ This module builds every matrix in that chain of reductions:
 * :func:`build_ssh` -- the ``n x n`` non-Hermitian SSH chain itself,
 * :func:`build_ssh_real` -- the real matrix that the chain's PT symmetry
   makes it similar to,
+* :func:`apply_ssh` -- the chain's product with a vector, in O(n),
 * :func:`gamma_ep` -- the coupling ``gamma = mu**(1 - n/2)`` at which the two
   zero modes of the SSH chain coalesce (the exceptional point used throughout),
   and :func:`on_locus`, the test that a coupling sits there.
@@ -41,6 +42,7 @@ __all__ = [
     "on_locus",
     "build_ssh",
     "build_ssh_real",
+    "apply_ssh",
     "build_majorana_ring",
     "build_block_transform",
     "decompose_blocks",
@@ -220,6 +222,18 @@ def build_ssh_real(n: int, mu: float, gamma: float) -> np.ndarray:
     m[0, n - 1] = -gamma
     m[n - 1, 0] = gamma
     return m
+
+
+def apply_ssh(n: int, mu: float, gamma: float, v: np.ndarray) -> np.ndarray:
+    """``build_ssh(n, mu, gamma) @ v``, bond by bond without the matrix."""
+    _require_chain(n, mu, gamma)
+    bonds = _bonds(n, mu)
+    hv = np.zeros(n, dtype=complex)
+    hv[:-1] += bonds * v[1:]
+    hv[1:] += bonds * v[:-1]
+    hv[0] += 1j * gamma * v[0]
+    hv[-1] -= 1j * gamma * v[-1]
+    return hv
 
 
 def build_majorana_ring(params: ModelParams) -> np.ndarray:

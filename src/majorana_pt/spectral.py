@@ -363,21 +363,12 @@ def _certify_zero_mode(n: int, mu: float, gamma: float, tolerances: Tolerances) 
     """``<eta|psi> = psi^T psi`` of the closed-form zero mode, once certified.
 
     ``h = build_ssh(n, mu, gamma)`` is complex symmetric, so ``eta =
-    conj(psi)``.  ``h psi`` is applied bond by bond.  Raises ``RuntimeError``
-    when ``|h psi|_inf`` exceeds ``residual * |h|_inf`` or ``|psi^T psi|``
-    exceeds ``ep``.
+    conj(psi)``; ``h psi`` is applied bond by bond (:func:`~.model.apply_ssh`).
+    Raises ``RuntimeError`` when ``|h psi|_inf`` exceeds ``residual *
+    |h|_inf`` or ``|psi^T psi|`` exceeds ``ep``.
     """
-    if mu == 1.0:  # the uniform chain: zero_mode's limit, |psi_j| = 1/sqrt(n)
-        psi = np.tile([1, -1j], n // 2) * model.staggered_signs(n) / np.sqrt(n)
-    else:
-        psi = bethe.zero_mode(n, mu).amplitudes
-    bonds = model._bonds(n, mu)
-    h_psi = np.zeros_like(psi)
-    h_psi[:-1] += bonds * psi[1:]
-    h_psi[1:] += bonds * psi[:-1]
-    h_psi[0] += 1j * gamma * psi[0]
-    h_psi[-1] -= 1j * gamma * psi[-1]
-    residual = float(np.max(np.abs(h_psi)))
+    psi = bethe.zero_mode_amplitudes(n, mu)
+    residual = float(np.max(np.abs(model.apply_ssh(n, mu, gamma, psi))))
     bound = tolerances.residual * (1.0 + max(mu, abs(gamma)))
     if residual > bound:
         raise RuntimeError(f"closed-form zero mode residual {residual:.3e} exceeds "

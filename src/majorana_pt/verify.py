@@ -11,6 +11,11 @@ censuses and closed forms are checked across the desk-scale grid
 (n up to 30, matrices up to 60 x 60), and the dense eigensolver serves as
 the independent oracle for everything the closed forms claim.
 
+The census classifies eigenvalues alone and takes its coalescing pair from
+the spectral gap and the closed-form zero mode; ``mode-census`` also asks
+:func:`~.spectral.detect_coalescence` to find the same pair from the
+eigenvectors, so the two routes check each other.
+
 Numerically split coalescing pairs are compared through their cluster
 centroid (see :func:`~.spectral.coalesced_eigenvalues`): a defective pair
 computed in double precision splits by the square root of the backward
@@ -119,13 +124,22 @@ def mode_census(tolerances, solved):
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
             expected = (0, 1, n - 2) if mu > 1 else (2, 1, n - 4)
-            _, census = _grid_chain(n, mu, tolerances, solved).modes
+            chain = _grid_chain(n, mu, tolerances, solved)
+            records, census = chain.modes
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
                 failures.append(f"(n={n}, mu={mu}): {got} != {expected}")
+            # the eigenvector route (detect_coalescence) must merge this pair, no other
+            pair = [r.index for r in records
+                    if r.mode_class is spectral.ModeClass.ZERO_COALESCING]
+            merged = np.flatnonzero(chain.coalesced != chain.es.eigenvalues).tolist()
+            if merged != pair:
+                failures.append(f"(n={n}, mu={mu}): eigenvectors coalesce levels "
+                                f"{merged}, not the pair {pair}")
     elapsed = time.perf_counter() - started
     checks = [
-        (not failures, f"{len(GRID_N) * 6} grid points match the expected censuses"
+        (not failures, f"{len(GRID_N) * 6} grid points match the expected censuses, "
+         "each pair confirmed by its eigenvectors"
          + ("" if not failures else f"; failures: {failures[:4]}")),
         (elapsed < 5.0, f"runtime {elapsed:.2f} s < 5 s"),
     ]

@@ -147,6 +147,13 @@ def test_classification_failure_fails_only_the_criteria_that_classify():
                for r in results if not r.passed)
 
 
+def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
+    monkeypatch.setattr(verify.spectral, "detect_coalescence", lambda es, ep: [])
+    result = verify.mode_census(verify.spectral.DEFAULT_TOLERANCES, {})
+    assert not result.passed
+    assert "(n=6, mu=1.5): eigenvectors coalesce levels [], not the pair [" in result.detail
+
+
 def _spin(seconds):
     end = time.thread_time() + seconds
     while time.thread_time() < end:

@@ -7,6 +7,7 @@ from majorana_pt import (
     BetheRoot,
     RootScanError,
     UniformChainError,
+    apply_ssh,
     build_ssh,
     classify_modes,
     coalesced_eigenvalues,
@@ -23,6 +24,7 @@ from majorana_pt import (
     solve_evanescent_pair,
     solve_real_k,
     zero_mode,
+    zero_mode_amplitudes,
     zero_mode_root,
 )
 
@@ -196,6 +198,25 @@ class TestZeroMode:
     def test_uniform_chain_rejected(self):
         with pytest.raises(UniformChainError):
             zero_mode(6, 1.0)
+
+    @pytest.mark.parametrize("n,mu", [(1026, 2.0), (648, 3.0), (2048, 1.5)])
+    def test_long_chains_above_the_uniform_coupling(self, n, mu):
+        # mu**n overflows a float here; Omega is near its limit sqrt((mu^2-1)/2)/mu
+        assert omega_constant(n, mu) == pytest.approx(np.sqrt((mu * mu - 1) / 2) / mu,
+                                                      rel=1e-15)
+        psi = zero_mode(n, mu).amplitudes
+        assert np.all(np.isfinite(psi))
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-13)
+        h_psi = apply_ssh(n, mu, gamma_ep(mu, n), psi)
+        assert np.max(np.abs(h_psi)) <= 1e-15 * (1 + mu)
+
+    def test_amplitudes_extend_to_the_uniform_chain(self):
+        assert np.array_equal(zero_mode_amplitudes(10, 2.0), zero_mode(10, 2.0).amplitudes)
+        psi = zero_mode_amplitudes(10, 1.0)
+        assert np.max(np.abs(build_ssh(10, 1.0, 1.0) @ psi)) <= 1e-15
+        assert np.allclose(np.abs(psi), 1 / np.sqrt(10), rtol=0, atol=1e-16)
+        with pytest.raises(ValueError):
+            zero_mode_amplitudes(7, 1.0)
 
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):

@@ -165,7 +165,8 @@ class TestCensusAndSweep:
     def test_sweep_failure_names_the_point_and_exits_two(
         self, capsys, monkeypatch, threads
     ):
-        # the outcome must not depend on the thread setting a caller exports
+        # nothing reads MAJORANA_PT_THREADS any more; the three cases only keep
+        # this test's ids stable
         if threads is None:
             monkeypatch.delenv("MAJORANA_PT_THREADS", raising=False)
         else:
@@ -192,6 +193,17 @@ class TestCensusAndSweep:
         assert code == 0
         census = json.loads(out)["census"]
         assert [census["n_I"], census["n_EP"], census["n_S"]] == expected
+
+    @pytest.mark.parametrize("command,n,mu", [
+        ("census", 1026, 2.0), ("census", 648, 3.0), ("spectrum", 648, 3.0),
+    ])
+    def test_long_chains_where_mu_to_the_n_overflows(self, capsys, command, n, mu):
+        # the zero-mode certificate's normalization once evaluated mu**n here
+        code, out, _ = run(capsys, command, "--N", str(n), "--mu", str(mu),
+                           "--format", "json")
+        assert code == 0
+        census = json.loads(out)["census"]
+        assert [census["n_I"], census["n_EP"], census["n_S"]] == [0, 1, n - 2]
 
     @pytest.mark.parametrize("command", ["census", "spectrum"])
     def test_pair_without_a_gap_is_refused(self, capsys, command):

@@ -4,6 +4,7 @@ import pytest
 from majorana_pt import (
     BLOCK_GRAM,
     ModelParams,
+    apply_ssh,
     build_block_transform,
     build_majorana_ring,
     build_ssh,
@@ -138,6 +139,18 @@ class TestBuildSshReal:
         for args in [(5, 2.0, 0.1), (6, -2.0, 0.1), (6, 2.0, float("inf"))]:
             with pytest.raises(ValueError):
                 build_ssh_real(*args)
+
+
+class TestApplySsh:
+    @pytest.mark.parametrize("n,mu,gamma", [(6, 2.0, 0.25), (14, 0.5, 64.0), (8, 1.0, 0.0)])
+    def test_is_the_matrix_product(self, n, mu, gamma):
+        v = np.array([1, 1j]) @ np.random.default_rng(n).normal(size=(2, n))
+        assert np.allclose(apply_ssh(n, mu, gamma, v), build_ssh(n, mu, gamma) @ v,
+                           rtol=0, atol=1e-14)
+
+    def test_rejects_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            apply_ssh(5, 2.0, 0.1, np.ones(5))
 
 
 class TestModelParams:
