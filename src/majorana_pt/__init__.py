@@ -33,6 +33,7 @@ from .spectral import (
     ModeRecord,
     Tolerances,
     chain_census,
+    chain_eigensystem,
     classify_modes,
     coalesced_eigenvalues,
     detect_coalescence,

@@ -19,7 +19,9 @@ full.  ``--tol-residual``, ``--tol-class`` and ``--tol-ep`` are taken by
 ``spectrum``, ``bethe``, ``census``, ``sweep`` and ``verify``; ``census``
 reads them in its closed-form zero-mode certificate and its level classes,
 ``spectrum``, ``sweep`` and ``verify`` also in the dense eigensolver, and
-``bethe`` only echoes them.  All
+``bethe`` only echoes them.  ``spectrum`` solves the chain's real form once:
+``left_residuals`` equal ``residuals``, and only ``|biorth|`` is
+basis-independent.  All
 computations are deterministic, so identical configurations give
 byte-identical artifacts.  ``main`` may be called any number of times in
 one process; the parser is built on the first call and reused.
@@ -134,8 +136,7 @@ def _cmd_spectrum(args) -> int:
     n, mu, gamma, config = _model_config(args, "spectrum")
     tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "json")
-    h = model.build_ssh(n, mu, gamma)
-    es = spectral.eig(h, tol.residual)
+    es = spectral.chain_eigensystem(n, mu, gamma, tol.residual)
     records, census = spectral.classify_modes(es, mu, gamma, tol)
     ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues, 1e-8 * es.scale)
     if fmt == "json":
@@ -155,7 +156,7 @@ def _cmd_spectrum(args) -> int:
         _emit(args, serialize.spectrum_csv(es, records, _config_lines(config)))
     elif fmt == "text":
         lines = [f"# {l}" for l in _config_lines(config)]
-        lines.append(serialize.matrix_to_text(h).rstrip("\n"))
+        lines.append(serialize.matrix_to_text(model.build_ssh(n, mu, gamma)).rstrip("\n"))
         lines.append("eigenvalues: " + " ".join(
             serialize.format_complex(z) for z in es.eigenvalues))
         _emit(args, "\n".join(lines) + "\n")

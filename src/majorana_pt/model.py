@@ -225,10 +225,12 @@ def build_ssh_real(n: int, mu: float, gamma: float) -> np.ndarray:
 
 
 def apply_ssh(n: int, mu: float, gamma: float, v: np.ndarray) -> np.ndarray:
-    """``build_ssh(n, mu, gamma) @ v``, bond by bond without the matrix."""
+    """``build_ssh(n, mu, gamma) @ v`` for a vector or a matrix of columns,
+    bond by bond without the matrix: O(n) per column."""
     _require_chain(n, mu, gamma)
-    bonds = _bonds(n, mu)
-    hv = np.zeros(n, dtype=complex)
+    v = np.asarray(v)
+    bonds = _bonds(n, mu).reshape((n - 1,) + (1,) * (v.ndim - 1))
+    hv = np.zeros(v.shape, dtype=complex)
     hv[:-1] += bonds * v[1:]
     hv[1:] += bonds * v[:-1]
     hv[0] += 1j * gamma * v[0]

@@ -4,6 +4,10 @@
 right eigenvector with a left eigenvector of the conjugate-transpose
 problem, verifies residuals, and reports the biorthogonal overlaps
 ``<w_i|v_i>`` whose vanishing signals an exceptional point.
+:func:`chain_eigensystem` keeps that contract for the complex symmetric SSH
+chain with one real solve: ``left = conj(right)``, with equal residuals, and
+the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
+modulus is meaningful.
 :func:`detect_coalescence` groups numerically split eigenvalue pairs whose
 eigenvectors have become parallel (the dense solver returns two nearly equal
 eigenvalues rather than a Jordan block at an exceptional point).
@@ -37,6 +41,7 @@ __all__ = [
     "ModeCensus",
     "ClassificationError",
     "eig",
+    "chain_eigensystem",
     "pseudo_hermiticity_check",
     "detect_coalescence",
     "classify_modes",
@@ -61,8 +66,8 @@ class Tolerances:
     """Tolerance bundle used by the eigensolver and the classifier.
 
     residual : eigenpair residual bound, relative to the matrix infinity
-        norm: of every right/left pair in :func:`eig`, and of the
-        closed-form zero mode ``h psi`` in the census.
+        norm: of every right/left eigenpair, and of the closed-form zero
+        mode ``h psi`` in the census.
     mode_class : real/imaginary classification threshold, relative to the
         largest eigenvalue magnitude.
     ep : exceptional-point bound.  In the census: the distance from zero
@@ -90,15 +95,18 @@ class EigenSystem:
     eigenvalues : np.ndarray
         Sorted ascending by (real, imaginary) part.
     right, left : np.ndarray
-        Unit-norm eigenvector columns.  The left vectors come from a second
-        solve, of the conjugate transpose; ``left[:, i]`` is the one whose
-        eigenvalue is paired greedily, by nearest distance, with
-        ``conj(eigenvalues[i])``.
+        Unit-norm eigenvector columns.  From :func:`eig` the left vectors
+        come from a second solve, of the conjugate transpose; ``left[:, i]``
+        is the one whose eigenvalue is paired greedily, by nearest distance,
+        with ``conj(eigenvalues[i])``.  From :func:`chain_eigensystem`
+        ``left`` is ``conj(right)``.
     residuals, left_residuals : np.ndarray
-        Per-column residual magnitudes, each against its own eigenvalue.
+        Per-column residual magnitudes, each against its own eigenvalue;
+        equal for :func:`chain_eigensystem`.
     biorth_norms : np.ndarray
         Complex overlaps ``<left_i|right_i>`` of the unit-norm pairs; these
-        approach zero when two levels coalesce.
+        approach zero when two levels coalesce.  Only the modulus is
+        independent of the phases the solver gave the vectors.
     norm_inf : float
         Infinity norm of the decomposed matrix, for residual scaling.
     """
@@ -136,6 +144,38 @@ def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def _eigensystem(values, right, apply, norm_inf, residual_tolerance, left=None):
+    """Normalise, bound every residual by ``residual_tolerance * norm_inf``
+    and form ``biorth = sum(conj(left) * right)``.
+
+    ``apply(x)`` is the matrix times the columns of ``x``; ``left`` is the
+    paired ``(vectors, values, apply)`` of the adjoint problem, or ``None``
+    for a complex symmetric matrix: ``A^dag conj(v) = conj(A v)``, so
+    ``left = conj(right)`` with the same residuals.
+    """
+    def unit_and_residuals(vectors, eps, apply):
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+        return vectors, np.max(np.abs(apply(vectors) - vectors * eps[None, :]), axis=0)
+
+    if residual_tolerance is None:
+        residual_tolerance = DEFAULT_TOLERANCES.residual
+    right, residuals = unit_and_residuals(right, values, apply)
+    if left is None:
+        left, left_residuals = right.conj(), residuals
+    else:
+        left, left_residuals = unit_and_residuals(*left)
+    bound = residual_tolerance * max(norm_inf, 1e-300)
+    for label, res in (("right", residuals), ("left", left_residuals)):
+        if values.size and float(np.max(res)) > bound:
+            worst = int(np.argmax(res))
+            raise RuntimeError(
+                f"{label} eigenpair {worst} residual {res[worst]:.3e} exceeds "
+                f"{bound:.3e}"
+            )
+    biorth = np.einsum("ij,ij->j", left.conj(), right)
+    return EigenSystem(values, right, left, residuals, left_residuals, biorth, norm_inf)
+
+
 def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
     """Dense eigendecomposition with verified residuals and left pairing.
 
@@ -165,21 +205,18 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
         raise ValueError(f"dimension {a.shape[0]} exceeds ceiling {MAX_DIM}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix entries must be finite")
-    if residual_tolerance is None:
-        residual_tolerance = DEFAULT_TOLERANCES.residual
     n = a.shape[0]
     norm_inf = float(np.max(np.abs(a).sum(axis=1))) if n else 0.0
+    adjoint = a.conj().T
 
     try:
         values, right = np.linalg.eig(a)
-        left_values, left = np.linalg.eig(a.conj().T)
+        left_values, left = np.linalg.eig(adjoint)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
 
     order = _sort_by_re_im(values)
     values = values[order]
-    right = right[:, order]
-    right = right / np.linalg.norm(right, axis=0)
 
     # Greedy nearest-eigenvalue pairing of the left system to conj(values).
     gaps = np.abs(left_values[None, :] - values.conj()[:, None])
@@ -192,32 +229,32 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
             f"left/right eigenvalue pairing conflict at index {worst} "
             f"(gap {gaps[worst]:.3e})"
         )
-    left = left[:, assignment]
-    left_values = left_values[assignment]
-    left = left / np.linalg.norm(left, axis=0)
+    left = (left[:, assignment], left_values[assignment], adjoint.__matmul__)
+    return _eigensystem(values, right[:, order], a.__matmul__, norm_inf,
+                        residual_tolerance, left)
 
-    residuals = np.max(np.abs(a @ right - right * values[None, :]), axis=0)
-    left_residuals = np.max(
-        np.abs(a.conj().T @ left - left * left_values[None, :]), axis=0
-    )
-    bound = residual_tolerance * max(norm_inf, 1e-300)
-    for label, res in (("right", residuals), ("left", left_residuals)):
-        if n and float(np.max(res)) > bound:
-            worst = int(np.argmax(res))
-            raise RuntimeError(
-                f"{label} eigenpair {worst} residual {res[worst]:.3e} exceeds "
-                f"{bound:.3e}"
-            )
-    biorth = np.einsum("ij,ij->j", left.conj(), right)
-    return EigenSystem(
-        eigenvalues=values,
-        right=right,
-        left=left,
-        residuals=residuals,
-        left_residuals=left_residuals,
-        biorth_norms=biorth,
-        norm_inf=norm_inf,
-    )
+
+def chain_eigensystem(n: int, mu: float, gamma: float,
+                      residual_tolerance: float | None = None) -> EigenSystem:
+    """:func:`eig` of ``build_ssh(n, mu, gamma)`` from one real solve.
+
+    One ``np.linalg.eig`` of the real form ``M = Q^dag h Q``
+    (:func:`~.model.build_ssh_real`) gives ``right = Q V = (V + i V[::-1]) /
+    sqrt(2)``, and real levels exactly real.  ``h`` is complex symmetric, so
+    ``left = conj(right)``: no second solve and no pairing.  Residuals are
+    applied bond by bond (:func:`~.model.apply_ssh`) and bounded as in
+    :func:`eig`.
+    """
+    m = model.build_ssh_real(n, mu, gamma)
+    try:
+        values, v = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    order = _sort_by_re_im(values)
+    right = (v[:, order] + 1j * v[::-1, order]) / np.sqrt(2)
+    return _eigensystem(values[order].astype(complex), right,
+                        lambda x: model.apply_ssh(n, mu, gamma, x),
+                        1.0 + max(mu, abs(gamma)), residual_tolerance)
 
 
 def pseudo_hermiticity_check(

@@ -8,8 +8,9 @@ once; only the six-site criteria, whose budget times a real solve, and the
 rings are solved outside it.
 The six-site chains have fully explicit spectra and eigenvectors, the
 censuses and closed forms are checked across the desk-scale grid
-(n up to 30, matrices up to 60 x 60), and the dense eigensolver serves as
-the independent oracle for everything the closed forms claim.
+(n up to 30, matrices up to 60 x 60), and dense eigensolves (one real solve
+per grid chain, :func:`~.spectral.chain_eigensystem`) serve as the
+independent oracle for everything the closed forms claim.
 
 The census classifies eigenvalues alone and takes its coalescing pair from
 the spectral gap and the closed-form zero mode; ``mode-census`` also asks
@@ -286,7 +287,7 @@ class _GridChain:
         self.tolerances = tolerances
         self.gamma = model.gamma_ep(mu, n)
         self.h = model.build_ssh(n, mu, self.gamma)
-        self.es = spectral.eig(self.h, tolerances.residual)
+        self.es = spectral.chain_eigensystem(n, mu, self.gamma, tolerances.residual)
 
     @functools.cached_property
     def modes(self):

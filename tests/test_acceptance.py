@@ -89,18 +89,27 @@ def test_suite_solves_the_shared_grid_once(monkeypatch):
 
 def test_suite_solves_each_distinct_matrix_once(monkeypatch):
     solved = []
-    original = verify.spectral.eig
+    original_eig = verify.spectral.eig
+    original_chain = verify.spectral.chain_eigensystem
 
-    def counted(h, *args, **kwargs):
-        solved.append(h.tobytes())
-        return original(h, *args, **kwargs)
+    def counted_eig(h, *args, **kwargs):
+        solved.append(("eig", h.tobytes()))
+        return original_eig(h, *args, **kwargs)
 
-    monkeypatch.setattr(verify.spectral, "eig", counted)
+    def counted_chain(n, mu, gamma, *args, **kwargs):
+        solved.append(("chain", verify.model.build_ssh(n, mu, gamma).tobytes()))
+        return original_chain(n, mu, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(verify.spectral, "eig", counted_eig)
+    monkeypatch.setattr(verify.spectral, "chain_eigensystem", counted_chain)
     verify.run_criteria()
-    # 78 grid chains and 6 rings, plus the two timed six-site solves, whose
-    # chains are the grid points (6, 2.0) and (6, 0.5)
-    counts = Counter(solved)
-    assert len(solved) == 86 and max(counts.values()) == 2
+    # 78 grid chains from one real solve each; 6 rings and the two timed
+    # six-site solves through the general eig, whose chains are the grid
+    # points (6, 2.0) and (6, 0.5)
+    paths = Counter(path for path, _ in solved)
+    assert paths == {"chain": 78, "eig": 8}
+    counts = Counter(h for _, h in solved)
+    assert len(counts) == 84 and max(counts.values()) == 2
     assert {h for h, k in counts.items() if k == 2} == {
         verify.model.build_ssh(6, 2.0, 0.25).tobytes(),
         verify.model.build_ssh(6, 0.5, 4.0).tobytes(),
@@ -120,7 +129,8 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
 def test_suite_analyses_each_chain_once(monkeypatch):
     calls = Counter()
     for module, name in [
-        (verify.spectral, "eig"), (verify.spectral, "classify_modes"),
+        (verify.spectral, "eig"), (verify.spectral, "chain_eigensystem"),
+        (verify.spectral, "classify_modes"),
         (verify.spectral, "coalesced_eigenvalues"), (verify.spectral, "detect_coalescence"),
         (verify.bethe, "solve_evanescent_pair"),
     ]:
@@ -130,12 +140,14 @@ def test_suite_analyses_each_chain_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
-    # 78 grid chains, 6 rings and the two six-site chains; the evanescent
-    # pair is solved once per closed-form chain at mu = 0.5.  Classification
-    # reads eigenvalues only, so detect_coalescence serves the coalesced
-    # spectra (86) and the two timed six-site solves
-    assert calls == {"eig": 86, "classify_modes": 78, "coalesced_eigenvalues": 86,
-                     "detect_coalescence": 88, "solve_evanescent_pair": 5}
+    # 78 grid chains from one real solve each, 6 rings and the two six-site
+    # chains through eig; the evanescent pair is solved once per closed-form
+    # chain at mu = 0.5.  Classification reads eigenvalues only, so
+    # detect_coalescence serves the coalesced spectra (86) and the two timed
+    # six-site solves
+    assert calls == {"chain_eigensystem": 78, "eig": 8, "classify_modes": 78,
+                     "coalesced_eigenvalues": 86, "detect_coalescence": 88,
+                     "solve_evanescent_pair": 5}
 
 
 def test_classification_failure_fails_only_the_criteria_that_classify():

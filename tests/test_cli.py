@@ -35,6 +35,20 @@ class TestSpectrum:
         assert radicals[-1] == pytest.approx(np.sqrt(350 + 2 * np.sqrt(3553)) / 8, abs=1e-10)
         assert payload["census"] == {"n_I": 0, "n_EP": 1, "n_S": 4, "N": 6}
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_real_lapack_solve_per_request(self, capsys, monkeypatch, fmt):
+        solved = []
+        solve = np.linalg.eig
+
+        def counted(a, *args, **kwargs):
+            solved.append(np.asarray(a).dtype)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        code, _, _ = run(capsys, "spectrum", "--N", "30", "--mu", "0.5", "--format", fmt)
+        assert code == 0
+        assert solved == [np.float64]
+
     def test_hermitian_chain_exits_zero(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--N", "6", "--mu", "2", "--gamma", "0")
         assert code == 0
@@ -450,6 +464,14 @@ class TestNumericalFailures:
         assert out == ""
         assert err.startswith("error: right eigenpair")
 
+    def test_spectrum_residual_refusal_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--N", "14", "--mu", "0.5",
+                             "--tol-residual", "1e-30")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: right eigenpair")
+        assert err.count("\n") == 1
+
     def test_census_certificate_failure_is_an_error_line(self, capsys):
         # |h psi| of the closed-form zero mode is 5.6e-17 at (6, 0.8)
         code, out, err = run(capsys, "census", "--N", "6", "--mu", "0.8",
@@ -482,7 +504,7 @@ class TestCsvArtifactBytes:
 
     DIGESTS = {
         "spectrum --N 6 --mu 2.0":
-            "da0485efcfc95d35be2ead5f861f25a9bbf78654a0ae55395015b01468f854be",
+            "a832cc547930d078d83da4d2c9ab989ff174bc8b02fc6623a224211510ec2b0e",
         "census --N 6 --mu 2.0":
             "b6a14ce08e018e5a46ad8333ba09d9b1b9b87e97048993ec3ec5844e98df1cf0",
         "bethe --N 6 --mu 2.0":
@@ -492,7 +514,7 @@ class TestCsvArtifactBytes:
         "sweep --N-grid 6 --mu-grid 2.0":
             "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde",
         "spectrum --N 14 --mu 0.5":
-            "fc03905d8d876348e731ee4694870a68e17218683dba213f8a4a2b598e367a5b",
+            "6296de42f6bb46dfdd8cc0ba6b010bf562e154c8f3852172715958f0033dba93",
         "census --N 14 --mu 0.5":
             "5e7bcd0014f5078d54d7a2bc44c7fe7f175d76aa5a880471b2269b3a0f31c72d",
         "bethe --N 14 --mu 0.5":

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from majorana_pt import (
     ClassificationError,
@@ -10,6 +11,7 @@ from majorana_pt import (
     build_majorana_ring,
     build_ssh,
     chain_census,
+    chain_eigensystem,
     classify_modes,
     coalesced_eigenvalues,
     detect_coalescence,
@@ -245,6 +247,81 @@ class TestEig:
             eig(np.array([[np.inf, 0], [0, 1.0]]))
         with pytest.raises(ValueError):
             eig(np.zeros((MAX_DIM + 2, MAX_DIM + 2)))
+
+
+def _relative_level_gap(a, b):
+    """Largest ``|a - b| / max(1, |b|)`` over the best pairing of two spectra."""
+    a, b = np.asarray(a), np.asarray(b)
+    cost = np.abs(a[:, None] - b[None, :]) / np.maximum(1.0, np.abs(b))[None, :]
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def _classified(es, mu, gamma):
+    """Census and record eigenvalues (the pair as its centroid), or the refusal."""
+    try:
+        records, census = classify_modes(es, mu, gamma)
+    except ClassificationError:
+        return ClassificationError, None
+    return census, np.array([r.eigenvalue for r in records])
+
+
+class TestChainEigensystem:
+    """One real solve of the PT real form against the general two-solve eig."""
+
+    @pytest.mark.parametrize("on_locus", [True, False], ids=["locus", "off-locus"])
+    @pytest.mark.parametrize("mu", [0.5, 0.8, 1.1, 2.0])
+    @pytest.mark.parametrize("n", [6, 14, 30, 66, 104])
+    def test_matches_eig(self, n, mu, on_locus):
+        gamma = gamma_ep(mu, n) * (1.0 if on_locus else 0.3)
+        h = build_ssh(n, mu, gamma)
+        es, reference = chain_eigensystem(n, mu, gamma), eig(h)
+        census, values = _classified(es, mu, gamma)
+        reference_census, reference_values = _classified(reference, mu, gamma)
+        assert census == reference_census
+        if values is not None:
+            # the pair's raw members split by ~sqrt(eps) differently in each solve
+            assert _relative_level_gap(values, reference_values) <= 1e-12
+        else:
+            assert _relative_level_gap(es.eigenvalues, reference.eigenvalues) <= 1e-12
+        assert np.array_equal(es.left, es.right.conj())
+        assert np.array_equal(es.left_residuals, es.residuals)
+        assert es.norm_inf == reference.norm_inf
+        assert float(np.max(es.residuals)) <= Tolerances().residual * es.norm_inf
+        # the bond-by-bond residuals against the dense product
+        dense = np.max(np.abs(h @ es.right - es.right * es.eigenvalues), axis=0)
+        assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
+        assert np.allclose(np.linalg.norm(es.right, axis=0), 1.0)
+        assert np.array_equal(es.biorth_norms, np.einsum("ij,ij->j", es.right, es.right))
+
+    def test_real_levels_are_exactly_real(self):
+        es = chain_eigensystem(14, 0.5, gamma_ep(0.5, 14))
+        records, _ = classify_modes(es, 0.5, gamma_ep(0.5, 14))
+        real = [i for i, r in enumerate(records) if r.mode_class is ModeClass.REAL_SCATTERING]
+        assert len(real) == 10
+        assert np.all(es.eigenvalues[real].imag == 0.0)
+
+    def test_makes_one_real_solve(self, monkeypatch):
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.asarray(a).dtype)
+            return solve(a, *args, **kwargs)
+
+        solve = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **k: pytest.fail("scipy eig"))
+        chain_eigensystem(30, 2.0, gamma_ep(2.0, 30))
+        assert calls == [np.float64]
+
+    def test_residual_bound_is_read(self):
+        with pytest.raises(RuntimeError, match="right eigenpair"):
+            chain_eigensystem(6, 2.0, 0.25, residual_tolerance=1e-30)
+
+    def test_rejects_bad_chains(self):
+        for args in [(5, 2.0, 0.25), (6, -1.0, 0.25), (6, 2.0, np.inf)]:
+            with pytest.raises(ValueError):
+                chain_eigensystem(*args)
 
 
 class TestPseudoHermiticity:
