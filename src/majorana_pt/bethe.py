@@ -26,6 +26,7 @@ closed-form amplitudes therefore carry the
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -53,14 +54,10 @@ __all__ = [
     "match_spectrum_to_roots",
 ]
 
-#: Trivial quantization roots: every sine factor vanishes identically there
-#: for even n, but the ansatz degenerates and no eigenstate corresponds.
-_TRIVIAL_ROOT_WINDOW = 1e-9
-
 #: Threefold grid refinements :func:`solve_real_k` makes before it gives up.
 _MAX_REFINEMENTS = 3
 
-#: Working digits of the extended-precision evanescent root.
+#: Least working digits of the extended-precision evanescent root.
 _EVANESCENT_DPS = 60
 
 
@@ -168,13 +165,14 @@ class BetheRoot:
             raise ValueError(f"unknown sector {self.sector!r}")
 
 
-def _real_line(k: float, mu: float, gamma: float, n: int) -> float:
-    """quantization_residual / 2i along real k: a real, sign-changing function."""
-    e2 = 1 + mu * mu - 2 * mu * np.cos(2 * k)
+def _real_line(k, mu: float, gamma: float, n: int, sin=np.sin, cos=np.cos):
+    """quantization_residual / 2i along real k: a real, sign-changing function,
+    odd about pi/2 for even n.  ``math.sin`` and ``math.cos`` suit a scalar k."""
+    e2 = 1 + mu * mu - 2 * mu * cos(2 * k)
     return (
-        (e2 - gamma * gamma - 1) * np.sin((n - 2) * k)
-        + mu * np.sin((n - 4) * k)
-        + mu * (gamma * gamma + e2) * np.sin(n * k)
+        (e2 - gamma * gamma - 1) * sin((n - 2) * k)
+        + mu * sin((n - 4) * k)
+        + mu * (gamma * gamma + e2) * sin(n * k)
     )
 
 
@@ -186,13 +184,16 @@ def solve_real_k(
 ) -> list[BetheRoot]:
     """All scattering roots: real k in (0, pi), both eigenvalue branches.
 
-    Scans a uniform grid of 20n points for sign changes of the real
-    quantization function, polishes each bracket with Brent's method, drops
-    the trivial roots k = 0, pi/2, pi (every sine factor vanishes there for
-    even n), and deduplicates k and pi - k, which carry the same eigenvalue
-    pair.  On the coalescence locus the number of distinct roots must equal
-    (n-2)/2 for mu > 1 and (n-4)/2 for mu < 1; the grid is refined
-    threefold, up to three times, before giving up.
+    Scans a uniform grid of 20n points on (0, pi) for sign changes of the
+    real quantization function and polishes each bracket with Brent's
+    method.  For even n the function is odd about pi/2 and k, pi - k carry
+    the same eigenvalue pair, so only the brackets below pi/2 are scanned;
+    they exclude the trivial roots k = 0, pi/2, where every sine factor
+    vanishes.  ``eps^2`` grows with k there, so a root within 1e-9 of the
+    previous one in ``eps^2`` is a duplicate.  On the coalescence locus the
+    number of distinct roots must equal (n-2)/2 for mu > 1 and (n-4)/2 for
+    mu < 1; the grid is refined threefold, up to three times, before giving
+    up.
 
     Returns two :class:`BetheRoot` entries per distinct k, one per branch,
     ordered by ascending k then descending branch.
@@ -213,30 +214,17 @@ def solve_real_k(
 
     points = 20 * n
     for _ in range(_MAX_REFINEMENTS + 1):
-        ks = np.linspace(0.0, np.pi, points + 2)[1:-1]
+        ks = np.linspace(0.0, np.pi, points + 2)[1:points // 2 + 1]  # below pi/2
         vals = _real_line(ks, mu, gamma, n)
-        found: list[float] = []
-        for i in range(len(ks) - 1):
-            if vals[i] == 0.0:
-                found.append(float(ks[i]))
-            elif vals[i] * vals[i + 1] < 0:
-                found.append(
-                    brentq(
-                        _real_line,
-                        ks[i],
-                        ks[i + 1],
-                        args=(mu, gamma, n),
-                        xtol=1e-15,
-                        rtol=8.9e-16,
-                    )
-                )
-        found = [k for k in found if abs(k - np.pi / 2) > _TRIVIAL_ROOT_WINDOW]
         distinct: list[tuple[float, float]] = []
-        for k in sorted(found):
+        signs = np.sign(vals)  # a product of the values overflows once gamma^2 is large
+        for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0)):
+            k = float(ks[i]) if vals[i] == 0.0 else brentq(
+                _real_line, ks[i], ks[i + 1], args=(mu, gamma, n, math.sin, math.cos),
+                xtol=1e-15, rtol=8.9e-16)
             e2 = 1 + mu * mu - 2 * mu * np.cos(2 * k)
-            if any(abs(e2 - other) < 1e-9 * max(1.0, abs(other)) for _, other in distinct):
-                continue
-            distinct.append((k, e2))
+            if not distinct or e2 - distinct[-1][1] >= 1e-9 * max(1.0, distinct[-1][1]):
+                distinct.append((k, e2))
         if expected is None or len(distinct) == expected:
             break
         points *= 3
@@ -249,9 +237,8 @@ def solve_real_k(
     roots: list[BetheRoot] = []
     for k, e2 in distinct:
         eps = float(np.sqrt(e2))
-        res = abs(quantization_residual(k, mu, gamma, n)) / quantization_scale(
-            k, mu, gamma, n
-        )
+        t1, t2, t3 = _quantization_terms(k, mu, gamma, n)
+        res = abs(t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1e-300)
         if res > root_tolerance:
             raise RootScanError(
                 f"polished root k={k} has normalized residual {res:.3e} > "
@@ -272,11 +259,14 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
 
     The quantization condition along ``k = i kappa``, rescaled by
     ``sinh(n kappa)`` to keep every term of order one, is solved with a
-    60-digit Newton iteration seeded at the asymptotic root
+    Newton iteration seeded at the asymptotic root
     ``kappa = (n-1)/2 * ln(1/mu)``.  The individual hyperbolic terms reach
     ~ e^{n kappa} while the balanced combination ``gamma^2 + eps^2`` is of
     order one, so double precision cannot certify small residuals here;
     extended precision can, and the result rounds back to a float root.
+    ``gamma^2 + eps^2`` cancels ``L = (n-2) log10(1/mu)`` digits and the
+    iteration stops only when the squared residual is under the working
+    epsilon, so it works with ``max(60, 2 ceil(L) + 4)`` digits.
 
     Returns the two branches (+i|eps|, -i|eps|) as :class:`BetheRoot` with
     sector "imaginary".
@@ -285,7 +275,8 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     _require_even_sites(n)
     if mu >= 1:
         raise ValueError("the imaginary pair exists only for mu < 1")
-    with mpmath.workdps(_EVANESCENT_DPS):
+    cancelled = math.ceil((n - 2) * math.log10(1 / mu))
+    with mpmath.workdps(max(_EVANESCENT_DPS, 2 * cancelled + 4)):
         mmu = mpmath.mpf(repr(mu))
         mgam = mpmath.mpf(repr(gamma))
 

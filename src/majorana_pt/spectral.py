@@ -3,7 +3,10 @@
 :func:`eig` is a dense non-Hermitian eigensolver contract that pairs every
 right eigenvector with a left eigenvector of the conjugate-transpose
 problem, verifies residuals, and reports the biorthogonal overlaps
-``<w_i|v_i>`` whose vanishing signals an exceptional point.
+``<w_i|v_i>`` whose vanishing signals an exceptional point.  When a diagonal
+gauge of unit phases makes the matrix exactly real, as for the Majorana
+ring, it solves the real matrix and its transpose and maps both vector sets
+back; residuals and overlaps are still taken against the original matrix.
 :func:`chain_eigensystem` keeps that contract for the complex symmetric SSH
 chain with one real solve: ``left = conj(right)``, with equal residuals, and
 the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
@@ -176,8 +179,45 @@ def _eigensystem(values, right, apply, norm_inf, residual_tolerance, left=None):
     return EigenSystem(values, right, left, residuals, left_residuals, biorth, norm_inf)
 
 
+def _real_gauge(a: np.ndarray):
+    """Unit phases ``d`` with ``r = conj(d)[:, None] * a * d[None, :]`` exactly
+    real, as ``(d, r)``, or ``None``.
+
+    ``d`` makes the entries on a breadth-first spanning tree of each
+    component of the nonzero pattern real and positive; every other entry
+    must then come out exactly real.  The diagonal is gauge invariant.
+    """
+    if np.any(np.diagonal(a).imag):
+        return None
+    rows, cols = np.nonzero((a != 0) | (a.T != 0))
+    w = np.where(a[rows, cols] != 0, a[rows, cols], a[cols, rows].conj())
+    # conj(w) / |w| part by part: a complex division is not exact on the axes
+    phases = w.real / np.abs(w) - 1j * (w.imag / np.abs(w))
+    neighbours = [[] for _ in range(len(a))]
+    for i, j, u in zip(rows.tolist(), cols.tolist(), phases.tolist()):
+        neighbours[i].append((j, u))
+    d = [0j] * len(a)
+    for root in range(len(a)):
+        if d[root]:
+            continue
+        d[root] = 1 + 0j
+        queue = [root]
+        for i in queue:
+            for j, u in neighbours[i]:
+                if not d[j]:
+                    d[j] = d[i] * u
+                    queue.append(j)
+    d = np.array(d)
+    r = d.conj()[:, None] * a * d[None, :]
+    return None if np.any(r.imag) else (d, r.real)
+
+
 def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
     """Dense eigendecomposition with verified residuals and left pairing.
+
+    The two solves are of ``a`` and ``a^dag``, or, when :func:`_real_gauge`
+    makes ``r = D^dag a D`` real, of ``r`` and ``r^T`` in real arithmetic,
+    mapped back by ``right = D x`` and ``left = D y`` (``a^dag = D r^T D^dag``).
 
     Parameters
     ----------
@@ -208,12 +248,15 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
     n = a.shape[0]
     norm_inf = float(np.max(np.abs(a).sum(axis=1))) if n else 0.0
     adjoint = a.conj().T
+    d, m = _real_gauge(a) or (np.ones(n), a)
 
     try:
-        values, right = np.linalg.eig(a)
-        left_values, left = np.linalg.eig(adjoint)
+        values, right = np.linalg.eig(m)
+        left_values, left = np.linalg.eig(m.conj().T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+    values, right = values.astype(complex), d[:, None] * right
+    left_values, left = left_values.astype(complex), d[:, None] * left
 
     order = _sort_by_re_im(values)
     values = values[order]

@@ -2,6 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from majorana_pt import (
     BetheRoot,
@@ -27,6 +28,7 @@ from majorana_pt import (
     zero_mode_amplitudes,
     zero_mode_root,
 )
+from majorana_pt.bethe import _real_line
 
 
 class TestQuantizationResidual:
@@ -88,7 +90,53 @@ class TestEvanescentResidual:
         )
 
 
+def _full_interval_scan(mu, gamma, n):
+    """Reference: the former scan of (0, pi), every bracket polished with the
+    numpy twin, trivial roots dropped and both k and pi - k deduplicated
+    against every kept root; returns ``(k, e2)`` of each distinct root at
+    the first grid that gives the locus count."""
+    expected = (n - 2) // 2 if mu > 1 else (n - 4) // 2
+    points = 20 * n
+    for _ in range(4):
+        ks = np.linspace(0.0, np.pi, points + 2)[1:-1]
+        vals = _real_line(ks, mu, gamma, n)
+        found = []
+        for i in range(len(ks) - 1):
+            if vals[i] == 0.0:
+                found.append(float(ks[i]))
+            elif vals[i] * vals[i + 1] < 0:
+                found.append(brentq(_real_line, ks[i], ks[i + 1], args=(mu, gamma, n),
+                                    xtol=1e-15, rtol=8.9e-16))
+        distinct = []
+        for k in sorted(k for k in found if abs(k - np.pi / 2) > 1e-9):
+            e2 = 1 + mu * mu - 2 * mu * np.cos(2 * k)
+            if not any(abs(e2 - other) < 1e-9 * max(1.0, abs(other)) for _, other in distinct):
+                distinct.append((k, e2))
+        if len(distinct) == expected:
+            break
+        points *= 3
+    return distinct
+
+
 class TestSolveRealK:
+    @pytest.mark.parametrize("mu", [0.5, 0.8, 1.1, 2.0])
+    @pytest.mark.parametrize("n", [6, 14, 30, 66, 104, 192])
+    def test_half_interval_scan_matches_full_scan(self, n, mu):
+        gamma = gamma_ep(mu, n)
+        try:
+            roots = solve_real_k(mu, gamma, n)
+        except RootScanError:
+            roots = None  # the reference must then miss the count or the tolerance too
+        reference = _full_interval_scan(mu, gamma, n)
+        if roots is None:
+            expected = (n - 2) // 2 if mu > 1 else (n - 4) // 2
+            assert len(reference) != expected or max(
+                abs(quantization_residual(k, mu, gamma, n)) / quantization_scale(k, mu, gamma, n)
+                for k, _ in reference) > 1e-12
+            return
+        assert [(r.k.real, r.epsilon) for r in roots[::2]] == [
+            (k, float(np.sqrt(e2))) for k, e2 in reference]
+
     def test_six_site_topological(self):
         roots = solve_real_k(2.0, 0.25, 6)
         ks = sorted({r.k.real for r in roots})

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from majorana_pt import cli
+from majorana_pt import build_ssh, cli, gamma_ep
 from majorana_pt.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -154,6 +155,21 @@ class TestBethe:
         assert float(pair[0].split(",")[5]) == pytest.approx(
             0.5 ** (-6), rel=1e-3
         )
+
+
+    @pytest.mark.parametrize("n", [124, 134])
+    def test_deep_evanescent_pair_matches_dense(self, capsys, n):
+        # gamma^2 + eps^2 cancels (n - 2) log10(2), 37 and 40 digits, in the
+        # evanescent root: more than 60 working digits can resolve
+        code, out, _ = run(capsys, "bethe", "--N", str(n), "--mu", "0.5")
+        assert code == 0
+        roots = [complex(*r["epsilon"]) for r in json.loads(out)["roots"]]
+        dense = np.linalg.eigvals(build_ssh(n, 0.5, gamma_ep(0.5, n)))
+        dense[np.argsort(np.abs(dense))[:2]] = 0.0  # the split EP pair
+        got = np.array(roots + [0.0])  # the zero root stands for both levels
+        cost = np.abs(got[:, None] - dense[None, :]) / np.maximum(1.0, np.abs(dense))
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-9
 
 
 class TestCensusAndSweep:

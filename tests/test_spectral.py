@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 from majorana_pt import (
     ClassificationError,
+    EigenSystem,
     ModelParams,
     ModeClass,
     Tolerances,
@@ -22,7 +23,7 @@ from majorana_pt import (
     pseudo_hermiticity_check,
 )
 from majorana_pt.model import MAX_DIM
-from majorana_pt.spectral import _canonical_phase
+from majorana_pt.spectral import _canonical_phase, _real_gauge
 from majorana_pt.verify import GRID_MU_TOPO, GRID_MU_TRIV, GRID_N
 
 M1_NONZERO = [
@@ -45,12 +46,23 @@ def _ring(n, mu):
     return build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma_ep(mu, n)))
 
 
-def _two_solve_eig(a):
-    """Reference: the former eig, two solves paired by a per-row greedy loop."""
+def _two_solve_eig(a, gauge=None):
+    """Reference: the former eig, two solves paired by a per-row greedy loop.
+
+    With ``gauge = (d, r)``, ``r = conj(d) a d`` real, the solves are of
+    ``r`` and ``r.T`` and the vectors map back as ``d * x``.
+    """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    values, right = np.linalg.eig(a)
-    left_values, left = np.linalg.eig(a.conj().T)
+    if gauge is None:
+        values, right = np.linalg.eig(a)
+        left_values, left = np.linalg.eig(a.conj().T)
+    else:
+        d, r = gauge
+        values, right = np.linalg.eig(r)
+        left_values, left = np.linalg.eig(r.T)
+        values, left_values = values.astype(complex), left_values.astype(complex)
+        right, left = d[:, None] * right, d[:, None] * left
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     right = right[:, order]
@@ -234,10 +246,11 @@ class TestEig:
         + ["repeated-diagonal", "repeated-block"],
     )
     def test_matches_greedy_pairing_loop(self, matrix):
+        # a ring is solved in its real gauge, the others as they are
         es = eig(matrix)
         got = (es.eigenvalues, es.right, es.left, es.residuals,
                es.left_residuals, es.biorth_norms)
-        for g, w in zip(got, _two_solve_eig(matrix)):
+        for g, w in zip(got, _two_solve_eig(matrix, _real_gauge(matrix))):
             assert np.array_equal(g, w)
 
     def test_rejects_bad_input(self):
@@ -247,6 +260,102 @@ class TestEig:
             eig(np.array([[np.inf, 0], [0, 1.0]]))
         with pytest.raises(ValueError):
             eig(np.zeros((MAX_DIM + 2, MAX_DIM + 2)))
+
+
+def _degenerate_projectors(es, skip):
+    """Spectral projector ``V (W^dag V)^-1 W^dag`` of each level outside
+    ``skip``, exactly degenerate copies (within 1e-8 scale) merged.
+
+    A ring level is doubly degenerate, so the per-column overlaps depend on
+    the basis the solver picks; the projector does not, and its norm is
+    ``1 / |biorth|`` for a simple level.
+    """
+    done, projectors = set(skip), []
+    for i in range(es.dim):
+        if i in done:
+            continue
+        c = [j for j in range(es.dim) if j not in done
+             and abs(es.eigenvalues[j] - es.eigenvalues[i]) <= 1e-8 * es.scale]
+        done.update(c)
+        v, w = es.right[:, c], es.left[:, c]
+        projectors.append((complex(np.mean(es.eigenvalues[c])),
+                           v @ np.linalg.solve(w.conj().T @ v, w.conj().T)))
+    return sorted(projectors, key=lambda p: (round(p[0].real, 8), round(p[0].imag, 8)))
+
+
+class TestRealGauge:
+    """The ring solved in its real gauge against the complex two-solve eig."""
+
+    @pytest.mark.parametrize("mu", [0.5, 1.1, 2.0])
+    @pytest.mark.parametrize("n", [6, 10, 16, 30, 58])
+    def test_ring_gauge_is_exact(self, n, mu):
+        h = _ring(n, mu)
+        d, r = _real_gauge(h)
+        assert r.dtype == np.float64
+        assert np.array_equal(np.abs(d), np.ones(2 * n))
+        gauged = d.conj()[:, None] * h * d[None, :]
+        assert np.array_equal(gauged.real, r) and not np.any(gauged.imag)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [build_ssh(10, 1.5, gamma_ep(1.5, 10)), build_ssh(14, 0.5, 0.3),
+         np.diag([1.0, 1.0, 2.0j]),
+         np.kron(np.eye(2), [[1.0, 0.5j, 0.2], [0.5j, -1.0, 0.3], [0.2, 0.3, 0.4j]]),
+         np.random.default_rng(3).normal(size=(8, 8, 2)) @ [1.0, 1.0j]],
+        ids=["chain", "chain-off-locus", "repeated-diagonal", "repeated-block", "random"],
+    )
+    def test_no_gauge(self, matrix):
+        assert _real_gauge(matrix) is None
+
+    def test_real_input_takes_real_path(self):
+        a = _planted_pair(12, 1e-3, True)
+        d, r = _real_gauge(a)
+        assert np.array_equal(np.abs(r), np.abs(a.real))
+        assert set(d.tolist()) <= {1, -1}
+
+    def test_solve_dtypes(self, monkeypatch):
+        dtypes = []
+
+        def recorded(x):
+            dtypes.append(x.dtype)
+            return original(x)
+
+        original = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", recorded)
+        eig(_ring(10, 0.5))
+        assert dtypes == [np.float64, np.float64]
+        dtypes.clear()
+        eig(build_ssh(10, 0.5, gamma_ep(0.5, 10)))
+        assert dtypes == [np.complex128, np.complex128]
+        dtypes.clear()
+        eig(_planted_pair(12, 1e-3, True))
+        assert dtypes == [np.float64, np.float64]
+
+    @pytest.mark.parametrize("mu", [0.5, 1.1, 2.0])
+    @pytest.mark.parametrize("n", [6, 10, 16, 30, 58])
+    def test_ring_matches_complex_solve(self, n, mu):
+        h = _ring(n, mu)
+        es = eig(h)
+        reference = EigenSystem(*_two_solve_eig(h), es.norm_inf)
+        bound = Tolerances().residual * es.norm_inf
+        assert max(np.max(es.residuals), np.max(es.left_residuals)) <= bound
+        # away from the EP: the four levels nearest zero are the two split pairs
+        ep, ep_ref = (np.argsort(np.abs(x.eigenvalues))[:4] for x in (es, reference))
+        assert match_multisets(np.delete(es.eigenvalues, ep),
+                               np.delete(reference.eigenvalues, ep_ref)) <= 1e-12 * es.scale
+        projectors = _degenerate_projectors(es, ep)
+        projectors_ref = _degenerate_projectors(reference, ep_ref)
+        assert len(projectors) == len(projectors_ref)
+        for (value, p), (value_ref, p_ref) in zip(projectors, projectors_ref):
+            assert abs(value - value_ref) <= 1e-12 * es.scale
+            assert np.max(np.abs(p - p_ref)) <= 1e-11 * es.norm_inf * np.linalg.norm(p_ref, 2)
+        # every cluster of the complex solve is found, at the same centroid
+        clusters = detect_coalescence(es)
+        for want in detect_coalescence(reference):
+            assert any(len(c.indices) == len(want.indices)
+                       and abs(c.eigenvalue - want.eigenvalue) <= 1e-12 * es.scale
+                       for c in clusters)
+        assert all(abs(c.biorth_norm) <= Tolerances().ep for c in clusters)
 
 
 def _relative_level_gap(a, b):
