@@ -46,12 +46,11 @@ from .bethe import (
     RootScanError,
     UniformChainError,
     ZeroModeWavefunction,
-    evanescent_residual,
     k_from_epsilon,
     match_spectrum_to_roots,
+    normalized_residual,
     omega_constant,
     quantization_residual,
-    quantization_scale,
     solve_evanescent_pair,
     solve_real_k,
     zero_mode,

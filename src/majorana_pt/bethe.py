@@ -8,6 +8,9 @@ is solvable by a plane-wave ansatz
 
 with dispersion ``eps(k) = +/- sqrt(1 + mu^2 - mu (e^{2ik} + e^{-2ik}))`` and
 a transcendental quantization condition on k (:func:`quantization_residual`).
+The condition is written once, in ``_terms``; every evaluator (numpy, math,
+cmath or mpmath, on real k or on ``k = i kappa``) passes its own ``sin`` and
+``cos`` to it, and :func:`normalized_residual` measures its roots.
 Three solution families exhaust the spectrum:
 
 * real k in (0, pi): scattering levels with real eigenvalues
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -42,8 +46,7 @@ __all__ = [
     "BetheRoot",
     "ZeroModeWavefunction",
     "quantization_residual",
-    "quantization_scale",
-    "evanescent_residual",
+    "normalized_residual",
     "solve_real_k",
     "solve_evanescent_pair",
     "zero_mode",
@@ -80,15 +83,31 @@ def _require_mu(mu: float, *, forbid_uniform: bool = False) -> float:
     return mu
 
 
-def _quantization_terms(k: complex, mu: float, gamma: float, n: int):
-    k = complex(k)
-    e2 = 1 + mu * mu - mu * (cmath.exp(2j * k) + cmath.exp(-2j * k))
-    t1 = (e2 - gamma * gamma - 1) * (
-        cmath.exp(1j * (n - 2) * k) - cmath.exp(-1j * (n - 2) * k)
+def _terms(k, mu, gamma, n: int, sin=np.sin, cos=np.cos):
+    """The three terms of ``quantization_residual(k) / 2i``.  ``sin``/``cos``
+    pick the evaluator: numpy for a real grid, ``math`` for a real scalar,
+    ``cmath`` for complex k; ``sinh``/``cosh`` (numpy or mpmath) at real kappa
+    give the terms at ``k = i kappa``, where the condition is -2 times their sum."""
+    e2 = 1 + mu * mu - 2 * mu * cos(2 * k)
+    return (
+        (e2 - gamma * gamma - 1) * sin((n - 2) * k),
+        mu * sin((n - 4) * k),
+        mu * (gamma * gamma + e2) * sin(n * k),
     )
-    t2 = mu * (cmath.exp(1j * (n - 4) * k) - cmath.exp(-1j * (n - 4) * k))
-    t3 = mu * (gamma * gamma + e2) * (cmath.exp(1j * n * k) - cmath.exp(-1j * n * k))
-    return t1, t2, t3
+
+
+def _real_line(k, mu, gamma, n: int, sin=np.sin, cos=np.cos):
+    """quantization_residual / 2i along real k: a real, sign-changing function,
+    odd about pi/2 for even n.  With ``sinh``/``cosh`` it vanishes at kappa = 0
+    and ``+/- (1/2) ln mu``; for even n ``k = pi + i kappa`` gives the same."""
+    t1, t2, t3 = _terms(k, mu, gamma, n, sin, cos)
+    return t1 + t2 + t3
+
+
+def _normalized(terms) -> float:
+    """``|t1 + t2 + t3| / max |t_i|``: the residual free of the terms' growth."""
+    t1, t2, t3 = terms
+    return float(abs(t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1e-300))
 
 
 def quantization_residual(k: complex, mu: float, gamma: float, n: int) -> complex:
@@ -105,49 +124,20 @@ def quantization_residual(k: complex, mu: float, gamma: float, n: int) -> comple
     """
     _require_mu(mu)
     _require_even_sites(n)
-    t1, t2, t3 = _quantization_terms(k, mu, gamma, n)
-    return t1 + t2 + t3
+    return 2j * _real_line(complex(k), mu, gamma, n, cmath.sin, cmath.cos)
 
 
-def quantization_scale(k: complex, mu: float, gamma: float, n: int) -> float:
-    """Largest term magnitude in the quantization condition at k.
-
-    Divides out the exponential growth of the individual terms; the
-    normalized residual ``|quantization_residual| / quantization_scale`` is
-    the meaningful smallness measure for roots with complex k.
-    """
-    t1, t2, t3 = _quantization_terms(k, mu, gamma, n)
-    return max(abs(t1), abs(t2), abs(t3), 1e-300)
-
-
-def evanescent_residual(kappa: float, mu: float, gamma: float, n: int) -> float:
-    """Quantization condition restricted to ``k = i kappa`` (real form).
-
-    Evaluates ``(eps^2 - gamma^2 - 1) sinh((n-2) kappa)
-    + mu sinh((n-4) kappa) + mu (gamma^2 + eps^2) sinh(n kappa)`` with
-    ``eps^2 = 1 + mu^2 - 2 mu cosh(2 kappa)``; this equals
-    ``-quantization_residual(i kappa)/2``.  For even n the sector
-    ``k = pi + i kappa`` yields the identical expression, since every
-    exponent carries an even multiple of k.  Vanishes at kappa = 0 and at
-    ``kappa = +/- (1/2) ln mu`` for every mu.
-    """
-    _require_mu(mu)
-    _require_even_sites(n)
-    kappa = float(kappa)
-    e2 = 1 + mu * mu - 2 * mu * np.cosh(2 * kappa)
-    return float(
-        (e2 - gamma * gamma - 1) * np.sinh((n - 2) * kappa)
-        + mu * np.sinh((n - 4) * kappa)
-        + mu * (gamma * gamma + e2) * np.sinh(n * kappa)
-    )
+def normalized_residual(k: complex, mu: float, gamma: float, n: int) -> float:
+    """``|quantization_residual(k)|`` over its largest term's magnitude: free of
+    the terms' exponential growth, the smallness measure of a root at any k."""
+    return _normalized(_terms(complex(k), mu, gamma, n, cmath.sin, cmath.cos))
 
 
 @dataclass(frozen=True)
 class BetheRoot:
     """One solution of the quantization condition, per eigenvalue branch.
 
-    ``residual`` is the normalized quantization residual
-    ``|quantization_residual(k)| / quantization_scale(k)``.  ``sector`` is
+    ``residual`` is the :func:`normalized_residual` of k.  ``sector`` is
     "real" for scattering roots and "imaginary" for evanescent ones
     (``k = i kappa``; for even chains the ``pi + i kappa`` sector coincides).
     """
@@ -163,17 +153,6 @@ class BetheRoot:
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
         if self.sector not in ("real", "imaginary"):
             raise ValueError(f"unknown sector {self.sector!r}")
-
-
-def _real_line(k, mu: float, gamma: float, n: int, sin=np.sin, cos=np.cos):
-    """quantization_residual / 2i along real k: a real, sign-changing function,
-    odd about pi/2 for even n.  ``math.sin`` and ``math.cos`` suit a scalar k."""
-    e2 = 1 + mu * mu - 2 * mu * cos(2 * k)
-    return (
-        (e2 - gamma * gamma - 1) * sin((n - 2) * k)
-        + mu * sin((n - 4) * k)
-        + mu * (gamma * gamma + e2) * sin(n * k)
-    )
 
 
 def solve_real_k(
@@ -193,7 +172,8 @@ def solve_real_k(
     previous one in ``eps^2`` is a duplicate.  On the coalescence locus the
     number of distinct roots must equal (n-2)/2 for mu > 1 and (n-4)/2 for
     mu < 1; the grid is refined threefold, up to three times, before giving
-    up.
+    up.  Where ``(1 + mu) gamma^2`` overflows a float it raises
+    ``ValueError`` before the scan.
 
     Returns two :class:`BetheRoot` entries per distinct k, one per branch,
     ordered by ascending k then descending branch.
@@ -202,6 +182,13 @@ def solve_real_k(
     _require_even_sites(n)
     if root_tolerance <= 0:
         raise ValueError("root_tolerance must be positive")
+    if not math.isfinite((1 + mu) * gamma * gamma):
+        # on the locus gamma^2 = mu^(2 - N): the largest even N it stays finite at
+        largest = 2 + 2 * int((math.log(sys.float_info.max) - math.log1p(mu))
+                              / (2 * abs(math.log(mu))))
+        raise ValueError(f"gamma^2 = {gamma!r}**2 overflows the quantization terms at "
+                         f"N={n}, mu={mu}" + (f"; the largest N for mu={mu} is {largest}"
+                                              if mu < 1 else ""))
     expected = None
     if not on_locus(mu, n, gamma):
         warnings.warn(
@@ -237,8 +224,7 @@ def solve_real_k(
     roots: list[BetheRoot] = []
     for k, e2 in distinct:
         eps = float(np.sqrt(e2))
-        t1, t2, t3 = _quantization_terms(k, mu, gamma, n)
-        res = abs(t1 + t2 + t3) / max(abs(t1), abs(t2), abs(t3), 1e-300)
+        res = normalized_residual(k, mu, gamma, n)
         if res > root_tolerance:
             raise RootScanError(
                 f"polished root k={k} has normalized residual {res:.3e} > "
@@ -281,28 +267,18 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
         mgam = mpmath.mpf(repr(gamma))
 
         def rescaled(kappa):
-            e2 = 1 + mmu * mmu - 2 * mmu * mpmath.cosh(2 * kappa)
-            sinh_n = mpmath.sinh(n * kappa)
-            return (
-                (e2 - mgam * mgam - 1) * mpmath.sinh((n - 2) * kappa) / sinh_n
-                + mmu * mpmath.sinh((n - 4) * kappa) / sinh_n
-                + mmu * (mgam * mgam + e2)
-            )
+            line = _real_line(kappa, mmu, mgam, n, mpmath.sinh, mpmath.cosh)
+            return line / mpmath.sinh(n * kappa)
 
         seed = (mpmath.mpf(n) - 1) / 2 * mpmath.log(1 / mmu)
         kappa = mpmath.findroot(rescaled, seed)
         e2 = 1 + mmu * mmu - 2 * mmu * mpmath.cosh(2 * kappa)
         if e2 >= 0:  # pragma: no cover - cannot happen at the locus
             raise RootScanError("evanescent root has non-imaginary eigenvalue")
-        eps_mag = mpmath.sqrt(-e2)
-        pieces = [
-            abs((e2 - mgam * mgam - 1) * mpmath.sinh((n - 2) * kappa) / mpmath.sinh(n * kappa)),
-            abs(mmu * mpmath.sinh((n - 4) * kappa) / mpmath.sinh(n * kappa)),
-            abs(mmu * (mgam * mgam + e2)),
-        ]
-        residual = float(abs(rescaled(kappa)) / max(pieces))
+        # the sinh(n kappa) rescaling cancels in the normalized residual
+        residual = _normalized(_terms(kappa, mmu, mgam, n, mpmath.sinh, mpmath.cosh))
         k_root = complex(0.0, float(kappa))
-        eps = float(eps_mag)
+        eps = float(mpmath.sqrt(-e2))
     return [
         BetheRoot(k=k_root, branch=+1, epsilon=1j * eps, residual=residual, sector="imaginary"),
         BetheRoot(k=k_root, branch=-1, epsilon=-1j * eps, residual=residual, sector="imaginary"),
@@ -423,8 +399,6 @@ def match_spectrum_to_roots(
             else:
                 k = k_from_epsilon(record.eigenvalue, mu)
                 k = complex(k.real, 0.0) if abs(k.imag) < 1e-9 else k
-            res = abs(quantization_residual(k, mu, gamma, n)) / quantization_scale(
-                k, mu, gamma, n
-            )
+            res = normalized_residual(k, mu, gamma, n)
         residuals.append(res)
     return residuals

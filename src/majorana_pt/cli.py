@@ -16,12 +16,11 @@ Flags override values from an optional ``--config`` file of ``key = value``
 lines, whose keys must name flags of the subcommand; the effective
 configuration is echoed into every artifact.  Flags must be spelled out in
 full.  ``--tol-residual``, ``--tol-class`` and ``--tol-ep`` are taken by
-``spectrum``, ``bethe``, ``census``, ``sweep`` and ``verify``; ``census``
-reads them in its closed-form zero-mode certificate and its level classes,
-``spectrum``, ``sweep`` and ``verify`` also in the dense eigensolver, and
-``bethe`` only echoes them.  ``spectrum`` solves the chain's real form once:
-``left_residuals`` equal ``residuals``, and only ``|biorth|`` is
-basis-independent.  All
+``spectrum``, ``census``, ``sweep`` and ``verify``; ``census`` reads them in
+its closed-form zero-mode certificate and its level classes, ``spectrum``,
+``sweep`` and ``verify`` also in the dense eigensolver.  ``spectrum`` solves
+the chain's real form once: ``left_residuals`` equal ``residuals``, and only
+``|biorth|`` is basis-independent.  All
 computations are deterministic, so identical configurations give
 byte-identical artifacts.  ``main`` may be called any number of times in
 one process; the parser is built on the first call and reused.
@@ -190,14 +189,11 @@ def _cmd_zero_mode(args) -> int:
 
 def _cmd_bethe(args) -> int:
     n, mu, gamma, config = _model_config(args, "bethe")
-    _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "json")
     roots = bethe.solve_real_k(mu, gamma, n)
     zero_k = bethe.zero_mode_root(mu)
-    zero_res = abs(bethe.quantization_residual(zero_k, mu, gamma, n))
-    zero_res /= bethe.quantization_scale(zero_k, mu, gamma, n)
-    roots.append(bethe.BetheRoot(k=zero_k, branch=+1, epsilon=0.0,
-                                 residual=zero_res, sector="imaginary"))
+    roots.append(bethe.BetheRoot(k=zero_k, branch=+1, epsilon=0.0, sector="imaginary",
+                                 residual=bethe.normalized_residual(zero_k, mu, gamma, n)))
     if mu < 1:
         roots.extend(bethe.solve_evanescent_pair(mu, gamma, n))
     if fmt == "json":
@@ -326,7 +322,7 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
-def _add_tolerance_flags(parser, read: bool = True) -> None:
+def _add_tolerance_flags(parser) -> None:
     default = spectral.DEFAULT_TOLERANCES
     for flag, value, text in [
         ("--tol-residual", default.residual,
@@ -339,8 +335,7 @@ def _add_tolerance_flags(parser, read: bool = True) -> None:
          "to the largest |eigenvalue|, and the closed-form |<eta|psi>|; verify "
          "also bounds eigenvector coalescence by it"),
     ]:
-        parser.add_argument(flag, type=float, help=f"{text} (default {value:g})"
-                            if read else "echoed into the artifact; not read")
+        parser.add_argument(flag, type=float, help=f"{text} (default {value:g})")
 
 
 @functools.cache
@@ -366,8 +361,8 @@ def build_parser() -> _Parser:
         p.add_argument("--format", help="artifact format")
         if name == "zero-mode":
             p.add_argument("--side", choices=("right", "left"))
-        else:
-            _add_tolerance_flags(p, read=name != "bethe")
+        elif name != "bethe":
+            _add_tolerance_flags(p)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("sweep")

@@ -1,5 +1,7 @@
 import cmath
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -13,22 +15,55 @@ from majorana_pt import (
     classify_modes,
     coalesced_eigenvalues,
     eig,
-    evanescent_residual,
     gamma_ep,
     k_from_epsilon,
     match_multisets,
     match_spectrum_to_roots,
+    normalized_residual,
     omega_constant,
     parity_matrix,
     quantization_residual,
-    quantization_scale,
     solve_evanescent_pair,
     solve_real_k,
     zero_mode,
     zero_mode_amplitudes,
     zero_mode_root,
 )
-from majorana_pt.bethe import _real_line
+from majorana_pt.bethe import _real_line, _terms
+
+
+def evanescent_residual(kappa, mu, gamma, n):
+    """The quantization condition at ``k = i kappa``, divided by -2."""
+    return _real_line(kappa, mu, gamma, n, np.sinh, np.cosh)
+
+
+def _exponential_form(k, mu, gamma, n):
+    """Reference: the three terms of the condition as exponential differences."""
+    k = complex(k)
+    e2 = 1 + mu * mu - mu * (cmath.exp(2j * k) + cmath.exp(-2j * k))
+    return (
+        (e2 - gamma * gamma - 1) * (cmath.exp(1j * (n - 2) * k) - cmath.exp(-1j * (n - 2) * k)),
+        mu * (cmath.exp(1j * (n - 4) * k) - cmath.exp(-1j * (n - 4) * k)),
+        mu * (gamma * gamma + e2) * (cmath.exp(1j * n * k) - cmath.exp(-1j * n * k)),
+    )
+
+
+@pytest.mark.parametrize("n,mu", [(6, 2.0), (14, 0.5), (22, 1.5), (30, 0.8)])
+def test_every_evaluator_reads_the_one_condition(n, mu):
+    gamma = gamma_ep(mu, n)
+    for k in (0.37, 0.41j, 0.6 + 0.2j):
+        reference = sum(_exponential_form(k, mu, gamma, n))
+        assert abs(quantization_residual(k, mu, gamma, n) - reference) <= 1e-12 * abs(reference)
+    for k in np.linspace(0.01, 3.13, 97):
+        scalar = _real_line(float(k), mu, gamma, n, math.sin, math.cos)
+        scale = max(map(abs, _terms(float(k), mu, gamma, n, math.sin, math.cos)))
+        assert abs(scalar - _real_line(np.array([k]), mu, gamma, n)[0]) <= 1e-14 * scale
+    for kappa in (0.3, 0.7, 1.2):
+        scale = max(map(abs, _terms(kappa, mu, gamma, n, np.sinh, np.cosh)))
+        with mpmath.workdps(60):
+            exact = _real_line(mpmath.mpf(kappa), mpmath.mpf(mu), mpmath.mpf(gamma), n,
+                               mpmath.sinh, mpmath.cosh)
+        assert abs(float(exact) - evanescent_residual(kappa, mu, gamma, n)) <= 1e-12 * scale
 
 
 class TestQuantizationResidual:
@@ -65,7 +100,7 @@ class TestEvanescentResidual:
         gamma = gamma_ep(mu, n)
         kappa = (1 - n) / 2 * np.log(mu)
         raw = evanescent_residual(kappa, mu, gamma, n)
-        scale = quantization_scale(1j * kappa, mu, gamma, n)
+        scale = 2 * max(map(abs, _terms(kappa, mu, gamma, n, np.sinh, np.cosh)))
         assert abs(raw) < scale  # smaller than every retained term
         # dropping e^{-m kappa} against e^{+m kappa} is exact at this kappa
         x = np.exp(-2 * kappa)
@@ -131,8 +166,7 @@ class TestSolveRealK:
         if roots is None:
             expected = (n - 2) // 2 if mu > 1 else (n - 4) // 2
             assert len(reference) != expected or max(
-                abs(quantization_residual(k, mu, gamma, n)) / quantization_scale(k, mu, gamma, n)
-                for k, _ in reference) > 1e-12
+                normalized_residual(k, mu, gamma, n) for k, _ in reference) > 1e-12
             return
         assert [(r.k.real, r.epsilon) for r in roots[::2]] == [
             (k, float(np.sqrt(e2))) for k, e2 in reference]

@@ -367,13 +367,15 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("command,flag", [
         ("plot", "--format"), ("plot", "--tol-residual"), ("plot", "--tol-class"),
         ("plot", "--tol-ep"), ("verify", "--format"), ("zero-mode", "--tol-residual"),
-        ("zero-mode", "--tol-class"), ("zero-mode", "--tol-ep"),
+        ("zero-mode", "--tol-class"), ("zero-mode", "--tol-ep"), ("bethe", "--tol-residual"),
+        ("bethe", "--tol-class"), ("bethe", "--tol-ep"),
     ])
     def test_flags_the_subcommand_does_not_read_are_refused(self, capsys, tmp_path,
                                                             command, flag):
         argv = {"plot": ("plot", "--N-grid", "6", "--mu", "2"),
                 "verify": ("verify", "--only", "six-site-mu2"),
-                "zero-mode": ("zero-mode", "--N", "6", "--mu", "2")}[command]
+                "zero-mode": ("zero-mode", "--N", "6", "--mu", "2"),
+                "bethe": ("bethe", "--N", "6", "--mu", "2")}[command]
         code, out, err = run(capsys, *argv, flag, "1")
         assert code == 1
         assert out == ""
@@ -473,6 +475,22 @@ class TestNumericalFailures:
         assert err.startswith("error: polished root")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n,mu,largest", [("592", "0.3", 590), ("1000", "0.3", 590),
+                                              ("1026", "0.5", 1024)])
+    def test_bethe_gamma_squared_overflow_is_one_error_line(self, capsys, n, mu, largest):
+        code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: gamma^2") and err.count("\n") == 1
+        assert f"the largest N for mu={mu} is {largest}" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n,mu", [("590", "0.3"), ("1024", "0.5")])
+    def test_bethe_at_the_gamma_squared_edge_meets_the_root_bound(self, capsys, n, mu):
+        code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: polished root") and err.count("\n") == 1
+
     def test_eigensolver_residual_failure_is_an_error_line(self, capsys):
         code, out, err = run(capsys, "spectrum", "--N", "6", "--mu", "2",
                              "--tol-residual", "1e-20")
@@ -524,7 +542,7 @@ class TestCsvArtifactBytes:
         "census --N 6 --mu 2.0":
             "b6a14ce08e018e5a46ad8333ba09d9b1b9b87e97048993ec3ec5844e98df1cf0",
         "bethe --N 6 --mu 2.0":
-            "607b357a1d953e546b04a615010d0e3579b8e4b3a91b3a3d70c033852b5d6ae4",
+            "eb66b07f37fbb734dc73c6a5603816bd3f997d0a4200bc3618d934725bbadcae",
         "zero-mode --N 6 --mu 2.0":
             "a6d9c1d4db183dbf7d45a0275abab8e93f09b3d49bdf47fa3d20f281960b2934",
         "sweep --N-grid 6 --mu-grid 2.0":
@@ -534,7 +552,7 @@ class TestCsvArtifactBytes:
         "census --N 14 --mu 0.5":
             "5e7bcd0014f5078d54d7a2bc44c7fe7f175d76aa5a880471b2269b3a0f31c72d",
         "bethe --N 14 --mu 0.5":
-            "0df31936d15866124df1af02d38e6afa00f3d75bd7ff93503b6e3d99d49bbdca",
+            "1c1d9666b32a3ef42ceb10c5854100f9691f6ab81f72335b4590629735bec498",
         "zero-mode --N 14 --mu 0.5":
             "f9896dd7ab3e8eb998ed007df646e5bc10d963e5d98523cfece0b417a639a460",
         "sweep --N-grid 14 --mu-grid 0.5":
