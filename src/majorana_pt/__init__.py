@@ -31,7 +31,6 @@ from .spectral import (
     ModeCensus,
     ModeClass,
     ModeRecord,
-    Tolerances,
     chain_census,
     chain_eigensystem,
     classify_modes,

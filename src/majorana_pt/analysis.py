@@ -24,8 +24,6 @@ from .spectral import (
     ModeClass,
     ModeCensus,
     ModeRecord,
-    Tolerances,
-    DEFAULT_TOLERANCES,
     classify_modes,
     eig,
 )
@@ -123,19 +121,16 @@ class SweepPoint:
     edge_modes: int
 
 
-def _sweep_point(n: int, mu: float, tolerances: Tolerances) -> SweepPoint:
+def _sweep_point(n: int, mu: float) -> SweepPoint:
     gamma = gamma_ep(mu, n)
-    es = eig(build_ssh(n, mu, gamma), tolerances.residual)
-    _, census = classify_modes(es, mu, gamma, tolerances)
+    _, census = classify_modes(eig(build_ssh(n, mu, gamma)), mu, gamma)
     return SweepPoint(
         n=n, mu=mu, gamma=gamma, census=census,
         edge_modes=edge_mode_count(census, mu),
     )
 
 
-def census_sweep(
-    n_list, mu_list, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> list[SweepPoint]:
+def census_sweep(n_list, mu_list) -> list[SweepPoint]:
     """Mode census over a grid of chain lengths and couplings.
 
     Every grid point is solved at its own coalescence coupling
@@ -155,7 +150,7 @@ def census_sweep(
     for n in n_list:
         for mu in mu_list:
             try:
-                points.append(_sweep_point(n, mu, tolerances))
+                points.append(_sweep_point(n, mu))
             except (ValueError, RuntimeError) as exc:
                 exc.args = (f"sweep failed at (n={n}, mu={mu}): {exc}",)
                 raise

@@ -15,12 +15,8 @@ classification failure (off the coalescence locus), 3 verification failure.
 Flags override values from an optional ``--config`` file of ``key = value``
 lines, whose keys must name flags of the subcommand; the effective
 configuration is echoed into every artifact.  Flags must be spelled out in
-full.  ``--tol-residual``, ``--tol-class`` and ``--tol-ep`` are taken by
-``spectrum``, ``census``, ``sweep`` and ``verify``; ``census`` reads them in
-its closed-form zero-mode certificate and its level classes, ``spectrum``,
-``sweep`` and ``verify`` also in the dense eigensolver.  ``spectrum`` solves
-the chain's real form once: ``left_residuals`` equal ``residuals``, and only
-``|biorth|`` is basis-independent.  All
+full.  ``spectrum`` solves the chain's real form once: ``left_residuals``
+equal ``residuals``, and only ``|biorth|`` is basis-independent.  All
 computations are deterministic, so identical configurations give
 byte-identical artifacts.  ``main`` may be called any number of times in
 one process; the parser is built on the first call and reused.
@@ -86,22 +82,6 @@ def _csv_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _tolerances(args) -> spectral.Tolerances:
-    default = spectral.DEFAULT_TOLERANCES
-    return spectral.Tolerances(
-        residual=_merge(args, "tol_residual", float, default.residual),
-        mode_class=_merge(args, "tol_class", float, default.mode_class),
-        ep=_merge(args, "tol_ep", float, default.ep),
-    )
-
-
-def _echo_tolerances(args, config: dict) -> spectral.Tolerances:
-    """The effective tolerances, also echoed into ``config``."""
-    tol = _tolerances(args)
-    config.update(tol_residual=tol.residual, tol_class=tol.mode_class, tol_ep=tol.ep)
-    return tol
-
-
 def _resolve_gamma(args, n: int, mu: float) -> float:
     raw = _merge(args, "gamma", str, "auto")
     if str(raw).strip() == "auto":
@@ -133,10 +113,9 @@ def _emit(args, content: str) -> None:
 
 def _cmd_spectrum(args) -> int:
     n, mu, gamma, config = _model_config(args, "spectrum")
-    tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "json")
-    es = spectral.chain_eigensystem(n, mu, gamma, tol.residual)
-    records, census = spectral.classify_modes(es, mu, gamma, tol)
+    es = spectral.chain_eigensystem(n, mu, gamma)
+    records, census = spectral.classify_modes(es, mu, gamma)
     ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues, 1e-8 * es.scale)
     if fmt == "json":
         payload = serialize.eigensystem_to_json(es)
@@ -208,9 +187,8 @@ def _cmd_bethe(args) -> int:
 
 def _cmd_census(args) -> int:
     n, mu, gamma, config = _model_config(args, "census")
-    tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "csv")
-    census = spectral.chain_census(n, mu, gamma, tol)
+    census = spectral.chain_census(n, mu, gamma)
     if fmt == "csv":
         _emit(args, serialize.census_csv([(n, mu, gamma, census)],
                                          _config_lines(config)))
@@ -236,9 +214,8 @@ def _cmd_sweep(args) -> int:
         "N_grid": ",".join(str(n) for n in n_grid),
         "mu_grid": ",".join(repr(mu) for mu in mu_grid),
     }
-    tol = _echo_tolerances(args, config)
     fmt = _merge(args, "format", str, "csv")
-    points = analysis.census_sweep(n_grid, mu_grid, tol)
+    points = analysis.census_sweep(n_grid, mu_grid)
     if fmt == "csv":
         _emit(args, serialize.sweep_csv(points, _config_lines(config)))
     elif fmt == "json":
@@ -283,9 +260,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    only = _merge(args, "only", str)
-    tol = _tolerances(args)
-    results = verify.run_criteria(only=only, tolerances=tol)
+    results = verify.run_criteria(only=_merge(args, "only", str))
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -322,22 +297,6 @@ def _add_common_flags(parser) -> None:
     parser.add_argument("--out", help="output path (default: stdout)")
 
 
-def _add_tolerance_flags(parser) -> None:
-    default = spectral.DEFAULT_TOLERANCES
-    for flag, value, text in [
-        ("--tol-residual", default.residual,
-         "residual bound relative to ||h||_inf: of the closed-form zero mode, "
-         "and in spectrum, sweep and verify of every dense eigenpair"),
-        ("--tol-class", default.mode_class,
-         "real/imaginary class threshold relative to the largest |eigenvalue|"),
-        ("--tol-ep", default.ep,
-         "exceptional-point bound: the zero pair's distance from zero relative "
-         "to the largest |eigenvalue|, and the closed-form |<eta|psi>|; verify "
-         "also bounds eigenvector coalescence by it"),
-    ]:
-        parser.add_argument(flag, type=float, help=f"{text} (default {value:g})")
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The ``majorana-pt`` parser, built once per process and shared.
@@ -361,8 +320,6 @@ def build_parser() -> _Parser:
         p.add_argument("--format", help="artifact format")
         if name == "zero-mode":
             p.add_argument("--side", choices=("right", "left"))
-        elif name != "bethe":
-            _add_tolerance_flags(p)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("sweep")
@@ -372,7 +329,6 @@ def build_parser() -> _Parser:
                    help="comma-separated couplings")
     _add_common_flags(p)
     p.add_argument("--format", help="artifact format")
-    _add_tolerance_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plot")
@@ -384,7 +340,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify")
     p.add_argument("--only", help="run only criteria whose id contains this")
     _add_common_flags(p)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -138,13 +138,19 @@ def gamma_ep(mu: float, n: int) -> float:
     ------
     ValueError
         If ``mu <= 0``, if ``n`` is odd or smaller than 4, or if the coupling
-        overflows a float: ``(n/2 - 1) ln(1/mu) > ln(float max)``, which the
-        message turns into the largest ``n`` this ``mu`` allows.
+        overflows a float, ``(n/2 - 1) ln(1/mu) > ln(float max)``, or
+        underflows to 0, ``(n/2 - 1) ln(mu) >= 1075 ln 2`` (half the least
+        subnormal rounds to 0); the message turns either into the largest
+        ``n`` this ``mu`` allows.
     """
     locus = _locus(mu, n)
     if locus == math.inf:
         largest = 2 * (int(math.log(sys.float_info.max) / math.log(1 / mu)) + 1)
         raise ValueError(f"gamma_ep(mu={mu}, N={n}) = mu**(1 - N/2) overflows a float; "
+                         f"the largest N for mu={mu} is {largest}")
+    if locus == 0.0:
+        largest = 2 * math.ceil(1075 * math.log(2) / math.log(mu))
+        raise ValueError(f"gamma_ep(mu={mu}, N={n}) = mu**(1 - N/2) underflows to 0; "
                          f"the largest N for mu={mu} is {largest}")
     return locus
 
@@ -152,10 +158,11 @@ def gamma_ep(mu: float, n: int) -> float:
 def on_locus(mu: float, n: int, gamma: float) -> bool:
     """True when ``gamma`` is ``gamma_ep(mu, n)`` to a relative 1e-9.
 
-    False where ``gamma_ep`` overflows: no float coupling lies there.
+    False where ``gamma_ep`` overflows or underflows to 0: no float coupling
+    lies there, and ``gamma = 0`` is the Hermitian chain.
     """
     locus = _locus(mu, n)
-    return locus < math.inf and abs(gamma - locus) <= 1e-9 * locus
+    return 0.0 < locus < math.inf and abs(gamma - locus) <= 1e-9 * locus
 
 
 def _require_chain(n: int, mu: float, gamma: float = 0.0) -> None:

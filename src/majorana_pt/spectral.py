@@ -36,7 +36,6 @@ from . import bethe, model
 from .model import MAX_DIM
 
 __all__ = [
-    "Tolerances",
     "EigenSystem",
     "Coalescence",
     "ModeClass",
@@ -63,30 +62,21 @@ class ClassificationError(ValueError):
 #: times farther out than the second; a pair less isolated is refused.
 PAIR_SEPARATION = 1e3
 
+#: Eigenpair residual bound, relative to the matrix infinity norm: of every
+#: right/left eigenpair, and of the closed-form zero mode ``h psi`` in the
+#: census.
+RESIDUAL_TOLERANCE = 1e-11
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance bundle used by the eigensolver and the classifier.
+#: Real/imaginary classification threshold, relative to the largest
+#: eigenvalue magnitude.
+CLASS_TOLERANCE = 1e-8
 
-    residual : eigenpair residual bound, relative to the matrix infinity
-        norm: of every right/left eigenpair, and of the closed-form zero
-        mode ``h psi`` in the census.
-    mode_class : real/imaginary classification threshold, relative to the
-        largest eigenvalue magnitude.
-    ep : exceptional-point bound.  In the census: the distance from zero
-        (relative to the largest eigenvalue magnitude) within which the
-        coalescing pair must lie, and the bound on the closed-form
-        biorthogonal norm ``<eta|psi> = psi^T psi``.  In
-        :func:`detect_coalescence`: the eigenvalue cluster width, the
-        eigenvector parallelism deficit and the coalesced biorthogonal norm.
-    """
-
-    residual: float = 1e-11
-    mode_class: float = 1e-8
-    ep: float = 1e-6
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: Exceptional-point bound.  In the census: the distance from zero (relative
+#: to the largest eigenvalue magnitude) within which the coalescing pair must
+#: lie, and the bound on the closed-form biorthogonal norm ``<eta|psi> =
+#: psi^T psi``.  In :func:`detect_coalescence`: the eigenvalue cluster width,
+#: the eigenvector parallelism deficit and the coalesced biorthogonal norm.
+EP_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -147,8 +137,8 @@ def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _eigensystem(values, right, apply, norm_inf, residual_tolerance, left=None):
-    """Normalise, bound every residual by ``residual_tolerance * norm_inf``
+def _eigensystem(values, right, apply, norm_inf, left=None):
+    """Normalise, bound every residual by ``RESIDUAL_TOLERANCE * norm_inf``
     and form ``biorth = sum(conj(left) * right)``.
 
     ``apply(x)`` is the matrix times the columns of ``x``; ``left`` is the
@@ -160,14 +150,12 @@ def _eigensystem(values, right, apply, norm_inf, residual_tolerance, left=None):
         vectors = vectors / np.linalg.norm(vectors, axis=0)
         return vectors, np.max(np.abs(apply(vectors) - vectors * eps[None, :]), axis=0)
 
-    if residual_tolerance is None:
-        residual_tolerance = DEFAULT_TOLERANCES.residual
     right, residuals = unit_and_residuals(right, values, apply)
     if left is None:
         left, left_residuals = right.conj(), residuals
     else:
         left, left_residuals = unit_and_residuals(*left)
-    bound = residual_tolerance * max(norm_inf, 1e-300)
+    bound = RESIDUAL_TOLERANCE * max(norm_inf, 1e-300)
     for label, res in (("right", residuals), ("left", left_residuals)):
         if values.size and float(np.max(res)) > bound:
             worst = int(np.argmax(res))
@@ -212,7 +200,7 @@ def _real_gauge(a: np.ndarray):
     return None if np.any(r.imag) else (d, r.real)
 
 
-def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
+def eig(a: np.ndarray) -> EigenSystem:
     """Dense eigendecomposition with verified residuals and left pairing.
 
     The two solves are of ``a`` and ``a^dag``, or, when :func:`_real_gauge`
@@ -223,8 +211,6 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
     ----------
     a : np.ndarray
         Square complex matrix, dimension at most ``MAX_DIM``.
-    residual_tolerance : float, optional
-        Relative residual bound; defaults to ``Tolerances().residual``.
 
     Returns
     -------
@@ -235,8 +221,8 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
     ValueError
         On non-square or non-finite input, or dimension overflow.
     RuntimeError
-        If the backend fails to converge or a residual exceeds the bound
-        (the offending index is reported).
+        If the backend fails to converge or a residual exceeds
+        ``RESIDUAL_TOLERANCE * ||a||_inf`` (the offending index is reported).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -273,12 +259,10 @@ def eig(a: np.ndarray, residual_tolerance: float | None = None) -> EigenSystem:
             f"(gap {gaps[worst]:.3e})"
         )
     left = (left[:, assignment], left_values[assignment], adjoint.__matmul__)
-    return _eigensystem(values, right[:, order], a.__matmul__, norm_inf,
-                        residual_tolerance, left)
+    return _eigensystem(values, right[:, order], a.__matmul__, norm_inf, left)
 
 
-def chain_eigensystem(n: int, mu: float, gamma: float,
-                      residual_tolerance: float | None = None) -> EigenSystem:
+def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     """:func:`eig` of ``build_ssh(n, mu, gamma)`` from one real solve.
 
     One ``np.linalg.eig`` of the real form ``M = Q^dag h Q``
@@ -297,7 +281,7 @@ def chain_eigensystem(n: int, mu: float, gamma: float,
     right = (v[:, order] + 1j * v[::-1, order]) / np.sqrt(2)
     return _eigensystem(values[order].astype(complex), right,
                         lambda x: model.apply_ssh(n, mu, gamma, x),
-                        1.0 + max(mu, abs(gamma)), residual_tolerance)
+                        1.0 + max(mu, abs(gamma)))
 
 
 def pseudo_hermiticity_check(
@@ -351,21 +335,19 @@ class Coalescence:
     biorth_norm: complex
 
 
-def detect_coalescence(
-    es: EigenSystem, ep_tolerance: float = DEFAULT_TOLERANCES.ep
-) -> list[Coalescence]:
+def detect_coalescence(es: EigenSystem) -> list[Coalescence]:
     """Find exceptional-point clusters in a computed eigensystem.
 
     A cluster is a set of indices whose eigenvalues agree within
-    ``ep_tolerance * scale``, whose right eigenvectors are pairwise parallel
-    (overlap modulus >= 1 - ep_tolerance), and whose coalesced left/right
-    pair has ``|<left|right>| <= ep_tolerance``.  Returns an empty list when
+    ``EP_TOLERANCE * scale``, whose right eigenvectors are pairwise parallel
+    (overlap modulus >= 1 - EP_TOLERANCE), and whose coalesced left/right
+    pair has ``|<left|right>| <= EP_TOLERANCE``.  Returns an empty list when
     no exceptional point is present.
     """
     n = es.dim
     values = es.eigenvalues
-    close = np.abs(values[:, None] - values[None, :]) <= ep_tolerance * es.scale
-    parallel = np.abs(es.right.conj().T @ es.right) >= 1.0 - ep_tolerance
+    close = np.abs(values[:, None] - values[None, :]) <= EP_TOLERANCE * es.scale
+    parallel = np.abs(es.right.conj().T @ es.right) >= 1.0 - EP_TOLERANCE
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -392,7 +374,7 @@ def detect_coalescence(
         v_coal = _canonical_phase(u_r[:, 0])
         w_coal = _canonical_phase(u_l[:, 0])
         biorth = complex(np.vdot(w_coal, v_coal))
-        if abs(biorth) > ep_tolerance:
+        if abs(biorth) > EP_TOLERANCE:
             continue
         centroid = complex(np.mean(es.eigenvalues[list(idx)]))
         clusters.append(Coalescence(idx, centroid, v_coal, w_coal, biorth))
@@ -439,28 +421,28 @@ class ModeCensus:
             )
 
 
-def _certify_zero_mode(n: int, mu: float, gamma: float, tolerances: Tolerances) -> complex:
+def _certify_zero_mode(n: int, mu: float, gamma: float) -> complex:
     """``<eta|psi> = psi^T psi`` of the closed-form zero mode, once certified.
 
     ``h = build_ssh(n, mu, gamma)`` is complex symmetric, so ``eta =
     conj(psi)``; ``h psi`` is applied bond by bond (:func:`~.model.apply_ssh`).
-    Raises ``RuntimeError`` when ``|h psi|_inf`` exceeds ``residual *
-    |h|_inf`` or ``|psi^T psi|`` exceeds ``ep``.
+    Raises ``RuntimeError`` when ``|h psi|_inf`` exceeds ``RESIDUAL_TOLERANCE
+    * |h|_inf`` or ``|psi^T psi|`` exceeds ``EP_TOLERANCE``.
     """
     psi = bethe.zero_mode_amplitudes(n, mu)
     residual = float(np.max(np.abs(model.apply_ssh(n, mu, gamma, psi))))
-    bound = tolerances.residual * (1.0 + max(mu, abs(gamma)))
+    bound = RESIDUAL_TOLERANCE * (1.0 + max(mu, abs(gamma)))
     if residual > bound:
         raise RuntimeError(f"closed-form zero mode residual {residual:.3e} exceeds "
                            f"{bound:.3e}")
     biorth = complex(psi @ psi)
-    if abs(biorth) > tolerances.ep:
+    if abs(biorth) > EP_TOLERANCE:
         raise RuntimeError(f"closed-form zero mode <eta|psi> {abs(biorth):.3e} exceeds "
-                           f"{tolerances.ep:.3e}")
+                           f"{EP_TOLERANCE:.3e}")
     return biorth
 
 
-def _classify_levels(values, mu: float, gamma: float, tolerances: Tolerances):
+def _classify_levels(values, mu: float, gamma: float):
     """Mode class of each eigenvalue of ``build_ssh(len(values), mu, gamma)``.
 
     Returns ``(classes, pair, biorth)``: ``pair`` holds the indices of the
@@ -472,7 +454,7 @@ def _classify_levels(values, mu: float, gamma: float, tolerances: Tolerances):
     magnitudes = np.abs(values)
     scale = float(np.max(magnitudes)) if values.size else 0.0
     scale = scale if scale > 0 else 1.0
-    threshold = tolerances.mode_class * scale
+    threshold = CLASS_TOLERANCE * scale
     pair = biorth = None
     if model.on_locus(mu, values.size, gamma):
         first, second, third = np.argsort(magnitudes, kind="stable")[:3]
@@ -482,12 +464,12 @@ def _classify_levels(values, mu: float, gamma: float, tolerances: Tolerances):
                 f"{magnitudes[third]:.3e}, is under {PAIR_SEPARATION:g} times the "
                 f"second, {magnitudes[second]:.3e}"
             )
-        if magnitudes[second] > tolerances.ep * scale:
+        if magnitudes[second] > EP_TOLERANCE * scale:
             raise ClassificationError(
                 f"zero pair |eps| {magnitudes[second]:.3e} exceeds the "
-                f"exceptional-point width {tolerances.ep * scale:.3e}"
+                f"exceptional-point width {EP_TOLERANCE * scale:.3e}"
             )
-        biorth = _certify_zero_mode(values.size, mu, gamma, tolerances)
+        biorth = _certify_zero_mode(values.size, mu, gamma)
         pair = tuple(sorted((int(first), int(second))))
 
     classes = []
@@ -516,8 +498,7 @@ def _census(classes) -> ModeCensus:
 
 
 def classify_modes(
-    es: EigenSystem, mu: float, gamma: float,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    es: EigenSystem, mu: float, gamma: float
 ) -> tuple[list[ModeRecord], ModeCensus]:
     """Assign every level of ``es = eig(build_ssh(n, mu, gamma))`` a mode class.
 
@@ -525,17 +506,17 @@ def classify_modes(
     is the two eigenvalues of least modulus.  They are refused with
     :class:`ClassificationError` unless the third lies more than
     ``PAIR_SEPARATION`` times farther out than the second and both lie
-    within ``ep * scale`` of zero; the closed-form zero mode must then pass
-    :func:`_certify_zero_mode`.  Off the locus there is no pair.  Every
-    other eigenvalue is a real scattering level when its imaginary part is
-    at most ``mode_class * scale``, an imaginary evanescent level when
-    instead its real part is; one exceeding the threshold in both parts
-    raises :class:`ClassificationError`.
+    within ``EP_TOLERANCE * scale`` of zero; the closed-form zero mode must
+    then pass :func:`_certify_zero_mode`.  Off the locus there is no pair.
+    Every other eigenvalue is a real scattering level when its imaginary
+    part is at most ``CLASS_TOLERANCE * scale``, an imaginary evanescent
+    level when instead its real part is; one exceeding the threshold in both
+    parts raises :class:`ClassificationError`.
 
     The pair's records carry its centroid and the closed-form
     ``<eta|psi>``; the others carry the raw eigenvalue and its overlap.
     """
-    classes, pair, biorth = _classify_levels(es.eigenvalues, mu, gamma, tolerances)
+    classes, pair, biorth = _classify_levels(es.eigenvalues, mu, gamma)
     centroid = complex(np.mean(es.eigenvalues[list(pair)])) if pair else None
     records = [
         ModeRecord(i, centroid, mode, biorth) if mode is ModeClass.ZERO_COALESCING
@@ -545,21 +526,17 @@ def classify_modes(
     return records, _census(classes)
 
 
-def chain_census(
-    n: int, mu: float, gamma: float, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> ModeCensus:
+def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
     """Census of ``build_ssh(n, mu, gamma)`` from the eigenvalues alone.
 
     One real, eigenvalues-only LAPACK solve of the similar real form
     :func:`~.model.build_ssh_real`, classified as in :func:`classify_modes`.
     """
     values = np.linalg.eigvals(model.build_ssh_real(n, mu, gamma))
-    return _census(_classify_levels(values, mu, gamma, tolerances)[0])
+    return _census(_classify_levels(values, mu, gamma)[0])
 
 
-def coalesced_eigenvalues(
-    es: EigenSystem, ep_tolerance: float = DEFAULT_TOLERANCES.ep
-) -> np.ndarray:
+def coalesced_eigenvalues(es: EigenSystem) -> np.ndarray:
     """Eigenvalues with each coalescence cluster replaced by its centroid.
 
     The numerical splitting of a defective pair is of order
@@ -567,7 +544,7 @@ def coalesced_eigenvalues(
     right quantity to compare against analytic spectra.
     """
     values = es.eigenvalues.copy()
-    for cluster in detect_coalescence(es, ep_tolerance):
+    for cluster in detect_coalescence(es):
         for i in cluster.indices:
             values[i] = cluster.eigenvalue
     return values

@@ -1,11 +1,11 @@
 """Verification suite: the checks that pin the library to its exact results.
 
-Each criterion is a function of the tolerances and of ``solved``, the run's
-cache of grid chain records (see :class:`_GridChain`), returning a
-:class:`CriterionResult`; :func:`run_criteria` executes a filtered subset and
-shares one cache among them, so a run solves and analyses each grid chain
-once; only the six-site criteria, whose budget times a real solve, and the
-rings are solved outside it.
+Each criterion is a function of ``solved``, the run's cache of grid chain
+records (see :class:`_GridChain`), returning a :class:`CriterionResult`;
+:func:`run_criteria` executes a filtered subset and shares one cache among
+them, so a run solves and analyses each grid chain once; only the six-site
+criteria, whose budget times a real solve, and the rings are solved outside
+it.  The numerical bounds are the fixed constants of :mod:`.spectral`.
 The six-site chains have fully explicit spectra and eigenvectors, the
 censuses and closed forms are checked across the desk-scale grid
 (n up to 30, matrices up to 60 x 60), and dense eigensolves (one real solve
@@ -55,17 +55,17 @@ def _result(criterion_id, passed, detail, started):
 
 
 def _six_site_case(criterion_id, mu, gamma, exact_values, target_vector,
-                     tolerances, time_budget=None):
+                     time_budget=None):
     started = time.perf_counter()
     h = model.build_ssh(6, mu, gamma)
     np.linalg.eig(np.eye(2, dtype=complex))  # warm the solver path before timing
     t0 = time.thread_time()  # CPU time: a preempted thread is not charged
-    es = spectral.eig(h, tolerances.residual)
-    clusters = spectral.detect_coalescence(es, tolerances.ep)
+    es = spectral.eig(h)
+    clusters = spectral.detect_coalescence(es)
     elapsed_core = time.thread_time() - t0
 
     checks = []
-    values = spectral.coalesced_eigenvalues(es, tolerances.ep)
+    values = spectral.coalesced_eigenvalues(es)
     err = spectral.match_multisets(values, exact_values)
     checks.append((err <= 1e-10, f"eigenvalue error {err:.2e} <= 1e-10"))
 
@@ -94,7 +94,7 @@ def _six_site_case(criterion_id, mu, gamma, exact_values, target_vector,
     return _result(criterion_id, passed, "; ".join(msg for _, msg in checks), started)
 
 
-def six_site_mu2(tolerances, solved):
+def six_site_mu2(solved):
     exact = [
         0.0, 0.0,
         np.sqrt(350 + 2 * np.sqrt(3553)) / 8,
@@ -103,11 +103,10 @@ def six_site_mu2(tolerances, solved):
         -np.sqrt(350 - 2 * np.sqrt(3553)) / 8,
     ]
     target = np.array([4j, 1, -2j, -2, 1j, 4], dtype=complex)
-    return _six_site_case("six-site-mu2", 2.0, 0.25, exact, target,
-                            tolerances, time_budget=0.010)
+    return _six_site_case("six-site-mu2", 2.0, 0.25, exact, target, time_budget=0.010)
 
 
-def six_site_mu_half(tolerances, solved):
+def six_site_mu_half(solved):
     exact = [
         0.0, 0.0,
         0.5j * np.sqrt(2 * np.sqrt(238) + 25),
@@ -116,16 +115,16 @@ def six_site_mu_half(tolerances, solved):
         -0.5 * np.sqrt(2 * np.sqrt(238) - 25),
     ]
     target = np.array([1j, 4, -2j, -2, 4j, 1], dtype=complex)
-    return _six_site_case("six-site-mu-half", 0.5, 4.0, exact, target, tolerances)
+    return _six_site_case("six-site-mu-half", 0.5, 4.0, exact, target)
 
 
-def mode_census(tolerances, solved):
+def mode_census(solved):
     started = time.perf_counter()
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
             expected = (0, 1, n - 2) if mu > 1 else (2, 1, n - 4)
-            chain = _grid_chain(n, mu, tolerances, solved)
+            chain = _grid_chain(n, mu, solved)
             records, census = chain.modes
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
@@ -148,7 +147,7 @@ def mode_census(tolerances, solved):
                    "; ".join(m for _, m in checks), started)
 
 
-def zero_mode_closed_form(tolerances, solved):
+def zero_mode_closed_form(solved):
     started = time.perf_counter()
     worst_res = worst_biorth = worst_parity = worst_conj = 0.0
     for n in CLOSED_FORM_N:
@@ -178,12 +177,12 @@ def zero_mode_closed_form(tolerances, solved):
                    "; ".join(m for _, m in checks), started)
 
 
-def bethe_spectrum_equivalence(tolerances, solved):
+def bethe_spectrum_equivalence(solved):
     started = time.perf_counter()
     worst_match = worst_root_res = 0.0
     for n in CLOSED_FORM_N:
         for mu in CLOSED_FORM_MU:
-            chain = _grid_chain(n, mu, tolerances, solved)
+            chain = _grid_chain(n, mu, solved)
             records, _ = chain.modes
             pair = bethe.solve_evanescent_pair(mu, chain.gamma, n) if mu < 1 else []
             analytic = [r.epsilon for r in bethe.solve_real_k(mu, chain.gamma, n)]
@@ -201,12 +200,12 @@ def bethe_spectrum_equivalence(tolerances, solved):
                    "; ".join(m for _, m in checks), started)
 
 
-def evanescent_asymptotics(tolerances, solved):
+def evanescent_asymptotics(solved):
     started = time.perf_counter()
     mu = 0.5
     ratios = []
     for n in GRID_N:
-        chain = _grid_chain(n, mu, tolerances, solved)
+        chain = _grid_chain(n, mu, solved)
         records, _ = chain.modes
         imag = [abs(r.eigenvalue) for r in records
                 if r.mode_class is spectral.ModeClass.IMAGINARY_EVANESCENT]
@@ -227,7 +226,7 @@ def evanescent_asymptotics(tolerances, solved):
                    "; ".join(m for _, m in checks), started)
 
 
-def block_decomposition(tolerances, solved):
+def block_decomposition(solved):
     started = time.perf_counter()
     worst_leak = worst_spec = 0.0
     scales = []
@@ -241,9 +240,8 @@ def block_decomposition(tolerances, solved):
             worst_leak = max(worst_leak, blocks.leakage / ring_norm)
             s = model.fit_block_scale(blocks.h_plus, n, mu, gamma)
             scales.append(s)
-            es_ring = spectral.eig(ring, tolerances.residual)
-            ring_values = spectral.coalesced_eigenvalues(es_ring, tolerances.ep) / s
-            ssh_values = _grid_chain(n, mu, tolerances, solved).coalesced
+            ring_values = spectral.coalesced_eigenvalues(spectral.eig(ring)) / s
+            ssh_values = _grid_chain(n, mu, solved).coalesced
             union = np.concatenate([ssh_values, ssh_values.conj()])
             worst_spec = max(worst_spec, spectral.match_multisets(ring_values, union))
     scale_dev = max(abs(s - 0.5) for s in scales)
@@ -256,7 +254,7 @@ def block_decomposition(tolerances, solved):
                    "; ".join(m for _, m in checks), started)
 
 
-def common_part(tolerances, solved):
+def common_part(solved):
     started = time.perf_counter()
     mu = 1.5
     worst_ratio = 0.0
@@ -282,36 +280,34 @@ class _GridChain:
     first use; a failure is not kept and fails each criterion that reads it.
     """
 
-    def __init__(self, n, mu, tolerances):
+    def __init__(self, n, mu):
         self.mu = mu
-        self.tolerances = tolerances
         self.gamma = model.gamma_ep(mu, n)
         self.h = model.build_ssh(n, mu, self.gamma)
-        self.es = spectral.chain_eigensystem(n, mu, self.gamma, tolerances.residual)
+        self.es = spectral.chain_eigensystem(n, mu, self.gamma)
 
     @functools.cached_property
     def modes(self):
-        return spectral.classify_modes(self.es, self.mu, self.gamma, self.tolerances)
+        return spectral.classify_modes(self.es, self.mu, self.gamma)
 
     @functools.cached_property
     def coalesced(self):
-        return spectral.coalesced_eigenvalues(self.es, self.tolerances.ep)
+        return spectral.coalesced_eigenvalues(self.es)
 
 
-def _grid_chain(n, mu, tolerances, solved):
-    """The run's record at ``(n, mu)``; ``solved`` is keyed on ``(n, mu, tolerances)``."""
-    key = (n, mu, tolerances)
-    if key not in solved:
-        solved[key] = _GridChain(n, mu, tolerances)
-    return solved[key]
+def _grid_chain(n, mu, solved):
+    """The run's record at ``(n, mu)``; ``solved`` is keyed on ``(n, mu)``."""
+    if (n, mu) not in solved:
+        solved[n, mu] = _GridChain(n, mu)
+    return solved[n, mu]
 
 
-def scattering_gap_bound(tolerances, solved):
+def scattering_gap_bound(solved):
     started = time.perf_counter()
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            records, _ = _grid_chain(n, mu, tolerances, solved).modes
+            records, _ = _grid_chain(n, mu, solved).modes
             if not analysis.gap_bound_check(records, mu, tolerance=1e-10):
                 failures.append((n, mu))
     detail = (f"all scattering levels inside |1-mu| <= |eps| <= 1+mu over "
@@ -321,13 +317,13 @@ def scattering_gap_bound(tolerances, solved):
     return _result("scattering-gap-bound", not failures, detail, started)
 
 
-def pseudo_hermiticity_pt(tolerances, solved):
+def pseudo_hermiticity_pt(solved):
     started = time.perf_counter()
     worst_pt = 0.0
     unmatched_points = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            chain = _grid_chain(n, mu, tolerances, solved)
+            chain = _grid_chain(n, mu, solved)
             worst_pt = max(worst_pt, model.pt_deviation(chain.h))
             ok, unmatched = spectral.pseudo_hermiticity_check(
                 chain.coalesced, 1e-8 * chain.es.scale)
@@ -357,15 +353,13 @@ CRITERIA = [
 ]
 
 
-def run_criteria(only: str | None = None,
-                 tolerances: spectral.Tolerances | None = None) -> list[CriterionResult]:
+def run_criteria(only: str | None = None) -> list[CriterionResult]:
     """Run all criteria whose id contains ``only`` (all of them by default).
 
-    A criterion that raises is reported as failed with the exception text;
-    tampered tolerances therefore surface as ordinary failures.
+    A criterion that raises is reported as failed with the exception text,
+    so a bound of :mod:`.spectral` that a computed eigensystem misses
+    surfaces as an ordinary failure.
     """
-    if tolerances is None:
-        tolerances = spectral.DEFAULT_TOLERANCES
     selected = [(cid, fn) for cid, fn in CRITERIA if not only or only in cid]
     if only and not selected:
         raise ValueError(f"no criterion id contains {only!r}")
@@ -374,7 +368,7 @@ def run_criteria(only: str | None = None,
     for cid, fn in selected:
         started = time.perf_counter()
         try:
-            results.append(fn(tolerances, solved))
+            results.append(fn(solved))
         except Exception as exc:
             results.append(
                 CriterionResult(cid, False, f"raised {type(exc).__name__}: {exc}",

@@ -1,10 +1,9 @@
-"""Acceptance gate: every verification criterion at its pinned tolerance.
+"""Acceptance gate: every verification criterion at its pinned bounds.
 
 Runs the same registry the ``majorana-pt verify`` command uses and prints
 one PASS/FAIL line per criterion (run pytest with ``-s`` to see them all).
 """
 
-import dataclasses
 import re
 import time
 from collections import Counter
@@ -19,7 +18,7 @@ _RESULTS = {}
 def _run(criterion_id):
     if criterion_id not in _RESULTS:
         fn = dict(verify.CRITERIA)[criterion_id]
-        _RESULTS[criterion_id] = fn(verify.spectral.DEFAULT_TOLERANCES, {})
+        _RESULTS[criterion_id] = fn({})
     return _RESULTS[criterion_id]
 
 
@@ -40,10 +39,9 @@ def test_full_suite_runs_quickly():
 
 
 def test_grid_criteria_share_solved_eigensystems(monkeypatch):
-    tolerances = verify.spectral.DEFAULT_TOLERANCES
     solved = {}
-    census = verify.mode_census(tolerances, solved)
-    pt = verify.pseudo_hermiticity_pt(tolerances, solved)
+    census = verify.mode_census(solved)
+    pt = verify.pseudo_hermiticity_pt(solved)
     assert len(solved) == len(verify.GRID_N) * 6
 
     def no_repeat(*args, **kwargs):
@@ -52,34 +50,21 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
     for name in ("eig", "classify_modes", "coalesced_eigenvalues"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
-    gap = verify.scattering_gap_bound(tolerances, solved)
-    evanescent = verify.evanescent_asymptotics(tolerances, solved)
+    gap = verify.scattering_gap_bound(solved)
+    evanescent = verify.evanescent_asymptotics(solved)
     assert census.passed and pt.passed and gap.passed and evanescent.passed
     assert gap.detail == _run("scattering-gap-bound").detail
     assert evanescent.detail == _run("evanescent-asymptotics").detail
-
-
-def test_shared_grid_is_keyed_on_the_tolerances():
-    solved = {}
-    default = verify.spectral.DEFAULT_TOLERANCES
-    variants = [default] + [
-        dataclasses.replace(default, **{field.name: getattr(default, field.name) / 10})
-        for field in dataclasses.fields(default)
-    ]
-    for tolerances in variants:
-        assert verify.scattering_gap_bound(tolerances, solved).passed
-    assert len(solved) == len(variants) * len(verify.GRID_N) * 6
-    assert {key[2] for key in solved} == set(variants)
 
 
 def test_suite_solves_the_shared_grid_once(monkeypatch):
     solved = []
     original = verify._grid_chain
 
-    def counted(n, mu, tolerances, shared):
-        if (n, mu, tolerances) not in shared:
+    def counted(n, mu, shared):
+        if (n, mu) not in shared:
             solved.append((n, mu))
-        return original(n, mu, tolerances, shared)
+        return original(n, mu, shared)
 
     monkeypatch.setattr(verify, "_grid_chain", counted)
     results = verify.run_criteria()
@@ -150,8 +135,9 @@ def test_suite_analyses_each_chain_once(monkeypatch):
                      "solve_evanescent_pair": 5}
 
 
-def test_classification_failure_fails_only_the_criteria_that_classify():
-    results = verify.run_criteria(tolerances=verify.spectral.Tolerances(mode_class=1e-20))
+def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatch):
+    monkeypatch.setattr(verify.spectral, "CLASS_TOLERANCE", 1e-20)
+    results = verify.run_criteria()
     failed = {r.criterion_id for r in results if not r.passed}
     assert failed == {"mode-census", "bethe-spectrum-equivalence",
                       "evanescent-asymptotics", "scattering-gap-bound"}
@@ -160,8 +146,8 @@ def test_classification_failure_fails_only_the_criteria_that_classify():
 
 
 def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
-    monkeypatch.setattr(verify.spectral, "detect_coalescence", lambda es, ep: [])
-    result = verify.mode_census(verify.spectral.DEFAULT_TOLERANCES, {})
+    monkeypatch.setattr(verify.spectral, "detect_coalescence", lambda es: [])
+    result = verify.mode_census({})
     assert not result.passed
     assert "(n=6, mu=1.5): eigenvectors coalesce levels [], not the pair [" in result.detail
 
@@ -181,7 +167,7 @@ def test_six_site_budget_counts_thread_time(monkeypatch, stall, within_budget):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(verify.spectral, "eig", stalled)
-    result = verify.six_site_mu2(verify.spectral.DEFAULT_TOLERANCES, {})
+    result = verify.six_site_mu2({})
     budget = result.detail.split("; ")[-1]
     assert re.fullmatch(r"runtime [0-9.]+ ms < 10 ms", budget)
     assert (float(budget.split()[1]) < 10) is within_budget

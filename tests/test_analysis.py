@@ -7,7 +7,6 @@ from majorana_pt import (
     ClassificationError,
     ModeClass,
     ModeRecord,
-    Tolerances,
     build_ssh,
     census_sweep,
     classify_modes,
@@ -135,10 +134,10 @@ class TestCensusSweep:
         assert "max_workers" not in inspect.signature(census_sweep).parameters
 
     def test_failure_names_the_grid_point_and_keeps_its_type(self):
-        # the computed zero pair splits by ~1e-8, far outside an EP width of 1e-20
-        tiny = Tolerances(ep=1e-20)
-        with pytest.raises(ClassificationError, match=r"\(n=6, mu=2\.0\)"):
-            census_sweep([6, 8], [2.0], tiny)
+        # (6, mu) has an isolated pair; at (78, mu) the third |eps| is 410 times the second
+        with pytest.raises(ClassificationError, match=r"^sweep failed at \(n=78, "
+                           r"mu=0\.99901401\): no isolated zero pair"):
+            census_sweep([6, 78], [0.99901401])
 
     def test_rejects_uniform_mu(self):
         with pytest.raises(ValueError):

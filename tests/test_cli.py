@@ -191,23 +191,14 @@ class TestCensusAndSweep:
             "8,2.0,0.125,0,1,6,2",
         ]
 
-    @pytest.mark.parametrize("threads", [None, "1", "2"])
-    def test_sweep_failure_names_the_point_and_exits_two(
-        self, capsys, monkeypatch, threads
-    ):
-        # nothing reads MAJORANA_PT_THREADS any more; the three cases only keep
-        # this test's ids stable
-        if threads is None:
-            monkeypatch.delenv("MAJORANA_PT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MAJORANA_PT_THREADS", threads)
-        # the computed zero pair splits by ~1e-8, far outside an EP width of 1e-20
-        code, out, err = run(capsys, "sweep", "--N-grid", "6,8", "--mu-grid", "2.0",
-                             "--tol-ep", "1e-20")
+    def test_sweep_failure_names_the_point_and_exits_two(self, capsys):
+        # (6, mu) has an isolated zero pair; (78, mu) has none
+        code, out, err = run(capsys, "sweep", "--N-grid", "6,78", "--mu-grid", "0.99901401")
         assert code == 2
         assert out == ""
-        assert err.startswith("classification error: ")
-        assert "n=6" in err and "mu=2.0" in err
+        assert err.startswith("classification error: sweep failed at (n=78, mu=0.99901401): "
+                              "no isolated zero pair")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("n,mu", [
         (44, 3.0), (64, 2.0), (66, 0.5), (104, 1.5), (180, 0.8), (42, 0.3), (398, 1.1),
@@ -290,9 +281,9 @@ class TestVerifyCommand:
         assert len(lines) == 2
         assert all(line.startswith("PASS") for line in lines)
 
-    def test_tampered_ep_tolerance_fails_with_exit_three(self, capsys):
-        code, out, _ = run(capsys, "verify", "--only", "six-site-mu2",
-                           "--tol-ep", "0")
+    def test_tampered_ep_tolerance_fails_with_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.spectral, "EP_TOLERANCE", 0.0)
+        code, out, _ = run(capsys, "verify", "--only", "six-site-mu2")
         assert code == 3
         assert out.startswith("FAIL")
 
@@ -369,13 +360,17 @@ class TestConfigAndErrors:
         ("plot", "--tol-ep"), ("verify", "--format"), ("zero-mode", "--tol-residual"),
         ("zero-mode", "--tol-class"), ("zero-mode", "--tol-ep"), ("bethe", "--tol-residual"),
         ("bethe", "--tol-class"), ("bethe", "--tol-ep"),
-    ])
+    ] + [(command, flag) for command in ("spectrum", "census", "sweep", "verify")
+         for flag in ("--tol-residual", "--tol-class", "--tol-ep")])
     def test_flags_the_subcommand_does_not_read_are_refused(self, capsys, tmp_path,
                                                             command, flag):
         argv = {"plot": ("plot", "--N-grid", "6", "--mu", "2"),
                 "verify": ("verify", "--only", "six-site-mu2"),
                 "zero-mode": ("zero-mode", "--N", "6", "--mu", "2"),
-                "bethe": ("bethe", "--N", "6", "--mu", "2")}[command]
+                "bethe": ("bethe", "--N", "6", "--mu", "2"),
+                "spectrum": ("spectrum", "--N", "6", "--mu", "2"),
+                "census": ("census", "--N", "6", "--mu", "2"),
+                "sweep": ("sweep", "--N-grid", "6", "--mu-grid", "2")}[command]
         code, out, err = run(capsys, *argv, flag, "1")
         assert code == 1
         assert out == ""
@@ -397,7 +392,7 @@ class TestConfigAndErrors:
 
     def test_config_keys_take_dashes_or_underscores(self, capsys, tmp_path):
         config = tmp_path / "c.cfg"
-        config.write_text("N-grid = 6\nmu_grid = 2.0\ntol-class = 1e-8\n")
+        config.write_text("N-grid = 6\nmu_grid = 2.0\n")
         code, out, _ = run(capsys, "sweep", "--config", str(config))
         assert code == 0
         assert "6,2.0,0.25,0,1,4,2" in out
@@ -491,25 +486,25 @@ class TestNumericalFailures:
         assert (code, out) == (1, "")
         assert err.startswith("error: polished root") and err.count("\n") == 1
 
-    def test_eigensolver_residual_failure_is_an_error_line(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--N", "6", "--mu", "2",
-                             "--tol-residual", "1e-20")
+    def test_eigensolver_residual_failure_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.spectral, "RESIDUAL_TOLERANCE", 1e-20)
+        code, out, err = run(capsys, "spectrum", "--N", "6", "--mu", "2")
         assert code == 1
         assert out == ""
         assert err.startswith("error: right eigenpair")
 
-    def test_spectrum_residual_refusal_is_one_error_line(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--N", "14", "--mu", "0.5",
-                             "--tol-residual", "1e-30")
+    def test_spectrum_residual_refusal_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.spectral, "RESIDUAL_TOLERANCE", 1e-30)
+        code, out, err = run(capsys, "spectrum", "--N", "14", "--mu", "0.5")
         assert code == 1
         assert out == ""
         assert err.startswith("error: right eigenpair")
         assert err.count("\n") == 1
 
-    def test_census_certificate_failure_is_an_error_line(self, capsys):
+    def test_census_certificate_failure_is_an_error_line(self, capsys, monkeypatch):
         # |h psi| of the closed-form zero mode is 5.6e-17 at (6, 0.8)
-        code, out, err = run(capsys, "census", "--N", "6", "--mu", "0.8",
-                             "--tol-residual", "1e-20")
+        monkeypatch.setattr(cli.spectral, "RESIDUAL_TOLERANCE", 1e-20)
+        code, out, err = run(capsys, "census", "--N", "6", "--mu", "0.8")
         assert code == 1
         assert out == ""
         assert err.startswith("error: closed-form zero mode residual")
@@ -527,6 +522,29 @@ class TestNumericalFailures:
         assert err == (f"error: gamma_ep(mu=0.3, N={argv.split()[2]}) = mu**(1 - N/2) "
                        "overflows a float; the largest N for mu=0.3 is 1180\n")
 
+    @pytest.mark.parametrize("argv,prefix", [
+        ("census --N 1360 --mu 3.0", ""), ("zero-mode --N 1360 --mu 3.0", ""),
+        ("sweep --N-grid 1360 --mu-grid 3.0", "sweep failed at (n=1360, mu=3.0): "),
+        ("census --N 2012 --mu 2.1", ""),
+    ])
+    def test_locus_underflowing_to_zero_is_an_error_line(self, capsys, argv, prefix):
+        # gamma = 0 is the Hermitian chain, which has no exceptional point
+        code, out, err = run(capsys, *argv.split())
+        n, mu = argv.split()[2], argv.split()[4]
+        largest = {"3.0": 1358, "2.1": 2010}[mu]
+        assert (code, out) == (1, "")
+        assert err == (f"error: {prefix}gamma_ep(mu={mu}, N={n}) = mu**(1 - N/2) "
+                       f"underflows to 0; the largest N for mu={mu} is {largest}\n")
+
+    @pytest.mark.parametrize("n,mu,gamma", [
+        (1358, "3.0", "5e-324"), (2048, "2.0", "1.1125369292536007e-308"),
+    ])
+    def test_census_below_the_underflow_edge(self, capsys, n, mu, gamma):
+        code, out, _ = run(capsys, "census", "--N", str(n), "--mu", mu)
+        assert code == 0
+        assert out == (f"# N={n}\n# command='census'\n# gamma={gamma}\n# mu={mu}\n"
+                       f"N,mu,gamma,n_I,n_EP,n_S\n{n},{mu},{gamma},0,1,{n - 2}\n")
+
 
 class TestCsvArtifactBytes:
     """CSV artifacts keep their recorded bytes.
@@ -538,27 +556,27 @@ class TestCsvArtifactBytes:
 
     DIGESTS = {
         "spectrum --N 6 --mu 2.0":
-            "a832cc547930d078d83da4d2c9ab989ff174bc8b02fc6623a224211510ec2b0e",
+            "a35707eb3d56acf693a2bb0d3dd7eae4fe2e04093a4b8ee837b921da7f1e69e6",
         "census --N 6 --mu 2.0":
-            "b6a14ce08e018e5a46ad8333ba09d9b1b9b87e97048993ec3ec5844e98df1cf0",
+            "83b9cfb163f67fb67cdcbb46f67b87279e3333d0525b794063864ae12157912b",
         "bethe --N 6 --mu 2.0":
             "eb66b07f37fbb734dc73c6a5603816bd3f997d0a4200bc3618d934725bbadcae",
         "zero-mode --N 6 --mu 2.0":
             "a6d9c1d4db183dbf7d45a0275abab8e93f09b3d49bdf47fa3d20f281960b2934",
         "sweep --N-grid 6 --mu-grid 2.0":
-            "517dacb0a3399c2859932fdf381472bd6c31634329ca11ba13f1e36fa7836dde",
+            "86158557a45e4e503797deee7b01f04b40d2bb8eedd3b6f5aacda703c9796c2a",
         "spectrum --N 14 --mu 0.5":
-            "6296de42f6bb46dfdd8cc0ba6b010bf562e154c8f3852172715958f0033dba93",
+            "da3289a18e308803673be40cbfd1ea85651b60a6db84522004727292ce2c57d3",
         "census --N 14 --mu 0.5":
-            "5e7bcd0014f5078d54d7a2bc44c7fe7f175d76aa5a880471b2269b3a0f31c72d",
+            "9637316d478283040e05a77dfdd1c6d73edda446f9c972fed5357bdad776f2e1",
         "bethe --N 14 --mu 0.5":
             "1c1d9666b32a3ef42ceb10c5854100f9691f6ab81f72335b4590629735bec498",
         "zero-mode --N 14 --mu 0.5":
             "f9896dd7ab3e8eb998ed007df646e5bc10d963e5d98523cfece0b417a639a460",
         "sweep --N-grid 14 --mu-grid 0.5":
-            "63641852fd26400e834175460454bb294c083f067e2e48e43cffec52efcc316f",
+            "63d09d6aa3780a1ffcc9e946599a08e6a3ef88a9f13574810dc9e5afabce2366",
         "sweep --N-grid 6,8 --mu-grid 0.5,2.0":
-            "97390f36b8a3221c4b261489af72858d6a55034683d398ad841519aa3ad9ce7b",
+            "fd10f6d4d7aa9a8bf70639d0450926108c4e25b32b5340fd07a42bfe44e68667",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)
@@ -599,11 +617,11 @@ class TestParserReuse:
         code, out, _ = run(capsys, "spectrum", "--help")
         assert code == 0 and out.startswith("usage: majorana-pt spectrum")
         config = tmp_path / "c.cfg"
-        config.write_text("tol-residual = 1e-9\ntol-class = 1e-7\n")
-        code, out, _ = run(capsys, "census", "--N", "6", "--mu", "2.0", "--format", "csv",
-                           "--config", str(config), "--tol-ep", "1e-5")
+        config.write_text("mu = 0.5\ngamma = 0.3\n")
+        code, out, _ = run(capsys, "census", "--N", "6", "--format", "csv",
+                           "--config", str(config), "--mu", "2.0")
         assert code == 0
-        assert "# tol_class=1e-07\n# tol_ep=1e-05\n# tol_residual=1e-09\n" in out
+        assert out.endswith("# gamma=0.3\n# mu=2.0\nN,mu,gamma,n_I,n_EP,n_S\n6,2.0,0.3,2,0,4\n")
         for argv in ("census --N 6 --mu 2.0", "spectrum --N 14 --mu 0.5"):
             code, out, _ = run(capsys, *argv.split(), "--format", "csv")
             assert code == 0

@@ -73,6 +73,17 @@ class TestGammaEp:
             gamma_ep(0.3, 1182)
         assert not on_locus(0.3, 1182, 1e308)
 
+    @pytest.mark.parametrize("mu,largest", [(3.0, 1358), (2.1, 2010), (10.0, 648),
+                                            (4.0, 1076)])
+    def test_underflow_names_the_largest_chain(self, mu, largest):
+        # mu**(1 - N/2) rounds to 0 once it is at most 2**-1075: 4**-538 is 2**-1076
+        assert gamma_ep(mu, largest) > 0
+        assert on_locus(mu, largest, gamma_ep(mu, largest))
+        with pytest.raises(ValueError, match=f"underflows to 0; the largest N for "
+                                             f"mu={mu} is {largest}$"):
+            gamma_ep(mu, largest + 2)
+        assert not on_locus(mu, largest + 2, 0.0)
+
     @pytest.mark.parametrize("gamma,expected", [
         (0.25, True), (0.25 * (1 + 5e-10), True), (0.25 * (1 + 2e-9), False), (0.0, False),
     ])

@@ -8,7 +8,6 @@ from majorana_pt import (
     EigenSystem,
     ModelParams,
     ModeClass,
-    Tolerances,
     build_majorana_ring,
     build_ssh,
     chain_census,
@@ -22,8 +21,11 @@ from majorana_pt import (
     parity_matrix,
     pseudo_hermiticity_check,
 )
+from majorana_pt import spectral
 from majorana_pt.model import MAX_DIM
-from majorana_pt.spectral import _canonical_phase, _real_gauge
+from majorana_pt.spectral import (
+    CLASS_TOLERANCE, EP_TOLERANCE, RESIDUAL_TOLERANCE, _canonical_phase, _real_gauge,
+)
 from majorana_pt.verify import GRID_MU_TOPO, GRID_MU_TRIV, GRID_N
 
 M1_NONZERO = [
@@ -87,7 +89,7 @@ def _two_solve_eig(a, gauge=None):
     return values, right, left, residuals, left_residuals, biorth
 
 
-def _double_loop_coalescence(es, ep_tolerance=Tolerances().ep):
+def _double_loop_coalescence(es, ep_tolerance=EP_TOLERANCE):
     """Reference: the former O(N^2) pair loop over the full Gram matrix."""
     n = es.dim
     scale = es.scale
@@ -221,7 +223,7 @@ class TestEig:
         h = _ring(n, mu)
         assert not np.array_equal(h, h.T)
         es = eig(h)
-        bound = Tolerances().residual * es.norm_inf
+        bound = RESIDUAL_TOLERANCE * es.norm_inf
         adjoint = h.conj().T
         for i in range(es.dim):
             w = es.left[:, i]
@@ -337,7 +339,7 @@ class TestRealGauge:
         h = _ring(n, mu)
         es = eig(h)
         reference = EigenSystem(*_two_solve_eig(h), es.norm_inf)
-        bound = Tolerances().residual * es.norm_inf
+        bound = RESIDUAL_TOLERANCE * es.norm_inf
         assert max(np.max(es.residuals), np.max(es.left_residuals)) <= bound
         # away from the EP: the four levels nearest zero are the two split pairs
         ep, ep_ref = (np.argsort(np.abs(x.eigenvalues))[:4] for x in (es, reference))
@@ -355,7 +357,7 @@ class TestRealGauge:
             assert any(len(c.indices) == len(want.indices)
                        and abs(c.eigenvalue - want.eigenvalue) <= 1e-12 * es.scale
                        for c in clusters)
-        assert all(abs(c.biorth_norm) <= Tolerances().ep for c in clusters)
+        assert all(abs(c.biorth_norm) <= EP_TOLERANCE for c in clusters)
 
 
 def _relative_level_gap(a, b):
@@ -396,7 +398,7 @@ class TestChainEigensystem:
         assert np.array_equal(es.left, es.right.conj())
         assert np.array_equal(es.left_residuals, es.residuals)
         assert es.norm_inf == reference.norm_inf
-        assert float(np.max(es.residuals)) <= Tolerances().residual * es.norm_inf
+        assert float(np.max(es.residuals)) <= RESIDUAL_TOLERANCE * es.norm_inf
         # the bond-by-bond residuals against the dense product
         dense = np.max(np.abs(h @ es.right - es.right * es.eigenvalues), axis=0)
         assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
@@ -423,9 +425,10 @@ class TestChainEigensystem:
         chain_eigensystem(30, 2.0, gamma_ep(2.0, 30))
         assert calls == [np.float64]
 
-    def test_residual_bound_is_read(self):
+    def test_residual_bound_is_read(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOLERANCE", 1e-30)
         with pytest.raises(RuntimeError, match="right eigenpair"):
-            chain_eigensystem(6, 2.0, 0.25, residual_tolerance=1e-30)
+            chain_eigensystem(6, 2.0, 0.25)
 
     def test_rejects_bad_chains(self):
         for args in [(5, 2.0, 0.25), (6, -1.0, 0.25), (6, 2.0, np.inf)]:
@@ -523,7 +526,7 @@ class TestDetectCoalescence:
         # beyond the domain edge the evanescent pair at ~gamma_ep ~ 6e14 sets
         # the scale, so every pair of O(1) levels falls inside the cluster width
         es = eig(build_ssh(100, 0.5, gamma_ep(0.5, 100)))
-        small = np.abs(es.eigenvalues) < 0.5 * Tolerances().ep * es.scale
+        small = np.abs(es.eigenvalues) < 0.5 * EP_TOLERANCE * es.scale
         assert small.sum() >= es.dim - 2
         self._assert_same_clusters(es)
 
@@ -534,12 +537,13 @@ class TestDetectCoalescence:
         clusters = self._assert_same_clusters(es)
         # the pair is a candidate whenever it lies inside the width; only
         # the parallel (Jordan-like) one passes the overlap test
-        expected = 1 if parallel and 2 * split <= Tolerances().ep * es.scale else 0
+        expected = 1 if parallel and 2 * split <= EP_TOLERANCE * es.scale else 0
         assert len(clusters) == expected
 
-    def test_zero_tolerance_detects_nothing(self):
+    def test_zero_tolerance_detects_nothing(self, monkeypatch):
         es = eig(build_ssh(6, 2.0, 0.25))
-        assert detect_coalescence(es, ep_tolerance=0.0) == []
+        monkeypatch.setattr(spectral, "EP_TOLERANCE", 0.0)
+        assert detect_coalescence(es) == []
 
 
 class TestClassifyModes:
@@ -607,12 +611,14 @@ class TestClassifyModes:
             chain_census(n, mu, gamma_ep(mu, n))
 
     @pytest.mark.parametrize("tolerances,error,match", [
-        (Tolerances(ep=1e-20), ClassificationError, "exceptional-point width"),
-        (Tolerances(residual=1e-20), RuntimeError, "closed-form zero mode residual"),
+        ({"EP_TOLERANCE": 1e-20}, ClassificationError, "exceptional-point width"),
+        ({"RESIDUAL_TOLERANCE": 1e-20}, RuntimeError, "closed-form zero mode residual"),
     ])
-    def test_pair_bounds_are_read(self, tolerances, error, match):
+    def test_pair_bounds_are_read(self, monkeypatch, tolerances, error, match):
+        for name, value in tolerances.items():
+            monkeypatch.setattr(spectral, name, value)
         with pytest.raises(error, match=match):
-            chain_census(6, 0.8, gamma_ep(0.8, 6), tolerances)
+            chain_census(6, 0.8, gamma_ep(0.8, 6))
 
     def test_chain_census_matches_classify_modes_on_a_request_grid(self):
         # the couplings of the benchmark's requests; 20 log-spaced N in 6..200
@@ -701,5 +707,4 @@ class TestUtilities:
             self._assert_matches_loop(list(a), b[::-1])
 
     def test_default_tolerances(self):
-        tol = Tolerances()
-        assert (tol.residual, tol.mode_class, tol.ep) == (1e-11, 1e-8, 1e-6)
+        assert (RESIDUAL_TOLERANCE, CLASS_TOLERANCE, EP_TOLERANCE) == (1e-11, 1e-8, 1e-6)
