@@ -33,8 +33,11 @@ from .spectral import (
     ModeRecord,
     chain_census,
     chain_eigensystem,
+    chain_eigensystems,
     classify_modes,
+    classify_stack,
     coalesced_eigenvalues,
+    coalesced_stack,
     detect_coalescence,
     eig,
     match_multisets,

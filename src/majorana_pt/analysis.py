@@ -80,20 +80,23 @@ def common_part_compare(n_small: int, n_large: int, mu: float) -> float:
     return float(deviation)
 
 
-def gap_bound_check(
-    census_modes: list[ModeRecord], mu: float, tolerance: float = 1e-10
-) -> bool:
+#: Absolute slack of :func:`gap_bound_check` at both band edges.
+GAP_TOLERANCE = 1e-10
+
+
+def gap_bound_check(census_modes: list[ModeRecord], mu: float) -> bool:
     """True when every real scattering level lies inside the band.
 
     The dispersion confines scattering eigenvalues to
-    ``|1 - mu| <= |eps| <= 1 + mu``; the lower edge is the protected gap.
+    ``|1 - mu| <= |eps| <= 1 + mu``, up to ``GAP_TOLERANCE``; the lower
+    edge is the protected gap.
     """
     lo, hi = abs(1.0 - mu), 1.0 + mu
     for record in census_modes:
         if record.mode_class is not ModeClass.REAL_SCATTERING:
             continue
         magnitude = abs(record.eigenvalue)
-        if magnitude < lo - tolerance or magnitude > hi + tolerance:
+        if magnitude < lo - GAP_TOLERANCE or magnitude > hi + GAP_TOLERANCE:
             return False
     return True
 

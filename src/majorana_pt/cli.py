@@ -116,7 +116,8 @@ def _cmd_spectrum(args) -> int:
     fmt = _merge(args, "format", str, "json")
     es = spectral.chain_eigensystem(n, mu, gamma)
     records, census = spectral.classify_modes(es, mu, gamma)
-    ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues, 1e-8 * es.scale)
+    ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues,
+                                                       spectral.CLASS_TOLERANCE * es.scale)
     if fmt == "json":
         payload = serialize.eigensystem_to_json(es)
         payload["config"] = config

@@ -15,7 +15,8 @@ This module builds every matrix in that chain of reductions:
 * :func:`build_ssh` -- the ``n x n`` non-Hermitian SSH chain itself,
 * :func:`build_ssh_real` -- the real matrix that the chain's PT symmetry
   makes it similar to,
-* :func:`apply_ssh` -- the chain's product with a vector, in O(n),
+* :func:`apply_ssh` -- the chain's product with a vector, in O(n), also for
+  a stack of chains of one length,
 * :func:`gamma_ep` -- the coupling ``gamma = mu**(1 - n/2)`` at which the two
   zero modes of the SSH chain coalesce (the exceptional point used throughout),
   and :func:`on_locus`, the test that a coupling sits there.
@@ -173,9 +174,14 @@ def _require_chain(n: int, mu: float, gamma: float = 0.0) -> None:
         raise ValueError("gamma must be finite")
 
 
-def _bonds(n: int, mu: float) -> np.ndarray:
-    """Bond amplitudes ``(1, mu, 1, ..., mu, 1)`` of the n-site chain."""
-    return np.where(np.arange(n - 1) % 2 == 0, 1.0, float(mu))
+def _bonds(n: int, mu) -> np.ndarray:
+    """Bond amplitudes ``(1, mu, 1, ..., mu, 1)`` of the n-site chain, along
+    the first axis; an array ``mu`` adds its axes after it."""
+    mu = np.asarray(mu, dtype=float)
+    bonds = np.empty((n - 1,) + mu.shape)
+    bonds[0::2] = 1.0
+    bonds[1::2] = mu
+    return bonds
 
 
 def build_ssh(n: int, mu: float, gamma: float) -> np.ndarray:
@@ -231,12 +237,20 @@ def build_ssh_real(n: int, mu: float, gamma: float) -> np.ndarray:
     return m
 
 
-def apply_ssh(n: int, mu: float, gamma: float, v: np.ndarray) -> np.ndarray:
-    """``build_ssh(n, mu, gamma) @ v`` for a vector or a matrix of columns,
-    bond by bond without the matrix: O(n) per column."""
-    _require_chain(n, mu, gamma)
+def apply_ssh(n: int, mu, gamma, v: np.ndarray) -> np.ndarray:
+    """``build_ssh(n, mu, gamma) @ v`` for a vector or an array of columns,
+    bond by bond without the matrix: O(n) per column.
+
+    ``v[j]`` holds site ``j``.  ``mu`` and ``gamma`` may be arrays that
+    broadcast against ``v[j]``, so that each column is multiplied by its own
+    chain of the same length: with ``v`` of shape ``(n, s, k)`` and ``mu``,
+    ``gamma`` of shape ``(s, 1)``, ``v[:, i]`` is multiplied by chain ``i``.
+    """
+    for chain_mu, chain_gamma in np.broadcast(mu, gamma):
+        _require_chain(n, chain_mu, chain_gamma)
     v = np.asarray(v)
-    bonds = _bonds(n, mu).reshape((n - 1,) + (1,) * (v.ndim - 1))
+    bonds = _bonds(n, mu)
+    bonds = bonds.reshape((n - 1,) + (1,) * (v.ndim - bonds.ndim) + bonds.shape[1:])
     hv = np.zeros(v.shape, dtype=complex)
     hv[:-1] += bonds * v[1:]
     hv[1:] += bonds * v[:-1]
@@ -403,7 +417,10 @@ def staggered_signs(n: int) -> np.ndarray:
 
 
 def pt_deviation(h: np.ndarray) -> float:
-    """Largest entry of ``P conj(h) P - h``: zero for a PT-symmetric chain."""
+    """Largest entry of ``P conj(h) P - h``: zero for a PT-symmetric chain.
+
+    ``P`` (:func:`parity_matrix`) reverses the sites, so ``P conj(h) P`` is
+    ``conj(h)`` with rows and columns reversed, formed without a product.
+    """
     h = np.asarray(h, dtype=complex)
-    p = parity_matrix(h.shape[0])
-    return float(np.max(np.abs(p @ h.conj() @ p - h)))
+    return float(np.max(np.abs(h.conj()[::-1, ::-1] - h)))

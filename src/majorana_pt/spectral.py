@@ -23,6 +23,17 @@ mode (:func:`~.bethe.zero_mode`) certifies the Jordan block; off the locus
 there is no pair.  :func:`classify_modes` applies this to a computed
 eigensystem, and :func:`chain_census` to the eigenvalues of the chain's
 real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
+
+The chain pipeline also runs on a stack of same-length chains:
+:func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call, and
+:func:`classify_stack` and :func:`coalesced_stack` classify and coalesce
+them together.  Each returns one row per chain, which is either the chain's
+result or the error that refused that chain alone; a refused row does not
+stop the others, and a row that arrives as an error passes through
+unchanged.  Each row is the same, bit for bit, as when the chain is run
+alone: :func:`chain_eigensystem`, :func:`classify_modes` and
+:func:`detect_coalescence` are the stacks of one, and raise a refused
+row's error.
 """
 
 from __future__ import annotations
@@ -44,11 +55,14 @@ __all__ = [
     "ClassificationError",
     "eig",
     "chain_eigensystem",
+    "chain_eigensystems",
     "pseudo_hermiticity_check",
     "detect_coalescence",
     "classify_modes",
+    "classify_stack",
     "chain_census",
     "coalesced_eigenvalues",
+    "coalesced_stack",
     "match_multisets",
 ]
 
@@ -124,7 +138,20 @@ class EigenSystem:
 
 
 def _sort_by_re_im(values: np.ndarray) -> np.ndarray:
+    """Order along the last axis by (real, imaginary) part."""
     return np.lexsort((values.imag, values.real))
+
+
+def _served(row):
+    """One row of a stacked result: its value, or the error refusing it, raised."""
+    if isinstance(row, Exception):
+        raise row
+    return row
+
+
+def _solved_rows(systems) -> list[int]:
+    """Indices of the rows of a stack that are eigensystems, not errors."""
+    return [i for i, es in enumerate(systems) if isinstance(es, EigenSystem)]
 
 
 def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
@@ -137,34 +164,43 @@ def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _eigensystem(values, right, apply, norm_inf, left=None):
-    """Normalise, bound every residual by ``RESIDUAL_TOLERANCE * norm_inf``
-    and form ``biorth = sum(conj(left) * right)``.
+def _eigensystems(values, right, apply, norm_inf, left=None) -> list:
+    """Normalise each row of a stack, bound its residuals by
+    ``RESIDUAL_TOLERANCE * norm_inf`` and form ``biorth = sum(conj(left) *
+    right)``.
 
-    ``apply(x)`` is the matrix times the columns of ``x``; ``left`` is the
+    ``values`` is ``(s, n)``, ``right`` is ``(s, n, n)`` with each row's
+    vectors as columns, and ``norm_inf`` is ``(s,)``.  ``apply(x)`` is each
+    row's matrix times the columns of that row of ``x``; ``left`` is the
     paired ``(vectors, values, apply)`` of the adjoint problem, or ``None``
-    for a complex symmetric matrix: ``A^dag conj(v) = conj(A v)``, so
-    ``left = conj(right)`` with the same residuals.
+    for complex symmetric matrices: ``A^dag conj(v) = conj(A v)``, so ``left
+    = conj(right)`` with the same residuals.  Row ``i`` becomes an
+    :class:`EigenSystem`, or the ``RuntimeError`` naming its worst residual
+    over the bound.
     """
     def unit_and_residuals(vectors, eps, apply):
-        vectors = vectors / np.linalg.norm(vectors, axis=0)
-        return vectors, np.max(np.abs(apply(vectors) - vectors * eps[None, :]), axis=0)
+        vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
+        return vectors, np.abs(apply(vectors) - vectors * eps[:, None, :]).max(axis=-2)
 
     right, residuals = unit_and_residuals(right, values, apply)
     if left is None:
         left, left_residuals = right.conj(), residuals
     else:
         left, left_residuals = unit_and_residuals(*left)
-    bound = RESIDUAL_TOLERANCE * max(norm_inf, 1e-300)
-    for label, res in (("right", residuals), ("left", left_residuals)):
-        if values.size and float(np.max(res)) > bound:
+    biorth = np.einsum("sij,sij->sj", left.conj(), right)
+    peaks = np.maximum(residuals, left_residuals).max(axis=-1, initial=0.0).tolist()
+    rows = []
+    for i, norm in enumerate(norm_inf.tolist()):
+        rows.append(EigenSystem(values[i], right[i], left[i], residuals[i],
+                                left_residuals[i], biorth[i], norm))
+        bound = RESIDUAL_TOLERANCE * max(norm, 1e-300)
+        if peaks[i] > bound:
+            label, res = (("right", residuals[i]) if np.max(residuals[i]) > bound
+                          else ("left", left_residuals[i]))
             worst = int(np.argmax(res))
-            raise RuntimeError(
-                f"{label} eigenpair {worst} residual {res[worst]:.3e} exceeds "
-                f"{bound:.3e}"
-            )
-    biorth = np.einsum("ij,ij->j", left.conj(), right)
-    return EigenSystem(values, right, left, residuals, left_residuals, biorth, norm_inf)
+            rows[i] = RuntimeError(f"{label} eigenpair {worst} residual "
+                                   f"{res[worst]:.3e} exceeds {bound:.3e}")
+    return rows
 
 
 def _real_gauge(a: np.ndarray):
@@ -258,8 +294,9 @@ def eig(a: np.ndarray) -> EigenSystem:
             f"left/right eigenvalue pairing conflict at index {worst} "
             f"(gap {gaps[worst]:.3e})"
         )
-    left = (left[:, assignment], left_values[assignment], adjoint.__matmul__)
-    return _eigensystem(values, right[:, order], a.__matmul__, norm_inf, left)
+    left = (left[None, :, assignment], left_values[None, assignment], adjoint.__matmul__)
+    return _served(_eigensystems(values[None], right[None, :, order], a.__matmul__,
+                                 np.array([norm_inf]), left)[0])
 
 
 def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
@@ -270,18 +307,38 @@ def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     sqrt(2)``, and real levels exactly real.  ``h`` is complex symmetric, so
     ``left = conj(right)``: no second solve and no pairing.  Residuals are
     applied bond by bond (:func:`~.model.apply_ssh`) and bounded as in
-    :func:`eig`.
+    :func:`eig`.  This is the stack of one of :func:`chain_eigensystems`.
     """
-    m = model.build_ssh_real(n, mu, gamma)
+    return _served(chain_eigensystems(n, [mu], [gamma])[0])
+
+
+def chain_eigensystems(n: int, mus, gammas) -> list:
+    """:func:`chain_eigensystem` of a stack of chains of one length, from one
+    ``np.linalg.eig`` call.
+
+    Row ``i`` is the eigensystem of ``build_ssh(n, mus[i], gammas[i])``, or
+    the ``RuntimeError`` that refused it; the other rows are still served.
+    Each row is the same, bit for bit, as when solved alone.
+    """
+    mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
+    m = np.array([model.build_ssh_real(n, mu, gamma) for mu, gamma in zip(mus, gammas)])
     try:
         values, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    order = _sort_by_re_im(values)
-    right = (v[:, order] + 1j * v[::-1, order]) / np.sqrt(2)
-    return _eigensystem(values[order].astype(complex), right,
-                        lambda x: model.apply_ssh(n, mu, gamma, x),
-                        1.0 + max(mu, abs(gamma)))
+    rows, order = np.arange(len(m))[:, None], _sort_by_re_im(values)
+    values = values[rows, order].astype(complex)
+    # sorted level by level, so that each row's vectors are contiguous columns
+    # as after a single solve's v[:, order]: norms and overlaps then sum in
+    # the same order
+    vt = v.transpose(0, 2, 1)[rows, order]
+    right = ((vt + 1j * vt[:, :, ::-1]) / np.sqrt(2)).transpose(0, 2, 1)
+
+    def apply(x):  # sites first for apply_ssh, one chain per stack row
+        hx = model.apply_ssh(n, mus[:, None], gammas[:, None], x.transpose(1, 0, 2))
+        return hx.transpose(1, 0, 2)
+
+    return _eigensystems(values, right, apply, 1.0 + np.maximum(mus, np.abs(gammas)))
 
 
 def pseudo_hermiticity_check(
@@ -342,43 +399,61 @@ def detect_coalescence(es: EigenSystem) -> list[Coalescence]:
     ``EP_TOLERANCE * scale``, whose right eigenvectors are pairwise parallel
     (overlap modulus >= 1 - EP_TOLERANCE), and whose coalesced left/right
     pair has ``|<left|right>| <= EP_TOLERANCE``.  Returns an empty list when
-    no exceptional point is present.
+    no exceptional point is present.  This is the stack of one of the
+    cluster search behind :func:`coalesced_stack`.
     """
-    n = es.dim
-    values = es.eigenvalues
-    close = np.abs(values[:, None] - values[None, :]) <= EP_TOLERANCE * es.scale
-    parallel = np.abs(es.right.conj().T @ es.right) >= 1.0 - EP_TOLERANCE
-    parent = list(range(n))
+    return _cluster_stack([es])[0]
+
+
+def _cluster_stack(systems) -> list[list[Coalescence]]:
+    """:func:`detect_coalescence` of each eigensystem of a stack of one
+    dimension: one Gram product and one batched SVD per cluster size."""
+    if not systems:
+        return []
+    values = np.array([es.eigenvalues for es in systems])
+    right = np.array([es.right for es in systems])
+    left = np.array([es.left for es in systems])
+    scale = np.array([es.scale for es in systems])
+    n = values.shape[1]
+    close = np.abs(values[:, :, None] - values[:, None, :]) <= EP_TOLERANCE * scale[:, None, None]
+    parallel = np.abs(np.swapaxes(right.conj(), 1, 2) @ right) >= 1.0 - EP_TOLERANCE
+    parent = {}
 
     def find(i: int) -> int:
+        parent.setdefault(i, i)
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    rows, cols = np.nonzero(np.triu(close & parallel, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        parent[find(i)] = find(j)
-
+    # levels are numbered row * n + index across the stack
+    pairs = np.nonzero(np.triu(close & parallel, 1))
+    for row, i, j in zip(*(axis.tolist() for axis in pairs)):
+        parent[find(row * n + i)] = find(row * n + j)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for level in sorted(parent):
+        groups.setdefault(find(level), []).append(level)
+    candidates = [(members[0] // n, tuple(m % n for m in members))
+                  for members in groups.values()]
 
-    clusters = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        idx = tuple(sorted(members))
-        u_r, _, _ = np.linalg.svd(es.right[:, idx], full_matrices=False)
-        u_l, _, _ = np.linalg.svd(es.left[:, idx], full_matrices=False)
-        v_coal = _canonical_phase(u_r[:, 0])
-        w_coal = _canonical_phase(u_l[:, 0])
-        biorth = complex(np.vdot(w_coal, v_coal))
-        if abs(biorth) > EP_TOLERANCE:
-            continue
-        centroid = complex(np.mean(es.eigenvalues[list(idx)]))
-        clusters.append(Coalescence(idx, centroid, v_coal, w_coal, biorth))
-    clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
+    # dominant singular vectors and centroids, batched over the candidates
+    # of each size
+    clusters = [[] for _ in systems]
+    for size in sorted({len(idx) for _, idx in candidates}):
+        batch = [(row, idx) for row, idx in candidates if len(idx) == size]
+        rows = np.array([row for row, _ in batch])[:, None]
+        levels = np.array([idx for _, idx in batch])
+        columns = np.concatenate([right[rows, :, levels], left[rows, :, levels]])
+        u = np.linalg.svd(np.swapaxes(columns, 1, 2), full_matrices=False)[0]
+        centroids = np.mean(values[rows, levels], axis=1).tolist()
+        for k, (row, idx) in enumerate(batch):
+            v_coal = _canonical_phase(u[k, :, 0])
+            w_coal = _canonical_phase(u[len(batch) + k, :, 0])
+            biorth = complex(np.vdot(w_coal, v_coal))
+            if abs(biorth) <= EP_TOLERANCE:
+                clusters[row].append(Coalescence(idx, centroids[k], v_coal, w_coal, biorth))
+    for found in clusters:
+        found.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return clusters
 
 
@@ -421,80 +496,101 @@ class ModeCensus:
             )
 
 
-def _certify_zero_mode(n: int, mu: float, gamma: float) -> complex:
-    """``<eta|psi> = psi^T psi`` of the closed-form zero mode, once certified.
+#: Mode classes by the codes of :func:`_classify_levels`.
+_MODE_CLASSES = (ModeClass.REAL_SCATTERING, ModeClass.ZERO_COALESCING,
+                 ModeClass.IMAGINARY_EVANESCENT)
+_REAL, _ZERO, _IMAGINARY = range(3)
 
-    ``h = build_ssh(n, mu, gamma)`` is complex symmetric, so ``eta =
-    conj(psi)``; ``h psi`` is applied bond by bond (:func:`~.model.apply_ssh`).
-    Raises ``RuntimeError`` when ``|h psi|_inf`` exceeds ``RESIDUAL_TOLERANCE
-    * |h|_inf`` or ``|psi^T psi|`` exceeds ``EP_TOLERANCE``.
+
+def _certify_zero_mode(n: int, mus, gammas) -> list:
+    """``<eta|psi> = psi^T psi`` of the closed-form zero mode of each chain
+    ``build_ssh(n, mus[i], gammas[i])``, once certified.
+
+    ``h`` is complex symmetric, so ``eta = conj(psi)``; ``h psi`` is applied
+    bond by bond (:func:`~.model.apply_ssh`), to all the chains at once.
+    Row ``i`` is a ``RuntimeError`` when ``|h psi|_inf`` exceeds
+    ``RESIDUAL_TOLERANCE * |h|_inf`` or ``|psi^T psi|`` exceeds
+    ``EP_TOLERANCE``.
     """
-    psi = bethe.zero_mode_amplitudes(n, mu)
-    residual = float(np.max(np.abs(model.apply_ssh(n, mu, gamma, psi))))
-    bound = RESIDUAL_TOLERANCE * (1.0 + max(mu, abs(gamma)))
-    if residual > bound:
-        raise RuntimeError(f"closed-form zero mode residual {residual:.3e} exceeds "
-                           f"{bound:.3e}")
-    biorth = complex(psi @ psi)
-    if abs(biorth) > EP_TOLERANCE:
-        raise RuntimeError(f"closed-form zero mode <eta|psi> {abs(biorth):.3e} exceeds "
-                           f"{EP_TOLERANCE:.3e}")
-    return biorth
+    if not len(mus):
+        return []
+    mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
+    psis = [bethe.zero_mode_amplitudes(n, mu) for mu in mus]
+    residuals = np.abs(model.apply_ssh(n, mus, gammas, np.array(psis).T)).max(axis=0)
+    rows = []
+    for psi, residual, mu, gamma in zip(psis, residuals.tolist(), mus.tolist(), gammas.tolist()):
+        bound = RESIDUAL_TOLERANCE * (1.0 + max(mu, abs(gamma)))
+        biorth = complex(psi @ psi)
+        if residual > bound:
+            rows.append(RuntimeError(f"closed-form zero mode residual {residual:.3e} "
+                                     f"exceeds {bound:.3e}"))
+        elif abs(biorth) > EP_TOLERANCE:
+            rows.append(RuntimeError(f"closed-form zero mode <eta|psi> {abs(biorth):.3e} "
+                                     f"exceeds {EP_TOLERANCE:.3e}"))
+        else:
+            rows.append(biorth)
+    return rows
 
 
-def _classify_levels(values, mu: float, gamma: float):
-    """Mode class of each eigenvalue of ``build_ssh(len(values), mu, gamma)``.
+def _classify_levels(values, mus, gammas) -> list:
+    """Mode class of each level of each row of ``values``, the eigenvalues of
+    ``build_ssh(n, mus[i], gammas[i])``.
 
-    Returns ``(classes, pair, biorth)``: ``pair`` holds the indices of the
-    coalescing levels and ``biorth`` their closed-form ``<eta|psi>``, both
-    ``None`` off the locus.  The classes follow the rules of
-    :func:`classify_modes`.
+    Row ``i`` becomes ``(codes, pair, biorth)`` or the
+    :class:`ClassificationError` or ``RuntimeError`` that refused it.
+    ``codes`` indexes ``_MODE_CLASSES`` level by level; ``pair`` holds the
+    indices of the coalescing levels and ``biorth`` their closed-form
+    ``<eta|psi>``, both ``None`` off the locus.  The classes follow the
+    rules of :func:`classify_modes`.
     """
     values = np.asarray(values, dtype=complex)
+    n = values.shape[1]
     magnitudes = np.abs(values)
-    scale = float(np.max(magnitudes)) if values.size else 0.0
-    scale = scale if scale > 0 else 1.0
-    threshold = CLASS_TOLERANCE * scale
-    pair = biorth = None
-    if model.on_locus(mu, values.size, gamma):
-        first, second, third = np.argsort(magnitudes, kind="stable")[:3]
-        if magnitudes[third] <= PAIR_SEPARATION * magnitudes[second]:
-            raise ClassificationError(
-                f"no isolated zero pair: the third smallest |eps|, "
-                f"{magnitudes[third]:.3e}, is under {PAIR_SEPARATION:g} times the "
-                f"second, {magnitudes[second]:.3e}"
-            )
-        if magnitudes[second] > EP_TOLERANCE * scale:
-            raise ClassificationError(
-                f"zero pair |eps| {magnitudes[second]:.3e} exceeds the "
-                f"exceptional-point width {EP_TOLERANCE * scale:.3e}"
-            )
-        biorth = _certify_zero_mode(values.size, mu, gamma)
-        pair = tuple(sorted((int(first), int(second))))
-
-    classes = []
-    for i, value in enumerate(values):
-        if pair and i in pair:
-            classes.append(ModeClass.ZERO_COALESCING)
-        elif abs(value.imag) <= threshold:
-            classes.append(ModeClass.REAL_SCATTERING)
-        elif abs(value.real) <= threshold:
-            classes.append(ModeClass.IMAGINARY_EVANESCENT)
+    scales = [s if s > 0 else 1.0 for s in magnitudes.max(axis=1, initial=0.0).tolist()]
+    threshold = CLASS_TOLERANCE * np.array(scales)[:, None]
+    codes = np.where(np.abs(values.imag) <= threshold, _REAL,
+                     np.where(np.abs(values.real) <= threshold, _IMAGINARY, -1))
+    nearest = np.argsort(magnitudes, axis=1, kind="stable")[:, :3]
+    smallest = magnitudes[np.arange(len(values))[:, None], nearest].tolist()
+    rows = [None] * len(values)
+    pairs = {}
+    for i, (mu, gamma, scale) in enumerate(zip(mus, gammas, scales)):
+        if not model.on_locus(mu, n, gamma):
+            continue
+        _, second, third = smallest[i]
+        if third <= PAIR_SEPARATION * second:
+            rows[i] = ClassificationError(
+                f"no isolated zero pair: the third smallest |eps|, {third:.3e}, "
+                f"is under {PAIR_SEPARATION:g} times the second, {second:.3e}")
+        elif second > EP_TOLERANCE * scale:
+            rows[i] = ClassificationError(
+                f"zero pair |eps| {second:.3e} exceeds the exceptional-point "
+                f"width {EP_TOLERANCE * scale:.3e}")
         else:
-            raise ClassificationError(
-                f"eigenvalue {complex(value)} is neither real nor imaginary at "
-                f"threshold {threshold:.3e}; off the coalescence locus"
-            )
-    return classes, pair, biorth
+            pairs[i] = tuple(sorted(nearest[i, :2].tolist()))
+    certified = _certify_zero_mode(n, [mus[i] for i in pairs], [gammas[i] for i in pairs])
+    biorths = {}
+    for (i, pair), biorth in zip(pairs.items(), certified):
+        if isinstance(biorth, Exception):
+            rows[i] = biorth
+        else:
+            codes[i, list(pair)] = _ZERO
+            biorths[i] = biorth
+    unclassified = (codes < 0).any(axis=1).tolist()
+    for i, row in enumerate(rows):
+        if row is None and unclassified[i]:
+            value = complex(values[i, np.argmax(codes[i] < 0)])
+            rows[i] = ClassificationError(
+                f"eigenvalue {value} is neither real nor imaginary at threshold "
+                f"{threshold[i, 0]:.3e}; off the coalescence locus")
+        elif row is None:
+            rows[i] = (codes[i], pairs.get(i), biorths.get(i))
+    return rows
 
 
-def _census(classes) -> ModeCensus:
-    return ModeCensus(
-        n_I=classes.count(ModeClass.IMAGINARY_EVANESCENT),
-        n_EP=classes.count(ModeClass.ZERO_COALESCING) // 2,
-        n_S=classes.count(ModeClass.REAL_SCATTERING),
-        n=len(classes),
-    )
+def _census(codes) -> ModeCensus:
+    n_s, n_zero, n_i = np.bincount(codes, minlength=3).tolist()
+    return ModeCensus(n_I=n_i, n_EP=n_zero // 2, n_S=n_s, n=len(codes))
 
 
 def classify_modes(
@@ -515,15 +611,42 @@ def classify_modes(
 
     The pair's records carry its centroid and the closed-form
     ``<eta|psi>``; the others carry the raw eigenvalue and its overlap.
+    This is the stack of one of :func:`classify_stack`.
     """
-    classes, pair, biorth = _classify_levels(es.eigenvalues, mu, gamma)
+    return _served(classify_stack([es], [mu], [gamma])[0])
+
+
+def classify_stack(systems, mus, gammas) -> list:
+    """:func:`classify_modes` of each row of a stack of eigensystems of one
+    dimension, ``systems[i]`` of ``build_ssh(n, mus[i], gammas[i])``.
+
+    Row ``i`` is ``(records, census)``, or the :class:`ClassificationError`
+    or ``RuntimeError`` that refused it; the other rows are still served.
+    A row of ``systems`` that is an error (see :func:`chain_eigensystems`)
+    stays that error.
+    """
+    rows = list(systems)
+    solved = _solved_rows(systems)
+    if not solved:
+        return rows
+    levels = _classify_levels(np.array([systems[i].eigenvalues for i in solved]),
+                              [mus[i] for i in solved], [gammas[i] for i in solved])
+    for i, level in zip(solved, levels):
+        rows[i] = level if isinstance(level, Exception) else _records(systems[i], *level)
+    return rows
+
+
+def _records(es: EigenSystem, codes, pair, biorth):
     centroid = complex(np.mean(es.eigenvalues[list(pair)])) if pair else None
     records = [
         ModeRecord(i, centroid, mode, biorth) if mode is ModeClass.ZERO_COALESCING
-        else ModeRecord(i, complex(value), mode, complex(es.biorth_norms[i]))
-        for i, (value, mode) in enumerate(zip(es.eigenvalues, classes))
+        else ModeRecord(i, value, mode, overlap)
+        for i, (value, mode, overlap) in enumerate(zip(
+            np.asarray(es.eigenvalues, dtype=complex).tolist(),
+            [_MODE_CLASSES[c] for c in codes.tolist()],
+            np.asarray(es.biorth_norms, dtype=complex).tolist()))
     ]
-    return records, _census(classes)
+    return records, _census(codes)
 
 
 def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
@@ -533,7 +656,8 @@ def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
     :func:`~.model.build_ssh_real`, classified as in :func:`classify_modes`.
     """
     values = np.linalg.eigvals(model.build_ssh_real(n, mu, gamma))
-    return _census(_classify_levels(values, mu, gamma)[0])
+    codes, _, _ = _served(_classify_levels(values[None], [mu], [gamma])[0])
+    return _census(codes)
 
 
 def coalesced_eigenvalues(es: EigenSystem) -> np.ndarray:
@@ -543,8 +667,26 @@ def coalesced_eigenvalues(es: EigenSystem) -> np.ndarray:
     sqrt(machine epsilon); the centroid cancels its leading term and is the
     right quantity to compare against analytic spectra.
     """
+    return _coalesced(es, detect_coalescence(es))
+
+
+def coalesced_stack(systems) -> list:
+    """:func:`coalesced_eigenvalues` of each row of a stack of eigensystems of
+    one dimension, from one cluster search over the stack.
+
+    A row of ``systems`` that is an error (see :func:`chain_eigensystems`)
+    stays that error.
+    """
+    rows = list(systems)
+    solved = _solved_rows(systems)
+    for i, clusters in zip(solved, _cluster_stack([systems[i] for i in solved])):
+        rows[i] = _coalesced(systems[i], clusters)
+    return rows
+
+
+def _coalesced(es: EigenSystem, clusters) -> np.ndarray:
     values = es.eigenvalues.copy()
-    for cluster in detect_coalescence(es):
+    for cluster in clusters:
         for i in cluster.indices:
             values[i] = cluster.eigenvalue
     return values

@@ -8,9 +8,11 @@ criteria, whose budget times a real solve, and the rings are solved outside
 it.  The numerical bounds are the fixed constants of :mod:`.spectral`.
 The six-site chains have fully explicit spectra and eigenvectors, the
 censuses and closed forms are checked across the desk-scale grid
-(n up to 30, matrices up to 60 x 60), and dense eigensolves (one real solve
-per grid chain, :func:`~.spectral.chain_eigensystem`) serve as the
-independent oracle for everything the closed forms claim.
+(n up to 30, matrices up to 60 x 60), and dense eigensolves serve as the
+independent oracle for everything the closed forms claim.  The grid is
+filled one chain length at a time: the six couplings of a length are
+solved in one stacked real solve (:func:`~.spectral.chain_eigensystems`),
+then classified and coalesced together, each chain exactly as if alone.
 
 The census classifies eigenvalues alone and takes its coalescing pair from
 the spectral gap and the closed-form zero mode; ``mode-census`` also asks
@@ -25,7 +27,6 @@ error, and the centroid cancels that split's leading term.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -275,30 +276,43 @@ def common_part(solved):
 
 
 class _GridChain:
-    """Chain ``h`` at ``(n, mu, gamma_ep)``, its eigensystem ``es``, and its
-    ``classify_modes`` and ``coalesced_eigenvalues`` results, each made on
-    first use; a failure is not kept and fails each criterion that reads it.
+    """Chain ``h`` at ``(n, mu, gamma)``, its eigensystem ``es``, and its
+    ``classify_modes`` and ``coalesced_eigenvalues`` results ``modes`` and
+    ``coalesced``, as one row of the stacked pass of :func:`_grid_chain`.
+
+    A part that the pass refused for this chain is kept as its error and
+    raised on each read, so it fails each criterion that reads it, and only
+    those; the other chains of the pass are served.
     """
 
-    def __init__(self, n, mu):
+    def __init__(self, n, mu, gamma, es, modes, coalesced):
         self.mu = mu
-        self.gamma = model.gamma_ep(mu, n)
-        self.h = model.build_ssh(n, mu, self.gamma)
-        self.es = spectral.chain_eigensystem(n, mu, self.gamma)
+        self.gamma = gamma
+        self.h = model.build_ssh(n, mu, gamma)
+        self._rows = es, modes, coalesced
 
-    @functools.cached_property
-    def modes(self):
-        return spectral.classify_modes(self.es, self.mu, self.gamma)
-
-    @functools.cached_property
-    def coalesced(self):
-        return spectral.coalesced_eigenvalues(self.es)
+    es = property(lambda self: spectral._served(self._rows[0]))
+    modes = property(lambda self: spectral._served(self._rows[1]))
+    coalesced = property(lambda self: spectral._served(self._rows[2]))
 
 
 def _grid_chain(n, mu, solved):
-    """The run's record at ``(n, mu)``; ``solved`` is keyed on ``(n, mu)``."""
+    """The run's record at ``(n, mu)``; ``solved`` is keyed on ``(n, mu)``.
+
+    A miss solves, classifies and coalesces the chains of length ``n`` at
+    every grid coupling not yet in ``solved``, and at ``mu``, in one stacked
+    pass at ``gamma_ep``: :func:`~.spectral.chain_eigensystems`,
+    :func:`~.spectral.classify_stack` and :func:`~.spectral.coalesced_stack`.
+    """
     if (n, mu) not in solved:
-        solved[n, mu] = _GridChain(n, mu)
+        mus = [m for m in dict.fromkeys(GRID_MU_TOPO + GRID_MU_TRIV + [mu])
+               if (n, m) not in solved]
+        gammas = [model.gamma_ep(m, n) for m in mus]
+        systems = spectral.chain_eigensystems(n, mus, gammas)
+        rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas),
+                   spectral.coalesced_stack(systems))
+        for m, gamma, *parts in rows:
+            solved[n, m] = _GridChain(n, m, gamma, *parts)
     return solved[n, mu]
 
 
@@ -308,7 +322,7 @@ def scattering_gap_bound(solved):
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
             records, _ = _grid_chain(n, mu, solved).modes
-            if not analysis.gap_bound_check(records, mu, tolerance=1e-10):
+            if not analysis.gap_bound_check(records, mu):
                 failures.append((n, mu))
     detail = (f"all scattering levels inside |1-mu| <= |eps| <= 1+mu over "
               f"{len(GRID_N) * 6} grid points")
@@ -326,7 +340,7 @@ def pseudo_hermiticity_pt(solved):
             chain = _grid_chain(n, mu, solved)
             worst_pt = max(worst_pt, model.pt_deviation(chain.h))
             ok, unmatched = spectral.pseudo_hermiticity_check(
-                chain.coalesced, 1e-8 * chain.es.scale)
+                chain.coalesced, spectral.CLASS_TOLERANCE * chain.es.scale)
             if not ok:
                 unmatched_points.append((n, mu, unmatched))
     checks = [

@@ -47,7 +47,8 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
     def no_repeat(*args, **kwargs):
         raise AssertionError("grid point built, solved or analysed twice")
 
-    for name in ("eig", "classify_modes", "coalesced_eigenvalues"):
+    for name in ("eig", "chain_eigensystem", "chain_eigensystems", "classify_modes",
+                 "classify_stack", "coalesced_eigenvalues", "coalesced_stack"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
     gap = verify.scattering_gap_bound(solved)
@@ -58,39 +59,51 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
 
 
 def test_suite_solves_the_shared_grid_once(monkeypatch):
-    solved = []
+    # one miss per chain length, each filling that length's six grid points
+    misses = []
     original = verify._grid_chain
 
     def counted(n, mu, shared):
         if (n, mu) not in shared:
-            solved.append((n, mu))
+            before = set(shared)
+            chain = original(n, mu, shared)
+            misses.append((n, set(shared) - before))
+            return chain
         return original(n, mu, shared)
 
     monkeypatch.setattr(verify, "_grid_chain", counted)
     results = verify.run_criteria()
     assert all(r.passed for r in results)
-    assert len(solved) == len(set(solved)) == len(verify.GRID_N) * 6
+    assert sorted(n for n, _ in misses) == verify.GRID_N
+    mus = set(verify.GRID_MU_TOPO + verify.GRID_MU_TRIV)
+    assert all(added == {(n, mu) for mu in mus} for n, added in misses)
+    points = [point for _, added in misses for point in added]
+    assert len(points) == len(set(points)) == len(verify.GRID_N) * 6
 
 
 def test_suite_solves_each_distinct_matrix_once(monkeypatch):
     solved = []
+    stacks = []
     original_eig = verify.spectral.eig
-    original_chain = verify.spectral.chain_eigensystem
+    original_chains = verify.spectral.chain_eigensystems
 
     def counted_eig(h, *args, **kwargs):
         solved.append(("eig", h.tobytes()))
         return original_eig(h, *args, **kwargs)
 
-    def counted_chain(n, mu, gamma, *args, **kwargs):
-        solved.append(("chain", verify.model.build_ssh(n, mu, gamma).tobytes()))
-        return original_chain(n, mu, gamma, *args, **kwargs)
+    def counted_chains(n, mus, gammas, *args, **kwargs):
+        stacks.append(n)
+        solved.extend(("chain", verify.model.build_ssh(n, mu, gamma).tobytes())
+                      for mu, gamma in zip(mus, gammas))
+        return original_chains(n, mus, gammas, *args, **kwargs)
 
     monkeypatch.setattr(verify.spectral, "eig", counted_eig)
-    monkeypatch.setattr(verify.spectral, "chain_eigensystem", counted_chain)
+    monkeypatch.setattr(verify.spectral, "chain_eigensystems", counted_chains)
     verify.run_criteria()
-    # 78 grid chains from one real solve each; 6 rings and the two timed
-    # six-site solves through the general eig, whose chains are the grid
-    # points (6, 2.0) and (6, 0.5)
+    # 78 grid chains from one stacked real solve per length; 6 rings and the
+    # two timed six-site solves through the general eig, whose chains are the
+    # grid points (6, 2.0) and (6, 0.5)
+    assert sorted(stacks) == verify.GRID_N
     paths = Counter(path for path, _ in solved)
     assert paths == {"chain": 78, "eig": 8}
     counts = Counter(h for _, h in solved)
@@ -113,26 +126,33 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
 
 def test_suite_analyses_each_chain_once(monkeypatch):
     calls = Counter()
+    rows = Counter()
+    stacked = {"chain_eigensystems": 1, "classify_stack": 0, "coalesced_stack": 0}
     for module, name in [
         (verify.spectral, "eig"), (verify.spectral, "chain_eigensystem"),
-        (verify.spectral, "classify_modes"),
-        (verify.spectral, "coalesced_eigenvalues"), (verify.spectral, "detect_coalescence"),
+        (verify.spectral, "chain_eigensystems"),
+        (verify.spectral, "classify_modes"), (verify.spectral, "classify_stack"),
+        (verify.spectral, "coalesced_eigenvalues"), (verify.spectral, "coalesced_stack"),
+        (verify.spectral, "detect_coalescence"),
         (verify.bethe, "solve_evanescent_pair"),
     ]:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
+            if _name in stacked:
+                rows[_name] += len(args[stacked[_name]])
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
-    # 78 grid chains from one real solve each, 6 rings and the two six-site
-    # chains through eig; the evanescent pair is solved once per closed-form
-    # chain at mu = 0.5.  Classification reads eigenvalues only, so
-    # detect_coalescence serves the coalesced spectra (86) and the two timed
-    # six-site solves
-    assert calls == {"chain_eigensystem": 78, "eig": 8, "classify_modes": 78,
-                     "coalesced_eigenvalues": 86, "detect_coalescence": 88,
+    # 78 grid chains in one stacked pass per length (13), each chain solved,
+    # classified and coalesced once; 6 rings and the two six-site chains
+    # through eig; the evanescent pair is solved once per closed-form chain
+    # at mu = 0.5.  detect_coalescence serves the coalesced ring and
+    # six-site spectra (8) and the two timed six-site solves
+    assert calls == {"chain_eigensystems": 13, "classify_stack": 13, "coalesced_stack": 13,
+                     "eig": 8, "coalesced_eigenvalues": 8, "detect_coalescence": 10,
                      "solve_evanescent_pair": 5}
+    assert rows == {name: 78 for name in stacked}
 
 
 def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatch):
@@ -145,8 +165,24 @@ def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatc
                for r in results if not r.passed)
 
 
+def test_a_refused_grid_chain_fails_alone(monkeypatch):
+    # at n = 6 the third level nearest zero lies 1.7e7 times farther out than
+    # the pair at mu = 0.8, and over 1e8 times at the other grid couplings
+    monkeypatch.setattr(verify.spectral, "PAIR_SEPARATION", 5e7)
+    solved = {}
+    refused = verify._grid_chain(6, 0.8, solved)
+    for _ in range(2):
+        with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
+            refused.modes
+    assert refused.es.dim == 6 and len(refused.coalesced) == 6
+    for mu in verify.GRID_MU_TOPO + [0.3, 0.5]:
+        _, census = solved[6, mu].modes
+        assert census.n_EP == 1
+
+
 def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
-    monkeypatch.setattr(verify.spectral, "detect_coalescence", lambda es: [])
+    monkeypatch.setattr(verify.spectral, "coalesced_stack",
+                        lambda systems: [es.eigenvalues for es in systems])
     result = verify.mode_census({})
     assert not result.passed
     assert "(n=6, mu=1.5): eigenvectors coalesce levels [], not the pair [" in result.detail

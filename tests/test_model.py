@@ -162,6 +162,15 @@ class TestApplySsh:
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
             apply_ssh(5, 2.0, 0.1, np.ones(5))
+        with pytest.raises(ValueError):
+            apply_ssh(6, np.array([2.0, -1.0]), np.array([0.1, 0.1]), np.ones((6, 2)))
+
+    def test_each_column_takes_its_own_chain(self):
+        n, mus, gammas = 8, np.array([2.0, 0.5, 1.0]), np.array([0.125, 8.0, 0.0])
+        v = np.random.default_rng(1).normal(size=(n, 3, 4)) * (1 + 1j)
+        stacked = apply_ssh(n, mus[:, None], gammas[:, None], v)
+        for i, (mu, gamma) in enumerate(zip(mus, gammas)):
+            assert np.array_equal(stacked[:, i], apply_ssh(n, mu, gamma, v[:, i]))
 
 
 class TestModelParams:
@@ -303,3 +312,11 @@ class TestHelpers:
         flipped = s[:, None] * build_ssh(n, mu, gamma) * s[None, :]
         assert flipped[1, 2] == -mu and flipped[0, 1] == 1.0
         assert flipped[0, 0] == 1j * gamma
+
+    def test_pt_deviation_is_the_dense_parity_product(self):
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        p = parity_matrix(9)
+        dense = float(np.max(np.abs(p @ h.conj() @ p - h)))
+        assert dense > 0
+        assert pt_deviation(h) == dense

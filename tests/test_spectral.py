@@ -8,18 +8,25 @@ from majorana_pt import (
     EigenSystem,
     ModelParams,
     ModeClass,
+    apply_ssh,
     build_majorana_ring,
     build_ssh,
+    build_ssh_real,
     chain_census,
     chain_eigensystem,
+    chain_eigensystems,
     classify_modes,
+    classify_stack,
     coalesced_eigenvalues,
+    coalesced_stack,
     detect_coalescence,
     eig,
     gamma_ep,
     match_multisets,
+    on_locus,
     parity_matrix,
     pseudo_hermiticity_check,
+    zero_mode_amplitudes,
 )
 from majorana_pt import spectral
 from majorana_pt.model import MAX_DIM
@@ -434,6 +441,126 @@ class TestChainEigensystem:
         for args in [(5, 2.0, 0.25), (6, -1.0, 0.25), (6, 2.0, np.inf)]:
             with pytest.raises(ValueError):
                 chain_eigensystem(*args)
+
+
+def _single_chain_reference(n, mu, gamma):
+    """Reference: the former single-chain pipeline, as ``(es, modes,
+    coalesced)``.
+
+    One real solve of one chain, a per-level class loop with the closed-form
+    certificate of one zero mode, and the two-loop cluster search; ``modes``
+    is ``(records, census)`` or the error that refused them.
+    """
+    values, v = np.linalg.eig(build_ssh_real(n, mu, gamma))
+    order = np.lexsort((values.imag, values.real))
+    values = values[order].astype(complex)
+    right = (v[:, order] + 1j * v[::-1, order]) / np.sqrt(2)
+    right = right / np.linalg.norm(right, axis=0)
+    residuals = np.max(np.abs(apply_ssh(n, mu, gamma, right) - right * values[None, :]), axis=0)
+    left = right.conj()
+    es = EigenSystem(values, right, left, residuals, residuals,
+                     np.einsum("ij,ij->j", left.conj(), right), 1.0 + max(mu, abs(gamma)))
+    coalesced = values.copy()
+    for idx, centroid, *_ in _double_loop_coalescence(es):
+        coalesced[list(idx)] = centroid
+    magnitudes = np.abs(values)
+    scale = float(np.max(magnitudes))
+    threshold = CLASS_TOLERANCE * scale
+    pair = biorth = None
+    if on_locus(mu, n, gamma):
+        first, second, third = np.argsort(magnitudes, kind="stable")[:3]
+        if (magnitudes[third] <= spectral.PAIR_SEPARATION * magnitudes[second]
+                or magnitudes[second] > EP_TOLERANCE * scale):
+            return es, ClassificationError, coalesced
+        psi = zero_mode_amplitudes(n, mu)
+        assert np.max(np.abs(apply_ssh(n, mu, gamma, psi))) <= RESIDUAL_TOLERANCE * es.norm_inf
+        biorth = complex(psi @ psi)
+        pair = tuple(sorted((int(first), int(second))))
+    records = []
+    for i, value in enumerate(values):
+        if pair and i in pair:
+            records.append((i, complex(np.mean(values[list(pair)])), ModeClass.ZERO_COALESCING,
+                            biorth))
+        elif abs(value.imag) <= threshold:
+            records.append((i, complex(value), ModeClass.REAL_SCATTERING, es.biorth_norms[i]))
+        elif abs(value.real) <= threshold:
+            records.append((i, complex(value), ModeClass.IMAGINARY_EVANESCENT,
+                            es.biorth_norms[i]))
+        else:
+            return es, ClassificationError, coalesced
+    return es, records, coalesced
+
+
+def _bits(*arrays):
+    return [(np.asarray(a).dtype, np.asarray(a).shape, np.asarray(a).tobytes()) for a in arrays]
+
+
+class TestStackedChains:
+    """The stacked chain pipeline against the former single-chain one, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(n, mu, gamma, es, modes, coalesced):
+        ref, ref_modes, ref_coalesced = _single_chain_reference(n, mu, gamma)
+        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(ref, f) for f in fields))
+        assert es.norm_inf == ref.norm_inf
+        assert _bits(coalesced) == _bits(ref_coalesced)
+        if ref_modes is ClassificationError:
+            assert isinstance(modes, ClassificationError)
+            return
+        records, census = modes
+        assert [(r.index, r.eigenvalue, r.mode_class, r.biorth_norm) for r in records] == ref_modes
+        classes = [r.mode_class for r in records]
+        assert census == spectral.ModeCensus(
+            classes.count(ModeClass.IMAGINARY_EVANESCENT),
+            classes.count(ModeClass.ZERO_COALESCING) // 2,
+            classes.count(ModeClass.REAL_SCATTERING), n)
+
+    def test_stack_matches_single_chains_on_verify_grid(self):
+        mus = GRID_MU_TOPO + GRID_MU_TRIV
+        for n in GRID_N:
+            gammas = [gamma_ep(mu, n) for mu in mus]
+            systems = chain_eigensystems(n, mus, gammas)
+            rows = zip(mus, gammas, systems, classify_stack(systems, mus, gammas),
+                       coalesced_stack(systems))
+            for row in rows:
+                self._assert_matches_reference(n, *row)
+
+    @pytest.mark.parametrize("n,mu,locus_fraction", [
+        (6, 2.0, 1.0), (14, 0.5, 1.0), (30, 0.3, 1.0), (66, 1.1, 1.0), (104, 0.8, 1.0),
+        (14, 0.8, 0.3), (6, 0.5, 0.2),
+    ])
+    def test_stack_of_one_matches_the_single_chain(self, n, mu, locus_fraction):
+        gamma = gamma_ep(mu, n) * locus_fraction
+        es = chain_eigensystem(n, mu, gamma)
+        try:
+            modes = classify_modes(es, mu, gamma)
+        except ClassificationError as exc:
+            modes = exc
+        self._assert_matches_reference(n, mu, gamma, es, modes, coalesced_eigenvalues(es))
+
+    def test_refused_row_leaves_the_others_served(self):
+        # gamma = 0.8 at mu = 0.5 is off the locus (4.0) with PT broken
+        mus, gammas = [2.0, 0.5, 0.5], [0.25, 0.8, 4.0]
+        systems = chain_eigensystems(6, mus, gammas)
+        rows = classify_stack(systems, mus, gammas)
+        assert isinstance(rows[1], ClassificationError)
+        with pytest.raises(ClassificationError) as alone:
+            classify_modes(chain_eigensystem(6, 0.5, 0.8), 0.5, 0.8)
+        assert str(rows[1]) == str(alone.value)
+        assert "neither real nor imaginary" in str(rows[1])
+        for row, mu, gamma in [(rows[0], 2.0, 0.25), (rows[2], 0.5, 4.0)]:
+            assert row[1] == classify_modes(chain_eigensystem(6, mu, gamma), mu, gamma)[1]
+        assert all(isinstance(c, np.ndarray) for c in coalesced_stack(systems))
+
+    def test_refused_solves_pass_through_the_stack(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOLERANCE", 1e-30)
+        mus, gammas = [2.0, 0.5], [0.25, 4.0]
+        systems = chain_eigensystems(6, mus, gammas)
+        assert all(isinstance(es, RuntimeError) and "right eigenpair" in str(es)
+                   for es in systems)
+        assert classify_stack(systems, mus, gammas) == systems
+        assert coalesced_stack(systems) == systems
 
 
 class TestPseudoHermiticity:
