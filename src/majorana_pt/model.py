@@ -315,21 +315,29 @@ def build_block_transform(n: int) -> np.ndarray:
     ``V.conj().T @ V == BLOCK_GRAM * identity``; the transform is stored as
     defined (not rescaled to a unitary).
     """
-    _require_even_sites(n)
-    dim = 2 * n
-    v = np.zeros((dim, dim), dtype=complex)
-    a = np.exp(-1j * np.pi / 4) / 2
-    b = np.exp(+1j * np.pi / 4) / 2
-    for block, sigma in enumerate((1, -1)):
-        offset = block * n
-        for l in range(1, n // 2 + 1):
-            col = offset + 2 * l - 2
-            v[(2 * l - 1) % dim, col] += a
-            v[(2 * n + 3 - 2 * l - 1) % dim, col] += 1j * sigma * a
-            col = offset + 2 * l - 1
-            v[(2 * l + 1 - 1) % dim, col] += b
-            v[(2 * n + 2 - 2 * l - 1) % dim, col] += -1j * sigma * b
+    rows, coefficients = _block_transform_entries(n)
+    v = np.zeros((2 * n, 2 * n), dtype=complex)
+    v[rows, np.arange(2 * n)] = coefficients
     return v
+
+
+def _block_transform_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two nonzeros of each column of :func:`build_block_transform`.
+
+    Returns ``(rows, coefficients)``, each ``(2, 2n)``: column ``c`` is
+    ``coefficients[0, c] |rows[0, c]> + coefficients[1, c] |rows[1, c]>``.
+    In 0-based labels, column ``k`` of either block holds rows ``k + 1`` and
+    ``2n - k`` modulo ``2n``, weighted ``(a, i sigma a)`` for even ``k`` and
+    ``(b, -i sigma b)`` for odd ``k``, with ``a = exp(-i pi/4) / 2`` and
+    ``b = exp(+i pi/4) / 2``.
+    """
+    _require_even_sites(n)
+    k = np.arange(2 * n) % n
+    rows = np.array([k + 1, (2 * n - k) % (2 * n)])
+    odd = k % 2 == 1
+    first = np.where(odd, np.exp(+1j * np.pi / 4) / 2, np.exp(-1j * np.pi / 4) / 2)
+    sigma = np.repeat([1, -1], n)
+    return rows, np.array([first, 1j * np.where(odd, -sigma, sigma) * first])
 
 
 @dataclass(frozen=True)
@@ -355,16 +363,19 @@ def decompose_blocks(h: np.ndarray, n: int) -> BlockDecomposition:
     """Split a PT-configured Majorana ring matrix into its two SSH blocks.
 
     Conjugates ``h`` by :func:`build_block_transform`, whose inverse is
-    ``V^dag / BLOCK_GRAM``, and returns the two diagonal blocks.  Raises if
-    the off-diagonal blocks do not vanish or the blocks are not conjugate
-    transposes of each other, which signals an input not built in the PT
-    configuration at ``delta == t``.
+    ``V^dag / BLOCK_GRAM``, and returns the two diagonal blocks.  ``V`` has
+    two nonzeros per column, so both products are gathers of two rows or
+    columns, O(n^2) in all.  Raises if the off-diagonal blocks do not vanish
+    or the blocks are not conjugate transposes of each other, which signals
+    an input not built in the PT configuration at ``delta == t``.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (2 * n, 2 * n):
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix, got {h.shape}")
-    v = build_block_transform(n)
-    ht = (v.conj().T / BLOCK_GRAM) @ h @ v
+    rows, coefficients = _block_transform_entries(n)
+    hv = h[:, rows[0]] * coefficients[0] + h[:, rows[1]] * coefficients[1]
+    ht = (coefficients[0, :, None].conj() * hv[rows[0]]
+          + coefficients[1, :, None].conj() * hv[rows[1]]) / BLOCK_GRAM
     scale = max(float(np.max(np.abs(h))), 1e-300)
     leakage = float(max(np.max(np.abs(ht[:n, n:])), np.max(np.abs(ht[n:, :n]))))
     if leakage > 1e-10 * scale:

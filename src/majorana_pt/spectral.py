@@ -4,9 +4,10 @@
 right eigenvector with a left eigenvector of the conjugate-transpose
 problem, verifies residuals, and reports the biorthogonal overlaps
 ``<w_i|v_i>`` whose vanishing signals an exceptional point.  When a diagonal
-gauge of unit phases makes the matrix exactly real, as for the Majorana
-ring, it solves the real matrix and its transpose and maps both vector sets
-back; residuals and overlaps are still taken against the original matrix.
+gauge of unit phases makes the matrix exactly real and sign symmetric, as
+for the Majorana ring, it solves the real matrix once: the sign symmetry
+``r^T = J r J`` gives the left vectors as ``D J conj(x)`` of the right ones
+``D x``.  Residuals and overlaps are still taken against the original matrix.
 :func:`chain_eigensystem` keeps that contract for the complex symmetric SSH
 chain with one real solve: ``left = conj(right)``, with equal residuals, and
 the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
@@ -102,10 +103,12 @@ class EigenSystem:
     eigenvalues : np.ndarray
         Sorted ascending by (real, imaginary) part.
     right, left : np.ndarray
-        Unit-norm eigenvector columns.  From :func:`eig` the left vectors
-        come from a second solve, of the conjugate transpose; ``left[:, i]``
-        is the one whose eigenvalue is paired greedily, by nearest distance,
-        with ``conj(eigenvalues[i])``.  From :func:`chain_eigensystem`
+        Unit-norm eigenvector columns; ``left[:, i]`` is an eigenvector of
+        the conjugate transpose for ``conj(eigenvalues[i])``.  From
+        :func:`eig` of a matrix with a sign-symmetric real gauge (the ring)
+        ``left = D J conj(D^dag right)``; of any other matrix the left
+        vectors come from a second solve, of the conjugate transpose, paired
+        greedily by nearest eigenvalue.  From :func:`chain_eigensystem`
         ``left`` is ``conj(right)``.
     residuals, left_residuals : np.ndarray
         Per-column residual magnitudes, each against its own eigenvalue;
@@ -180,7 +183,8 @@ def _eigensystems(values, right, apply, norm_inf, left=None) -> list:
     """
     def unit_and_residuals(vectors, eps, apply):
         vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
-        return vectors, np.abs(apply(vectors) - vectors * eps[:, None, :]).max(axis=-2)
+        residuals = np.abs(apply(vectors) - vectors * eps[:, None, :])
+        return vectors, residuals.max(axis=-2, initial=0.0)
 
     right, residuals = unit_and_residuals(right, values, apply)
     if left is None:
@@ -204,12 +208,16 @@ def _eigensystems(values, right, apply, norm_inf, left=None) -> list:
 
 
 def _real_gauge(a: np.ndarray):
-    """Unit phases ``d`` with ``r = conj(d)[:, None] * a * d[None, :]`` exactly
-    real, as ``(d, r)``, or ``None``.
+    """Unit phases ``d`` and signs ``j`` with ``r = conj(d)[:, None] * a *
+    d[None, :]`` exactly real and ``r.T == j[:, None] * r * j[None, :]``, as
+    ``(d, r, j)``, or ``None``.
 
     ``d`` makes the entries on a breadth-first spanning tree of each
-    component of the nonzero pattern real and positive; every other entry
-    must then come out exactly real.  The diagonal is gauge invariant.
+    component of the nonzero pattern real and positive, and ``j`` changes
+    sign across each tree edge whose two entries have a negative product
+    ``a[i, k] a[k, i]`` (the product is gauge invariant); every other entry
+    must then come out exactly real and sign symmetric.  The diagonal is
+    gauge invariant.
     """
     if np.any(np.diagonal(a).imag):
         return None
@@ -217,31 +225,38 @@ def _real_gauge(a: np.ndarray):
     w = np.where(a[rows, cols] != 0, a[rows, cols], a[cols, rows].conj())
     # conj(w) / |w| part by part: a complex division is not exact on the axes
     phases = w.real / np.abs(w) - 1j * (w.imag / np.abs(w))
+    flips = np.where((a[rows, cols] * a[cols, rows]).real < 0, -1.0, 1.0)
     neighbours = [[] for _ in range(len(a))]
-    for i, j, u in zip(rows.tolist(), cols.tolist(), phases.tolist()):
-        neighbours[i].append((j, u))
-    d = [0j] * len(a)
+    for i, k, u, f in zip(rows.tolist(), cols.tolist(), phases.tolist(), flips.tolist()):
+        neighbours[i].append((k, u, f))
+    d, j = [0j] * len(a), [1.0] * len(a)
     for root in range(len(a)):
         if d[root]:
             continue
         d[root] = 1 + 0j
         queue = [root]
         for i in queue:
-            for j, u in neighbours[i]:
-                if not d[j]:
-                    d[j] = d[i] * u
-                    queue.append(j)
-    d = np.array(d)
+            for k, u, f in neighbours[i]:
+                if not d[k]:
+                    d[k], j[k] = d[i] * u, j[i] * f
+                    queue.append(k)
+    d, j = np.array(d), np.array(j)
     r = d.conj()[:, None] * a * d[None, :]
-    return None if np.any(r.imag) else (d, r.real)
+    if np.any(r.imag):
+        return None
+    r = r.real
+    return (d, r, j) if np.array_equal(r.T, j[:, None] * r * j[None, :]) else None
 
 
 def eig(a: np.ndarray) -> EigenSystem:
     """Dense eigendecomposition with verified residuals and left pairing.
 
-    The two solves are of ``a`` and ``a^dag``, or, when :func:`_real_gauge`
-    makes ``r = D^dag a D`` real, of ``r`` and ``r^T`` in real arithmetic,
-    mapped back by ``right = D x`` and ``left = D y`` (``a^dag = D r^T D^dag``).
+    When :func:`_real_gauge` makes ``r = D^dag a D`` real with ``r^T = J r
+    J``, one real solve ``r x = eps x`` gives ``right = D x`` and ``left = D
+    J conj(x)``: ``a^dag = D r^T D^dag`` and ``r^T (J conj(x)) = conj(eps) J
+    conj(x)``.  Otherwise ``a`` and ``a^dag`` are solved apart and each left
+    vector is paired greedily, by nearest eigenvalue, with ``conj(eps)``.
+    Either way the left residuals are computed against ``a^dag``.
 
     Parameters
     ----------
@@ -268,34 +283,39 @@ def eig(a: np.ndarray) -> EigenSystem:
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix entries must be finite")
     n = a.shape[0]
-    norm_inf = float(np.max(np.abs(a).sum(axis=1))) if n else 0.0
+    norm_inf = float(np.max(np.abs(a).sum(axis=1), initial=0.0))
     adjoint = a.conj().T
-    d, m = _real_gauge(a) or (np.ones(n), a)
+    gauge = _real_gauge(a)
 
     try:
-        values, right = np.linalg.eig(m)
-        left_values, left = np.linalg.eig(m.conj().T)
+        values, right = np.linalg.eig(a if gauge is None else gauge[1])
+        if gauge is None:
+            left_values, left = np.linalg.eig(adjoint)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    values, right = values.astype(complex), d[:, None] * right
-    left_values, left = left_values.astype(complex), d[:, None] * left
-
+    values = values.astype(complex)
     order = _sort_by_re_im(values)
-    values = values[order]
+    values, right = values[order], right[:, order]
 
-    # Greedy nearest-eigenvalue pairing of the left system to conj(values).
-    gaps = np.abs(left_values[None, :] - values.conj()[:, None])
-    assignment = _greedy_pairing(gaps)
-    gaps = gaps[np.arange(n), assignment]
-    scale = max(float(np.max(np.abs(values))), 1.0) if n else 1.0
-    if n and float(np.max(gaps)) > 1e-3 * scale:
-        worst = int(np.argmax(gaps))
-        raise RuntimeError(
-            f"left/right eigenvalue pairing conflict at index {worst} "
-            f"(gap {gaps[worst]:.3e})"
-        )
-    left = (left[None, :, assignment], left_values[None, assignment], adjoint.__matmul__)
-    return _served(_eigensystems(values[None], right[None, :, order], a.__matmul__,
+    if gauge is None:
+        # Greedy nearest-eigenvalue pairing of the left system to conj(values).
+        gaps = np.abs(left_values[None, :] - values.conj()[:, None])
+        assignment = _greedy_pairing(gaps)
+        gaps = gaps[np.arange(n), assignment]
+        scale = float(np.max(np.abs(values), initial=1.0))
+        if float(np.max(gaps, initial=0.0)) > 1e-3 * scale:
+            worst = int(np.argmax(gaps))
+            raise RuntimeError(
+                f"left/right eigenvalue pairing conflict at index {worst} "
+                f"(gap {gaps[worst]:.3e})"
+            )
+        left, left_values = left[:, assignment], left_values[assignment]
+    else:
+        d, _, signs = gauge
+        left, left_values = (d * signs)[:, None] * right.conj(), values.conj()
+        right = d[:, None] * right
+    left = (left[None], left_values[None], adjoint.__matmul__)
+    return _served(_eigensystems(values[None], right[None], a.__matmul__,
                                  np.array([norm_inf]), left)[0])
 
 

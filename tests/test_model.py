@@ -238,7 +238,29 @@ class TestMajoranaRing:
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
+def _loop_block_transform(n):
+    """Reference: the transform filled column by column from its definition."""
+    dim = 2 * n
+    v = np.zeros((dim, dim), dtype=complex)
+    a = np.exp(-1j * np.pi / 4) / 2
+    b = np.exp(+1j * np.pi / 4) / 2
+    for block, sigma in enumerate((1, -1)):
+        offset = block * n
+        for l in range(1, n // 2 + 1):
+            col = offset + 2 * l - 2
+            v[(2 * l - 1) % dim, col] += a
+            v[(2 * n + 3 - 2 * l - 1) % dim, col] += 1j * sigma * a
+            col = offset + 2 * l - 1
+            v[(2 * l + 1 - 1) % dim, col] += b
+            v[(2 * n + 2 - 2 * l - 1) % dim, col] += -1j * sigma * b
+    return v
+
+
 class TestBlockTransform:
+    @pytest.mark.parametrize("n", [4, 6, 10, 58])
+    def test_matches_definition(self, n):
+        assert np.array_equal(build_block_transform(n), _loop_block_transform(n))
+
     def test_first_plus_column_support(self):
         v = build_block_transform(6)
         col = v[:, 0]
@@ -269,6 +291,19 @@ class TestDecomposeBlocks:
         reference = 0.5 * (s[:, None] * build_ssh(n, mu, gamma) * s[None, :])
         assert np.max(np.abs(blocks.h_plus - reference)) < 1e-14
         assert np.max(np.abs(blocks.h_minus - blocks.h_plus.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("n,mu", [(4, 2.0), (6, 0.5), (14, 1.1), (30, 0.8), (58, 2.0)])
+    def test_gathers_match_dense_products(self, n, mu):
+        ring = build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma_ep(mu, n)))
+        v = _loop_block_transform(n)
+        ht = (v.conj().T / BLOCK_GRAM) @ ring @ v
+        first, second = ht[:n, :n], ht[n:, n:]
+        h_plus = second if first[0, 0].imag < second[0, 0].imag else first
+        blocks = decompose_blocks(ring, n)
+        norm = np.max(np.abs(ring).sum(axis=1))
+        assert np.max(np.abs(blocks.h_plus - h_plus)) <= 1e-15 * norm
+        assert np.max(np.abs(blocks.h_minus - blocks.h_plus.conj().T)) <= 1e-15 * norm
+        assert blocks.leakage <= 1e-15 * norm
 
     def test_six_site_block_matches_explicit_matrix(self):
         p = ModelParams(n=6, mu=2.0, gamma=0.25)

@@ -221,8 +221,9 @@ class TestEig:
         eig(build_ssh(10, 1.5, gamma_ep(1.5, 10)))
         assert calls == ["numpy", "numpy"]
         calls.clear()
+        # the ring's left vectors come from its sign symmetry, not a second solve
         eig(_ring(6, 2.0))
-        assert calls == ["numpy", "numpy"]
+        assert calls == ["numpy"]
 
     @pytest.mark.parametrize("n", [6, 10])
     @pytest.mark.parametrize("mu", [0.5, 2.0])
@@ -255,12 +256,25 @@ class TestEig:
         + ["repeated-diagonal", "repeated-block"],
     )
     def test_matches_greedy_pairing_loop(self, matrix):
-        # a ring is solved in its real gauge, the others as they are
         es = eig(matrix)
-        got = (es.eigenvalues, es.right, es.left, es.residuals,
-               es.left_residuals, es.biorth_norms)
-        for g, w in zip(got, _two_solve_eig(matrix, _real_gauge(matrix))):
-            assert np.array_equal(g, w)
+        gauge = _real_gauge(matrix)
+        if gauge is None:
+            got = (es.eigenvalues, es.right, es.left, es.residuals,
+                   es.left_residuals, es.biorth_norms)
+            for g, w in zip(got, _two_solve_eig(matrix)):
+                assert np.array_equal(g, w)
+            return
+        # a ring: its right half as from the two real solves, its left
+        # vectors D J conj(x) of the right ones D x
+        d, r, j = gauge
+        values, right, _, residuals, _, _ = _two_solve_eig(matrix, (d, r))
+        assert np.array_equal(es.eigenvalues, values)
+        assert np.array_equal(es.right, right)
+        assert np.array_equal(es.residuals, residuals)
+        left = (d * j)[:, None] * (d.conj()[:, None] * es.right).conj()
+        assert np.max(np.abs(es.left - left)) <= 4 * np.finfo(float).eps
+        assert float(np.max(es.left_residuals)) <= RESIDUAL_TOLERANCE * es.norm_inf
+        assert np.array_equal(es.biorth_norms, np.einsum("ij,ij->j", es.left.conj(), es.right))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -269,6 +283,13 @@ class TestEig:
             eig(np.array([[np.inf, 0], [0, 1.0]]))
         with pytest.raises(ValueError):
             eig(np.zeros((MAX_DIM + 2, MAX_DIM + 2)))
+
+    def test_empty_matrix(self):
+        es = eig(np.zeros((0, 0)))
+        assert es.dim == 0 and es.right.shape == es.left.shape == (0, 0)
+        assert es.residuals.size == es.left_residuals.size == es.biorth_norms.size == 0
+        assert es.scale == 1.0 and es.norm_inf == 0.0
+        assert match_multisets(es.eigenvalues, []) == 0.0
 
 
 def _degenerate_projectors(es, skip):
@@ -299,11 +320,13 @@ class TestRealGauge:
     @pytest.mark.parametrize("n", [6, 10, 16, 30, 58])
     def test_ring_gauge_is_exact(self, n, mu):
         h = _ring(n, mu)
-        d, r = _real_gauge(h)
+        d, r, j = _real_gauge(h)
         assert r.dtype == np.float64
         assert np.array_equal(np.abs(d), np.ones(2 * n))
         gauged = d.conj()[:, None] * h * d[None, :]
         assert np.array_equal(gauged.real, r) and not np.any(gauged.imag)
+        assert set(j.tolist()) <= {1.0, -1.0}
+        assert np.array_equal(r.T, j[:, None] * r * j[None, :])
 
     @pytest.mark.parametrize(
         "matrix",
@@ -317,10 +340,34 @@ class TestRealGauge:
         assert _real_gauge(matrix) is None
 
     def test_real_input_takes_real_path(self):
-        a = _planted_pair(12, 1e-3, True)
-        d, r = _real_gauge(a)
+        # real symmetric: the signs of d only, and no flip
+        a = _planted_pair(12, 1e-3, False)
+        d, r, j = _real_gauge(a)
         assert np.array_equal(np.abs(r), np.abs(a.real))
         assert set(d.tolist()) <= {1, -1}
+        assert np.array_equal(j, np.ones(12))
+        # real, but the Jordan block [[0, 1], [split^2, 0]] is not sign symmetric
+        assert _real_gauge(_planted_pair(12, 1e-3, True)) is None
+
+    def test_one_ulp_off_sign_symmetry_takes_two_complex_solves(self, monkeypatch):
+        h = _ring(10, 0.5)
+        i, k = np.argwhere(np.triu(h != 0, 1))[0]
+        h[i, k] *= 1 + np.finfo(float).eps  # one ulp off, and still gauge real
+        assert abs(h[i, k]) != abs(h[k, i]) and (h[i, k] * h[k, i]).imag == 0
+        assert _real_gauge(h) is None
+        dtypes = []
+
+        def recorded(x):
+            dtypes.append(x.dtype)
+            return original(x)
+
+        original = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", recorded)
+        es = eig(h)
+        assert dtypes == [np.complex128, np.complex128]
+        bound = RESIDUAL_TOLERANCE * es.norm_inf
+        assert max(np.max(es.residuals), np.max(es.left_residuals)) <= bound
+        assert match_multisets(es.eigenvalues, eig(_ring(10, 0.5)).eigenvalues) <= 1e-6 * es.scale
 
     def test_solve_dtypes(self, monkeypatch):
         dtypes = []
@@ -331,14 +378,15 @@ class TestRealGauge:
 
         original = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", recorded)
-        eig(_ring(10, 0.5))
-        assert dtypes == [np.float64, np.float64]
-        dtypes.clear()
+        for n, mu in [(6, 2.0), (10, 0.5), (30, 1.1)]:
+            eig(_ring(n, mu))
+            assert dtypes == [np.float64]
+            dtypes.clear()
         eig(build_ssh(10, 0.5, gamma_ep(0.5, 10)))
         assert dtypes == [np.complex128, np.complex128]
         dtypes.clear()
         eig(_planted_pair(12, 1e-3, True))
-        assert dtypes == [np.float64, np.float64]
+        assert dtypes == [np.complex128, np.complex128]
 
     @pytest.mark.parametrize("mu", [0.5, 1.1, 2.0])
     @pytest.mark.parametrize("n", [6, 10, 16, 30, 58])
