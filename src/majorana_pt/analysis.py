@@ -5,8 +5,9 @@
 * :func:`common_part_compare` -- the finite-size projection property: zero
   modes of different chain lengths share their edge profiles, up to the
   length dependence of the normalization constant.
-* :func:`census_sweep` -- (n, mu) parameter sweep of the mode census; for
-  long enough chains the derived edge-mode count jumps at mu = 1, the phase
+* :func:`census_sweep` -- (n, mu) parameter sweep of the mode census, one
+  real solve per point (:func:`~.spectral.chain_eigensystem`); for long
+  enough chains the derived edge-mode count jumps at mu = 1, the phase
   boundary of the underlying Hermitian chain (see :func:`edge_mode_count`).
 * :func:`gap_bound_check` -- scattering eigenvalues stay inside the band
   ``|1 - mu| <= |eps| <= 1 + mu``.
@@ -19,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bethe
-from .model import build_ssh, gamma_ep, _require_even_sites
+from .model import gamma_ep, _require_even_sites
 from .spectral import (
     ModeClass,
     ModeCensus,
     ModeRecord,
+    chain_eigensystem,
     classify_modes,
-    eig,
+    eig,  # noqa: F401 - unused; perfbench's tracer test reads it until ROADMAP item 1
 )
 
 __all__ = [
@@ -124,28 +126,23 @@ class SweepPoint:
     edge_modes: int
 
 
-def _sweep_point(n: int, mu: float) -> SweepPoint:
-    gamma = gamma_ep(mu, n)
-    _, census = classify_modes(eig(build_ssh(n, mu, gamma)), mu, gamma)
-    return SweepPoint(
-        n=n, mu=mu, gamma=gamma, census=census,
-        edge_modes=edge_mode_count(census, mu),
-    )
-
-
 def census_sweep(n_list, mu_list) -> list[SweepPoint]:
     """Mode census over a grid of chain lengths and couplings.
 
     Every grid point is solved at its own coalescence coupling
-    ``gamma_ep(mu, n)``, in row-major grid order, and classified by
-    :func:`~.spectral.classify_modes`.  A failure at any point (a refused
-    zero pair, a residual over its bound) is re-raised
-    with the offending (n, mu) prefixed to its message and its type kept.
+    ``gamma_ep(mu, n)``, in row-major grid order, by one real solve
+    (:func:`~.spectral.chain_eigensystem`) and classified by
+    :func:`~.spectral.classify_modes`, as ``spectrum`` does.  Each ``n``
+    must be a Python or NumPy integer: a float is refused, not truncated.  A
+    failure at any point (a refused zero pair, a residual over its bound) is
+    re-raised with the offending (n, mu) prefixed to its message and its
+    type kept.
     """
-    n_list = [int(n) for n in n_list]
-    mu_list = [float(mu) for mu in mu_list]
+    n_list = list(n_list)
     for n in n_list:
         _require_even_sites(n)
+    n_list = [int(n) for n in n_list]
+    mu_list = [float(mu) for mu in mu_list]
     for mu in mu_list:
         if mu <= 0 or mu == 1.0:
             raise ValueError(f"sweep requires mu > 0 and mu != 1, got {mu}")
@@ -153,8 +150,11 @@ def census_sweep(n_list, mu_list) -> list[SweepPoint]:
     for n in n_list:
         for mu in mu_list:
             try:
-                points.append(_sweep_point(n, mu))
+                gamma = gamma_ep(mu, n)
+                _, census = classify_modes(chain_eigensystem(n, mu, gamma), mu, gamma)
             except (ValueError, RuntimeError) as exc:
                 exc.args = (f"sweep failed at (n={n}, mu={mu}): {exc}",)
                 raise
+            points.append(SweepPoint(n=n, mu=mu, gamma=gamma, census=census,
+                                     edge_modes=edge_mode_count(census, mu)))
     return points

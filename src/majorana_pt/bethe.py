@@ -57,6 +57,9 @@ __all__ = [
     "match_spectrum_to_roots",
 ]
 
+#: Largest :func:`normalized_residual` :func:`solve_real_k` accepts at a root.
+ROOT_TOLERANCE = 1e-12
+
 #: Threefold grid refinements :func:`solve_real_k` makes before it gives up.
 _MAX_REFINEMENTS = 3
 
@@ -155,12 +158,7 @@ class BetheRoot:
             raise ValueError(f"unknown sector {self.sector!r}")
 
 
-def solve_real_k(
-    mu: float,
-    gamma: float,
-    n: int,
-    root_tolerance: float = 1e-12,
-) -> list[BetheRoot]:
+def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     """All scattering roots: real k in (0, pi), both eigenvalue branches.
 
     Scans a uniform grid of 20n points on (0, pi) for sign changes of the
@@ -172,16 +170,15 @@ def solve_real_k(
     previous one in ``eps^2`` is a duplicate.  On the coalescence locus the
     number of distinct roots must equal (n-2)/2 for mu > 1 and (n-4)/2 for
     mu < 1; the grid is refined threefold, up to three times, before giving
-    up.  Where ``(1 + mu) gamma^2`` overflows a float it raises
-    ``ValueError`` before the scan.
+    up.  A root whose normalized residual exceeds ``ROOT_TOLERANCE`` raises
+    :class:`RootScanError`.  Where ``(1 + mu) gamma^2`` overflows a float it
+    raises ``ValueError`` before the scan.
 
     Returns two :class:`BetheRoot` entries per distinct k, one per branch,
     ordered by ascending k then descending branch.
     """
     mu = _require_mu(mu, forbid_uniform=True)
     _require_even_sites(n)
-    if root_tolerance <= 0:
-        raise ValueError("root_tolerance must be positive")
     if not math.isfinite((1 + mu) * gamma * gamma):
         # on the locus gamma^2 = mu^(2 - N): the largest even N it stays finite at
         largest = 2 + 2 * int((math.log(sys.float_info.max) - math.log1p(mu))
@@ -225,10 +222,10 @@ def solve_real_k(
     for k, e2 in distinct:
         eps = float(np.sqrt(e2))
         res = normalized_residual(k, mu, gamma, n)
-        if res > root_tolerance:
+        if res > ROOT_TOLERANCE:
             raise RootScanError(
                 f"polished root k={k} has normalized residual {res:.3e} > "
-                f"{root_tolerance}"
+                f"{ROOT_TOLERANCE}"
             )
         for branch in (+1, -1):
             roots.append(

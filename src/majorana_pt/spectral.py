@@ -616,7 +616,8 @@ def _census(codes) -> ModeCensus:
 def classify_modes(
     es: EigenSystem, mu: float, gamma: float
 ) -> tuple[list[ModeRecord], ModeCensus]:
-    """Assign every level of ``es = eig(build_ssh(n, mu, gamma))`` a mode class.
+    """Assign every level of an eigensystem ``es`` of ``build_ssh(n, mu, gamma)``
+    (:func:`chain_eigensystem` or :func:`eig`) a mode class.
 
     On the coalescence locus (:func:`~.model.on_locus`) the coalescing pair
     is the two eigenvalues of least modulus.  They are refused with

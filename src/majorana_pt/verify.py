@@ -297,16 +297,16 @@ class _GridChain:
 
 
 def _grid_chain(n, mu, solved):
-    """The run's record at ``(n, mu)``; ``solved`` is keyed on ``(n, mu)``.
+    """The run's record at the grid point ``(n, mu)``; ``solved`` is keyed on
+    ``(n, mu)``.
 
     A miss solves, classifies and coalesces the chains of length ``n`` at
-    every grid coupling not yet in ``solved``, and at ``mu``, in one stacked
-    pass at ``gamma_ep``: :func:`~.spectral.chain_eigensystems`,
-    :func:`~.spectral.classify_stack` and :func:`~.spectral.coalesced_stack`.
+    the six grid couplings, in order, in one stacked pass at ``gamma_ep``:
+    :func:`~.spectral.chain_eigensystems`, :func:`~.spectral.classify_stack`
+    and :func:`~.spectral.coalesced_stack`.
     """
     if (n, mu) not in solved:
-        mus = [m for m in dict.fromkeys(GRID_MU_TOPO + GRID_MU_TRIV + [mu])
-               if (n, m) not in solved]
+        mus = GRID_MU_TOPO + GRID_MU_TRIV
         gammas = [model.gamma_ep(m, n) for m in mus]
         systems = spectral.chain_eigensystems(n, mus, gammas)
         rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas),

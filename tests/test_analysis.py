@@ -143,6 +143,17 @@ class TestCensusSweep:
         with pytest.raises(ValueError):
             census_sweep([6], [1.0])
 
+    @pytest.mark.parametrize("n", [6.9, 6.0])
+    def test_rejects_a_non_integer_site_count(self, n):
+        # 6.9 must not be truncated to a 6-site row
+        with pytest.raises(TypeError, match="site count must be an integer"):
+            census_sweep([n], [2.0])
+
+    def test_numpy_site_counts_give_plain_ints(self):
+        points = census_sweep(np.array([6, 8]), [np.float64(2.0)])
+        assert [p.n for p in points] == [6, 8]
+        assert all(type(p.n) is int for p in points)
+
     def test_grid_order_is_row_major(self):
         points = census_sweep([6, 8], [0.5, 2.0])
         assert [(p.n, p.mu) for p in points] == [

@@ -29,6 +29,7 @@ from majorana_pt import (
     zero_mode_amplitudes,
     zero_mode_root,
 )
+from majorana_pt import bethe
 from majorana_pt.bethe import _real_line, _terms
 
 
@@ -216,9 +217,10 @@ class TestSolveRealK:
         with pytest.warns(UserWarning, match="off the coalescence locus"):
             solve_real_k(1.5, 0.9, 10)
 
-    def test_unreachable_tolerance_raises(self):
-        with pytest.raises(RootScanError):
-            solve_real_k(2.0, 0.25, 6, root_tolerance=1e-30)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(bethe, "ROOT_TOLERANCE", 1e-30)
+        with pytest.raises(RootScanError, match="> 1e-30"):
+            solve_real_k(2.0, 0.25, 6)
 
     def test_uniform_chain_rejected(self):
         with pytest.raises(UniformChainError):

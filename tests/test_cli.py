@@ -254,6 +254,26 @@ class TestCensusAndSweep:
         assert code == 0
         assert out.splitlines()[-1] == "14,0.5,64.0,2,1,10"
 
+    def test_sweep_makes_one_real_solve_per_point(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep must not reach this solver")
+
+        solved = []
+        solve = np.linalg.eig
+
+        def counted(a, *args, **kwargs):
+            solved.append((np.asarray(a).dtype, np.shape(a)[-1]))
+            return solve(a, *args, **kwargs)
+
+        for module, name in [(cli.spectral, "eig"), (cli.analysis, "eig"),
+                             (cli.model, "build_ssh")]:
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        code, out, _ = run(capsys, "sweep", "--N-grid", "6,10,14", "--mu-grid", "0.5,2.0")
+        assert code == 0
+        assert out.splitlines()[-1] == "14,2.0,0.015625,0,1,12,2"
+        assert solved == [(np.float64, n) for n in (6, 10, 14) for _ in range(2)]
+
     def test_sweep_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--N-grid", "6,10", "--mu-grid", "1.5")
         _, second, _ = run(capsys, "sweep", "--N-grid", "6,10", "--mu-grid", "1.5")
@@ -577,6 +597,8 @@ class TestCsvArtifactBytes:
             "63d09d6aa3780a1ffcc9e946599a08e6a3ef88a9f13574810dc9e5afabce2366",
         "sweep --N-grid 6,8 --mu-grid 0.5,2.0":
             "fd10f6d4d7aa9a8bf70639d0450926108c4e25b32b5340fd07a42bfe44e68667",
+        "sweep --N-grid 100,200,300,400 --mu-grid 0.95,1.05,1.1":
+            "f7cbc12b1e3b3211527773946720b218426a260e9705f22e078b3bc16d4520c4",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)
