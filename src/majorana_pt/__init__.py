@@ -37,7 +37,6 @@ from .spectral import (
     classify_modes,
     classify_stack,
     coalesced_eigenvalues,
-    coalesced_stack,
     detect_coalescence,
     eig,
     match_multisets,

@@ -27,14 +27,14 @@ real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
 
 The chain pipeline also runs on a stack of same-length chains:
 :func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call, and
-:func:`classify_stack` and :func:`coalesced_stack` classify and coalesce
-them together.  Each returns one row per chain, which is either the chain's
-result or the error that refused that chain alone; a refused row does not
-stop the others, and a row that arrives as an error passes through
-unchanged.  Each row is the same, bit for bit, as when the chain is run
-alone: :func:`chain_eigensystem`, :func:`classify_modes` and
-:func:`detect_coalescence` are the stacks of one, and raise a refused
-row's error.
+:func:`classify_stack` classifies them together.  Each returns one row per
+chain, which is either the chain's result or the error that refused that
+chain alone; a refused row does not stop the others, and a row that
+arrives as an error passes through unchanged.  Each row is the same, bit
+for bit, as when the chain is run alone: :func:`chain_eigensystem` and
+:func:`classify_modes` are the stacks of one, and raise a refused row's
+error.  A stack's per-chain inputs must have one length; an empty stack
+gives no rows.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "classify_stack",
     "chain_census",
     "coalesced_eigenvalues",
-    "coalesced_stack",
     "match_multisets",
 ]
 
@@ -152,9 +151,12 @@ def _served(row):
     return row
 
 
-def _solved_rows(systems) -> list[int]:
-    """Indices of the rows of a stack that are eigensystems, not errors."""
-    return [i for i, es in enumerate(systems) if isinstance(es, EigenSystem)]
+def _same_lengths(**rows) -> None:
+    """Refuse a stack whose per-chain inputs differ in length."""
+    lengths = [len(row) for row in rows.values()]
+    if len(set(lengths)) > 1:
+        raise ValueError("stack inputs differ in length: "
+                         + ", ".join(f"{k} {name}" for k, name in zip(lengths, rows)))
 
 
 def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
@@ -338,8 +340,12 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
 
     Row ``i`` is the eigensystem of ``build_ssh(n, mus[i], gammas[i])``, or
     the ``RuntimeError`` that refused it; the other rows are still served.
-    Each row is the same, bit for bit, as when solved alone.
+    Each row is the same, bit for bit, as when solved alone.  ``mus`` and
+    ``gammas`` must have one length (else ``ValueError``); none gives ``[]``.
     """
+    _same_lengths(mus=mus, gammas=gammas)
+    if not len(mus):
+        return []
     mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
     m = np.array([model.build_ssh_real(n, mu, gamma) for mu, gamma in zip(mus, gammas)])
     try:
@@ -419,61 +425,35 @@ def detect_coalescence(es: EigenSystem) -> list[Coalescence]:
     ``EP_TOLERANCE * scale``, whose right eigenvectors are pairwise parallel
     (overlap modulus >= 1 - EP_TOLERANCE), and whose coalesced left/right
     pair has ``|<left|right>| <= EP_TOLERANCE``.  Returns an empty list when
-    no exceptional point is present.  This is the stack of one of the
-    cluster search behind :func:`coalesced_stack`.
+    no exceptional point is present.  It serves the six-site chains and the
+    rings; a classified chain reads its pair from :func:`classify_modes`.
     """
-    return _cluster_stack([es])[0]
-
-
-def _cluster_stack(systems) -> list[list[Coalescence]]:
-    """:func:`detect_coalescence` of each eigensystem of a stack of one
-    dimension: one Gram product and one batched SVD per cluster size."""
-    if not systems:
-        return []
-    values = np.array([es.eigenvalues for es in systems])
-    right = np.array([es.right for es in systems])
-    left = np.array([es.left for es in systems])
-    scale = np.array([es.scale for es in systems])
-    n = values.shape[1]
-    close = np.abs(values[:, :, None] - values[:, None, :]) <= EP_TOLERANCE * scale[:, None, None]
-    parallel = np.abs(np.swapaxes(right.conj(), 1, 2) @ right) >= 1.0 - EP_TOLERANCE
-    parent = {}
+    values = es.eigenvalues
+    close = np.abs(values[:, None] - values[None, :]) <= EP_TOLERANCE * es.scale
+    parallel = np.abs(es.right.conj().T @ es.right) >= 1.0 - EP_TOLERANCE
+    parent = list(range(es.dim))
 
     def find(i: int) -> int:
-        parent.setdefault(i, i)
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    # levels are numbered row * n + index across the stack
-    pairs = np.nonzero(np.triu(close & parallel, 1))
-    for row, i, j in zip(*(axis.tolist() for axis in pairs)):
-        parent[find(row * n + i)] = find(row * n + j)
+    for i, j in zip(*(axis.tolist() for axis in np.nonzero(np.triu(close & parallel, 1)))):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for level in sorted(parent):
-        groups.setdefault(find(level), []).append(level)
-    candidates = [(members[0] // n, tuple(m % n for m in members))
-                  for members in groups.values()]
+    for i in range(es.dim):
+        groups.setdefault(find(i), []).append(i)
 
-    # dominant singular vectors and centroids, batched over the candidates
-    # of each size
-    clusters = [[] for _ in systems]
-    for size in sorted({len(idx) for _, idx in candidates}):
-        batch = [(row, idx) for row, idx in candidates if len(idx) == size]
-        rows = np.array([row for row, _ in batch])[:, None]
-        levels = np.array([idx for _, idx in batch])
-        columns = np.concatenate([right[rows, :, levels], left[rows, :, levels]])
-        u = np.linalg.svd(np.swapaxes(columns, 1, 2), full_matrices=False)[0]
-        centroids = np.mean(values[rows, levels], axis=1).tolist()
-        for k, (row, idx) in enumerate(batch):
-            v_coal = _canonical_phase(u[k, :, 0])
-            w_coal = _canonical_phase(u[len(batch) + k, :, 0])
-            biorth = complex(np.vdot(w_coal, v_coal))
-            if abs(biorth) <= EP_TOLERANCE:
-                clusters[row].append(Coalescence(idx, centroids[k], v_coal, w_coal, biorth))
-    for found in clusters:
-        found.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
+    clusters = []
+    for idx in (tuple(members) for members in groups.values() if len(members) > 1):
+        v_coal = _canonical_phase(np.linalg.svd(es.right[:, idx], full_matrices=False)[0][:, 0])
+        w_coal = _canonical_phase(np.linalg.svd(es.left[:, idx], full_matrices=False)[0][:, 0])
+        biorth = complex(np.vdot(w_coal, v_coal))
+        if abs(biorth) <= EP_TOLERANCE:
+            centroid = complex(np.mean(values[list(idx)]))
+            clusters.append(Coalescence(idx, centroid, v_coal, w_coal, biorth))
+    clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return clusters
 
 
@@ -644,10 +624,12 @@ def classify_stack(systems, mus, gammas) -> list:
     Row ``i`` is ``(records, census)``, or the :class:`ClassificationError`
     or ``RuntimeError`` that refused it; the other rows are still served.
     A row of ``systems`` that is an error (see :func:`chain_eigensystems`)
-    stays that error.
+    stays that error.  The three inputs must have one length (else
+    ``ValueError``).
     """
+    _same_lengths(systems=systems, mus=mus, gammas=gammas)
     rows = list(systems)
-    solved = _solved_rows(systems)
+    solved = [i for i, es in enumerate(systems) if isinstance(es, EigenSystem)]
     if not solved:
         return rows
     levels = _classify_levels(np.array([systems[i].eigenvalues for i in solved]),
@@ -688,28 +670,9 @@ def coalesced_eigenvalues(es: EigenSystem) -> np.ndarray:
     sqrt(machine epsilon); the centroid cancels its leading term and is the
     right quantity to compare against analytic spectra.
     """
-    return _coalesced(es, detect_coalescence(es))
-
-
-def coalesced_stack(systems) -> list:
-    """:func:`coalesced_eigenvalues` of each row of a stack of eigensystems of
-    one dimension, from one cluster search over the stack.
-
-    A row of ``systems`` that is an error (see :func:`chain_eigensystems`)
-    stays that error.
-    """
-    rows = list(systems)
-    solved = _solved_rows(systems)
-    for i, clusters in zip(solved, _cluster_stack([systems[i] for i in solved])):
-        rows[i] = _coalesced(systems[i], clusters)
-    return rows
-
-
-def _coalesced(es: EigenSystem, clusters) -> np.ndarray:
     values = es.eigenvalues.copy()
-    for cluster in clusters:
-        for i in cluster.indices:
-            values[i] = cluster.eigenvalue
+    for cluster in detect_coalescence(es):
+        values[list(cluster.indices)] = cluster.eigenvalue
     return values
 
 

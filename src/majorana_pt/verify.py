@@ -12,17 +12,18 @@ censuses and closed forms are checked across the desk-scale grid
 independent oracle for everything the closed forms claim.  The grid is
 filled one chain length at a time: the six couplings of a length are
 solved in one stacked real solve (:func:`~.spectral.chain_eigensystems`),
-then classified and coalesced together, each chain exactly as if alone.
+then classified together, each chain exactly as if alone.
 
 The census classifies eigenvalues alone and takes its coalescing pair from
-the spectral gap and the closed-form zero mode; ``mode-census`` also asks
-:func:`~.spectral.detect_coalescence` to find the same pair from the
-eigenvectors, so the two routes check each other.
+the spectral gap and the closed-form zero mode; ``mode-census`` also
+requires the pair's two right eigenvectors, and no other two, to be
+parallel, so the eigenvalue and eigenvector routes check each other.
 
-Numerically split coalescing pairs are compared through their cluster
-centroid (see :func:`~.spectral.coalesced_eigenvalues`): a defective pair
-computed in double precision splits by the square root of the backward
-error, and the centroid cancels that split's leading term.
+Numerically split coalescing pairs are compared through their centroid: a
+defective pair computed in double precision splits by the square root of
+the backward error, and the centroid cancels that split's leading term.
+The grid chains read it from their classified records, the six-site chains
+and the rings from :func:`~.spectral.coalesced_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -130,10 +131,13 @@ def mode_census(solved):
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
                 failures.append(f"(n={n}, mu={mu}): {got} != {expected}")
-            # the eigenvector route (detect_coalescence) must merge this pair, no other
+            # the eigenvector route: the pair's unit right vectors, and no
+            # other two, must be parallel
             pair = [r.index for r in records
                     if r.mode_class is spectral.ModeClass.ZERO_COALESCING]
-            merged = np.flatnonzero(chain.coalesced != chain.es.eigenvalues).tolist()
+            gram = np.abs(chain.es.right.conj().T @ chain.es.right)
+            np.fill_diagonal(gram, 0.0)
+            merged = np.flatnonzero(gram.max(axis=0) >= 1.0 - spectral.EP_TOLERANCE).tolist()
             if merged != pair:
                 failures.append(f"(n={n}, mu={mu}): eigenvectors coalesce levels "
                                 f"{merged}, not the pair {pair}")
@@ -276,43 +280,45 @@ def common_part(solved):
 
 
 class _GridChain:
-    """Chain ``h`` at ``(n, mu, gamma)``, its eigensystem ``es``, and its
-    ``classify_modes`` and ``coalesced_eigenvalues`` results ``modes`` and
-    ``coalesced``, as one row of the stacked pass of :func:`_grid_chain`.
+    """The eigensystem ``es`` of the chain at ``(n, mu, gamma)`` and its
+    ``classify_modes`` result ``modes``, as one row of the stacked pass of
+    :func:`_grid_chain`.  ``coalesced`` is the spectrum with the coalescing
+    pair at its centroid, read from the classified records.
 
     A part that the pass refused for this chain is kept as its error and
     raised on each read, so it fails each criterion that reads it, and only
-    those; the other chains of the pass are served.
+    those (``coalesced`` raises the error of ``modes``); the other chains of
+    the pass are served.
     """
 
-    def __init__(self, n, mu, gamma, es, modes, coalesced):
-        self.mu = mu
+    def __init__(self, gamma, es, modes):
         self.gamma = gamma
-        self.h = model.build_ssh(n, mu, gamma)
-        self._rows = es, modes, coalesced
+        self._rows = es, modes
 
     es = property(lambda self: spectral._served(self._rows[0]))
     modes = property(lambda self: spectral._served(self._rows[1]))
-    coalesced = property(lambda self: spectral._served(self._rows[2]))
+
+    @property
+    def coalesced(self):
+        return np.array([r.eigenvalue for r in self.modes[0]])
 
 
 def _grid_chain(n, mu, solved):
     """The run's record at the grid point ``(n, mu)``; ``solved`` is keyed on
     ``(n, mu)``.
 
-    A miss solves, classifies and coalesces the chains of length ``n`` at
-    the six grid couplings, in order, in one stacked pass at ``gamma_ep``:
-    :func:`~.spectral.chain_eigensystems`, :func:`~.spectral.classify_stack`
-    and :func:`~.spectral.coalesced_stack`.
+    A miss solves and classifies the chains of length ``n`` at the six grid
+    couplings, in order, in one stacked pass at ``gamma_ep``:
+    :func:`~.spectral.chain_eigensystems`, then
+    :func:`~.spectral.classify_stack`.
     """
     if (n, mu) not in solved:
         mus = GRID_MU_TOPO + GRID_MU_TRIV
         gammas = [model.gamma_ep(m, n) for m in mus]
         systems = spectral.chain_eigensystems(n, mus, gammas)
-        rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas),
-                   spectral.coalesced_stack(systems))
-        for m, gamma, *parts in rows:
-            solved[n, m] = _GridChain(n, m, gamma, *parts)
+        rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas))
+        for m, *parts in rows:
+            solved[n, m] = _GridChain(*parts)
     return solved[n, mu]
 
 
@@ -338,7 +344,7 @@ def pseudo_hermiticity_pt(solved):
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
             chain = _grid_chain(n, mu, solved)
-            worst_pt = max(worst_pt, model.pt_deviation(chain.h))
+            worst_pt = max(worst_pt, model.pt_deviation(model.build_ssh(n, mu, chain.gamma)))
             ok, unmatched = spectral.pseudo_hermiticity_check(
                 chain.coalesced, spectral.CLASS_TOLERANCE * chain.es.scale)
             if not ok:

@@ -4,10 +4,12 @@ Runs the same registry the ``majorana-pt verify`` command uses and prints
 one PASS/FAIL line per criterion (run pytest with ``-s`` to see them all).
 """
 
+import dataclasses
 import re
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from majorana_pt import verify
@@ -48,7 +50,7 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
         raise AssertionError("grid point built, solved or analysed twice")
 
     for name in ("eig", "chain_eigensystem", "chain_eigensystems", "classify_modes",
-                 "classify_stack", "coalesced_eigenvalues", "coalesced_stack"):
+                 "classify_stack", "coalesced_eigenvalues"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
     gap = verify.scattering_gap_bound(solved)
@@ -127,12 +129,12 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
 def test_suite_analyses_each_chain_once(monkeypatch):
     calls = Counter()
     rows = Counter()
-    stacked = {"chain_eigensystems": 1, "classify_stack": 0, "coalesced_stack": 0}
+    stacked = {"chain_eigensystems": 1, "classify_stack": 0}
     for module, name in [
         (verify.spectral, "eig"), (verify.spectral, "chain_eigensystem"),
         (verify.spectral, "chain_eigensystems"),
         (verify.spectral, "classify_modes"), (verify.spectral, "classify_stack"),
-        (verify.spectral, "coalesced_eigenvalues"), (verify.spectral, "coalesced_stack"),
+        (verify.spectral, "coalesced_eigenvalues"),
         (verify.spectral, "detect_coalescence"),
         (verify.bethe, "solve_evanescent_pair"),
     ]:
@@ -144,12 +146,13 @@ def test_suite_analyses_each_chain_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
-    # 78 grid chains in one stacked pass per length (13), each chain solved,
-    # classified and coalesced once; 6 rings and the two six-site chains
-    # through eig; the evanescent pair is solved once per closed-form chain
-    # at mu = 0.5.  detect_coalescence serves the coalesced ring and
-    # six-site spectra (8) and the two timed six-site solves
-    assert calls == {"chain_eigensystems": 13, "classify_stack": 13, "coalesced_stack": 13,
+    # 78 grid chains in one stacked pass per length (13), each chain solved
+    # and classified once, its coalesced spectrum read from the records; 6
+    # rings and the two six-site chains through eig; the evanescent pair is
+    # solved once per closed-form chain at mu = 0.5.  detect_coalescence
+    # serves the coalesced ring and six-site spectra (8) and the two timed
+    # six-site solves
+    assert calls == {"chain_eigensystems": 13, "classify_stack": 13,
                      "eig": 8, "coalesced_eigenvalues": 8, "detect_coalescence": 10,
                      "solve_evanescent_pair": 5}
     assert rows == {name: 78 for name in stacked}
@@ -159,8 +162,11 @@ def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatc
     monkeypatch.setattr(verify.spectral, "CLASS_TOLERANCE", 1e-20)
     results = verify.run_criteria()
     failed = {r.criterion_id for r in results if not r.passed}
+    # block-decomposition and pseudo-hermiticity-pt read the grid's coalesced
+    # spectra from the classified records
     assert failed == {"mode-census", "bethe-spectrum-equivalence",
-                      "evanescent-asymptotics", "scattering-gap-bound"}
+                      "evanescent-asymptotics", "scattering-gap-bound",
+                      "block-decomposition", "pseudo-hermiticity-pt"}
     assert all(r.detail.startswith("raised ClassificationError: ")
                for r in results if not r.passed)
 
@@ -174,15 +180,22 @@ def test_a_refused_grid_chain_fails_alone(monkeypatch):
     for _ in range(2):
         with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
             refused.modes
-    assert refused.es.dim == 6 and len(refused.coalesced) == 6
+        with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
+            refused.coalesced
+    assert refused.es.dim == 6
     for mu in verify.GRID_MU_TOPO + [0.3, 0.5]:
         _, census = solved[6, mu].modes
         assert census.n_EP == 1
 
 
 def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
-    monkeypatch.setattr(verify.spectral, "coalesced_stack",
-                        lambda systems: [es.eigenvalues for es in systems])
+    original = verify.spectral.chain_eigensystems
+
+    def orthonormal(n, mus, gammas):
+        return [dataclasses.replace(es, right=np.eye(n, dtype=complex))
+                for es in original(n, mus, gammas)]
+
+    monkeypatch.setattr(verify.spectral, "chain_eigensystems", orthonormal)
     result = verify.mode_census({})
     assert not result.passed
     assert "(n=6, mu=1.5): eigenvectors coalesce levels [], not the pair [" in result.detail

@@ -18,7 +18,6 @@ from majorana_pt import (
     classify_modes,
     classify_stack,
     coalesced_eigenvalues,
-    coalesced_stack,
     detect_coalescence,
     eig,
     gamma_ep,
@@ -547,17 +546,19 @@ class TestStackedChains:
     """The stacked chain pipeline against the former single-chain one, bit for bit."""
 
     @staticmethod
-    def _assert_matches_reference(n, mu, gamma, es, modes, coalesced):
+    def _assert_matches_reference(n, mu, gamma, es, modes):
         ref, ref_modes, ref_coalesced = _single_chain_reference(n, mu, gamma)
         fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
         assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(ref, f) for f in fields))
         assert es.norm_inf == ref.norm_inf
-        assert _bits(coalesced) == _bits(ref_coalesced)
         if ref_modes is ClassificationError:
             assert isinstance(modes, ClassificationError)
             return
         records, census = modes
         assert [(r.index, r.eigenvalue, r.mode_class, r.biorth_norm) for r in records] == ref_modes
+        # the records' values are the spectrum coalesced by the two-loop
+        # cluster search
+        assert _bits(np.array([r.eigenvalue for r in records])) == _bits(ref_coalesced)
         classes = [r.mode_class for r in records]
         assert census == spectral.ModeCensus(
             classes.count(ModeClass.IMAGINARY_EVANESCENT),
@@ -569,9 +570,7 @@ class TestStackedChains:
         for n in GRID_N:
             gammas = [gamma_ep(mu, n) for mu in mus]
             systems = chain_eigensystems(n, mus, gammas)
-            rows = zip(mus, gammas, systems, classify_stack(systems, mus, gammas),
-                       coalesced_stack(systems))
-            for row in rows:
+            for row in zip(mus, gammas, systems, classify_stack(systems, mus, gammas)):
                 self._assert_matches_reference(n, *row)
 
     @pytest.mark.parametrize("n,mu,locus_fraction", [
@@ -585,7 +584,8 @@ class TestStackedChains:
             modes = classify_modes(es, mu, gamma)
         except ClassificationError as exc:
             modes = exc
-        self._assert_matches_reference(n, mu, gamma, es, modes, coalesced_eigenvalues(es))
+        self._assert_matches_reference(n, mu, gamma, es, modes)
+        assert _bits(coalesced_eigenvalues(es)) == _bits(_single_chain_reference(n, mu, gamma)[2])
 
     def test_refused_row_leaves_the_others_served(self):
         # gamma = 0.8 at mu = 0.5 is off the locus (4.0) with PT broken
@@ -599,7 +599,6 @@ class TestStackedChains:
         assert "neither real nor imaginary" in str(rows[1])
         for row, mu, gamma in [(rows[0], 2.0, 0.25), (rows[2], 0.5, 4.0)]:
             assert row[1] == classify_modes(chain_eigensystem(6, mu, gamma), mu, gamma)[1]
-        assert all(isinstance(c, np.ndarray) for c in coalesced_stack(systems))
 
     def test_refused_solves_pass_through_the_stack(self, monkeypatch):
         monkeypatch.setattr(spectral, "RESIDUAL_TOLERANCE", 1e-30)
@@ -608,7 +607,21 @@ class TestStackedChains:
         assert all(isinstance(es, RuntimeError) and "right eigenpair" in str(es)
                    for es in systems)
         assert classify_stack(systems, mus, gammas) == systems
-        assert coalesced_stack(systems) == systems
+
+    def test_empty_stack_has_no_rows(self):
+        assert chain_eigensystems(6, [], []) == []
+        assert classify_stack([], [], []) == []
+
+    def test_mismatched_couplings_are_refused(self):
+        with pytest.raises(ValueError, match=r"^stack inputs differ in length: 2 mus, 1 gammas$"):
+            chain_eigensystems(6, [2.0, 0.5], [0.25])
+
+    def test_mismatched_systems_are_refused(self):
+        systems = chain_eigensystems(6, [2.0, 0.5], [0.25, 4.0])
+        with pytest.raises(
+                ValueError,
+                match=r"^stack inputs differ in length: 2 systems, 1 mus, 1 gammas$"):
+            classify_stack(systems, [2.0], [0.25])
 
 
 class TestPseudoHermiticity:
