@@ -12,7 +12,6 @@ from .model import (
     BlockDecomposition,
     ModelParams,
     apply_ssh,
-    build_block_transform,
     build_majorana_ring,
     build_ssh,
     build_ssh_real,

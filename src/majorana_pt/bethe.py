@@ -38,7 +38,7 @@ import mpmath
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import on_locus, staggered_signs, _require_even_sites
+from .model import on_locus, staggered_signs, _require_chain, _require_even_sites
 
 __all__ = [
     "UniformChainError",
@@ -171,14 +171,14 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     number of distinct roots must equal (n-2)/2 for mu > 1 and (n-4)/2 for
     mu < 1; the grid is refined threefold, up to three times, before giving
     up.  A root whose normalized residual exceeds ``ROOT_TOLERANCE`` raises
-    :class:`RootScanError`.  Where ``(1 + mu) gamma^2`` overflows a float it
-    raises ``ValueError`` before the scan.
+    :class:`RootScanError`.  A gamma that is not finite, or whose
+    ``(1 + mu) gamma^2`` overflows a float, raises ``ValueError`` before the scan.
 
     Returns two :class:`BetheRoot` entries per distinct k, one per branch,
     ordered by ascending k then descending branch.
     """
     mu = _require_mu(mu, forbid_uniform=True)
-    _require_even_sites(n)
+    _require_chain(n, mu, gamma)
     if not math.isfinite((1 + mu) * gamma * gamma):
         # on the locus gamma^2 = mu^(2 - N): the largest even N it stays finite at
         largest = 2 + 2 * int((math.log(sys.float_info.max) - math.log1p(mu))
@@ -255,7 +255,7 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     sector "imaginary".
     """
     mu = _require_mu(mu, forbid_uniform=True)
-    _require_even_sites(n)
+    _require_chain(n, mu, gamma)
     if mu >= 1:
         raise ValueError("the imaginary pair exists only for mu < 1")
     cancelled = math.ceil((n - 2) * math.log10(1 / mu))

@@ -2,15 +2,14 @@
 
 A Kitaev ring of ``n`` fermionic sites with two impurity chemical potentials
 (at sites 1 and n/2+1) maps, in the Majorana basis, onto a ``2n x 2n`` core
-matrix describing a dimerized ring.  With the PT-symmetric impurity choice
-``mu_left = i*gamma``, ``mu_right = -i*gamma`` and symmetric pairing
-``delta = t``, a linear change of basis splits that ring into two decoupled
+matrix describing a dimerized ring.  The ring is built only at the symmetric
+point ``t = delta = 1`` with the PT-symmetric impurity pair ``+i*gamma`` and
+``-i*gamma``; there a linear change of basis splits it into two decoupled
 ``n x n`` SSH chains with opposite imaginary ending potentials.
 
 This module builds every matrix in that chain of reductions:
 
 * :func:`build_majorana_ring` -- the ``2n x 2n`` Majorana core matrix,
-* :func:`build_block_transform` -- the change of basis that block-diagonalizes it,
 * :func:`decompose_blocks` -- the two SSH blocks plus their off-block leakage,
 * :func:`build_ssh` -- the ``n x n`` non-Hermitian SSH chain itself,
 * :func:`build_ssh_real` -- the real matrix that the chain's PT symmetry
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "build_ssh_real",
     "apply_ssh",
     "build_majorana_ring",
-    "build_block_transform",
     "decompose_blocks",
     "fit_block_scale",
     "parity_matrix",
@@ -71,53 +69,28 @@ def _require_even_sites(n: int) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters of the Kitaev ring with two impurities.
+    """Physical parameters of the Kitaev ring at ``t = delta = 1``.
 
     Parameters
     ----------
     n : int
         Number of fermionic sites.  Must be even and >= 4 so the impurity
         site n/2+1 exists and differs from site 1.
-    t : float
-        Hopping amplitude.
-    delta : float
-        Pairing amplitude.  The closed-form results of the solver modules
-        assume the symmetric point ``delta == t``; the builder accepts any
-        real value.
     mu : float
         Uniform chemical potential, required positive.
     gamma : float
-        Non-Hermiticity strength, required >= 0.
-    mu_left, mu_right : complex, optional
-        Impurity potentials at sites 1 and n/2+1.  Default to the
-        PT-symmetric pair ``(i*gamma, -i*gamma)``.
+        Non-Hermiticity strength, required >= 0: the impurity potentials are
+        ``+i*gamma`` at site 1 and ``-i*gamma`` at site n/2+1.
     """
 
     n: int
-    t: float = 1.0
-    delta: float = 1.0
     mu: float = 1.0
     gamma: float = 0.0
-    mu_left: complex = field(default=None)   # type: ignore[assignment]
-    mu_right: complex = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        _require_even_sites(self.n)
-        if not np.isfinite(self.t) or not np.isfinite(self.delta):
-            raise ValueError("t and delta must be finite")
-        if not np.isfinite(self.mu) or self.mu <= 0:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
-        if self.mu_left is None:
-            object.__setattr__(self, "mu_left", 1j * self.gamma)
-        if self.mu_right is None:
-            object.__setattr__(self, "mu_right", -1j * self.gamma)
-        for name in ("mu_left", "mu_right"):
-            value = complex(getattr(self, name))
-            if not np.isfinite(value.real) or not np.isfinite(value.imag):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        _require_chain(self.n, self.mu, self.gamma)
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
 def _locus(mu: float, n: int) -> float:
@@ -262,74 +235,45 @@ def apply_ssh(n: int, mu, gamma, v: np.ndarray) -> np.ndarray:
 def build_majorana_ring(params: ModelParams) -> np.ndarray:
     """Majorana core matrix of the Kitaev ring with two impurity dimers.
 
-    Basis ordering is ``(a_1, b_1, a_2, b_2, ..., a_n, b_n)`` where each
-    fermionic site contributes the Majorana pair (a, b); the matrix is
-    ``2n x 2n``.  Ring bonds connect ``b_l`` to ``a_{l+1}`` (periodic,
-    ``a_{n+1} == a_1``) with entries ``-i(t+delta)/4`` and the reversed
-    ``b_{l+1}`` to ``a_l`` bonds carry ``-i(t-delta)/4``; at the symmetric
-    point ``delta == t`` only the forward bonds survive, with ``-i t/2``.
-    Dimer bonds connect ``a_l`` to ``b_l`` with ``-i mu_l / 2`` where
-    ``mu_l`` is ``mu`` in the bulk and ``mu_left``, ``mu_right`` on the two
-    impurity dimers.  Each entry is accompanied by its Hermitian-conjugate
-    partner computed from the same coefficient, so purely imaginary impurity
-    potentials make the matrix non-Hermitian.
-
-    With ``mu_left = 0`` the first dimer bond disappears and the ring opens
-    into a single 2n-site chain.
+    Basis ordering is ``(a_1, b_1, ..., a_n, b_n)``, each fermionic site
+    contributing its Majorana pair (a, b); the matrix is ``2n x 2n``.  The
+    ring is built at ``t = delta = 1``, where the reversed bonds
+    ``+/- i(t - delta)/4`` vanish.  Each ring bond is ``h[b_l, a_{l+1}] = -i/2``
+    and ``h[a_{l+1}, b_l] = +i/2`` (periodic, ``a_{n+1} == a_1``); each dimer
+    is ``h[a_l, b_l] = -i pot_l / 2`` and ``h[b_l, a_l] = +i pot_l / 2``, with
+    ``pot_l = mu`` in the bulk, ``+i*gamma`` at site 1 and ``-i*gamma`` at
+    site n/2+1.  The impurity dimers are thus real, ``+/- gamma/2``, and make
+    the matrix non-Hermitian for ``gamma > 0``.
     """
-    n = params.n
-    dim = 2 * n
-    t, delta = params.t, params.delta
+    n, dim = params.n, 2 * params.n
+    a = np.arange(0, dim, 2)
+    pot = np.full(n, complex(params.mu))
+    pot[0], pot[n // 2] = 1j * params.gamma, -1j * params.gamma
+    # adding onto zeros keeps every zero real part +0.0, bit for bit
     h = np.zeros((dim, dim), dtype=complex)
-    for l in range(1, n + 1):
-        b_l = 2 * l - 1            # 0-based index of b_l
-        a_next = (2 * l) % dim     # 0-based index of a_{l+1}, wrapping to a_1
-        h[b_l, a_next] += -0.25j * (t + delta)
-        h[a_next, b_l] += +0.25j * (t + delta)
-        b_next = (2 * l + 1) % dim
-        a_l = 2 * l - 2
-        h[b_next, a_l] += -0.25j * (t - delta)
-        h[a_l, b_next] += +0.25j * (t - delta)
-    for l in range(1, n + 1):
-        if l == 1:
-            pot = params.mu_left
-        elif l == n // 2 + 1:
-            pot = params.mu_right
-        else:
-            pot = params.mu
-        h[2 * l - 2, 2 * l - 1] += -0.5j * pot
-        h[2 * l - 1, 2 * l - 2] += +0.5j * pot
+    h[a + 1, np.roll(a, -1)] += -0.5j  # ring bonds b_l -> a_{l+1}
+    h[np.roll(a, -1), a + 1] += 0.5j
+    h[a, a + 1] += -0.5j * pot         # dimers a_l -> b_l
+    h[a + 1, a] += 0.5j * pot
     return h
 
 
-def build_block_transform(n: int) -> np.ndarray:
-    """Change-of-basis matrix splitting the Majorana ring into two chains.
-
-    Column ``(sigma, 2l-1)`` is ``exp(-i pi/4)/2 * (|2l> + i sigma |2n+3-2l>)``
-    and column ``(sigma, 2l)`` is ``exp(+i pi/4)/2 * (|2l+1> - i sigma |2n+2-2l>)``
-    for ``l = 1..n/2`` and ``sigma = +1, -1``, with 1-based ring labels taken
-    modulo 2n (so ``|2n+1>`` is ``|1>``).  Columns are ordered sigma=+1 first
-    (block columns 1..n), then sigma=-1.
-
-    The columns are orthogonal with squared norm 1/2, i.e.
-    ``V.conj().T @ V == BLOCK_GRAM * identity``; the transform is stored as
-    defined (not rescaled to a unitary).
-    """
-    rows, coefficients = _block_transform_entries(n)
-    v = np.zeros((2 * n, 2 * n), dtype=complex)
-    v[rows, np.arange(2 * n)] = coefficients
-    return v
-
-
 def _block_transform_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two nonzeros of each column of :func:`build_block_transform`.
+    """The two nonzeros of each column of the change of basis ``V`` that
+    splits the Majorana ring into two chains.
+
+    Column ``(sigma, 2l-1)`` of ``V`` is ``a (|2l> + i sigma |2n+3-2l>)`` and
+    column ``(sigma, 2l)`` is ``b (|2l+1> - i sigma |2n+2-2l>)``, with
+    ``a = exp(-i pi/4) / 2``, ``b = exp(+i pi/4) / 2``, ``l = 1..n/2``,
+    ``sigma = +1, -1`` and 1-based ring labels taken modulo 2n (so ``|2n+1>``
+    is ``|1>``).  Columns are ordered sigma=+1 first, then sigma=-1.  They
+    are orthogonal with squared norm ``BLOCK_GRAM = 1/2``, so
+    ``V^-1 = V^dag / BLOCK_GRAM``.
 
     Returns ``(rows, coefficients)``, each ``(2, 2n)``: column ``c`` is
-    ``coefficients[0, c] |rows[0, c]> + coefficients[1, c] |rows[1, c]>``.
-    In 0-based labels, column ``k`` of either block holds rows ``k + 1`` and
-    ``2n - k`` modulo ``2n``, weighted ``(a, i sigma a)`` for even ``k`` and
-    ``(b, -i sigma b)`` for odd ``k``, with ``a = exp(-i pi/4) / 2`` and
-    ``b = exp(+i pi/4) / 2``.
+    ``coefficients[0, c] |rows[0, c]> + coefficients[1, c] |rows[1, c]>``
+    in 0-based labels, where column ``k`` of either block holds rows
+    ``k + 1`` and ``2n - k`` modulo ``2n``.
     """
     _require_even_sites(n)
     k = np.arange(2 * n) % n
@@ -362,16 +306,18 @@ class BlockDecomposition:
 def decompose_blocks(h: np.ndarray, n: int) -> BlockDecomposition:
     """Split a PT-configured Majorana ring matrix into its two SSH blocks.
 
-    Conjugates ``h`` by :func:`build_block_transform`, whose inverse is
-    ``V^dag / BLOCK_GRAM``, and returns the two diagonal blocks.  ``V`` has
-    two nonzeros per column, so both products are gathers of two rows or
-    columns, O(n^2) in all.  Raises if the off-diagonal blocks do not vanish
-    or the blocks are not conjugate transposes of each other, which signals
-    an input not built in the PT configuration at ``delta == t``.
+    Conjugates ``h`` by ``V`` (:func:`_block_transform_entries`), whose
+    inverse is ``V^dag / BLOCK_GRAM``, and returns the two diagonal blocks.
+    ``V`` has two nonzeros per column, so both products are gathers of two
+    rows or columns, O(n^2) in all.  Raises on non-finite entries, and if the
+    off-diagonal blocks do not vanish or the blocks are not conjugate
+    transposes of each other: then ``h`` is not a :func:`build_majorana_ring`.
     """
     h = np.asarray(h, dtype=complex)
     if h.shape != (2 * n, 2 * n):
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
     rows, coefficients = _block_transform_entries(n)
     hv = h[:, rows[0]] * coefficients[0] + h[:, rows[1]] * coefficients[1]
     ht = (coefficients[0, :, None].conj() * hv[rows[0]]
@@ -381,7 +327,7 @@ def decompose_blocks(h: np.ndarray, n: int) -> BlockDecomposition:
     if leakage > 1e-10 * scale:
         raise ValueError(
             f"input does not block-diagonalize (leakage {leakage:.3e}); "
-            "expected a PT-configured ring at delta == t"
+            "expected a ring built by build_majorana_ring"
         )
     first, second = ht[:n, :n].copy(), ht[n:, n:].copy()
     if first[0, 0].imag < second[0, 0].imag:
@@ -393,22 +339,27 @@ def decompose_blocks(h: np.ndarray, n: int) -> BlockDecomposition:
     return BlockDecomposition(h_plus, h_minus, leakage)
 
 
-def fit_block_scale(block: np.ndarray, n: int, mu: float, gamma: float) -> complex:
+def fit_block_scale(block: np.ndarray, mu: float, gamma: float) -> complex:
     """Least-squares complex scale relating a ring block to :func:`build_ssh`.
 
     The blocks of :func:`decompose_blocks` inherit the ring normalization
     (couplings ``t/2``, ``mu/2``) and the negative-coupling sign convention,
     while :func:`build_ssh` uses unit hopping and positive couplings.  This
     fits ``s`` minimizing ``|block - s * g @ build_ssh(n, mu, gamma) @ g|``
-    in the Frobenius norm, with ``g = diag(staggered_signs(n))``.  For a
-    consistent decomposition ``s`` is 1/2 up to rounding.
+    in the Frobenius norm, with ``n`` the block's size and
+    ``g = diag(staggered_signs(n))``.  For a consistent decomposition ``s``
+    is 1/2 up to rounding.
     """
+    block = np.asarray(block, dtype=complex)
+    n = len(block)
+    if block.shape != (n, n):
+        raise ValueError(f"expected a square block, got shape {block.shape}")
     s = staggered_signs(n)
     reference = s[:, None] * build_ssh(n, mu, gamma) * s[None, :]
     denom = np.vdot(reference, reference)
     if denom == 0:
         raise ValueError("degenerate reference matrix")
-    return complex(np.vdot(reference, np.asarray(block, dtype=complex)) / denom)
+    return complex(np.vdot(reference, block) / denom)
 
 
 def parity_matrix(n: int) -> np.ndarray:

@@ -238,12 +238,12 @@ def block_decomposition(solved):
     for n in (6, 10, 14):
         for mu in (0.5, 2.0):
             gamma = model.gamma_ep(mu, n)
-            params = model.ModelParams(n=n, t=1.0, delta=1.0, mu=mu, gamma=gamma)
+            params = model.ModelParams(n=n, mu=mu, gamma=gamma)
             ring = model.build_majorana_ring(params)
             blocks = model.decompose_blocks(ring, n)
             ring_norm = np.max(np.abs(ring).sum(axis=1))
             worst_leak = max(worst_leak, blocks.leakage / ring_norm)
-            s = model.fit_block_scale(blocks.h_plus, n, mu, gamma)
+            s = model.fit_block_scale(blocks.h_plus, mu, gamma)
             scales.append(s)
             ring_values = spectral.coalesced_eigenvalues(spectral.eig(ring)) / s
             ssh_values = _grid_chain(n, mu, solved).coalesced

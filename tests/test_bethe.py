@@ -244,6 +244,11 @@ class TestSolveEvanescentPair:
         with pytest.raises(ValueError):
             solve_evanescent_pair(1.5, gamma_ep(1.5, 10), 10)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="^gamma must be finite$"):
+            solve_evanescent_pair(0.5, gamma, 14)
+
 
 class TestZeroMode:
     def test_six_site_mu2_vector(self):

@@ -500,6 +500,12 @@ class TestNumericalFailures:
         assert f"the largest N for mu={mu} is {largest}" in err
         assert "Warning" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mu", ["2", "0.5"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_bethe_refuses_a_non_finite_gamma(self, capsys, mu, gamma):
+        code, out, err = run(capsys, "bethe", "--N", "6", "--mu", mu, "--gamma", gamma)
+        assert (code, out, err) == (1, "", "error: gamma must be finite\n")
+
     @pytest.mark.parametrize("n,mu", [("590", "0.3"), ("1024", "0.5")])
     def test_bethe_at_the_gamma_squared_edge_meets_the_root_bound(self, capsys, n, mu):
         code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)

@@ -5,7 +5,6 @@ from majorana_pt import (
     BLOCK_GRAM,
     ModelParams,
     apply_ssh,
-    build_block_transform,
     build_majorana_ring,
     build_ssh,
     build_ssh_real,
@@ -17,6 +16,7 @@ from majorana_pt import (
     pt_deviation,
     staggered_signs,
 )
+from majorana_pt.model import _block_transform_entries
 
 # Explicit six-site chains with fully worked spectra.
 M1 = np.array(
@@ -175,9 +175,10 @@ class TestApplySsh:
 
 class TestModelParams:
     def test_pt_defaults(self):
-        p = ModelParams(n=6, mu=2.0, gamma=0.25)
-        assert p.mu_left == 0.25j
-        assert p.mu_right == -0.25j
+        # the impurity dimers -i pot/2 at pot = +i gamma (site 1), -i gamma (site n/2+1)
+        h = build_majorana_ring(ModelParams(n=6, mu=2.0, gamma=0.25))
+        assert (h[0, 1], h[1, 0]) == (0.125, -0.125)
+        assert (h[6, 7], h[7, 6]) == (-0.125, 0.125)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -187,17 +188,55 @@ class TestModelParams:
             dict(n=6, mu=0.0),
             dict(n=6, mu=-1.0),
             dict(n=6, mu=1.0, gamma=-0.5),
-            dict(n=6, mu=1.0, t=float("nan")),
+            dict(n=6, mu=1.0, gamma=float("nan")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["t", "delta", "mu_left", "mu_right"])
+    def test_has_no_general_ring_fields(self, field):
+        with pytest.raises(TypeError):
+            ModelParams(n=6, mu=1.0, gamma=0.0, **{field: 1.0})
+
+
+def _loop_ring(n, mu, gamma):
+    """Reference: the ring filled bond by bond in loops, at t = delta = 1."""
+    t = delta = 1.0
+    dim = 2 * n
+    h = np.zeros((dim, dim), dtype=complex)
+    for l in range(1, n + 1):
+        b_l = 2 * l - 1
+        a_next = (2 * l) % dim
+        h[b_l, a_next] += -0.25j * (t + delta)
+        h[a_next, b_l] += +0.25j * (t + delta)
+        b_next = (2 * l + 1) % dim
+        a_l = 2 * l - 2
+        h[b_next, a_l] += -0.25j * (t - delta)
+        h[a_l, b_next] += +0.25j * (t - delta)
+    for l in range(1, n + 1):
+        if l == 1:
+            pot = complex(1j * gamma)
+        elif l == n // 2 + 1:
+            pot = complex(-1j * gamma)
+        else:
+            pot = mu
+        h[2 * l - 2, 2 * l - 1] += -0.5j * pot
+        h[2 * l - 1, 2 * l - 2] += +0.5j * pot
+    return h
+
 
 class TestMajoranaRing:
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.8, 1.0, 1.1, 1.5, 2.0, 3.0])
+    def test_bytes_match_loop_reference(self, mu):
+        for n in range(4, 201, 2):
+            for gamma in (0.0, 0.37, gamma_ep(mu, n)):
+                ring = build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma))
+                assert ring.tobytes() == _loop_ring(n, mu, gamma).tobytes(), (n, gamma)
+
     def test_hermitian_limit_real_spectrum(self):
-        p = ModelParams(n=4, t=1.0, delta=1.0, mu=1.0, gamma=0.0)
+        p = ModelParams(n=4, mu=1.0, gamma=0.0)
         h = build_majorana_ring(p)
         assert h.shape == (8, 8)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
@@ -211,31 +250,6 @@ class TestMajoranaRing:
         union = 0.5 * np.concatenate([ssh_values, ssh_values.conj()])
         for z in union:
             assert np.min(np.abs(ring_values - z)) < 1e-7  # EP pairs split at sqrt(eps)
-
-    def test_open_chain_when_left_dimer_removed(self):
-        n, t, mu = 6, 1.0, 2.0
-        p = ModelParams(n=n, t=t, delta=t, mu=mu, gamma=0.0, mu_left=0.0, mu_right=mu)
-        h = build_majorana_ring(p)
-        assert h[0, 1] == 0 and h[1, 0] == 0
-        # oracle: path 2,3,...,2n,1 with couplings alternating t, mu, ..., t
-        couplings = [t if i % 2 == 0 else mu for i in range(2 * n - 1)]
-        tri = np.diag(couplings, 1)
-        oracle = np.sort(np.linalg.eigvalsh(0.5 * (tri + tri.T)))
-        values = np.sort(np.linalg.eigvals(h).real)
-        assert np.max(np.abs(np.linalg.eigvals(h).imag)) < 1e-14
-        assert np.allclose(values, oracle, atol=1e-12)
-
-    def test_open_chain_has_edge_modes_above_one(self):
-        # a 2n-site chain with weak-strong dimerization hosts near-zero levels
-        p = ModelParams(n=8, mu=2.0, gamma=0.0, mu_left=0.0, mu_right=2.0)
-        values = np.abs(np.linalg.eigvals(build_majorana_ring(p)))
-        assert np.sort(values)[1] < 1e-2
-
-    def test_asymmetric_pairing_uniform_ring_hermitian(self):
-        p = ModelParams(n=6, t=1.0, delta=0.7, mu=1.3, gamma=0.0,
-                        mu_left=1.3, mu_right=1.3)
-        h = build_majorana_ring(p)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
 def _loop_block_transform(n):
@@ -256,25 +270,33 @@ def _loop_block_transform(n):
     return v
 
 
+def _block_transform(n):
+    """The change of basis V, filled from its two nonzeros per column."""
+    rows, coefficients = _block_transform_entries(n)
+    v = np.zeros((2 * n, 2 * n), dtype=complex)
+    v[rows, np.arange(2 * n)] = coefficients
+    return v
+
+
 class TestBlockTransform:
     @pytest.mark.parametrize("n", [4, 6, 10, 58])
     def test_matches_definition(self, n):
-        assert np.array_equal(build_block_transform(n), _loop_block_transform(n))
+        assert np.array_equal(_block_transform(n), _loop_block_transform(n))
 
     def test_first_plus_column_support(self):
-        v = build_block_transform(6)
+        v = _block_transform(6)
         col = v[:, 0]
         nonzero = np.nonzero(np.abs(col) > 0)[0]
         assert set(nonzero) == {0, 1}  # sites 2 and 2n+3-2 == 1, 0-based rows 1 and 0
 
     @pytest.mark.parametrize("n", [4, 6, 10, 14])
     def test_gram_constant(self, n):
-        v = build_block_transform(n)
+        v = _block_transform(n)
         gram = v.conj().T @ v
         assert np.max(np.abs(gram - BLOCK_GRAM * np.eye(2 * n))) < 1e-15
 
     def test_explicit_inverse_matches_gram_scaling(self):
-        v = build_block_transform(8)
+        v = _block_transform(8)
         assert np.allclose(np.linalg.inv(v), v.conj().T / BLOCK_GRAM, atol=1e-13)
 
 
@@ -311,10 +333,14 @@ class TestDecomposeBlocks:
         s = staggered_signs(6)
         assert np.max(np.abs(blocks.h_plus - 0.5 * (s[:, None] * M1 * s[None, :]))) < 1e-15
 
+    def test_fit_rejects_a_non_square_block(self):
+        with pytest.raises(ValueError, match="square block"):
+            fit_block_scale(np.zeros((6, 8)), 2.0, 0.25)
+
     def test_fitted_scale_is_half(self):
         p = ModelParams(n=10, mu=0.5, gamma=gamma_ep(0.5, 10))
         blocks = decompose_blocks(build_majorana_ring(p), 10)
-        scale = fit_block_scale(blocks.h_plus, 10, 0.5, gamma_ep(0.5, 10))
+        scale = fit_block_scale(blocks.h_plus, 0.5, gamma_ep(0.5, 10))
         assert abs(scale - 0.5) < 1e-12
 
     def test_hermitian_blocks_at_gamma_zero(self):
@@ -331,6 +357,13 @@ class TestDecomposeBlocks:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             decompose_blocks(np.eye(10), 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        ring = build_majorana_ring(ModelParams(n=6, mu=2.0, gamma=0.25))
+        ring[3, 4] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            decompose_blocks(ring, 6)
 
 
 class TestHelpers:
