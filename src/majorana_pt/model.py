@@ -251,8 +251,9 @@ def build_majorana_ring(params: ModelParams) -> np.ndarray:
     pot[0], pot[n // 2] = 1j * params.gamma, -1j * params.gamma
     # adding onto zeros keeps every zero real part +0.0, bit for bit
     h = np.zeros((dim, dim), dtype=complex)
-    h[a + 1, np.roll(a, -1)] += -0.5j  # ring bonds b_l -> a_{l+1}
-    h[np.roll(a, -1), a + 1] += 0.5j
+    following = (a + 2) % dim          # a_{l+1}, periodic
+    h[a + 1, following] += -0.5j       # ring bonds b_l -> a_{l+1}
+    h[following, a + 1] += 0.5j
     h[a, a + 1] += -0.5j * pot         # dimers a_l -> b_l
     h[a + 1, a] += 0.5j * pot
     return h

@@ -3,11 +3,12 @@
 :func:`eig` is a dense non-Hermitian eigensolver contract that pairs every
 right eigenvector with a left eigenvector of the conjugate-transpose
 problem, verifies residuals, and reports the biorthogonal overlaps
-``<w_i|v_i>`` whose vanishing signals an exceptional point.  When a diagonal
-gauge of unit phases makes the matrix exactly real and sign symmetric, as
-for the Majorana ring, it solves the real matrix once: the sign symmetry
-``r^T = J r J`` gives the left vectors as ``D J conj(x)`` of the right ones
-``D x``.  Residuals and overlaps are still taken against the original matrix.
+``<w_i|v_i>`` whose vanishing signals an exceptional point.  A Majorana ring
+(:func:`~.model.build_majorana_ring`) is ``V diag(h_plus^dag, h_plus)
+V^-1`` with ``h_plus`` half an SSH chain, so :func:`eig` takes its whole
+``2n x 2n`` eigensystem from one real ``n x n`` solve of that chain: the
+levels ``eps / 2`` and ``conj(eps) / 2``, with right and left vectors lifted
+through ``V``.  Residuals and overlaps are still taken against the ring.
 :func:`chain_eigensystem` keeps that contract for the complex symmetric SSH
 chain with one real solve: ``left = conj(right)``, with equal residuals, and
 the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
@@ -104,11 +105,11 @@ class EigenSystem:
     right, left : np.ndarray
         Unit-norm eigenvector columns; ``left[:, i]`` is an eigenvector of
         the conjugate transpose for ``conj(eigenvalues[i])``.  From
-        :func:`eig` of a matrix with a sign-symmetric real gauge (the ring)
-        ``left = D J conj(D^dag right)``; of any other matrix the left
-        vectors come from a second solve, of the conjugate transpose, paired
-        greedily by nearest eigenvalue.  From :func:`chain_eigensystem`
-        ``left`` is ``conj(right)``.
+        :func:`eig` of a ring both are lifted from the chain's vectors ``x``
+        and ``conj(x)`` (:func:`_ring_eigenvectors`); of any other matrix
+        the left vectors come from a second solve, of the conjugate
+        transpose, paired greedily by nearest eigenvalue.  From
+        :func:`chain_eigensystem` ``left`` is ``conj(right)``.
     residuals, left_residuals : np.ndarray
         Per-column residual magnitudes, each against its own eigenvalue;
         equal for :func:`chain_eigensystem`.
@@ -209,56 +210,60 @@ def _eigensystems(values, right, apply, norm_inf, left=None) -> list:
     return rows
 
 
-def _real_gauge(a: np.ndarray):
-    """Unit phases ``d`` and signs ``j`` with ``r = conj(d)[:, None] * a *
-    d[None, :]`` exactly real and ``r.T == j[:, None] * r * j[None, :]``, as
-    ``(d, r, j)``, or ``None``.
+def _ring_eigenvectors(a: np.ndarray):
+    """``(values, right, left)``, sorted, if ``a`` is exactly a
+    :func:`~.model.build_majorana_ring`; else ``None``.
 
-    ``d`` makes the entries on a breadth-first spanning tree of each
-    component of the nonzero pattern real and positive, and ``j`` changes
-    sign across each tree edge whose two entries have a negative product
-    ``a[i, k] a[k, i]`` (the product is gauge invariant); every other entry
-    must then come out exactly real and sign symmetric.  The diagonal is
-    gauge invariant.
+    The ring is ``V diag(h_plus^dag, h_plus) V^-1``, with ``h_plus = g
+    build_ssh g / 2`` on the sigma = -1 columns ``V_+`` of
+    :func:`~.model._block_transform_entries` and ``g`` the staggered signs.
+    So the real solve of :func:`chain_eigensystem`, ``build_ssh x = eps
+    x``, gives ``eps / 2`` with right vector ``V_+ g x`` and left vector
+    ``V_+ g conj(x)``, and ``conj(eps) / 2`` with ``V_- g conj(x)`` and
+    ``V_- g x``.  Both blocks of ``V`` hold their two nonzeros per column in
+    the same rows, so each lift is two row scatters.
     """
-    if np.any(np.diagonal(a).imag):
+    dim = len(a)
+    if dim < 8 or dim % 2:
         return None
-    rows, cols = np.nonzero((a != 0) | (a.T != 0))
-    w = np.where(a[rows, cols] != 0, a[rows, cols], a[cols, rows].conj())
-    # conj(w) / |w| part by part: a complex division is not exact on the axes
-    phases = w.real / np.abs(w) - 1j * (w.imag / np.abs(w))
-    flips = np.where((a[rows, cols] * a[cols, rows]).real < 0, -1.0, 1.0)
-    neighbours = [[] for _ in range(len(a))]
-    for i, k, u, f in zip(rows.tolist(), cols.tolist(), phases.tolist(), flips.tolist()):
-        neighbours[i].append((k, u, f))
-    d, j = [0j] * len(a), [1.0] * len(a)
-    for root in range(len(a)):
-        if d[root]:
-            continue
-        d[root] = 1 + 0j
-        queue = [root]
-        for i in queue:
-            for k, u, f in neighbours[i]:
-                if not d[k]:
-                    d[k], j[k] = d[i] * u, j[i] * f
-                    queue.append(k)
-    d, j = np.array(d), np.array(j)
-    r = d.conj()[:, None] * a * d[None, :]
-    if np.any(r.imag):
+    n = dim // 2
+    try:
+        params = model.ModelParams(n, float((2j * a[2, 3]).real), float(2 * a[0, 1].real))
+    except ValueError:
         return None
-    r = r.real
-    return (d, r, j) if np.array_equal(r.T, j[:, None] * r * j[None, :]) else None
+    if not np.array_equal(a, model.build_majorana_ring(params)):
+        return None
+    # the real solve of chain_eigensystem: build_ssh x = eps x for x = Q v,
+    # left unnormalised, since the lifted vectors are normalised on the ring
+    eps, v = np.linalg.eig(model.build_ssh_real(n, params.mu, params.gamma))
+    gx = model.staggered_signs(n)[:, None] * (v + 1j * v[::-1])
+    eps = eps.astype(complex)
+    values = np.concatenate([eps, eps.conj()]) / 2
+    order = _sort_by_re_im(values)
+    rows, coefficients = model._block_transform_entries(n)
+
+    def lift(plus, minus):  # V_+ plus next to V_- minus, in the sorted order
+        out = np.empty((dim, dim), dtype=complex)
+        out[rows[0, :n]] = (coefficients[0, :n, None]
+                            * np.concatenate([plus, minus], axis=1)[:, order])
+        out[rows[1, :n]] = np.concatenate([coefficients[1, n:, None] * plus,
+                                           coefficients[1, :n, None] * minus], axis=1)[:, order]
+        return out
+
+    return values[order], lift(gx, gx.conj()), lift(gx.conj(), gx)
 
 
 def eig(a: np.ndarray) -> EigenSystem:
     """Dense eigendecomposition with verified residuals and left pairing.
 
-    When :func:`_real_gauge` makes ``r = D^dag a D`` real with ``r^T = J r
-    J``, one real solve ``r x = eps x`` gives ``right = D x`` and ``left = D
-    J conj(x)``: ``a^dag = D r^T D^dag`` and ``r^T (J conj(x)) = conj(eps) J
-    conj(x)``.  Otherwise ``a`` and ``a^dag`` are solved apart and each left
+    A Kitaev ring, ``a`` equal to :func:`~.model.build_majorana_ring` of its
+    own ``(n, mu, gamma)`` (``mu = 2i a[2, 3]``, ``gamma = 2 Re a[0, 1]``),
+    takes its whole eigensystem from the one real ``n x n`` solve of
+    :func:`chain_eigensystem` (:func:`_ring_eigenvectors`).  Any other
+    matrix is solved with its conjugate transpose ``a^dag``, and each left
     vector is paired greedily, by nearest eigenvalue, with ``conj(eps)``.
-    Either way the left residuals are computed against ``a^dag``.
+    Either way the residuals and left residuals are computed against ``a``
+    and ``a^dag``.
 
     Parameters
     ----------
@@ -287,19 +292,19 @@ def eig(a: np.ndarray) -> EigenSystem:
     n = a.shape[0]
     norm_inf = float(np.max(np.abs(a).sum(axis=1), initial=0.0))
     adjoint = a.conj().T
-    gauge = _real_gauge(a)
-
     try:
-        values, right = np.linalg.eig(a if gauge is None else gauge[1])
-        if gauge is None:
+        ring = _ring_eigenvectors(a)
+        if ring is None:
+            values, right = np.linalg.eig(a)
             left_values, left = np.linalg.eig(adjoint)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    values = values.astype(complex)
-    order = _sort_by_re_im(values)
-    values, right = values[order], right[:, order]
-
-    if gauge is None:
+    if ring is not None:
+        values, right, left = ring
+        left_values = values.conj()
+    else:
+        order = _sort_by_re_im(values)
+        values, right = values[order], right[:, order]
         # Greedy nearest-eigenvalue pairing of the left system to conj(values).
         gaps = np.abs(left_values[None, :] - values.conj()[:, None])
         assignment = _greedy_pairing(gaps)
@@ -312,10 +317,6 @@ def eig(a: np.ndarray) -> EigenSystem:
                 f"(gap {gaps[worst]:.3e})"
             )
         left, left_values = left[:, assignment], left_values[assignment]
-    else:
-        d, _, signs = gauge
-        left, left_values = (d * signs)[:, None] * right.conj(), values.conj()
-        right = d[:, None] * right
     left = (left[None], left_values[None], adjoint.__matmul__)
     return _served(_eigensystems(values[None], right[None], a.__matmul__,
                                  np.array([norm_inf]), left)[0])
@@ -425,8 +426,8 @@ def detect_coalescence(es: EigenSystem) -> list[Coalescence]:
     ``EP_TOLERANCE * scale``, whose right eigenvectors are pairwise parallel
     (overlap modulus >= 1 - EP_TOLERANCE), and whose coalesced left/right
     pair has ``|<left|right>| <= EP_TOLERANCE``.  Returns an empty list when
-    no exceptional point is present.  It serves the six-site chains and the
-    rings; a classified chain reads its pair from :func:`classify_modes`.
+    no exceptional point is present.  It serves the six-site chains; a
+    classified chain reads its pair from :func:`classify_modes`.
     """
     values = es.eigenvalues
     close = np.abs(values[:, None] - values[None, :]) <= EP_TOLERANCE * es.scale

@@ -5,7 +5,9 @@ records (see :class:`_GridChain`), returning a :class:`CriterionResult`;
 :func:`run_criteria` executes a filtered subset and shares one cache among
 them, so a run solves and analyses each grid chain once; only the six-site
 criteria, whose budget times a real solve, and the rings are solved outside
-it.  The numerical bounds are the fixed constants of :mod:`.spectral`.
+it.  A ring's levels come from ``np.linalg.eigvals`` of the ring itself, an
+oracle apart from the chain solve that :func:`~.spectral.eig` lifts a ring
+from.  The numerical bounds are the fixed constants of :mod:`.spectral`.
 The six-site chains have fully explicit spectra and eigenvectors, the
 censuses and closed forms are checked across the desk-scale grid
 (n up to 30, matrices up to 60 x 60), and dense eigensolves serve as the
@@ -22,8 +24,9 @@ parallel, so the eigenvalue and eigenvector routes check each other.
 Numerically split coalescing pairs are compared through their centroid: a
 defective pair computed in double precision splits by the square root of
 the backward error, and the centroid cancels that split's leading term.
-The grid chains read it from their classified records, the six-site chains
-and the rings from :func:`~.spectral.coalesced_eigenvalues`.
+The grid chains read it from their classified records and the six-site
+chains from :func:`~.spectral.coalesced_eigenvalues`; the rings take it over
+their four levels of least modulus, the two split pairs.
 """
 
 from __future__ import annotations
@@ -245,7 +248,12 @@ def block_decomposition(solved):
             worst_leak = max(worst_leak, blocks.leakage / ring_norm)
             s = model.fit_block_scale(blocks.h_plus, mu, gamma)
             scales.append(s)
-            ring_values = spectral.coalesced_eigenvalues(spectral.eig(ring)) / s
+            # an oracle apart from the chain: the ring's own dense levels,
+            # its two split EP pairs (the four least |eps|) at their centroid
+            ring_values = np.linalg.eigvals(ring)
+            ep = np.argsort(np.abs(ring_values))[:4]
+            ring_values[ep] = np.mean(ring_values[ep])
+            ring_values /= s
             ssh_values = _grid_chain(n, mu, solved).coalesced
             union = np.concatenate([ssh_values, ssh_values.conj()])
             worst_spec = max(worst_spec, spectral.match_multisets(ring_values, union))

@@ -102,14 +102,14 @@ def test_suite_solves_each_distinct_matrix_once(monkeypatch):
     monkeypatch.setattr(verify.spectral, "eig", counted_eig)
     monkeypatch.setattr(verify.spectral, "chain_eigensystems", counted_chains)
     verify.run_criteria()
-    # 78 grid chains from one stacked real solve per length; 6 rings and the
-    # two timed six-site solves through the general eig, whose chains are the
-    # grid points (6, 2.0) and (6, 0.5)
+    # 78 grid chains from one stacked real solve per length; the two timed
+    # six-site solves through the general eig, whose chains are the grid
+    # points (6, 2.0) and (6, 0.5); the rings take np.linalg.eigvals alone
     assert sorted(stacks) == verify.GRID_N
     paths = Counter(path for path, _ in solved)
-    assert paths == {"chain": 78, "eig": 8}
+    assert paths == {"chain": 78, "eig": 2}
     counts = Counter(h for _, h in solved)
-    assert len(counts) == 84 and max(counts.values()) == 2
+    assert len(counts) == 78 and max(counts.values()) == 2
     assert {h for h, k in counts.items() if k == 2} == {
         verify.model.build_ssh(6, 2.0, 0.25).tobytes(),
         verify.model.build_ssh(6, 0.5, 4.0).tobytes(),
@@ -147,13 +147,13 @@ def test_suite_analyses_each_chain_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
     # 78 grid chains in one stacked pass per length (13), each chain solved
-    # and classified once, its coalesced spectrum read from the records; 6
-    # rings and the two six-site chains through eig; the evanescent pair is
-    # solved once per closed-form chain at mu = 0.5.  detect_coalescence
-    # serves the coalesced ring and six-site spectra (8) and the two timed
-    # six-site solves
+    # and classified once, its coalesced spectrum read from the records; the
+    # two six-site chains through eig; the evanescent pair is solved once per
+    # closed-form chain at mu = 0.5.  detect_coalescence serves the coalesced
+    # six-site spectra (2) and the two timed six-site solves; the rings
+    # coalesce their np.linalg.eigvals levels themselves
     assert calls == {"chain_eigensystems": 13, "classify_stack": 13,
-                     "eig": 8, "coalesced_eigenvalues": 8, "detect_coalescence": 10,
+                     "eig": 2, "coalesced_eigenvalues": 2, "detect_coalescence": 4,
                      "solve_evanescent_pair": 5}
     assert rows == {name: 78 for name in stacked}
 

@@ -30,7 +30,7 @@ from majorana_pt import (
 from majorana_pt import spectral
 from majorana_pt.model import MAX_DIM
 from majorana_pt.spectral import (
-    CLASS_TOLERANCE, EP_TOLERANCE, RESIDUAL_TOLERANCE, _canonical_phase, _real_gauge,
+    CLASS_TOLERANCE, EP_TOLERANCE, RESIDUAL_TOLERANCE, _canonical_phase,
 )
 from majorana_pt.verify import GRID_MU_TOPO, GRID_MU_TRIV, GRID_N
 
@@ -54,23 +54,12 @@ def _ring(n, mu):
     return build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma_ep(mu, n)))
 
 
-def _two_solve_eig(a, gauge=None):
-    """Reference: the former eig, two solves paired by a per-row greedy loop.
-
-    With ``gauge = (d, r)``, ``r = conj(d) a d`` real, the solves are of
-    ``r`` and ``r.T`` and the vectors map back as ``d * x``.
-    """
+def _two_solve_eig(a):
+    """Reference: the former eig, two solves paired by a per-row greedy loop."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    if gauge is None:
-        values, right = np.linalg.eig(a)
-        left_values, left = np.linalg.eig(a.conj().T)
-    else:
-        d, r = gauge
-        values, right = np.linalg.eig(r)
-        left_values, left = np.linalg.eig(r.T)
-        values, left_values = values.astype(complex), left_values.astype(complex)
-        right, left = d[:, None] * right, d[:, None] * left
+    values, right = np.linalg.eig(a)
+    left_values, left = np.linalg.eig(a.conj().T)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     right = right[:, order]
@@ -220,7 +209,7 @@ class TestEig:
         eig(build_ssh(10, 1.5, gamma_ep(1.5, 10)))
         assert calls == ["numpy", "numpy"]
         calls.clear()
-        # the ring's left vectors come from its sign symmetry, not a second solve
+        # a ring's left vectors are lifted from its chain's, not a second solve
         eig(_ring(6, 2.0))
         assert calls == ["numpy"]
 
@@ -246,34 +235,18 @@ class TestEig:
         "matrix",
         [build_ssh(n, mu, gamma_ep(mu, n))
          for n, mu in [(6, 2.0), (6, 0.5), (14, 0.5), (30, 1.5), (30, 0.3), (64, 2.0)]]
-        + [_ring(n, mu) for n, mu in [(6, 0.5), (6, 2.0), (10, 0.5), (16, 1.5)]]
         + [
             np.diag([1.0, 1.0, 2.0j]),
             np.kron(np.eye(2), [[1.0, 0.5j, 0.2], [0.5j, -1.0, 0.3], [0.2, 0.3, 0.4j]]),
         ],
-        ids=[f"chain{i}" for i in range(6)] + [f"ring{i}" for i in range(4)]
-        + ["repeated-diagonal", "repeated-block"],
+        ids=[f"chain{i}" for i in range(6)] + ["repeated-diagonal", "repeated-block"],
     )
     def test_matches_greedy_pairing_loop(self, matrix):
         es = eig(matrix)
-        gauge = _real_gauge(matrix)
-        if gauge is None:
-            got = (es.eigenvalues, es.right, es.left, es.residuals,
-                   es.left_residuals, es.biorth_norms)
-            for g, w in zip(got, _two_solve_eig(matrix)):
-                assert np.array_equal(g, w)
-            return
-        # a ring: its right half as from the two real solves, its left
-        # vectors D J conj(x) of the right ones D x
-        d, r, j = gauge
-        values, right, _, residuals, _, _ = _two_solve_eig(matrix, (d, r))
-        assert np.array_equal(es.eigenvalues, values)
-        assert np.array_equal(es.right, right)
-        assert np.array_equal(es.residuals, residuals)
-        left = (d * j)[:, None] * (d.conj()[:, None] * es.right).conj()
-        assert np.max(np.abs(es.left - left)) <= 4 * np.finfo(float).eps
-        assert float(np.max(es.left_residuals)) <= RESIDUAL_TOLERANCE * es.norm_inf
-        assert np.array_equal(es.biorth_norms, np.einsum("ij,ij->j", es.left.conj(), es.right))
+        got = (es.eigenvalues, es.right, es.left, es.residuals,
+               es.left_residuals, es.biorth_norms)
+        for g, w in zip(got, _two_solve_eig(matrix)):
+            assert np.array_equal(g, w)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -312,80 +285,97 @@ def _degenerate_projectors(es, skip):
     return sorted(projectors, key=lambda p: (round(p[0].real, 8), round(p[0].imag, 8)))
 
 
+def _recorded_solves(monkeypatch):
+    """The ``(dtype, shape)`` of each ``np.linalg.eig`` call from here on."""
+    calls = []
+    original = np.linalg.eig
+
+    def recorded(x):
+        calls.append((x.dtype, x.shape))
+        return original(x)
+
+    monkeypatch.setattr(np.linalg, "eig", recorded)
+    return calls
+
+
 class TestRealGauge:
-    """The ring solved in its real gauge against the complex two-solve eig."""
+    """The ring solved in real arithmetic, from the real form of its chain,
+    against the complex two-solve eig: the ring is ``V diag(h_plus^dag,
+    h_plus) V^-1`` with ``h_plus`` similar to ``build_ssh_real / 2``."""
 
     @pytest.mark.parametrize("mu", [0.5, 1.1, 2.0])
-    @pytest.mark.parametrize("n", [6, 10, 16, 30, 58])
+    @pytest.mark.parametrize("n", [4, 6, 10, 16, 30, 58])
     def test_ring_gauge_is_exact(self, n, mu):
-        h = _ring(n, mu)
-        d, r, j = _real_gauge(h)
-        assert r.dtype == np.float64
-        assert np.array_equal(np.abs(d), np.ones(2 * n))
-        gauged = d.conj()[:, None] * h * d[None, :]
-        assert np.array_equal(gauged.real, r) and not np.any(gauged.imag)
-        assert set(j.tolist()) <= {1.0, -1.0}
-        assert np.array_equal(r.T, j[:, None] * r * j[None, :])
+        # the levels are the chain's halved and their conjugates, bit for bit
+        for gamma in (gamma_ep(mu, n), 0.3 * gamma_ep(mu, n), 0.0):
+            es = eig(build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma)))
+            chain = chain_eigensystem(n, mu, gamma).eigenvalues
+            want = np.concatenate([chain / 2, chain.conj() / 2])
+            want = want[np.lexsort((want.imag, want.real))]
+            assert es.eigenvalues.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "matrix",
         [build_ssh(10, 1.5, gamma_ep(1.5, 10)), build_ssh(14, 0.5, 0.3),
          np.diag([1.0, 1.0, 2.0j]),
          np.kron(np.eye(2), [[1.0, 0.5j, 0.2], [0.5j, -1.0, 0.3], [0.2, 0.3, 0.4j]]),
-         np.random.default_rng(3).normal(size=(8, 8, 2)) @ [1.0, 1.0j]],
-        ids=["chain", "chain-off-locus", "repeated-diagonal", "repeated-block", "random"],
+         np.random.default_rng(3).normal(size=(8, 8, 2)) @ [1.0, 1.0j],
+         _planted_pair(12, 1e-3, True), _planted_pair(12, 1e-3, False), np.zeros((8, 8))],
+        ids=["chain", "chain-off-locus", "repeated-diagonal", "repeated-block", "random",
+             "planted-jordan", "planted-diagonal", "zeros"],
     )
-    def test_no_gauge(self, matrix):
-        assert _real_gauge(matrix) is None
+    def test_no_gauge(self, monkeypatch, matrix):
+        # not a ring: the matrix and its adjoint, each in complex arithmetic
+        calls = _recorded_solves(monkeypatch)
+        eig(matrix)
+        assert calls == [(np.complex128, matrix.shape)] * 2
 
-    def test_real_input_takes_real_path(self):
-        # real symmetric: the signs of d only, and no flip
-        a = _planted_pair(12, 1e-3, False)
-        d, r, j = _real_gauge(a)
-        assert np.array_equal(np.abs(r), np.abs(a.real))
-        assert set(d.tolist()) <= {1, -1}
-        assert np.array_equal(j, np.ones(12))
-        # real, but the Jordan block [[0, 1], [split^2, 0]] is not sign symmetric
-        assert _real_gauge(_planted_pair(12, 1e-3, True)) is None
+    @pytest.mark.parametrize(
+        "entry",
+        [(0, 0), (0, 1), (1, 0), (2, 3), (3, 2), (5, 6), (19, 0), (0, 19), (4, 17)],
+        ids=lambda entry: f"{entry[0]}-{entry[1]}",
+    )
+    def test_any_entry_changed_takes_two_complex_solves(self, monkeypatch, entry):
+        h = _ring(10, 0.5)
+        h[entry] += 1e-3 * (1 + 1j)
+        calls = _recorded_solves(monkeypatch)
+        es = eig(h)
+        assert calls == [(np.complex128, (20, 20))] * 2
+        bound = RESIDUAL_TOLERANCE * es.norm_inf
+        assert max(np.max(es.residuals), np.max(es.left_residuals)) <= bound
 
     def test_one_ulp_off_sign_symmetry_takes_two_complex_solves(self, monkeypatch):
         h = _ring(10, 0.5)
         i, k = np.argwhere(np.triu(h != 0, 1))[0]
-        h[i, k] *= 1 + np.finfo(float).eps  # one ulp off, and still gauge real
+        h[i, k] *= 1 + np.finfo(float).eps  # one ulp off a ring entry
         assert abs(h[i, k]) != abs(h[k, i]) and (h[i, k] * h[k, i]).imag == 0
-        assert _real_gauge(h) is None
-        dtypes = []
-
-        def recorded(x):
-            dtypes.append(x.dtype)
-            return original(x)
-
-        original = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", recorded)
+        calls = _recorded_solves(monkeypatch)
         es = eig(h)
-        assert dtypes == [np.complex128, np.complex128]
+        assert calls == [(np.complex128, (20, 20))] * 2
         bound = RESIDUAL_TOLERANCE * es.norm_inf
         assert max(np.max(es.residuals), np.max(es.left_residuals)) <= bound
         assert match_multisets(es.eigenvalues, eig(_ring(10, 0.5)).eigenvalues) <= 1e-6 * es.scale
 
     def test_solve_dtypes(self, monkeypatch):
-        dtypes = []
-
-        def recorded(x):
-            dtypes.append(x.dtype)
-            return original(x)
-
-        original = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", recorded)
-        for n, mu in [(6, 2.0), (10, 0.5), (30, 1.1)]:
+        # a ring of n sites: one real solve of its n x n chain, nothing else
+        calls = _recorded_solves(monkeypatch)
+        for n, mu in [(4, 2.0), (6, 2.0), (10, 0.5), (30, 1.1), (58, 0.5)]:
             eig(_ring(n, mu))
-            assert dtypes == [np.float64]
-            dtypes.clear()
+            assert calls == [(np.float64, (n, n))]
+            calls.clear()
         eig(build_ssh(10, 0.5, gamma_ep(0.5, 10)))
-        assert dtypes == [np.complex128, np.complex128]
-        dtypes.clear()
-        eig(_planted_pair(12, 1e-3, True))
-        assert dtypes == [np.complex128, np.complex128]
+        assert calls == [(np.complex128, (10, 10))] * 2
+
+    @pytest.mark.parametrize("n", [48, 52, 56, 58, 60])
+    def test_no_drift_at_mu_half(self, n):
+        # twice the ring's levels against the dense complex solve of the
+        # chain, each side's split EP pairs at their centroid; the ring's own
+        # complex solve missed this by 4.7e-10 at n = 48 and 1.5e-8 at 60
+        mu, gamma = 0.5, gamma_ep(0.5, n)
+        dense = _at_centroid(np.linalg.eigvals(build_ssh(n, mu, gamma)), 2)
+        union = np.concatenate([dense, dense.conj()])
+        ring = _at_centroid(2 * eig(_ring(n, mu)).eigenvalues, 4)
+        assert _relative_level_gap(ring, union) <= 1e-10
 
     @pytest.mark.parametrize("mu", [0.5, 1.1, 2.0])
     @pytest.mark.parametrize("n", [6, 10, 16, 30, 58])
@@ -412,6 +402,14 @@ class TestRealGauge:
                        and abs(c.eigenvalue - want.eigenvalue) <= 1e-12 * es.scale
                        for c in clusters)
         assert all(abs(c.biorth_norm) <= EP_TOLERANCE for c in clusters)
+
+
+def _at_centroid(values, count):
+    """``values`` with its ``count`` values of least modulus at their centroid."""
+    values = np.array(values, dtype=complex)
+    nearest = np.argsort(np.abs(values))[:count]
+    values[nearest] = np.mean(values[nearest])
+    return values
 
 
 def _relative_level_gap(a, b):
