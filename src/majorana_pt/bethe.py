@@ -200,15 +200,19 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     for _ in range(_MAX_REFINEMENTS + 1):
         ks = np.linspace(0.0, np.pi, points + 2)[1:points // 2 + 1]  # below pi/2
         vals = _real_line(ks, mu, gamma, n)
-        distinct: list[tuple[float, float]] = []
         signs = np.sign(vals)  # a product of the values overflows once gamma^2 is large
-        for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0)):
-            k = float(ks[i]) if vals[i] == 0.0 else brentq(
+        polished = np.array([
+            ks[i] if vals[i] == 0.0 else brentq(
                 _real_line, ks[i], ks[i + 1], args=(mu, gamma, n, math.sin, math.cos),
                 xtol=1e-15, rtol=8.9e-16)
-            e2 = 1 + mu * mu - 2 * mu * np.cos(2 * k)
-            if not distinct or e2 - distinct[-1][1] >= 1e-9 * max(1.0, distinct[-1][1]):
-                distinct.append((k, e2))
+            for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
+        ], dtype=float)
+        e2 = 1 + mu * mu - 2 * mu * np.cos(2 * polished)
+        distinct, last = [], None  # the indices of the distinct roots
+        for i, level in enumerate(e2.tolist()):
+            if last is None or level - last >= 1e-9 * max(1.0, last):
+                distinct.append(i)
+                last = level
         if expected is None or len(distinct) == expected:
             break
         points *= 3
@@ -218,10 +222,13 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
             f"mu={mu}; census expects {expected}"
         )
 
+    # normalized_residual of every root from one evaluation: along real k
+    # the terms are real, and numpy's equal its complex ones bit for bit
+    polished, e2 = polished[distinct], e2[distinct]
+    terms = _terms(polished, mu, gamma, n)
+    residuals = np.abs(sum(terms)) / np.abs(terms).max(axis=0, initial=1e-300)
     roots: list[BetheRoot] = []
-    for k, e2 in distinct:
-        eps = float(np.sqrt(e2))
-        res = normalized_residual(k, mu, gamma, n)
+    for k, eps, res in zip(polished.tolist(), np.sqrt(e2).tolist(), residuals.tolist()):
         if res > ROOT_TOLERANCE:
             raise RootScanError(
                 f"polished root k={k} has normalized residual {res:.3e} > "
@@ -235,6 +242,20 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
                 )
             )
     return roots
+
+
+def _memoised(function):
+    """``function`` of one mpmath number, evaluated once per argument and
+    working precision: ``findroot`` works 20 bits above the caller."""
+    values = {}
+
+    def memoised(x):
+        key = (x, mpmath.mp.prec)
+        if key not in values:
+            values[key] = function(x)
+        return values[key]
+
+    return memoised
 
 
 def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
@@ -262,18 +283,18 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     with mpmath.workdps(max(_EVANESCENT_DPS, 2 * cancelled + 4)):
         mmu = mpmath.mpf(repr(mu))
         mgam = mpmath.mpf(repr(gamma))
+        sinh, cosh = _memoised(mpmath.sinh), _memoised(mpmath.cosh)
 
         def rescaled(kappa):
-            line = _real_line(kappa, mmu, mgam, n, mpmath.sinh, mpmath.cosh)
-            return line / mpmath.sinh(n * kappa)
+            return _real_line(kappa, mmu, mgam, n, sinh, cosh) / sinh(n * kappa)
 
         seed = (mpmath.mpf(n) - 1) / 2 * mpmath.log(1 / mmu)
         kappa = mpmath.findroot(rescaled, seed)
-        e2 = 1 + mmu * mmu - 2 * mmu * mpmath.cosh(2 * kappa)
+        e2 = 1 + mmu * mmu - 2 * mmu * cosh(2 * kappa)
         if e2 >= 0:  # pragma: no cover - cannot happen at the locus
             raise RootScanError("evanescent root has non-imaginary eigenvalue")
         # the sinh(n kappa) rescaling cancels in the normalized residual
-        residual = _normalized(_terms(kappa, mmu, mgam, n, mpmath.sinh, mpmath.cosh))
+        residual = _normalized(_terms(kappa, mmu, mgam, n, sinh, cosh))
         k_root = complex(0.0, float(kappa))
         eps = float(mpmath.sqrt(-e2))
     return [
@@ -333,11 +354,11 @@ def zero_mode(n: int, mu: float, side: str = "right") -> ZeroModeWavefunction:
     _require_even_sites(n)
     mu = _require_mu(mu, forbid_uniform=True)
     omega = omega_constant(n, mu)
-    j = np.arange(1, n // 2 + 1)
+    decay = mu ** (1.0 - np.arange(1, n // 2 + 1))  # mu^(1-j); reversed, mu^(j - n/2)
     amps = np.zeros(n, dtype=complex)
-    amps[0::2] = omega * mu ** (1.0 - j)
+    amps[0::2] = omega * decay
     sign = -1j if side == "right" else +1j
-    amps[1::2] = sign * omega * mu ** (j - n / 2.0)
+    amps[1::2] = sign * omega * decay[::-1]
     amps *= staggered_signs(n)
     return ZeroModeWavefunction(n=n, mu=mu, side=side, omega=float(omega), amplitudes=amps)
 

@@ -121,15 +121,14 @@ def _cmd_spectrum(args) -> int:
     if fmt == "json":
         payload = serialize.eigensystem_to_json(es)
         payload["config"] = config
-        payload["coalesced_eigenvalues"] = [
-            serialize.complex_pair(r.eigenvalue) for r in records
-        ]
+        payload["coalesced_eigenvalues"] = serialize.complex_pairs(
+            [r.eigenvalue for r in records])
         payload["mode_classes"] = [r.mode_class.value for r in records]
         payload["census"] = {
             "n_I": census.n_I, "n_EP": census.n_EP, "n_S": census.n_S, "N": census.n,
         }
         payload["pseudo_hermitian"] = ok
-        payload["unmatched"] = [serialize.complex_pair(z) for z in unmatched]
+        payload["unmatched"] = serialize.complex_pairs(unmatched)
         _emit(args, serialize.dump_json(payload))
     elif fmt == "csv":
         _emit(args, serialize.spectrum_csv(es, records, _config_lines(config)))
@@ -159,7 +158,7 @@ def _cmd_zero_mode(args) -> int:
         payload = {
             "config": config,
             "omega": wavefunction.omega,
-            "amplitudes": [serialize.complex_pair(z) for z in wavefunction.amplitudes],
+            "amplitudes": serialize.complex_pairs(wavefunction.amplitudes),
         }
         _emit(args, serialize.dump_json(payload))
     else:

@@ -219,8 +219,10 @@ def apply_ssh(n: int, mu, gamma, v: np.ndarray) -> np.ndarray:
     chain of the same length: with ``v`` of shape ``(n, s, k)`` and ``mu``,
     ``gamma`` of shape ``(s, 1)``, ``v[:, i]`` is multiplied by chain ``i``.
     """
-    for chain_mu, chain_gamma in np.broadcast(mu, gamma):
-        _require_chain(n, chain_mu, chain_gamma)
+    _require_even_sites(n)
+    if not (np.greater(mu, 0) & np.isfinite(mu) & np.isfinite(gamma)).all():
+        for chain_mu, chain_gamma in np.broadcast(mu, gamma):  # name the first refused
+            _require_chain(n, chain_mu, chain_gamma)
     v = np.asarray(v)
     bonds = _bonds(n, mu)
     bonds = bonds.reshape((n - 1,) + (1,) * (v.ndim - bonds.ndim) + bonds.shape[1:])

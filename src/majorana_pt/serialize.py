@@ -4,17 +4,28 @@ Complex numbers are serialized as ``[re, im]`` pairs in JSON and as two
 adjacent columns in CSV; floats use the shortest round-trip representation,
 so identical inputs produce byte-identical artifacts.  The exact layouts are
 documented in docs/FORMATS.md.
+
+The JSON contract: :func:`dump_json` returns exactly ``json.dumps(payload,
+sort_keys=True, separators=(",", ": "), indent=1) + "\\n"``.  Non-ASCII
+characters are written as ``\\uXXXX`` escapes, and non-finite floats as
+``NaN``, ``Infinity`` and ``-Infinity``.  The stdlib's indenting encoder is
+pure Python, so :func:`dump_json` writes the common values itself (str keys
+and values, finite floats, ints, bools, ``None``, and lists of finite floats
+and of ``[re, im]`` pairs) and hands every other value to a
+``json.JSONEncoder`` with the same settings.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 __all__ = [
     "complex_pair",
+    "complex_pairs",
     "matrix_to_text",
     "eigensystem_to_json",
     "spectrum_csv",
@@ -52,13 +63,19 @@ def matrix_to_text(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def complex_pairs(values) -> list[list[float]]:
+    """``[complex_pair(z) for z in values]``, from one array."""
+    z = np.asarray(values, dtype=complex).reshape(-1)
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
 def eigensystem_to_json(es) -> dict:
     return {
         "dim": es.dim,
-        "eigenvalues": [complex_pair(z) for z in es.eigenvalues],
-        "residuals": [_f(r) for r in es.residuals],
-        "left_residuals": [_f(r) for r in es.left_residuals],
-        "biorth_norms": [complex_pair(z) for z in es.biorth_norms],
+        "eigenvalues": complex_pairs(es.eigenvalues),
+        "residuals": np.asarray(es.residuals, dtype=float).tolist(),
+        "left_residuals": np.asarray(es.left_residuals, dtype=float).tolist(),
+        "biorth_norms": complex_pairs(es.biorth_norms),
         "norm_inf": _f(es.norm_inf),
     }
 
@@ -140,9 +157,78 @@ def zero_mode_csv(wavefunction, config_lines=()) -> str:
     ))
 
 
+#: The stdlib encoder :func:`dump_json` hands the values it does not write itself.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def _floats(values, separator: str):
+    """The items of a list of finite floats joined by ``separator``, or
+    ``None`` if any item is not a finite ``float``."""
+    if not all(type(x) is float for x in values):
+        return None
+    body = separator.join(map(float.__repr__, values))
+    # the repr of a finite float holds no "n"; "nan" and "inf" do
+    return None if "n" in body else body
+
+
+def _pairs(values, separator: str):
+    """The items of a list of ``[re, im]`` pairs of finite floats joined by
+    ``separator``, or ``None`` if any item is not such a pair."""
+    if not all(type(x) is list and len(x) == 2 and type(x[0]) is float
+               and type(x[1]) is float for x in values):
+        return None
+    pair_break = separator[1:]
+    number_break = pair_break + " "
+    body = separator.join(f"[{number_break}{re!r},{number_break}{im!r}{pair_break}]"
+                          for re, im in values)
+    return None if "n" in body else body
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as the stdlib writes it where ``newline`` is the line break
+    and indentation of the enclosing level."""
+    kind = type(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = newline + " "
+    if kind is list or kind is tuple:
+        if len(value) == 2:  # an [re, im] pair
+            re, im = value
+            if type(re) is float and type(im) is float and re - re == 0.0 == im - im:
+                return f"[{inner}{re!r},{inner}{im!r}{newline}]"
+        if not value:
+            return "[]"
+        separator = "," + inner
+        body = (_floats(value, separator) or _pairs(value, separator)
+                or separator.join([_encode(item, inner) for item in value]))
+        return f"[{inner}{body}{newline}]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        separator = "," + inner
+        body = separator.join([f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}"
+                               for key in sorted(value)])
+        return f"{{{inner}{body}{newline}}}"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    # written at level 0 by the stdlib; each of its line breaks starts a line
+    # of indentation counted from level 0, so shifting them all shifts the value
+    return _ENCODER.encode(value).replace("\n", newline)
+
+
 def dump_json(payload) -> str:
-    """Canonical JSON: sorted keys, no whitespace variance, newline-terminated."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Canonical JSON: sorted keys, one-space indentation, newline-terminated.
+
+    Exactly ``json.dumps(payload, sort_keys=True, separators=(",", ": "),
+    indent=1) + "\\n"``; see the module docstring.
+    """
+    return _encode(payload, "\n") + "\n"
 
 
 def atomic_write(path: str, content: str) -> None:

@@ -226,8 +226,37 @@ class TestSolveRealK:
         with pytest.raises(UniformChainError):
             solve_real_k(1.0, 1.0, 6)
 
+    @pytest.mark.parametrize("mu", [0.5, 0.8, 1.1, 1.5, 2.0])
+    def test_residuals_are_normalized_residual_bit_for_bit(self, mu):
+        # the roots are certified from one array evaluation of the terms
+        for n in (6, 14, 30, 62, 90, 124, 156):
+            gamma = gamma_ep(mu, n)
+            for root in solve_real_k(mu, gamma, n):
+                assert root.residual == normalized_residual(root.k, mu, gamma, n)
+                assert root.epsilon == root.branch * math.sqrt(
+                    1 + mu * mu - 2 * mu * np.cos(2 * root.k.real))
+
 
 class TestSolveEvanescentPair:
+    #: ``(kappa, |eps|, residual)`` of the pair, as first computed with one
+    #: mpmath evaluation per hyperbolic term
+    RECORDED = {
+        (6, 0.5): (1.7071283311956245, 3.736793319180331, 1.960408418905049e-60),
+        (14, 0.5): (4.505365090156951, 63.984372137754036, 4.750068014325438e-58),
+        (30, 0.5): (10.050634116722224, 16383.999938964844, 1.4159976625246235e-52),
+        (134, 0.5): (46.094287507236366, 7.378697629483821e+19, 1.0509738482431727e-44),
+        (124, 0.8): (13.723328405823626, 815663.0584985868, 6.319123983198428e-50),
+    }
+
+    @pytest.mark.parametrize("n,mu", RECORDED)
+    def test_fields_keep_their_recorded_bits(self, n, mu):
+        kappa, eps, residual = self.RECORDED[n, mu]
+        pair = solve_evanescent_pair(mu, gamma_ep(mu, n), n)
+        assert [(r.k, r.branch, r.epsilon, r.residual, r.sector) for r in pair] == [
+            (complex(0.0, kappa), +1, complex(0.0, eps), residual, "imaginary"),
+            (complex(0.0, kappa), -1, complex(0.0, -eps), residual, "imaginary"),
+        ]
+
     @pytest.mark.parametrize("n,mu", [(6, 0.5), (14, 0.5), (22, 0.8), (30, 0.5)])
     def test_matches_dense_solver(self, n, mu):
         gamma = gamma_ep(mu, n)

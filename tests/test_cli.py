@@ -614,6 +614,40 @@ class TestCsvArtifactBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
 
 
+class TestJsonArtifactBytes:
+    """JSON artifacts keep the bytes that ``json.dumps`` wrote for them.
+
+    Recorded with the stdlib encoder, before ``serialize.dump_json`` wrote
+    JSON itself; the spectrum digests depend on the BLAS build as in
+    :class:`TestCsvArtifactBytes`.
+    """
+
+    DIGESTS = {
+        "spectrum --N 6 --mu 2.0":
+            "bfea56d8ff1ec135766ce96f3d48570b7ae0efa4d48a6a9e5fc0c036d6aac237",
+        "bethe --N 6 --mu 2.0":
+            "6484a3087a33813bf99f94e3e738b22425832b6a86e3895d870723a696da301e",
+        "zero-mode --N 6 --mu 2.0":
+            "f3623231821fde6c14ec1a55a9a09345efc7ae2a39aecae2edcd0cb1e0d5afd1",
+        "census --N 6 --mu 2.0":
+            "32392c8955d6048617578923eba739feff61d0d7b552c343af54ca9ece66d03e",
+        "spectrum --N 14 --mu 0.5":
+            "3716a80ca2d9d28400b941c05767cded3e23cb1cef288d543c3bf2bb269f83fc",
+        "bethe --N 14 --mu 0.5":
+            "a337c17cc7ac8584691e0275e1bde00e722988da0f44171664551830e1ceed72",
+        "zero-mode --N 14 --mu 0.5":
+            "f82cd632777837f4b96cd17459f5c4d4f4e257df8f485eea716111ffd6569e43",
+        "census --N 14 --mu 0.5":
+            "1923d6da28a9716bff9a8aeace192414de6295ea493152d6b72b29c7512676a9",
+    }
+
+    @pytest.mark.parametrize("argv", DIGESTS)
+    def test_sha256(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split(), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process, and reuse keeps no state."""
 

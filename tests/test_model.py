@@ -162,8 +162,12 @@ class TestApplySsh:
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
             apply_ssh(5, 2.0, 0.1, np.ones(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mu must be positive, got -1.0$"):
             apply_ssh(6, np.array([2.0, -1.0]), np.array([0.1, 0.1]), np.ones((6, 2)))
+        with pytest.raises(ValueError, match="^mu must be positive, got nan$"):
+            apply_ssh(6, np.array([[2.0], [np.nan]]), np.zeros((2, 1)), np.ones((6, 2, 3)))
+        with pytest.raises(ValueError, match="^gamma must be finite$"):
+            apply_ssh(6, np.array([2.0, 0.5]), np.array([0.1, np.inf]), np.ones((6, 2)))
 
     def test_each_column_takes_its_own_chain(self):
         n, mus, gammas = 8, np.array([2.0, 0.5, 1.0]), np.array([0.125, 8.0, 0.0])

@@ -1,10 +1,13 @@
+import contextlib
 import inspect
+import io
+import json
 import os
 
 import numpy as np
 import pytest
 
-from majorana_pt import bethe, build_ssh, eig, zero_mode
+from majorana_pt import bethe, build_ssh, cli, eig, zero_mode
 from majorana_pt import serialize
 from majorana_pt.analysis import census_sweep
 from majorana_pt.spectral import classify_modes
@@ -72,6 +75,73 @@ class TestCsvFormats:
         assert payload[0]["sector"] == "imaginary"
         assert payload[0]["branch"] == "+"
         assert payload[1]["branch"] == "-"
+
+
+def stdlib_json(payload) -> str:
+    """The JSON contract of ``dump_json``, from the stdlib encoder."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+#: The couplings of the benchmark's single-point requests.
+REQUEST_MU = (0.5, 0.8, 1.1, 1.5, 2.0)
+
+
+class TestDumpJson:
+    """``dump_json`` writes exactly what the stdlib encoder writes."""
+
+    @pytest.mark.parametrize("command", ["spectrum", "bethe", "zero-mode", "census", "sweep"])
+    def test_every_cli_payload(self, monkeypatch, command):
+        payloads, dump_json = [], serialize.dump_json
+
+        def recording(payload):
+            payloads.append(payload)
+            return dump_json(payload)
+
+        monkeypatch.setattr(cli.serialize, "dump_json", recording)
+        grid = [6, 14, 30, 62, 134, 192]
+        if command == "sweep":
+            argvs = [["--N-grid", ",".join(map(str, grid)),
+                      "--mu-grid", ",".join(map(str, REQUEST_MU))]]
+        else:
+            argvs = [["--N", str(n), "--mu", str(mu)] for n in grid for mu in REQUEST_MU]
+        codes = []
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main([command, *argv, "--format", "json"]))
+        # bethe refuses some large-N points (the fixed root bound); they write nothing
+        assert len(payloads) == codes.count(0) > 0
+        for payload in payloads:
+            assert dump_json(payload) == stdlib_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        float("nan"), float("inf"), -float("inf"), -0.0, 1e-05, 1e16, 5e-324,
+        [float("nan"), 1.0], [1.0, -float("inf")], [[1.0, float("nan")], [0.0, -0.0]],
+        [[-0.0, 2.5]], [[1.0, 2.0, 3.0]], [[1.0, 2]], [(1.0, 2.0)],
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, {"a": [[], {}, [[]], [{}]]},
+        "plain", "caf\u00e9 \u2603 \U0001d49c", "quote \" back \\ tab \t nl \n nul \x00",
+        {"k\u00e9y": "v\u00e4lue", "\"": "\\"},
+        True, False, None, 10 ** 30, -10 ** 30, [True, None, 0, -1],
+        np.float64(0.1), [np.float64(0.1), 0.2], [[np.float64(1.0), 2.0]],
+        (1.0, 2.0), ((1.0, "a"), ()), {"t": (None, (1.5,))},
+        {1: "one", 2: [1.0, {"x": None}]}, {"a": {3: [1.0, [2.0, float("nan")]]}},
+        {"nest": [{"deep": [[1.0, 2.0], [3.0, 4.0]]}, {"deep": {}}]},
+    ])
+    def test_edge_payloads(self, payload):
+        assert serialize.dump_json(payload) == stdlib_json(payload)
+
+    @pytest.mark.parametrize("payload", [np.float32(1.0), {"a": np.int64(1)},
+                                         {1: 1, "a": 2}, [object()]])
+    def test_refuses_what_the_stdlib_refuses(self, payload):
+        with pytest.raises(TypeError) as expected:
+            stdlib_json(payload)
+        with pytest.raises(TypeError, match=str(expected.value)):
+            serialize.dump_json(payload)
+
+    def test_stacked_pairs_are_complex_pair(self):
+        values = np.array([1 + 2j, -0.0 - 0.0j, 3e-300 + 1e300j])
+        assert serialize.complex_pairs(values) == [serialize.complex_pair(z) for z in values]
+        assert serialize.complex_pairs([]) == []
 
 
 class TestAtomicWrite:
