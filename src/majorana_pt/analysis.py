@@ -93,14 +93,14 @@ def gap_bound_check(census_modes: list[ModeRecord], mu: float) -> bool:
     ``|1 - mu| <= |eps| <= 1 + mu``, up to ``GAP_TOLERANCE``; the lower
     edge is the protected gap.
     """
+    return _inside_band([abs(r.eigenvalue) for r in census_modes
+                         if r.mode_class is ModeClass.REAL_SCATTERING], mu)
+
+
+def _inside_band(moduli, mu: float) -> bool:
+    """:func:`gap_bound_check` of the scattering levels' moduli ``|eps|``."""
     lo, hi = abs(1.0 - mu), 1.0 + mu
-    for record in census_modes:
-        if record.mode_class is not ModeClass.REAL_SCATTERING:
-            continue
-        magnitude = abs(record.eigenvalue)
-        if magnitude < lo - GAP_TOLERANCE or magnitude > hi + GAP_TOLERANCE:
-            return False
-    return True
+    return not any(m < lo - GAP_TOLERANCE or m > hi + GAP_TOLERANCE for m in moduli)
 
 
 def edge_mode_count(census: ModeCensus, mu: float) -> int:

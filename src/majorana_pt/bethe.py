@@ -14,7 +14,9 @@ cmath or mpmath, on real k or on ``k = i kappa``) passes its own ``sin`` and
 Three solution families exhaust the spectrum:
 
 * real k in (0, pi): scattering levels with real eigenvalues
-  (:func:`solve_real_k`),
+  (:func:`solve_real_k`), each bracket polished by an in-module Brent loop
+  (:func:`_brent`) that returns ``scipy.optimize.brentq``'s root bit for
+  bit, so the module needs no scipy,
 * ``k = (i/2) ln mu``: the coalescing zero mode, in closed form
   (:func:`zero_mode`),
 * ``k = i kappa`` with large real kappa, only for ``mu < 1``: a pair of
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import on_locus, staggered_signs, _require_chain, _require_even_sites
 
@@ -77,7 +78,7 @@ class RootScanError(RuntimeError):
 
 def _require_mu(mu: float, *, forbid_uniform: bool = False) -> float:
     mu = float(mu)
-    if not np.isfinite(mu) or mu <= 0:
+    if not math.isfinite(mu) or mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if forbid_uniform and mu == 1.0:
         raise UniformChainError(
@@ -163,11 +164,14 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
 
     Scans a uniform grid of 20n points on (0, pi) for sign changes of the
     real quantization function and polishes each bracket with Brent's
-    method.  For even n the function is odd about pi/2 and k, pi - k carry
-    the same eigenvalue pair, so only the brackets below pi/2 are scanned;
-    they exclude the trivial roots k = 0, pi/2, where every sine factor
-    vanishes.  ``eps^2`` grows with k there, so a root within 1e-9 of the
-    previous one in ``eps^2`` is a duplicate.  On the coalescence locus the
+    method (:func:`_brent`, which returns ``scipy.optimize.brentq``'s root
+    bit for bit, at ``xtol = 1e-15`` and ``rtol = 8.9e-16``, with both ends
+    re-evaluated by the ``math`` twin of the grid's function).  For even n
+    the function is odd about pi/2 and k, pi - k carry the same eigenvalue
+    pair, so only the brackets below pi/2 are scanned; they exclude the
+    trivial roots k = 0, pi/2, where every sine factor vanishes.  ``eps^2``
+    grows with k there, so a root within 1e-9 of the previous one in
+    ``eps^2`` is a duplicate.  On the coalescence locus the
     number of distinct roots must equal (n-2)/2 for mu > 1 and (n-4)/2 for
     mu < 1; the grid is refined threefold, up to three times, before giving
     up.  A root whose normalized residual exceeds ``ROOT_TOLERANCE`` raises
@@ -202,9 +206,8 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
         vals = _real_line(ks, mu, gamma, n)
         signs = np.sign(vals)  # a product of the values overflows once gamma^2 is large
         polished = np.array([
-            ks[i] if vals[i] == 0.0 else brentq(
-                _real_line, ks[i], ks[i + 1], args=(mu, gamma, n, math.sin, math.cos),
-                xtol=1e-15, rtol=8.9e-16)
+            ks[i] if vals[i] == 0.0 else _brent(
+                _real_line, ks[i], ks[i + 1], (mu, gamma, n, math.sin, math.cos))
             for i in np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
         ], dtype=float)
         e2 = 1 + mu * mu - 2 * mu * np.cos(2 * polished)
@@ -244,13 +247,81 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     return roots
 
 
+def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16, maxiter=100) -> float:
+    """A root of ``f(x, *args)`` bracketed by ``[a, b]``, by Brent's method.
+
+    Step for step the loop of ``scipy.optimize.brentq`` (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4): secant or inverse
+    quadratic steps inside the bracket, bisection when they would not shrink
+    it fast enough, and steps of at least ``delta = (xtol + rtol |x|) / 2``;
+    so it returns the same double.  An end where ``f`` is zero is returned
+    as is.  A NaN value of ``f`` raises ``ValueError``, as do ends of one
+    sign; no convergence within ``maxiter`` steps raises ``RuntimeError``.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre, *args))
+    if fpre != fpre:
+        raise _nan_value(xpre)
+    fcur = float(f(xcur, *args))
+    if fcur != fcur:
+        raise _nan_value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end as xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator gives no step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denominator = dblk * dpre * (fblk - fpre)
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denominator
+                        if denominator else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+                bisect = False
+        if bisect:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur, *args))
+        if fcur != fcur:
+            raise _nan_value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _nan_value(x) -> ValueError:
+    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+
+
 def _memoised(function):
     """``function`` of one mpmath number, evaluated once per argument and
     working precision: ``findroot`` works 20 bits above the caller."""
     values = {}
 
     def memoised(x):
-        key = (x, mpmath.mp.prec)
+        # the raw (sign, mantissa, exponent, bits) tuple keys the same value
+        # as the mpf itself, without mpmath's slower mpf hash
+        key = (x._mpf_, mpmath.mp.prec)
         if key not in values:
             values[key] = function(x)
         return values[key]
@@ -355,7 +426,7 @@ def zero_mode(n: int, mu: float, side: str = "right") -> ZeroModeWavefunction:
     mu = _require_mu(mu, forbid_uniform=True)
     omega = omega_constant(n, mu)
     decay = mu ** (1.0 - np.arange(1, n // 2 + 1))  # mu^(1-j); reversed, mu^(j - n/2)
-    amps = np.zeros(n, dtype=complex)
+    amps = np.empty(n, dtype=complex)
     amps[0::2] = omega * decay
     sign = -1j if side == "right" else +1j
     amps[1::2] = sign * omega * decay[::-1]

@@ -28,14 +28,15 @@ real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
 
 The chain pipeline also runs on a stack of same-length chains:
 :func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call, and
-:func:`classify_stack` classifies them together.  Each returns one row per
-chain, which is either the chain's result or the error that refused that
-chain alone; a refused row does not stop the others, and a row that
-arrives as an error passes through unchanged.  Each row is the same, bit
-for bit, as when the chain is run alone: :func:`chain_eigensystem` and
-:func:`classify_modes` are the stacks of one, and raise a refused row's
-error.  A stack's per-chain inputs must have one length; an empty stack
-gives no rows.
+:func:`classify_stack` classifies them together (from the arrays of
+:func:`_classify_rows`, which the ``verify`` grid reads without records).
+Each returns one row per chain, which is either the chain's result or the
+error that refused that chain alone; a refused row does not stop the
+others, and a row that arrives as an error passes through unchanged.  Each
+row is the same, bit for bit, as when the chain is run alone:
+:func:`chain_eigensystem` and :func:`classify_modes` are the stacks of one,
+and raise a refused row's error.  A stack's per-chain inputs must have one
+length; an empty stack gives no rows.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
     free = gaps.copy()
     assignment = np.empty(len(gaps), dtype=int)
     for i, row in enumerate(free):
-        assignment[i] = np.argmin(row)
-        free[:, assignment[i]] = np.inf
+        assignment[i] = j = row.argmin()
+        free[:, j] = np.inf
     return assignment
 
 
@@ -375,22 +376,31 @@ def pseudo_hermiticity_check(
 
     Real values match themselves; complex ones must occur in conjugate pairs
     within the absolute tolerance ``tol``.  Returns ``(ok, unmatched)``.
+
+    The levels are walked in order.  A level within ``tol`` of its conjugate
+    is real and skipped; each other level not yet taken takes the later
+    level, not yet taken, nearest its conjugate (the first of equals), if
+    that lies within ``tol``, and is unmatched otherwise.  Distances are
+    ``np.hypot``, as Python's ``abs(complex)``.
     """
-    pool = [complex(v) for v in np.asarray(eigenvalues, dtype=complex)]
+    values = np.asarray(eigenvalues, dtype=complex)
+    gap = values - values.conj()
+    searching = np.flatnonzero(~(np.hypot(gap.real, gap.imag) <= tol)).tolist()
+    if not searching:
+        return True, []
+    free = np.ones(values.size, dtype=bool)
     unmatched: list[complex] = []
-    while pool:
-        v = pool.pop(0)
-        if abs(v - v.conjugate()) <= tol:
+    for i in searching:
+        if not free[i]:
             continue
-        best, best_dist = -1, np.inf
-        for idx, w in enumerate(pool):
-            dist = abs(v.conjugate() - w)
-            if dist < best_dist:
-                best, best_dist = idx, dist
-        if best >= 0 and best_dist <= tol:
-            pool.pop(best)
+        later = i + 1 + np.flatnonzero(free[i + 1:])
+        gap = values[i].conjugate() - values[later]
+        dist = np.hypot(gap.real, gap.imag)
+        best = int(np.argmin(dist)) if later.size else -1
+        if best >= 0 and dist[best] <= tol:
+            free[later[best]] = False
         else:
-            unmatched.append(v)
+            unmatched.append(complex(values[i]))
     return (not unmatched), unmatched
 
 
@@ -628,6 +638,16 @@ def classify_stack(systems, mus, gammas) -> list:
     stays that error.  The three inputs must have one length (else
     ``ValueError``).
     """
+    return [row if isinstance(row, Exception) else (_records(es, *row), _census(row[0]))
+            for es, row in zip(systems, _classify_rows(systems, mus, gammas))]
+
+
+def _classify_rows(systems, mus, gammas) -> list:
+    """The classification of :func:`classify_stack`, row by row as arrays:
+    ``(codes, pair, biorth)`` of :func:`_classify_levels` for each row of
+    ``systems`` that is an :class:`EigenSystem`, or the error refusing it.
+    An error row of ``systems`` stays that error.
+    """
     _same_lengths(systems=systems, mus=mus, gammas=gammas)
     rows = list(systems)
     solved = [i for i, es in enumerate(systems) if isinstance(es, EigenSystem)]
@@ -636,21 +656,27 @@ def classify_stack(systems, mus, gammas) -> list:
     levels = _classify_levels(np.array([systems[i].eigenvalues for i in solved]),
                               [mus[i] for i in solved], [gammas[i] for i in solved])
     for i, level in zip(solved, levels):
-        rows[i] = level if isinstance(level, Exception) else _records(systems[i], *level)
+        rows[i] = level
     return rows
 
 
-def _records(es: EigenSystem, codes, pair, biorth):
-    centroid = complex(np.mean(es.eigenvalues[list(pair)])) if pair else None
-    records = [
-        ModeRecord(i, centroid, mode, biorth) if mode is ModeClass.ZERO_COALESCING
-        else ModeRecord(i, value, mode, overlap)
-        for i, (value, mode, overlap) in enumerate(zip(
-            np.asarray(es.eigenvalues, dtype=complex).tolist(),
-            [_MODE_CLASSES[c] for c in codes.tolist()],
+def _coalesced(values, pair) -> np.ndarray:
+    """A copy of ``values`` with the coalescing ``pair`` (``None`` off the
+    locus) at its centroid, the value its records carry."""
+    values = np.array(values, dtype=complex)
+    if pair:
+        values[list(pair)] = complex(np.mean(values[list(pair)]))
+    return values
+
+
+def _records(es: EigenSystem, codes, pair, biorth) -> list[ModeRecord]:
+    """The :class:`ModeRecord` of each level of a classified row."""
+    return [
+        ModeRecord(i, value, _MODE_CLASSES[code], biorth if code == _ZERO else overlap)
+        for i, (value, code, overlap) in enumerate(zip(
+            _coalesced(es.eigenvalues, pair).tolist(), codes.tolist(),
             np.asarray(es.biorth_norms, dtype=complex).tolist()))
     ]
-    return records, _census(codes)
 
 
 def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:

@@ -14,7 +14,10 @@ censuses and closed forms are checked across the desk-scale grid
 independent oracle for everything the closed forms claim.  The grid is
 filled one chain length at a time: the six couplings of a length are
 solved in one stacked real solve (:func:`~.spectral.chain_eigensystems`),
-then classified together, each chain exactly as if alone.
+then classified together, each chain exactly as if alone.  The grid
+criteria read each chain's classification as arrays (mode codes, pair
+indices, the coalesced spectrum); :class:`~.spectral.ModeRecord` lists are
+built only for the chains whose levels are matched to Bethe roots.
 
 The census classifies eigenvalues alone and takes its coalescing pair from
 the spectral gap and the closed-form zero mode; ``mode-census`` also
@@ -24,9 +27,10 @@ parallel, so the eigenvalue and eigenvector routes check each other.
 Numerically split coalescing pairs are compared through their centroid: a
 defective pair computed in double precision splits by the square root of
 the backward error, and the centroid cancels that split's leading term.
-The grid chains read it from their classified records and the six-site
-chains from :func:`~.spectral.coalesced_eigenvalues`; the rings take it over
-their four levels of least modulus, the two split pairs.
+The grid chains read it from their classification, the value their
+records carry, and the six-site chains from
+:func:`~.spectral.coalesced_eigenvalues`; the rings take it over their four
+levels of least modulus, the two split pairs.
 """
 
 from __future__ import annotations
@@ -126,21 +130,22 @@ def six_site_mu_half(solved):
 def mode_census(solved):
     started = time.perf_counter()
     failures = []
+    mus = GRID_MU_TOPO + GRID_MU_TRIV
     for n in GRID_N:
-        for mu in GRID_MU_TOPO + GRID_MU_TRIV:
+        chains = [_grid_chain(n, mu, solved) for mu in mus]
+        # the eigenvector route: the pair's unit right vectors, and no other
+        # two, must be parallel; one Gram stack for the six chains
+        right = np.array([chain.es.right for chain in chains])
+        gram = np.abs(right.conj().transpose(0, 2, 1) @ right)
+        gram[:, np.arange(n), np.arange(n)] = 0.0
+        parallel = gram.max(axis=1) >= 1.0 - spectral.EP_TOLERANCE
+        for mu, chain, columns in zip(mus, chains, parallel):
             expected = (0, 1, n - 2) if mu > 1 else (2, 1, n - 4)
-            chain = _grid_chain(n, mu, solved)
-            records, census = chain.modes
+            census = chain.census
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
                 failures.append(f"(n={n}, mu={mu}): {got} != {expected}")
-            # the eigenvector route: the pair's unit right vectors, and no
-            # other two, must be parallel
-            pair = [r.index for r in records
-                    if r.mode_class is spectral.ModeClass.ZERO_COALESCING]
-            gram = np.abs(chain.es.right.conj().T @ chain.es.right)
-            np.fill_diagonal(gram, 0.0)
-            merged = np.flatnonzero(gram.max(axis=0) >= 1.0 - spectral.EP_TOLERANCE).tolist()
+            merged, pair = np.flatnonzero(columns).tolist(), chain.pair
             if merged != pair:
                 failures.append(f"(n={n}, mu={mu}): eigenvectors coalesce levels "
                                 f"{merged}, not the pair {pair}")
@@ -191,13 +196,12 @@ def bethe_spectrum_equivalence(solved):
     for n in CLOSED_FORM_N:
         for mu in CLOSED_FORM_MU:
             chain = _grid_chain(n, mu, solved)
-            records, _ = chain.modes
             pair = bethe.solve_evanescent_pair(mu, chain.gamma, n) if mu < 1 else []
             analytic = [r.epsilon for r in bethe.solve_real_k(mu, chain.gamma, n)]
             analytic += [0.0, 0.0]
             analytic += [r.epsilon for r in pair]
             worst_match = max(worst_match, spectral.match_multisets(chain.coalesced, analytic))
-            residuals = bethe.match_spectrum_to_roots(records, mu, chain.gamma, n, pair)
+            residuals = bethe.match_spectrum_to_roots(chain.records, mu, chain.gamma, n, pair)
             worst_root_res = max(worst_root_res, max(residuals))
     checks = [
         (worst_match <= 1e-9, f"spectrum match {worst_match:.2e} <= 1e-9"),
@@ -214,9 +218,7 @@ def evanescent_asymptotics(solved):
     ratios = []
     for n in GRID_N:
         chain = _grid_chain(n, mu, solved)
-        records, _ = chain.modes
-        imag = [abs(r.eigenvalue) for r in records
-                if r.mode_class is spectral.ModeClass.IMAGINARY_EVANESCENT]
+        imag = _moduli(chain.es.eigenvalues[chain.imaginary]).tolist()
         ratios.append(max(imag) / chain.gamma)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     err6 = abs(1 - ratios[0])
@@ -287,28 +289,42 @@ def common_part(solved):
                    "; ".join(m for _, m in checks), started)
 
 
+def _moduli(values) -> np.ndarray:
+    """``|values|`` by ``np.hypot``, bit for bit Python's ``abs(complex)``."""
+    return np.hypot(values.real, values.imag)
+
+
 class _GridChain:
-    """The eigensystem ``es`` of the chain at ``(n, mu, gamma)`` and its
-    ``classify_modes`` result ``modes``, as one row of the stacked pass of
-    :func:`_grid_chain`.  ``coalesced`` is the spectrum with the coalescing
-    pair at its centroid, read from the classified records.
+    """The chain at ``(n, mu, gamma)`` as one row of the stacked pass of
+    :func:`_grid_chain`: its eigensystem ``es`` and its classification
+    ``row``, ``(codes, pair, biorth)`` of :func:`~.spectral._classify_rows`.
+
+    The grid criteria read arrays from the row: the ``census``, the ``pair``
+    indices, the ``real`` and ``imaginary`` level masks, and ``coalesced``,
+    the spectrum with the pair at the centroid its records carry.  The
+    ``records`` of :func:`~.spectral.classify_modes` are built on each
+    read, and only the chains whose levels are matched to Bethe roots read
+    them.
 
     A part that the pass refused for this chain is kept as its error and
     raised on each read, so it fails each criterion that reads it, and only
-    those (``coalesced`` raises the error of ``modes``); the other chains of
-    the pass are served.
+    those (every part but ``es`` raises the error of ``row``); the other
+    chains of the pass are served.
     """
 
-    def __init__(self, gamma, es, modes):
+    def __init__(self, gamma, es, row):
         self.gamma = gamma
-        self._rows = es, modes
+        self._rows = es, row
 
     es = property(lambda self: spectral._served(self._rows[0]))
-    modes = property(lambda self: spectral._served(self._rows[1]))
+    row = property(lambda self: spectral._served(self._rows[1]))
+    census = property(lambda self: spectral._census(self.row[0]))
+    pair = property(lambda self: list(self.row[1] or ()))
+    real = property(lambda self: self.row[0] == spectral._REAL)
+    imaginary = property(lambda self: self.row[0] == spectral._IMAGINARY)
 
-    @property
-    def coalesced(self):
-        return np.array([r.eigenvalue for r in self.modes[0]])
+    coalesced = property(lambda self: spectral._coalesced(self.es.eigenvalues, self.row[1]))
+    records = property(lambda self: spectral._records(self.es, *self.row))
 
 
 def _grid_chain(n, mu, solved):
@@ -318,13 +334,14 @@ def _grid_chain(n, mu, solved):
     A miss solves and classifies the chains of length ``n`` at the six grid
     couplings, in order, in one stacked pass at ``gamma_ep``:
     :func:`~.spectral.chain_eigensystems`, then
-    :func:`~.spectral.classify_stack`.
+    :func:`~.spectral._classify_rows`, the arrays that
+    :func:`~.spectral.classify_stack` builds its records from.
     """
     if (n, mu) not in solved:
         mus = GRID_MU_TOPO + GRID_MU_TRIV
         gammas = [model.gamma_ep(m, n) for m in mus]
         systems = spectral.chain_eigensystems(n, mus, gammas)
-        rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas))
+        rows = zip(mus, gammas, systems, spectral._classify_rows(systems, mus, gammas))
         for m, *parts in rows:
             solved[n, m] = _GridChain(*parts)
     return solved[n, mu]
@@ -335,8 +352,8 @@ def scattering_gap_bound(solved):
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            records, _ = _grid_chain(n, mu, solved).modes
-            if not analysis.gap_bound_check(records, mu):
+            chain = _grid_chain(n, mu, solved)
+            if not analysis._inside_band(_moduli(chain.es.eigenvalues[chain.real]).tolist(), mu):
                 failures.append((n, mu))
     detail = (f"all scattering levels inside |1-mu| <= |eps| <= 1+mu over "
               f"{len(GRID_N) * 6} grid points")

@@ -50,7 +50,7 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
         raise AssertionError("grid point built, solved or analysed twice")
 
     for name in ("eig", "chain_eigensystem", "chain_eigensystems", "classify_modes",
-                 "classify_stack", "coalesced_eigenvalues"):
+                 "classify_stack", "_classify_rows", "coalesced_eigenvalues"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
     gap = verify.scattering_gap_bound(solved)
@@ -129,10 +129,10 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
 def test_suite_analyses_each_chain_once(monkeypatch):
     calls = Counter()
     rows = Counter()
-    stacked = {"chain_eigensystems": 1, "classify_stack": 0}
+    stacked = {"chain_eigensystems": 1, "_classify_rows": 0}
     for module, name in [
         (verify.spectral, "eig"), (verify.spectral, "chain_eigensystem"),
-        (verify.spectral, "chain_eigensystems"),
+        (verify.spectral, "chain_eigensystems"), (verify.spectral, "_classify_rows"),
         (verify.spectral, "classify_modes"), (verify.spectral, "classify_stack"),
         (verify.spectral, "coalesced_eigenvalues"),
         (verify.spectral, "detect_coalescence"),
@@ -147,15 +147,39 @@ def test_suite_analyses_each_chain_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
     # 78 grid chains in one stacked pass per length (13), each chain solved
-    # and classified once, its coalesced spectrum read from the records; the
-    # two six-site chains through eig; the evanescent pair is solved once per
+    # and classified once, as arrays: no classify_modes or classify_stack
+    # call, the records built only where roots are matched; the two six-site
+    # chains through eig; the evanescent pair is solved once per
     # closed-form chain at mu = 0.5.  detect_coalescence serves the coalesced
     # six-site spectra (2) and the two timed six-site solves; the rings
     # coalesce their np.linalg.eigvals levels themselves
-    assert calls == {"chain_eigensystems": 13, "classify_stack": 13,
+    assert calls == {"chain_eigensystems": 13, "_classify_rows": 13,
                      "eig": 2, "coalesced_eigenvalues": 2, "detect_coalescence": 4,
                      "solve_evanescent_pair": 5}
     assert rows == {name: 78 for name in stacked}
+
+
+def test_grid_arrays_equal_the_classified_records():
+    # every grid point as classify_modes classifies it alone: census, pair,
+    # masks, records, and the coalesced spectrum bit for bit with the pair at
+    # complex(np.mean(...)) of its raw levels
+    modes = verify.spectral.ModeClass
+    solved = {}
+    for n in verify.GRID_N:
+        for mu in verify.GRID_MU_TOPO + verify.GRID_MU_TRIV:
+            chain = verify._grid_chain(n, mu, solved)
+            records, census = verify.spectral.classify_modes(chain.es, mu, chain.gamma)
+            classes = [r.mode_class for r in records]
+            pair = [i for i, c in enumerate(classes) if c is modes.ZERO_COALESCING]
+            assert chain.census == census
+            assert chain.pair == pair and len(pair) == 2
+            assert chain.real.tolist() == [c is modes.REAL_SCATTERING for c in classes]
+            assert chain.imaginary.tolist() == [c is modes.IMAGINARY_EVANESCENT for c in classes]
+            expected = chain.es.eigenvalues.copy()
+            expected[pair] = complex(np.mean(chain.es.eigenvalues[pair]))
+            assert chain.coalesced.tobytes() == expected.tobytes()
+            assert chain.coalesced.tobytes() == np.array([r.eigenvalue for r in records]).tobytes()
+            assert chain.records == records
 
 
 def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatch):
@@ -178,14 +202,13 @@ def test_a_refused_grid_chain_fails_alone(monkeypatch):
     solved = {}
     refused = verify._grid_chain(6, 0.8, solved)
     for _ in range(2):
-        with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
-            refused.modes
-        with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
-            refused.coalesced
+        for part in ("row", "census", "pair", "real", "imaginary", "coalesced", "records"):
+            with pytest.raises(verify.spectral.ClassificationError,
+                               match="no isolated zero pair"):
+                getattr(refused, part)
     assert refused.es.dim == 6
     for mu in verify.GRID_MU_TOPO + [0.3, 0.5]:
-        _, census = solved[6, mu].modes
-        assert census.n_EP == 1
+        assert solved[6, mu].census.n_EP == 1
 
 
 def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):

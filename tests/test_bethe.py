@@ -237,6 +237,100 @@ class TestSolveRealK:
                     1 + mu * mu - 2 * mu * np.cos(2 * root.k.real))
 
 
+#: The two tolerance pairs of the Brent oracle: solve_real_k's, and brentq's defaults.
+BRENT_TOLERANCES = [(1e-15, 8.9e-16), (2e-12, 4 * np.finfo(float).eps)]
+
+
+def _random_smooth(rng):
+    """A seeded smooth function of one float: a sine sum, a polynomial or a
+    tanh step on a slope."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        c0 = float(rng.normal())
+        terms = list(zip(rng.normal(size=3).tolist(), rng.uniform(0.2, 8.0, 3).tolist(),
+                         rng.uniform(0.0, 2 * np.pi, 3).tolist()))
+        return lambda x: c0 + sum(a * math.sin(w * x + p) for a, w, p in terms)
+    if kind == 1:
+        coefficients = rng.normal(size=int(rng.integers(2, 7))).tolist()
+
+        def polynomial(x):
+            value = 0.0
+            for c in coefficients:
+                value = value * x + c
+            return value
+
+        return polynomial
+    a, b, c, d = rng.normal(size=4).tolist()
+    return lambda x: a * math.tanh(10 * b * (x - c)) + 0.1 * d * x
+
+
+class TestBrent:
+    """The in-module polish against scipy.optimize.brentq, bit for bit."""
+
+    @pytest.mark.parametrize("mu", [0.5, 0.8, 1.1, 1.5, 2.0, 0.3, 0.97, 0.999, 3.0])
+    def test_every_scan_bracket_polishes_as_brentq(self, monkeypatch, mu):
+        polished = []
+        original = bethe._brent
+
+        def recorded(f, a, b, args):
+            root = original(f, a, b, args)
+            polished.append((f, a, b, args, root))
+            return root
+
+        monkeypatch.setattr(bethe, "_brent", recorded)
+        for n in range(6, 202, 2):
+            try:
+                solve_real_k(mu, gamma_ep(mu, n), n)
+            except RootScanError:  # refused after its brackets were polished
+                pass
+        assert len(polished) > 1000
+        differ = [(a, b, root) for f, a, b, args, root in polished
+                  if root.hex() != brentq(f, a, b, args=args, xtol=1e-15, rtol=8.9e-16).hex()]
+        assert differ == []
+
+    @pytest.mark.parametrize("xtol,rtol", BRENT_TOLERANCES)
+    def test_random_smooth_functions_polish_as_brentq(self, xtol, rtol):
+        rng = np.random.default_rng(20261019)
+        compared = 0
+        while compared < 400:
+            f = _random_smooth(rng)
+            a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+            if f(a) * f(b) >= 0:
+                continue
+            root = bethe._brent(f, a, b, (), xtol, rtol)
+            assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b)
+            compared += 1
+
+    def test_a_nan_value_raises_value_error(self):
+        def f(x):  # NaN around the root: the first secant step lands there
+            return math.nan if 0.2 < x < 0.4 else x - 0.3
+
+        with pytest.raises(ValueError, match="NaN") as ours:
+            bethe._brent(f, 0.0, 1.0)
+        with pytest.raises(ValueError) as theirs:
+            brentq(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_a_bracket_that_cannot_converge_raises_runtime_error(self):
+        def step(x):  # a jump at 1e-200, bracketed from 1e300: about 1000 halvings
+            return -1.0 if x < 1e-200 else 1.0
+
+        with pytest.raises(RuntimeError, match="^Failed to converge after 100 iterations.$"):
+            bethe._brent(step, 0.0, 1e300)
+        with pytest.raises(RuntimeError, match="^Failed to converge after 100 iterations.$"):
+            brentq(step, 0.0, 1e300, xtol=1e-15, rtol=8.9e-16)
+
+    def test_an_end_at_a_root_is_returned_as_is(self):
+        assert bethe._brent(lambda x: x - 0.25, 0.25, 1.0) == 0.25
+        assert bethe._brent(lambda x: x - 0.25, -1.0, 0.25) == 0.25
+        root = bethe._brent(lambda x: x, -0.0, 1.0)
+        assert root == 0.0 and math.copysign(1.0, root) == -1.0
+
+    def test_ends_of_one_sign_raise_value_error(self):
+        with pytest.raises(ValueError, match="^f\\(a\\) and f\\(b\\) must have different signs$"):
+            bethe._brent(lambda x: x, 1.0, 2.0)
+
+
 class TestSolveEvanescentPair:
     #: ``(kappa, |eps|, residual)`` of the pair, as first computed with one
     #: mpmath evaluation per hyperbolic term

@@ -723,3 +723,23 @@ class TestModuleEntryPoint:
         assert result.returncode == 0, result.stderr
         digest = hashlib.sha256(result.stdout).hexdigest()
         assert digest == TestCsvArtifactBytes.DIGESTS[argv]
+
+    def test_the_cli_import_path_loads_no_scipy(self, tmp_path):
+        # scipy is a test-only oracle: importing the CLI and running the
+        # commands that solve, root-scan and verify must not load it
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import majorana_pt.cli as cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    for argv in (['census', '--N', '6', '--mu', '0.5'],",
+            "                 ['bethe', '--N', '14', '--mu', '0.5'],",
+            "                 ['verify', '--only', 'six-site']):",
+            "        assert cli.main(argv) == 0, argv",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                                cwd=tmp_path, timeout=300, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
