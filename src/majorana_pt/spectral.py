@@ -394,8 +394,8 @@ def pseudo_hermiticity_check(
         if not free[i]:
             continue
         later = i + 1 + np.flatnonzero(free[i + 1:])
-        gap = values[i].conjugate() - values[later]
-        dist = np.hypot(gap.real, gap.imag)
+        offsets = values[i].conjugate() - values[later]
+        dist = np.hypot(offsets.real, offsets.imag)
         best = int(np.argmin(dist)) if later.size else -1
         if best >= 0 and dist[best] <= tol:
             free[later[best]] = False
@@ -665,7 +665,7 @@ def _coalesced(values, pair) -> np.ndarray:
     locus) at its centroid, the value its records carry."""
     values = np.array(values, dtype=complex)
     if pair:
-        values[list(pair)] = complex(np.mean(values[list(pair)]))
+        values[list(pair)] = complex(values[list(pair)].mean())
     return values
 
 

@@ -301,6 +301,23 @@ class TestBrent:
             assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b)
             compared += 1
 
+    @pytest.mark.parametrize("xtol,rtol", BRENT_TOLERANCES)
+    def test_steep_roots_polish_as_brentq(self, xtol, rtol):
+        # sign(x - c) |x - c|^s with small s: interpolation overshoots, so
+        # the step guards, not the interpolants, decide most steps
+        rng = np.random.default_rng(20261020)
+        for _ in range(600):
+            c, s = rng.uniform(-1.0, 1.0), rng.uniform(0.01, 1.0)
+            a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+            if not a < c < b:
+                continue
+
+            def f(x):
+                return math.copysign(abs(x - c) ** s, x - c)
+
+            root = bethe._brent(f, a, b, (), xtol, rtol)
+            assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b, c, s)
+
     def test_a_nan_value_raises_value_error(self):
         def f(x):  # NaN around the root: the first secant step lands there
             return math.nan if 0.2 < x < 0.4 else x - 0.3
