@@ -247,7 +247,7 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     return roots
 
 
-def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16, maxiter=100) -> float:
+def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16) -> float:
     """A root of ``f(x, *args)`` bracketed by ``[a, b]``, by Brent's method.
 
     Step for step the loop of ``scipy.optimize.brentq`` (Brent, *Algorithms
@@ -256,7 +256,7 @@ def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16, maxiter=100) -> float:
     it fast enough, and steps of at least ``delta = (xtol + rtol |x|) / 2``;
     so it returns the same double.  An end where ``f`` is zero is returned
     as is.  A NaN value of ``f`` raises ``ValueError``, as do ends of one
-    sign; no convergence within ``maxiter`` steps raises ``RuntimeError``.
+    sign; no convergence within 100 steps raises ``RuntimeError``.
     """
     xpre, xcur = float(a), float(b)
     fpre = float(f(xpre, *args))
@@ -272,7 +272,7 @@ def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16, maxiter=100) -> float:
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -306,7 +306,7 @@ def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16, maxiter=100) -> float:
         fcur = float(f(xcur, *args))
         if fcur != fcur:
             raise _nan_value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def _nan_value(x) -> ValueError:
