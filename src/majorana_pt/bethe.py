@@ -247,14 +247,15 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     return roots
 
 
-def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16) -> float:
+def _brent(f, a, b, args=()) -> float:
     """A root of ``f(x, *args)`` bracketed by ``[a, b]``, by Brent's method.
 
     Step for step the loop of ``scipy.optimize.brentq`` (Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 4): secant or inverse
-    quadratic steps inside the bracket, bisection when they would not shrink
-    it fast enough, and steps of at least ``delta = (xtol + rtol |x|) / 2``;
-    so it returns the same double.  An end where ``f`` is zero is returned
+    for Minimization without Derivatives*, 1973, ch. 4) at ``xtol = 1e-15``
+    and ``rtol = 8.9e-16``: secant or inverse quadratic steps inside the
+    bracket, bisection when they would not shrink it fast enough, and steps
+    of at least ``delta = (xtol + rtol |x|) / 2``; so it returns the same
+    double.  An end where ``f`` is zero is returned
     as is.  A NaN value of ``f`` raises ``ValueError``, as do ends of one
     sign; no convergence within 100 steps raises ``RuntimeError``.
     """
@@ -279,7 +280,7 @@ def _brent(f, a, b, args=(), xtol=1e-15, rtol=8.9e-16) -> float:
         if abs(fblk) < abs(fcur):  # keep the better end as xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (1e-15 + 8.9e-16 * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

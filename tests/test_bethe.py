@@ -237,10 +237,6 @@ class TestSolveRealK:
                     1 + mu * mu - 2 * mu * np.cos(2 * root.k.real))
 
 
-#: The two tolerance pairs of the Brent oracle: solve_real_k's, and brentq's defaults.
-BRENT_TOLERANCES = [(1e-15, 8.9e-16), (2e-12, 4 * np.finfo(float).eps)]
-
-
 def _random_smooth(rng):
     """A seeded smooth function of one float: a sine sum, a polynomial or a
     tanh step on a slope."""
@@ -288,8 +284,7 @@ class TestBrent:
                   if root.hex() != brentq(f, a, b, args=args, xtol=1e-15, rtol=8.9e-16).hex()]
         assert differ == []
 
-    @pytest.mark.parametrize("xtol,rtol", BRENT_TOLERANCES)
-    def test_random_smooth_functions_polish_as_brentq(self, xtol, rtol):
+    def test_random_smooth_functions_polish_as_brentq(self):
         rng = np.random.default_rng(20261019)
         compared = 0
         while compared < 400:
@@ -297,12 +292,11 @@ class TestBrent:
             a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
             if f(a) * f(b) >= 0:
                 continue
-            root = bethe._brent(f, a, b, (), xtol, rtol)
-            assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b)
+            root = bethe._brent(f, a, b)
+            assert root.hex() == brentq(f, a, b, xtol=1e-15, rtol=8.9e-16).hex(), (a, b)
             compared += 1
 
-    @pytest.mark.parametrize("xtol,rtol", BRENT_TOLERANCES)
-    def test_steep_roots_polish_as_brentq(self, xtol, rtol):
+    def test_steep_roots_polish_as_brentq(self):
         # sign(x - c) |x - c|^s with small s: interpolation overshoots, so
         # the step guards, not the interpolants, decide most steps
         rng = np.random.default_rng(20261020)
@@ -315,8 +309,8 @@ class TestBrent:
             def f(x):
                 return math.copysign(abs(x - c) ** s, x - c)
 
-            root = bethe._brent(f, a, b, (), xtol, rtol)
-            assert root.hex() == brentq(f, a, b, xtol=xtol, rtol=rtol).hex(), (a, b, c, s)
+            root = bethe._brent(f, a, b)
+            assert root.hex() == brentq(f, a, b, xtol=1e-15, rtol=8.9e-16).hex(), (a, b, c, s)
 
     def test_a_nan_value_raises_value_error(self):
         def f(x):  # NaN around the root: the first secant step lands there

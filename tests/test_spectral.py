@@ -622,26 +622,6 @@ class TestStackedChains:
             classify_stack(systems, [2.0], [0.25])
 
 
-def _loop_pseudo_hermiticity(eigenvalues, tol):
-    """Reference: the former pure-Python pool walk of pseudo_hermiticity_check."""
-    pool = [complex(v) for v in np.asarray(eigenvalues, dtype=complex)]
-    unmatched = []
-    while pool:
-        v = pool.pop(0)
-        if abs(v - v.conjugate()) <= tol:
-            continue
-        best, best_dist = -1, np.inf
-        for idx, w in enumerate(pool):
-            dist = abs(v.conjugate() - w)
-            if dist < best_dist:
-                best, best_dist = idx, dist
-        if best >= 0 and best_dist <= tol:
-            pool.pop(best)
-        else:
-            unmatched.append(v)
-    return (not unmatched), unmatched
-
-
 class TestPseudoHermiticity:
     def test_real_spectrum(self):
         ok, unmatched = pseudo_hermiticity_check([1.0, 2.0, 3.0], 1e-12)
@@ -679,41 +659,6 @@ class TestPseudoHermiticity:
         ok, unmatched = pseudo_hermiticity_check(es.eigenvalues, 1e-10 * es.scale)
         assert ok, unmatched
 
-
-    def _assert_matches_loop(self, values, tol):
-        got = pseudo_hermiticity_check(values, tol)
-        expected = _loop_pseudo_hermiticity(values, tol)
-        assert got == expected
-        assert all(type(v) is complex for v in got[1])
-
-    def test_matches_the_loop_on_the_verify_grid(self):
-        for n in GRID_N:
-            mus = GRID_MU_TOPO + GRID_MU_TRIV
-            gammas = [gamma_ep(mu, n) for mu in mus]
-            systems = spectral.chain_eigensystems(n, mus, gammas)
-            for es, (records, _) in zip(systems, spectral.classify_stack(systems, mus, gammas)):
-                coalesced = np.array([r.eigenvalue for r in records])
-                self._assert_matches_loop(coalesced, CLASS_TOLERANCE * es.scale)
-
-    @pytest.mark.parametrize("n", [6, 14, 30, 62, 134])
-    @pytest.mark.parametrize("mu", [0.5, 0.8, 1.1, 1.5, 2.0])
-    def test_matches_the_loop_on_spectrum_inputs(self, n, mu):
-        # the raw levels and tolerance that the spectrum command checks
-        es = chain_eigensystem(n, mu, gamma_ep(mu, n))
-        self._assert_matches_loop(es.eigenvalues, CLASS_TOLERANCE * es.scale)
-        self._assert_matches_loop(es.eigenvalues, 1e-3 * es.scale)
-
-    @pytest.mark.parametrize("values", [
-        [0.3 + 1.0j, 0.31 - 1.0j, 2.0, 0.5j],               # unmatched levels
-        [0.6j, 0.0, 0.4j, 1.0],                              # complex level taken by a real one
-        [0.4j, -0.4j, 0.49j, 0.0, 0.51j, 3.0 - 0.2j],        # within tol of real, both sides
-        [1 + 2j, 1 - 2j, 1 + 2j, 1 - 2j, 1 - 2j],            # duplicate pairs, one left over
-        [2 - 1j, 2 + 1j, 2 + 1j, 2.5 + 1j, 2 - 1j],          # first minimum on ties
-        [],
-    ])
-    def test_matches_the_loop_on_edge_cases(self, values):
-        for tol in (1.0, 0.5, 1e-12):
-            self._assert_matches_loop(values, tol)
 
 class TestDetectCoalescence:
     def test_six_site_cluster_and_vector(self):
