@@ -24,6 +24,7 @@ from .model import (
     staggered_signs,
 )
 from .spectral import (
+    Classification,
     ClassificationError,
     Coalescence,
     EigenSystem,
@@ -34,6 +35,7 @@ from .spectral import (
     chain_eigensystem,
     chain_eigensystems,
     classify_modes,
+    classify_rows,
     classify_stack,
     coalesced_eigenvalues,
     detect_coalescence,
@@ -64,6 +66,7 @@ from .analysis import (
     dirac_distribution,
     edge_mode_count,
     gap_bound_check,
+    inside_band,
 )
 
 __version__ = "0.1.0"

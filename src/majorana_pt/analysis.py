@@ -35,6 +35,7 @@ __all__ = [
     "dirac_distribution",
     "common_part_compare",
     "gap_bound_check",
+    "inside_band",
     "census_sweep",
     "edge_mode_count",
 ]
@@ -93,11 +94,11 @@ def gap_bound_check(census_modes: list[ModeRecord], mu: float) -> bool:
     ``|1 - mu| <= |eps| <= 1 + mu``, up to ``GAP_TOLERANCE``; the lower
     edge is the protected gap.
     """
-    return _inside_band([abs(r.eigenvalue) for r in census_modes
-                         if r.mode_class is ModeClass.REAL_SCATTERING], mu)
+    return inside_band([abs(r.eigenvalue) for r in census_modes
+                        if r.mode_class is ModeClass.REAL_SCATTERING], mu)
 
 
-def _inside_band(moduli, mu: float) -> bool:
+def inside_band(moduli, mu: float) -> bool:
     """:func:`gap_bound_check` of the scattering levels' moduli ``|eps|``."""
     lo, hi = abs(1.0 - mu), 1.0 + mu
     return not any(m < lo - GAP_TOLERANCE or m > hi + GAP_TOLERANCE for m in moduli)

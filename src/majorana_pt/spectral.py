@@ -28,8 +28,8 @@ real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
 
 The chain pipeline also runs on a stack of same-length chains:
 :func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call, and
-:func:`classify_stack` classifies them together (from the arrays of
-:func:`_classify_rows`, which the ``verify`` grid reads without records).
+:func:`classify_stack` classifies them together (its records are built
+from the :class:`Classification` rows of :func:`classify_rows`).
 Each returns one row per chain, which is either the chain's result or the
 error that refused that chain alone; a refused row does not stop the
 others, and a row that arrives as an error passes through unchanged.  Each
@@ -63,6 +63,8 @@ __all__ = [
     "detect_coalescence",
     "classify_modes",
     "classify_stack",
+    "classify_rows",
+    "Classification",
     "chain_census",
     "coalesced_eigenvalues",
     "match_multisets",
@@ -376,31 +378,22 @@ def pseudo_hermiticity_check(
 
     Real values match themselves; complex ones must occur in conjugate pairs
     within the absolute tolerance ``tol``.  Returns ``(ok, unmatched)``.
-
-    The levels are walked in order.  A level within ``tol`` of its conjugate
-    is real and skipped; each other level not yet taken takes the later
-    level, not yet taken, nearest its conjugate (the first of equals), if
-    that lies within ``tol``, and is unmatched otherwise.  Distances are
-    ``np.hypot``, as Python's ``abs(complex)``.
     """
-    values = np.asarray(eigenvalues, dtype=complex)
-    gap = values - values.conj()
-    searching = np.flatnonzero(~(np.hypot(gap.real, gap.imag) <= tol)).tolist()
-    if not searching:
-        return True, []
-    free = np.ones(values.size, dtype=bool)
+    pool = [complex(v) for v in np.asarray(eigenvalues, dtype=complex)]
     unmatched: list[complex] = []
-    for i in searching:
-        if not free[i]:
+    while pool:
+        v = pool.pop(0)
+        if abs(v - v.conjugate()) <= tol:
             continue
-        later = i + 1 + np.flatnonzero(free[i + 1:])
-        offsets = values[i].conjugate() - values[later]
-        dist = np.hypot(offsets.real, offsets.imag)
-        best = int(np.argmin(dist)) if later.size else -1
-        if best >= 0 and dist[best] <= tol:
-            free[later[best]] = False
+        best, best_dist = -1, np.inf
+        for idx, w in enumerate(pool):
+            dist = abs(v.conjugate() - w)
+            if dist < best_dist:
+                best, best_dist = idx, dist
+        if best >= 0 and best_dist <= tol:
+            pool.pop(best)
         else:
-            unmatched.append(complex(values[i]))
+            unmatched.append(v)
     return (not unmatched), unmatched
 
 
@@ -636,17 +629,16 @@ def classify_stack(systems, mus, gammas) -> list:
     or ``RuntimeError`` that refused it; the other rows are still served.
     A row of ``systems`` that is an error (see :func:`chain_eigensystems`)
     stays that error.  The three inputs must have one length (else
-    ``ValueError``).
+    ``ValueError``).  The records are those of :func:`classify_rows`.
     """
-    return [row if isinstance(row, Exception) else (_records(es, *row), _census(row[0]))
-            for es, row in zip(systems, _classify_rows(systems, mus, gammas))]
+    return [row if isinstance(row, Exception) else (row.records, row.census)
+            for row in classify_rows(systems, mus, gammas)]
 
 
-def _classify_rows(systems, mus, gammas) -> list:
-    """The classification of :func:`classify_stack`, row by row as arrays:
-    ``(codes, pair, biorth)`` of :func:`_classify_levels` for each row of
-    ``systems`` that is an :class:`EigenSystem`, or the error refusing it.
-    An error row of ``systems`` stays that error.
+def classify_rows(systems, mus, gammas) -> list:
+    """The classification of :func:`classify_stack` without records: a
+    :class:`Classification` for each row it serves, or the error refusing
+    that row, as there.
     """
     _same_lengths(systems=systems, mus=mus, gammas=gammas)
     rows = list(systems)
@@ -656,27 +648,61 @@ def _classify_rows(systems, mus, gammas) -> list:
     levels = _classify_levels(np.array([systems[i].eigenvalues for i in solved]),
                               [mus[i] for i in solved], [gammas[i] for i in solved])
     for i, level in zip(solved, levels):
-        rows[i] = level
+        if isinstance(level, Exception):
+            rows[i] = level
+        else:
+            codes, pair, biorth = level
+            rows[i] = Classification(systems[i], codes, list(pair or ()), biorth)
     return rows
 
 
-def _coalesced(values, pair) -> np.ndarray:
-    """A copy of ``values`` with the coalescing ``pair`` (``None`` off the
-    locus) at its centroid, the value its records carry."""
-    values = np.array(values, dtype=complex)
-    if pair:
-        values[list(pair)] = complex(values[list(pair)].mean())
-    return values
+@dataclass(frozen=True, eq=False)
+class Classification:
+    """The mode classes of the levels of one eigensystem ``es``, as arrays.
 
+    ``codes`` indexes ``_MODE_CLASSES`` level by level, ``pair`` lists the
+    indices of the coalescing levels and ``biorth`` is their closed-form
+    ``<eta|psi>`` (``[]`` and ``None`` off the locus).  ``records`` builds
+    the :class:`ModeRecord` of each level on each read; the other
+    properties read the codes alone.
+    """
 
-def _records(es: EigenSystem, codes, pair, biorth) -> list[ModeRecord]:
-    """The :class:`ModeRecord` of each level of a classified row."""
-    return [
-        ModeRecord(i, value, _MODE_CLASSES[code], biorth if code == _ZERO else overlap)
-        for i, (value, code, overlap) in enumerate(zip(
-            _coalesced(es.eigenvalues, pair).tolist(), codes.tolist(),
-            np.asarray(es.biorth_norms, dtype=complex).tolist()))
-    ]
+    es: EigenSystem
+    codes: np.ndarray
+    pair: list
+    biorth: complex | None
+
+    @property
+    def census(self) -> ModeCensus:
+        return _census(self.codes)
+
+    @property
+    def real(self) -> np.ndarray:
+        """Mask of the real scattering levels."""
+        return self.codes == _REAL
+
+    @property
+    def imaginary(self) -> np.ndarray:
+        """Mask of the imaginary evanescent levels."""
+        return self.codes == _IMAGINARY
+
+    @property
+    def coalesced(self) -> np.ndarray:
+        """The eigenvalues with the pair at its centroid, the value its
+        records carry."""
+        values = np.array(self.es.eigenvalues, dtype=complex)
+        if self.pair:
+            values[self.pair] = complex(values[self.pair].mean())
+        return values
+
+    @property
+    def records(self) -> list[ModeRecord]:
+        return [
+            ModeRecord(i, value, _MODE_CLASSES[code], self.biorth if code == _ZERO else overlap)
+            for i, (value, code, overlap) in enumerate(zip(
+                self.coalesced.tolist(), self.codes.tolist(),
+                np.asarray(self.es.biorth_norms, dtype=complex).tolist()))
+        ]
 
 
 def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:

@@ -141,11 +141,11 @@ def mode_census(solved):
         parallel = gram.max(axis=1) >= 1.0 - spectral.EP_TOLERANCE
         for mu, chain, columns in zip(mus, chains, parallel):
             expected = (0, 1, n - 2) if mu > 1 else (2, 1, n - 4)
-            census = chain.census
+            census = chain.modes.census
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
                 failures.append(f"(n={n}, mu={mu}): {got} != {expected}")
-            merged, pair = np.flatnonzero(columns).tolist(), chain.pair
+            merged, pair = np.flatnonzero(columns).tolist(), chain.modes.pair
             if merged != pair:
                 failures.append(f"(n={n}, mu={mu}): eigenvectors coalesce levels "
                                 f"{merged}, not the pair {pair}")
@@ -200,8 +200,9 @@ def bethe_spectrum_equivalence(solved):
             analytic = [r.epsilon for r in bethe.solve_real_k(mu, chain.gamma, n)]
             analytic += [0.0, 0.0]
             analytic += [r.epsilon for r in pair]
-            worst_match = max(worst_match, spectral.match_multisets(chain.coalesced, analytic))
-            residuals = bethe.match_spectrum_to_roots(chain.records, mu, chain.gamma, n, pair)
+            modes = chain.modes
+            worst_match = max(worst_match, spectral.match_multisets(modes.coalesced, analytic))
+            residuals = bethe.match_spectrum_to_roots(modes.records, mu, chain.gamma, n, pair)
             worst_root_res = max(worst_root_res, max(residuals))
     checks = [
         (worst_match <= 1e-9, f"spectrum match {worst_match:.2e} <= 1e-9"),
@@ -218,7 +219,7 @@ def evanescent_asymptotics(solved):
     ratios = []
     for n in GRID_N:
         chain = _grid_chain(n, mu, solved)
-        imag = _moduli(chain.es.eigenvalues[chain.imaginary]).tolist()
+        imag = _moduli(chain.es.eigenvalues[chain.modes.imaginary]).tolist()
         ratios.append(max(imag) / chain.gamma)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     err6 = abs(1 - ratios[0])
@@ -256,7 +257,7 @@ def block_decomposition(solved):
             ep = np.argsort(np.abs(ring_values))[:4]
             ring_values[ep] = np.mean(ring_values[ep])
             ring_values /= s
-            ssh_values = _grid_chain(n, mu, solved).coalesced
+            ssh_values = _grid_chain(n, mu, solved).modes.coalesced
             union = np.concatenate([ssh_values, ssh_values.conj()])
             worst_spec = max(worst_spec, spectral.match_multisets(ring_values, union))
     scale_dev = max(abs(s - 0.5) for s in scales)
@@ -295,36 +296,21 @@ def _moduli(values) -> np.ndarray:
 
 
 class _GridChain:
-    """The chain at ``(n, mu, gamma)`` as one row of the stacked pass of
-    :func:`_grid_chain`: its eigensystem ``es`` and its classification
-    ``row``, ``(codes, pair, biorth)`` of :func:`~.spectral._classify_rows`.
-
-    The grid criteria read arrays from the row: the ``census``, the ``pair``
-    indices, the ``real`` and ``imaginary`` level masks, and ``coalesced``,
-    the spectrum with the pair at the centroid its records carry.  The
-    ``records`` of :func:`~.spectral.classify_modes` are built on each
-    read, and only the chains whose levels are matched to Bethe roots read
-    them.
+    """The eigensystem ``es`` of the chain at ``(n, mu, gamma)`` and its
+    :class:`~.spectral.Classification` ``modes``, as one row of the stacked
+    pass of :func:`_grid_chain`.
 
     A part that the pass refused for this chain is kept as its error and
     raised on each read, so it fails each criterion that reads it, and only
-    those (every part but ``es`` raises the error of ``row``); the other
-    chains of the pass are served.
+    those; the other chains of the pass are served.
     """
 
-    def __init__(self, gamma, es, row):
+    def __init__(self, gamma, es, modes):
         self.gamma = gamma
-        self._rows = es, row
+        self._rows = es, modes
 
     es = property(lambda self: spectral._served(self._rows[0]))
-    row = property(lambda self: spectral._served(self._rows[1]))
-    census = property(lambda self: spectral._census(self.row[0]))
-    pair = property(lambda self: list(self.row[1] or ()))
-    real = property(lambda self: self.row[0] == spectral._REAL)
-    imaginary = property(lambda self: self.row[0] == spectral._IMAGINARY)
-
-    coalesced = property(lambda self: spectral._coalesced(self.es.eigenvalues, self.row[1]))
-    records = property(lambda self: spectral._records(self.es, *self.row))
+    modes = property(lambda self: spectral._served(self._rows[1]))
 
 
 def _grid_chain(n, mu, solved):
@@ -334,14 +320,16 @@ def _grid_chain(n, mu, solved):
     A miss solves and classifies the chains of length ``n`` at the six grid
     couplings, in order, in one stacked pass at ``gamma_ep``:
     :func:`~.spectral.chain_eigensystems`, then
-    :func:`~.spectral._classify_rows`, the arrays that
-    :func:`~.spectral.classify_stack` builds its records from.
+    :func:`~.spectral.classify_rows`, the classification that
+    :func:`~.spectral.classify_stack` builds its records from.  The grid
+    criteria read its arrays; only the chains whose levels are matched to
+    Bethe roots build records.
     """
     if (n, mu) not in solved:
         mus = GRID_MU_TOPO + GRID_MU_TRIV
         gammas = [model.gamma_ep(m, n) for m in mus]
         systems = spectral.chain_eigensystems(n, mus, gammas)
-        rows = zip(mus, gammas, systems, spectral._classify_rows(systems, mus, gammas))
+        rows = zip(mus, gammas, systems, spectral.classify_rows(systems, mus, gammas))
         for m, *parts in rows:
             solved[n, m] = _GridChain(*parts)
     return solved[n, mu]
@@ -353,7 +341,8 @@ def scattering_gap_bound(solved):
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
             chain = _grid_chain(n, mu, solved)
-            if not analysis._inside_band(_moduli(chain.es.eigenvalues[chain.real]).tolist(), mu):
+            scattering = _moduli(chain.es.eigenvalues[chain.modes.real]).tolist()
+            if not analysis.inside_band(scattering, mu):
                 failures.append((n, mu))
     detail = (f"all scattering levels inside |1-mu| <= |eps| <= 1+mu over "
               f"{len(GRID_N) * 6} grid points")
@@ -371,7 +360,7 @@ def pseudo_hermiticity_pt(solved):
             chain = _grid_chain(n, mu, solved)
             worst_pt = max(worst_pt, model.pt_deviation(model.build_ssh(n, mu, chain.gamma)))
             ok, unmatched = spectral.pseudo_hermiticity_check(
-                chain.coalesced, spectral.CLASS_TOLERANCE * chain.es.scale)
+                chain.modes.coalesced, spectral.CLASS_TOLERANCE * chain.es.scale)
             if not ok:
                 unmatched_points.append((n, mu, unmatched))
     checks = [

@@ -50,7 +50,7 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
         raise AssertionError("grid point built, solved or analysed twice")
 
     for name in ("eig", "chain_eigensystem", "chain_eigensystems", "classify_modes",
-                 "classify_stack", "_classify_rows", "coalesced_eigenvalues"):
+                 "classify_stack", "classify_rows", "coalesced_eigenvalues"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
     gap = verify.scattering_gap_bound(solved)
@@ -129,10 +129,10 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
 def test_suite_analyses_each_chain_once(monkeypatch):
     calls = Counter()
     rows = Counter()
-    stacked = {"chain_eigensystems": 1, "_classify_rows": 0}
+    stacked = {"chain_eigensystems": 1, "classify_rows": 0}
     for module, name in [
         (verify.spectral, "eig"), (verify.spectral, "chain_eigensystem"),
-        (verify.spectral, "chain_eigensystems"), (verify.spectral, "_classify_rows"),
+        (verify.spectral, "chain_eigensystems"), (verify.spectral, "classify_rows"),
         (verify.spectral, "classify_modes"), (verify.spectral, "classify_stack"),
         (verify.spectral, "coalesced_eigenvalues"),
         (verify.spectral, "detect_coalescence"),
@@ -153,7 +153,7 @@ def test_suite_analyses_each_chain_once(monkeypatch):
     # closed-form chain at mu = 0.5.  detect_coalescence serves the coalesced
     # six-site spectra (2) and the two timed six-site solves; the rings
     # coalesce their np.linalg.eigvals levels themselves
-    assert calls == {"chain_eigensystems": 13, "_classify_rows": 13,
+    assert calls == {"chain_eigensystems": 13, "classify_rows": 13,
                      "eig": 2, "coalesced_eigenvalues": 2, "detect_coalescence": 4,
                      "solve_evanescent_pair": 5}
     assert rows == {name: 78 for name in stacked}
@@ -168,18 +168,19 @@ def test_grid_arrays_equal_the_classified_records():
     for n in verify.GRID_N:
         for mu in verify.GRID_MU_TOPO + verify.GRID_MU_TRIV:
             chain = verify._grid_chain(n, mu, solved)
+            got = chain.modes
             records, census = verify.spectral.classify_modes(chain.es, mu, chain.gamma)
             classes = [r.mode_class for r in records]
             pair = [i for i, c in enumerate(classes) if c is modes.ZERO_COALESCING]
-            assert chain.census == census
-            assert chain.pair == pair and len(pair) == 2
-            assert chain.real.tolist() == [c is modes.REAL_SCATTERING for c in classes]
-            assert chain.imaginary.tolist() == [c is modes.IMAGINARY_EVANESCENT for c in classes]
+            assert got.census == census
+            assert got.pair == pair and len(pair) == 2
+            assert got.real.tolist() == [c is modes.REAL_SCATTERING for c in classes]
+            assert got.imaginary.tolist() == [c is modes.IMAGINARY_EVANESCENT for c in classes]
             expected = chain.es.eigenvalues.copy()
             expected[pair] = complex(np.mean(chain.es.eigenvalues[pair]))
-            assert chain.coalesced.tobytes() == expected.tobytes()
-            assert chain.coalesced.tobytes() == np.array([r.eigenvalue for r in records]).tobytes()
-            assert chain.records == records
+            assert got.coalesced.tobytes() == expected.tobytes()
+            assert got.coalesced.tobytes() == np.array([r.eigenvalue for r in records]).tobytes()
+            assert got.records == records
 
 
 def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatch):
@@ -202,13 +203,11 @@ def test_a_refused_grid_chain_fails_alone(monkeypatch):
     solved = {}
     refused = verify._grid_chain(6, 0.8, solved)
     for _ in range(2):
-        for part in ("row", "census", "pair", "real", "imaginary", "coalesced", "records"):
-            with pytest.raises(verify.spectral.ClassificationError,
-                               match="no isolated zero pair"):
-                getattr(refused, part)
+        with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
+            refused.modes
     assert refused.es.dim == 6
     for mu in verify.GRID_MU_TOPO + [0.3, 0.5]:
-        assert solved[6, mu].census.n_EP == 1
+        assert solved[6, mu].modes.census.n_EP == 1
 
 
 def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
