@@ -30,12 +30,10 @@ from .spectral import (
     EigenSystem,
     ModeCensus,
     ModeClass,
-    ModeRecord,
     chain_census,
     chain_eigensystem,
     chain_eigensystems,
     classify_modes,
-    classify_rows,
     classify_stack,
     coalesced_eigenvalues,
     detect_coalescence,
@@ -66,7 +64,6 @@ from .analysis import (
     dirac_distribution,
     edge_mode_count,
     gap_bound_check,
-    inside_band,
 )
 
 __version__ = "0.1.0"

@@ -22,9 +22,8 @@ import numpy as np
 from . import bethe
 from .model import gamma_ep, _require_even_sites
 from .spectral import (
-    ModeClass,
+    Classification,
     ModeCensus,
-    ModeRecord,
     chain_eigensystem,
     classify_modes,
     eig,  # noqa: F401 - unused; perfbench's tracer test reads it until ROADMAP item 1
@@ -35,7 +34,6 @@ __all__ = [
     "dirac_distribution",
     "common_part_compare",
     "gap_bound_check",
-    "inside_band",
     "census_sweep",
     "edge_mode_count",
 ]
@@ -87,21 +85,19 @@ def common_part_compare(n_small: int, n_large: int, mu: float) -> float:
 GAP_TOLERANCE = 1e-10
 
 
-def gap_bound_check(census_modes: list[ModeRecord], mu: float) -> bool:
-    """True when every real scattering level lies inside the band.
+def gap_bound_check(modes: Classification, mu: float) -> bool:
+    """True when every real scattering level of a classified chain ``modes``
+    lies inside the band.
 
     The dispersion confines scattering eigenvalues to
     ``|1 - mu| <= |eps| <= 1 + mu``, up to ``GAP_TOLERANCE``; the lower
-    edge is the protected gap.
+    edge is the protected gap.  ``|eps|`` is taken by ``np.hypot``, bit for
+    bit Python's ``abs(complex)``.
     """
-    return inside_band([abs(r.eigenvalue) for r in census_modes
-                        if r.mode_class is ModeClass.REAL_SCATTERING], mu)
-
-
-def inside_band(moduli, mu: float) -> bool:
-    """:func:`gap_bound_check` of the scattering levels' moduli ``|eps|``."""
-    lo, hi = abs(1.0 - mu), 1.0 + mu
-    return not any(m < lo - GAP_TOLERANCE or m > hi + GAP_TOLERANCE for m in moduli)
+    values = modes.es.eigenvalues[modes.real]
+    moduli = np.hypot(values.real, values.imag)
+    return not np.any((moduli < abs(1.0 - mu) - GAP_TOLERANCE)
+                      | (moduli > 1.0 + mu + GAP_TOLERANCE))
 
 
 def edge_mode_count(census: ModeCensus, mu: float) -> int:
@@ -152,7 +148,7 @@ def census_sweep(n_list, mu_list) -> list[SweepPoint]:
         for mu in mu_list:
             try:
                 gamma = gamma_ep(mu, n)
-                _, census = classify_modes(chain_eigensystem(n, mu, gamma), mu, gamma)
+                census = classify_modes(chain_eigensystem(n, mu, gamma), mu, gamma).census
             except (ValueError, RuntimeError) as exc:
                 exc.args = (f"sweep failed at (n={n}, mu={mu}): {exc}",)
                 raise

@@ -361,7 +361,11 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
             return _real_line(kappa, mmu, mgam, n, sinh, cosh) / sinh(n * kappa)
 
         seed = (mpmath.mpf(n) - 1) / 2 * mpmath.log(1 / mmu)
-        kappa = mpmath.findroot(rescaled, seed)
+        try:
+            kappa = mpmath.findroot(rescaled, seed)
+        except ValueError:  # mpmath's own error spans two lines of 60-digit numbers
+            raise RootScanError(f"the evanescent root did not converge for n={n}, mu={mu} "
+                                f"from the seed kappa={float(seed)!r}") from None
         e2 = 1 + mmu * mmu - 2 * mmu * cosh(2 * kappa)
         if e2 >= 0:  # pragma: no cover - cannot happen at the locus
             raise RootScanError("evanescent root has non-imaginary eigenvalue")
@@ -461,33 +465,32 @@ def k_from_epsilon(epsilon: complex, mu: float) -> complex:
 
 
 def match_spectrum_to_roots(
-    records,
+    modes,
     mu: float,
     gamma: float,
     n: int,
     imag_pair: list[BetheRoot],
 ) -> list[float]:
-    """Normalized quantization residual of every classified level.
+    """Normalized quantization residual of every level of a classified chain.
 
-    Real scattering levels and the coalescing pair are inverted through the
-    dispersion; the imaginary levels are matched against ``imag_pair``, the
-    caller's :func:`solve_evanescent_pair` roots (``[]`` for mu > 1), whose
-    residual certificate survives the hyperbolic term growth.  Returns the
-    residuals in record order.
+    ``modes`` is the chain's :class:`~.spectral.Classification`.  Real
+    scattering levels are inverted through the dispersion, and the
+    coalescing pair is the zero-mode root; the imaginary levels are matched
+    against ``imag_pair``, the caller's :func:`solve_evanescent_pair` roots
+    (``[]`` for mu > 1), whose residual certificate survives the hyperbolic
+    term growth.  Returns the residuals in level order.
     """
-    from .spectral import ModeClass
-
     mu = _require_mu(mu, forbid_uniform=True)
+    imaginary = modes.imaginary.tolist()
     residuals = []
-    for record in records:
-        if record.mode_class is ModeClass.IMAGINARY_EVANESCENT:
-            root = min(imag_pair, key=lambda r: abs(r.epsilon - record.eigenvalue))
-            res = root.residual
+    for i, value in enumerate(modes.coalesced.tolist()):
+        if imaginary[i]:
+            res = min(imag_pair, key=lambda r: abs(r.epsilon - value)).residual
         else:
-            if record.mode_class is ModeClass.ZERO_COALESCING:
+            if i in modes.pair:
                 k = zero_mode_root(mu)
             else:
-                k = k_from_epsilon(record.eigenvalue, mu)
+                k = k_from_epsilon(value, mu)
                 k = complex(k.real, 0.0) if abs(k.imag) < 1e-9 else k
             res = normalized_residual(k, mu, gamma, n)
         residuals.append(res)

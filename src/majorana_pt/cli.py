@@ -10,8 +10,10 @@ sweep      census over an (N, mu) grid with derived edge-mode counts
 plot       stacked stem plot of zero-mode amplitude profiles (SVG)
 verify     run the verification suite; exit 3 on any failure
 
-Exit codes: 0 success, 1 usage, parameter or numerical error, 2
-classification failure (off the coalescence locus), 3 verification failure.
+Exit codes: 0 success, 1 usage, parameter or numerical error (``zero-mode``
+and ``bethe`` refuse a gamma off the coalescence locus), 2 classification
+failure (no isolated zero pair on the locus, or a level neither real nor
+imaginary), 3 verification failure.
 Flags override values from an optional ``--config`` file of ``key = value``
 lines, whose keys must name flags of the subcommand; the effective
 configuration is echoed into every artifact.  Flags must be spelled out in
@@ -115,15 +117,15 @@ def _cmd_spectrum(args) -> int:
     n, mu, gamma, config = _model_config(args, "spectrum")
     fmt = _merge(args, "format", str, "json")
     es = spectral.chain_eigensystem(n, mu, gamma)
-    records, census = spectral.classify_modes(es, mu, gamma)
+    modes = spectral.classify_modes(es, mu, gamma)
     ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues,
                                                        spectral.CLASS_TOLERANCE * es.scale)
     if fmt == "json":
+        census = modes.census
         payload = serialize.eigensystem_to_json(es)
         payload["config"] = config
-        payload["coalesced_eigenvalues"] = serialize.complex_pairs(
-            [r.eigenvalue for r in records])
-        payload["mode_classes"] = [r.mode_class.value for r in records]
+        payload["coalesced_eigenvalues"] = serialize.complex_pairs(modes.coalesced)
+        payload["mode_classes"] = [c.value for c in modes.mode_classes]
         payload["census"] = {
             "n_I": census.n_I, "n_EP": census.n_EP, "n_S": census.n_S, "N": census.n,
         }
@@ -131,7 +133,7 @@ def _cmd_spectrum(args) -> int:
         payload["unmatched"] = serialize.complex_pairs(unmatched)
         _emit(args, serialize.dump_json(payload))
     elif fmt == "csv":
-        _emit(args, serialize.spectrum_csv(es, records, _config_lines(config)))
+        _emit(args, serialize.spectrum_csv(modes, _config_lines(config)))
     elif fmt == "text":
         lines = [f"# {l}" for l in _config_lines(config)]
         lines.append(serialize.matrix_to_text(model.build_ssh(n, mu, gamma)).rstrip("\n"))
@@ -143,11 +145,18 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _require_locus(n: int, mu: float, gamma: float, subject: str) -> None:
+    """Refuse an invalid chain (a non-finite gamma first), then a gamma off the
+    coalescence locus, where ``subject`` does not hold."""
+    model._require_chain(n, mu, gamma)
+    if not model.on_locus(mu, n, gamma):
+        raise ValueError(f"{subject} only at gamma = gamma_ep(mu, N) = "
+                         f"{model.gamma_ep(mu, n)!r}, got {gamma!r}")
+
+
 def _cmd_zero_mode(args) -> int:
     n, mu, gamma, config = _model_config(args, "zero-mode")
-    if not model.on_locus(mu, n, gamma):
-        raise ValueError(f"the coalescing zero mode exists only at gamma = "
-                         f"gamma_ep(mu, N) = {model.gamma_ep(mu, n)!r}, got {gamma!r}")
+    _require_locus(n, mu, gamma, "the coalescing zero mode exists")
     side = _merge(args, "side", str, "right")
     config["side"] = side
     fmt = _merge(args, "format", str, "csv")
@@ -168,6 +177,7 @@ def _cmd_zero_mode(args) -> int:
 
 def _cmd_bethe(args) -> int:
     n, mu, gamma, config = _model_config(args, "bethe")
+    _require_locus(n, mu, gamma, "the zero-mode root exists")
     fmt = _merge(args, "format", str, "json")
     roots = bethe.solve_real_k(mu, gamma, n)
     zero_k = bethe.zero_mode_root(mu)

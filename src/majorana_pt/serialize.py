@@ -89,13 +89,14 @@ def _csv(config_lines, header: str, rows) -> str:
 SPECTRUM_HEADER = "re,im,residual,biorth_re,biorth_im,mode_class"
 
 
-def spectrum_csv(es, records, config_lines=()) -> str:
-    """CSV ``re,im,residual,biorth_re,biorth_im,mode_class``, one row per level."""
-    rows = []
-    for i, record in enumerate(records):
-        z, b = complex(es.eigenvalues[i]), complex(es.biorth_norms[i])
-        rows.append(f"{z.real!r},{z.imag!r},{float(es.residuals[i])!r},{b.real!r},"
-                    f"{b.imag!r},{record.mode_class.value}")
+def spectrum_csv(modes, config_lines=()) -> str:
+    """CSV ``re,im,residual,biorth_re,biorth_im,mode_class``, one row per level
+    of a classified chain ``modes`` (:class:`~.spectral.Classification`)."""
+    es = modes.es
+    rows = [f"{z.real!r},{z.imag!r},{residual!r},{b.real!r},{b.imag!r},{mode_class.value}"
+            for z, residual, b, mode_class in zip(
+                es.eigenvalues.tolist(), es.residuals.tolist(), es.biorth_norms.tolist(),
+                modes.mode_classes)]
     return _csv(config_lines, SPECTRUM_HEADER, rows)
 
 

@@ -26,17 +26,21 @@ there is no pair.  :func:`classify_modes` applies this to a computed
 eigensystem, and :func:`chain_census` to the eigenvalues of the chain's
 real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
 
+A classified chain is one :class:`Classification`: its eigensystem, the
+mode class code of each level, the coalescing pair's indices and its
+closed-form ``<eta|psi>``; the census, the class masks and the coalesced
+spectrum are read from these arrays.
+
 The chain pipeline also runs on a stack of same-length chains:
 :func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call, and
-:func:`classify_stack` classifies them together (its records are built
-from the :class:`Classification` rows of :func:`classify_rows`).
-Each returns one row per chain, which is either the chain's result or the
-error that refused that chain alone; a refused row does not stop the
-others, and a row that arrives as an error passes through unchanged.  Each
-row is the same, bit for bit, as when the chain is run alone:
-:func:`chain_eigensystem` and :func:`classify_modes` are the stacks of one,
-and raise a refused row's error.  A stack's per-chain inputs must have one
-length; an empty stack gives no rows.
+:func:`classify_stack` classifies them together.  Each returns one row
+per chain, which is either the chain's result or the error that refused
+that chain alone; a refused row does not stop the others, and a row that
+arrives as an error passes through unchanged.  Each row is the same, bit
+for bit, as when the chain is run alone: :func:`chain_eigensystem` and
+:func:`classify_modes` are the stacks of one, and raise a refused row's
+error.  A stack's per-chain inputs must have one length; an empty stack
+gives no rows.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ __all__ = [
     "EigenSystem",
     "Coalescence",
     "ModeClass",
-    "ModeRecord",
     "ModeCensus",
     "ClassificationError",
     "eig",
@@ -63,7 +66,6 @@ __all__ = [
     "detect_coalescence",
     "classify_modes",
     "classify_stack",
-    "classify_rows",
     "Classification",
     "chain_census",
     "coalesced_eigenvalues",
@@ -468,22 +470,6 @@ class ModeClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ModeRecord:
-    """Classification of a single level.
-
-    ``eigenvalue`` is the pair's centroid for coalescing levels (the raw
-    numerically split values remain in the eigensystem) and the raw computed
-    value otherwise.  ``biorth_norm`` is the closed-form zero mode's
-    ``<eta|psi>`` for coalescing levels, the per-pair overlap otherwise.
-    """
-
-    index: int
-    eigenvalue: complex
-    mode_class: ModeClass
-    biorth_norm: complex
-
-
-@dataclass(frozen=True)
 class ModeCensus:
     """Level counts (n_I, n_EP, n_S) satisfying ``n_I + 2 n_EP + n_S = n``."""
 
@@ -597,9 +583,7 @@ def _census(codes) -> ModeCensus:
     return ModeCensus(n_I=n_i, n_EP=n_zero // 2, n_S=n_s, n=len(codes))
 
 
-def classify_modes(
-    es: EigenSystem, mu: float, gamma: float
-) -> tuple[list[ModeRecord], ModeCensus]:
+def classify_modes(es: EigenSystem, mu: float, gamma: float) -> Classification:
     """Assign every level of an eigensystem ``es`` of ``build_ssh(n, mu, gamma)``
     (:func:`chain_eigensystem` or :func:`eig`) a mode class.
 
@@ -614,8 +598,6 @@ def classify_modes(
     level when instead its real part is; one exceeding the threshold in both
     parts raises :class:`ClassificationError`.
 
-    The pair's records carry its centroid and the closed-form
-    ``<eta|psi>``; the others carry the raw eigenvalue and its overlap.
     This is the stack of one of :func:`classify_stack`.
     """
     return _served(classify_stack([es], [mu], [gamma])[0])
@@ -625,20 +607,11 @@ def classify_stack(systems, mus, gammas) -> list:
     """:func:`classify_modes` of each row of a stack of eigensystems of one
     dimension, ``systems[i]`` of ``build_ssh(n, mus[i], gammas[i])``.
 
-    Row ``i`` is ``(records, census)``, or the :class:`ClassificationError`
-    or ``RuntimeError`` that refused it; the other rows are still served.
-    A row of ``systems`` that is an error (see :func:`chain_eigensystems`)
-    stays that error.  The three inputs must have one length (else
-    ``ValueError``).  The records are those of :func:`classify_rows`.
-    """
-    return [row if isinstance(row, Exception) else (row.records, row.census)
-            for row in classify_rows(systems, mus, gammas)]
-
-
-def classify_rows(systems, mus, gammas) -> list:
-    """The classification of :func:`classify_stack` without records: a
-    :class:`Classification` for each row it serves, or the error refusing
-    that row, as there.
+    Row ``i`` is the chain's :class:`Classification`, or the
+    :class:`ClassificationError` or ``RuntimeError`` that refused it; the
+    other rows are still served.  A row of ``systems`` that is an error (see
+    :func:`chain_eigensystems`) stays that error.  The three inputs must
+    have one length (else ``ValueError``).
     """
     _same_lengths(systems=systems, mus=mus, gammas=gammas)
     rows = list(systems)
@@ -662,9 +635,8 @@ class Classification:
 
     ``codes`` indexes ``_MODE_CLASSES`` level by level, ``pair`` lists the
     indices of the coalescing levels and ``biorth`` is their closed-form
-    ``<eta|psi>`` (``[]`` and ``None`` off the locus).  ``records`` builds
-    the :class:`ModeRecord` of each level on each read; the other
-    properties read the codes alone.
+    ``<eta|psi>`` (``[]`` and ``None`` off the locus).  Every property reads
+    these arrays.
     """
 
     es: EigenSystem
@@ -675,6 +647,11 @@ class Classification:
     @property
     def census(self) -> ModeCensus:
         return _census(self.codes)
+
+    @property
+    def mode_classes(self) -> list[ModeClass]:
+        """The :class:`ModeClass` of each level."""
+        return [_MODE_CLASSES[code] for code in self.codes.tolist()]
 
     @property
     def real(self) -> np.ndarray:
@@ -688,21 +665,12 @@ class Classification:
 
     @property
     def coalesced(self) -> np.ndarray:
-        """The eigenvalues with the pair at its centroid, the value its
-        records carry."""
+        """The eigenvalues with the pair at its centroid, the raw numerically
+        split values of which remain in ``es``."""
         values = np.array(self.es.eigenvalues, dtype=complex)
         if self.pair:
             values[self.pair] = complex(values[self.pair].mean())
         return values
-
-    @property
-    def records(self) -> list[ModeRecord]:
-        return [
-            ModeRecord(i, value, _MODE_CLASSES[code], self.biorth if code == _ZERO else overlap)
-            for i, (value, code, overlap) in enumerate(zip(
-                self.coalesced.tolist(), self.codes.tolist(),
-                np.asarray(self.es.biorth_norms, dtype=complex).tolist()))
-        ]
 
 
 def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:

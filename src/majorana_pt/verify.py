@@ -1,7 +1,7 @@
 """Verification suite: the checks that pin the library to its exact results.
 
-Each criterion is a function of ``solved``, the run's cache of grid chain
-records (see :class:`_GridChain`), returning a :class:`CriterionResult`;
+Each criterion is a function of ``solved``, the run's cache of grid
+chains (see :class:`_GridChain`), returning a :class:`CriterionResult`;
 :func:`run_criteria` executes a filtered subset and shares one cache among
 them, so a run solves and analyses each grid chain once; only the six-site
 criteria, whose budget times a real solve, and the rings are solved outside
@@ -15,9 +15,8 @@ independent oracle for everything the closed forms claim.  The grid is
 filled one chain length at a time: the six couplings of a length are
 solved in one stacked real solve (:func:`~.spectral.chain_eigensystems`),
 then classified together, each chain exactly as if alone.  The grid
-criteria read each chain's classification as arrays (mode codes, pair
-indices, the coalesced spectrum); :class:`~.spectral.ModeRecord` lists are
-built only for the chains whose levels are matched to Bethe roots.
+criteria read each chain's :class:`~.spectral.Classification`: its mode
+codes, pair indices and coalesced spectrum.
 
 The census classifies eigenvalues alone and takes its coalescing pair from
 the spectral gap and the closed-form zero mode; ``mode-census`` also
@@ -27,10 +26,9 @@ parallel, so the eigenvalue and eigenvector routes check each other.
 Numerically split coalescing pairs are compared through their centroid: a
 defective pair computed in double precision splits by the square root of
 the backward error, and the centroid cancels that split's leading term.
-The grid chains read it from their classification, the value their
-records carry, and the six-site chains from
-:func:`~.spectral.coalesced_eigenvalues`; the rings take it over their four
-levels of least modulus, the two split pairs.
+The grid chains read it from their classification, the six-site chains
+from :func:`~.spectral.coalesced_eigenvalues`, and the rings take it over
+their four levels of least modulus, the two split pairs.
 """
 
 from __future__ import annotations
@@ -202,7 +200,7 @@ def bethe_spectrum_equivalence(solved):
             analytic += [r.epsilon for r in pair]
             modes = chain.modes
             worst_match = max(worst_match, spectral.match_multisets(modes.coalesced, analytic))
-            residuals = bethe.match_spectrum_to_roots(modes.records, mu, chain.gamma, n, pair)
+            residuals = bethe.match_spectrum_to_roots(modes, mu, chain.gamma, n, pair)
             worst_root_res = max(worst_root_res, max(residuals))
     checks = [
         (worst_match <= 1e-9, f"spectrum match {worst_match:.2e} <= 1e-9"),
@@ -219,8 +217,9 @@ def evanescent_asymptotics(solved):
     ratios = []
     for n in GRID_N:
         chain = _grid_chain(n, mu, solved)
-        imag = _moduli(chain.es.eigenvalues[chain.modes.imaginary]).tolist()
-        ratios.append(max(imag) / chain.gamma)
+        imag = chain.es.eigenvalues[chain.modes.imaginary]
+        # |eps| by hypot, bit for bit Python's abs(complex)
+        ratios.append(max(np.hypot(imag.real, imag.imag).tolist()) / chain.gamma)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     err6 = abs(1 - ratios[0])
     exact6 = 0.5 * np.sqrt(2 * np.sqrt(238) + 25)
@@ -290,11 +289,6 @@ def common_part(solved):
                    "; ".join(m for _, m in checks), started)
 
 
-def _moduli(values) -> np.ndarray:
-    """``|values|`` by ``np.hypot``, bit for bit Python's ``abs(complex)``."""
-    return np.hypot(values.real, values.imag)
-
-
 class _GridChain:
     """The eigensystem ``es`` of the chain at ``(n, mu, gamma)`` and its
     :class:`~.spectral.Classification` ``modes``, as one row of the stacked
@@ -314,22 +308,19 @@ class _GridChain:
 
 
 def _grid_chain(n, mu, solved):
-    """The run's record at the grid point ``(n, mu)``; ``solved`` is keyed on
-    ``(n, mu)``.
+    """The run's :class:`_GridChain` at the grid point ``(n, mu)``; ``solved``
+    is keyed on ``(n, mu)``.
 
     A miss solves and classifies the chains of length ``n`` at the six grid
     couplings, in order, in one stacked pass at ``gamma_ep``:
     :func:`~.spectral.chain_eigensystems`, then
-    :func:`~.spectral.classify_rows`, the classification that
-    :func:`~.spectral.classify_stack` builds its records from.  The grid
-    criteria read its arrays; only the chains whose levels are matched to
-    Bethe roots build records.
+    :func:`~.spectral.classify_stack`.
     """
     if (n, mu) not in solved:
         mus = GRID_MU_TOPO + GRID_MU_TRIV
         gammas = [model.gamma_ep(m, n) for m in mus]
         systems = spectral.chain_eigensystems(n, mus, gammas)
-        rows = zip(mus, gammas, systems, spectral.classify_rows(systems, mus, gammas))
+        rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas))
         for m, *parts in rows:
             solved[n, m] = _GridChain(*parts)
     return solved[n, mu]
@@ -340,9 +331,7 @@ def scattering_gap_bound(solved):
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            chain = _grid_chain(n, mu, solved)
-            scattering = _moduli(chain.es.eigenvalues[chain.modes.real]).tolist()
-            if not analysis.inside_band(scattering, mu):
+            if not analysis.gap_bound_check(_grid_chain(n, mu, solved).modes, mu):
                 failures.append((n, mu))
     detail = (f"all scattering levels inside |1-mu| <= |eps| <= 1+mu over "
               f"{len(GRID_N) * 6} grid points")

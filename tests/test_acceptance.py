@@ -50,7 +50,7 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
         raise AssertionError("grid point built, solved or analysed twice")
 
     for name in ("eig", "chain_eigensystem", "chain_eigensystems", "classify_modes",
-                 "classify_stack", "classify_rows", "coalesced_eigenvalues"):
+                 "classify_stack", "coalesced_eigenvalues"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
     gap = verify.scattering_gap_bound(solved)
@@ -129,12 +129,11 @@ def test_shared_run_gives_the_details_of_criteria_run_alone():
 def test_suite_analyses_each_chain_once(monkeypatch):
     calls = Counter()
     rows = Counter()
-    stacked = {"chain_eigensystems": 1, "classify_rows": 0}
+    stacked = {"chain_eigensystems": 1, "classify_stack": 0}
     for module, name in [
         (verify.spectral, "eig"), (verify.spectral, "chain_eigensystem"),
-        (verify.spectral, "chain_eigensystems"), (verify.spectral, "classify_rows"),
-        (verify.spectral, "classify_modes"), (verify.spectral, "classify_stack"),
-        (verify.spectral, "coalesced_eigenvalues"),
+        (verify.spectral, "chain_eigensystems"), (verify.spectral, "classify_modes"),
+        (verify.spectral, "classify_stack"), (verify.spectral, "coalesced_eigenvalues"),
         (verify.spectral, "detect_coalescence"),
         (verify.bethe, "solve_evanescent_pair"),
     ]:
@@ -147,40 +146,43 @@ def test_suite_analyses_each_chain_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     assert all(r.passed for r in verify.run_criteria())
     # 78 grid chains in one stacked pass per length (13), each chain solved
-    # and classified once, as arrays: no classify_modes or classify_stack
-    # call, the records built only where roots are matched; the two six-site
-    # chains through eig; the evanescent pair is solved once per
+    # and classified once: no classify_modes call; the two six-site chains
+    # through eig; the evanescent pair is solved once per
     # closed-form chain at mu = 0.5.  detect_coalescence serves the coalesced
     # six-site spectra (2) and the two timed six-site solves; the rings
     # coalesce their np.linalg.eigvals levels themselves
-    assert calls == {"chain_eigensystems": 13, "classify_rows": 13,
+    assert calls == {"chain_eigensystems": 13, "classify_stack": 13,
                      "eig": 2, "coalesced_eigenvalues": 2, "detect_coalescence": 4,
                      "solve_evanescent_pair": 5}
     assert rows == {name: 78 for name in stacked}
 
 
 def test_grid_arrays_equal_the_classified_records():
-    # every grid point as classify_modes classifies it alone: census, pair,
-    # masks, records, and the coalesced spectrum bit for bit with the pair at
-    # complex(np.mean(...)) of its raw levels
+    # every grid point of the stacked pass as classify_modes classifies it
+    # alone: codes, classes, census, pair, its <eta|psi>, masks, and the
+    # coalesced spectrum bit for bit with the pair at complex(np.mean(...))
+    # of its raw levels
     modes = verify.spectral.ModeClass
     solved = {}
     for n in verify.GRID_N:
         for mu in verify.GRID_MU_TOPO + verify.GRID_MU_TRIV:
             chain = verify._grid_chain(n, mu, solved)
             got = chain.modes
-            records, census = verify.spectral.classify_modes(chain.es, mu, chain.gamma)
-            classes = [r.mode_class for r in records]
+            alone = verify.spectral.classify_modes(chain.es, mu, chain.gamma)
+            classes = alone.mode_classes
             pair = [i for i, c in enumerate(classes) if c is modes.ZERO_COALESCING]
-            assert got.census == census
-            assert got.pair == pair and len(pair) == 2
+            assert got.es is alone.es is chain.es
+            assert got.codes.tobytes() == alone.codes.tobytes()
+            assert got.mode_classes == classes
+            assert got.census == alone.census
+            assert got.pair == alone.pair == pair and len(pair) == 2
+            assert got.biorth == alone.biorth
             assert got.real.tolist() == [c is modes.REAL_SCATTERING for c in classes]
             assert got.imaginary.tolist() == [c is modes.IMAGINARY_EVANESCENT for c in classes]
             expected = chain.es.eigenvalues.copy()
             expected[pair] = complex(np.mean(chain.es.eigenvalues[pair]))
             assert got.coalesced.tobytes() == expected.tobytes()
-            assert got.coalesced.tobytes() == np.array([r.eigenvalue for r in records]).tobytes()
-            assert got.records == records
+            assert got.coalesced.tobytes() == alone.coalesced.tobytes()
 
 
 def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatch):
@@ -188,7 +190,7 @@ def test_classification_failure_fails_only_the_criteria_that_classify(monkeypatc
     results = verify.run_criteria()
     failed = {r.criterion_id for r in results if not r.passed}
     # block-decomposition and pseudo-hermiticity-pt read the grid's coalesced
-    # spectra from the classified records
+    # spectra from the chains' classifications
     assert failed == {"mode-census", "bethe-spectrum-equivalence",
                       "evanescent-asymptotics", "scattering-gap-bound",
                       "block-decomposition", "pseudo-hermiticity-pt"}

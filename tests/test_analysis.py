@@ -5,10 +5,9 @@ import pytest
 
 from majorana_pt import (
     ClassificationError,
-    ModeClass,
-    ModeRecord,
     build_ssh,
     census_sweep,
+    chain_eigensystem,
     classify_modes,
     common_part_compare,
     dirac_distribution,
@@ -19,6 +18,7 @@ from majorana_pt import (
     omega_constant,
     zero_mode,
 )
+from majorana_pt.analysis import GAP_TOLERANCE
 
 
 class TestDiracDistribution:
@@ -81,29 +81,46 @@ class TestCommonPartCompare:
 class TestGapBound:
     def test_six_site_respects_band(self):
         es = eig(build_ssh(6, 2.0, 0.25))
-        records, _ = classify_modes(es, 2.0, 0.25)
-        assert gap_bound_check(records, 2.0)
-        smallest = min(abs(r.eigenvalue) for r in records
-                       if r.mode_class is ModeClass.REAL_SCATTERING)
+        modes = classify_modes(es, 2.0, 0.25)
+        assert gap_bound_check(modes, 2.0)
+        smallest = min(abs(z) for z in es.eigenvalues[modes.real].tolist())
         assert smallest == pytest.approx(np.sqrt(350 - 2 * np.sqrt(3553)) / 8,
                                          abs=1e-12)
         assert smallest >= abs(1 - 2.0)
 
     def test_uniform_bound_is_trivial(self):
         es = eig(build_ssh(8, 1.0, 1.0))
-        records, _ = classify_modes(es, 1.0, 1.0)
-        assert gap_bound_check(records, 1.0)
+        assert gap_bound_check(classify_modes(es, 1.0, 1.0), 1.0)
 
     def test_synthetic_violation_detected(self):
-        bad = [ModeRecord(index=0, eigenvalue=0.1 + 0j,
-                          mode_class=ModeClass.REAL_SCATTERING, biorth_norm=1.0)]
-        assert not gap_bound_check(bad, 2.0)
+        # at n = 14 the mu = 2.0 chain's scattering levels have |eps| in
+        # [1.23, 2.94], over mu = 0.5's band [0.5, 1.5]; the mu = 0.5 chain's,
+        # in [0.65, 1.46], fall under mu = 2.0's band [1, 3]
+        n = 14
+        topological, trivial = (
+            classify_modes(eig(build_ssh(n, mu, gamma_ep(mu, n))), mu, gamma_ep(mu, n))
+            for mu in (2.0, 0.5))
+        assert gap_bound_check(topological, 2.0) and gap_bound_check(trivial, 0.5)
+        assert not gap_bound_check(topological, 0.5)
+        assert not gap_bound_check(trivial, 2.0)
 
     @pytest.mark.parametrize("n,mu", [(30, 0.5), (30, 3.0)])
     def test_large_chains(self, n, mu):
         es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
-        records, _ = classify_modes(es, mu, gamma_ep(mu, n))
-        assert gap_bound_check(records, mu)
+        assert gap_bound_check(classify_modes(es, mu, gamma_ep(mu, n)), mu)
+
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_each_band_edge_keeps_its_tolerance(self, edge):
+        # a band whose edge lies just past the chain's smallest (largest)
+        # scattering |eps|: inside within GAP_TOLERANCE, outside beyond it
+        n = 14
+        modes = classify_modes(chain_eigensystem(n, 2.0, gamma_ep(2.0, n)), 2.0,
+                               gamma_ep(2.0, n))
+        moduli = np.abs(modes.es.eigenvalues[modes.real])
+        for slack, inside in [(0.5 * GAP_TOLERANCE, True), (2 * GAP_TOLERANCE, False)]:
+            # |1 - mu| = min |eps| + slack, or 1 + mu = max |eps| - slack
+            mu = 1 + moduli.min() + slack if edge == "lower" else moduli.max() - slack - 1
+            assert gap_bound_check(modes, mu) is inside, slack
 
 
 class TestCensusSweep:
@@ -121,7 +138,7 @@ class TestCensusSweep:
     def test_single_point_matches_classify(self):
         point = census_sweep([6], [2.0])[0]
         es = eig(build_ssh(6, 2.0, gamma_ep(2.0, 6)))
-        _, census = classify_modes(es, 2.0, gamma_ep(2.0, 6))
+        census = classify_modes(es, 2.0, gamma_ep(2.0, 6)).census
         assert (point.census.n_I, point.census.n_EP, point.census.n_S) == (
             census.n_I, census.n_EP, census.n_S,
         )

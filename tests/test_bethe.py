@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import mpmath
@@ -29,7 +30,7 @@ from majorana_pt import (
     zero_mode_amplitudes,
     zero_mode_root,
 )
-from majorana_pt import bethe
+from majorana_pt import bethe, verify
 from majorana_pt.bethe import _real_line, _terms
 
 
@@ -383,6 +384,17 @@ class TestSolveEvanescentPair:
         with pytest.raises(ValueError, match="^gamma must be finite$"):
             solve_evanescent_pair(0.5, gamma, 14)
 
+    @pytest.mark.parametrize("n,mu,seed", [(24, 0.97, 0.35028088607414826),
+                                           (60, 0.99, 0.2964849076782925),
+                                           (116, 0.999, 0.05752876918105317)])
+    def test_an_unconverged_root_is_one_root_scan_error(self, n, mu, seed):
+        # just past N*(mu) the asymptotic seed lies too far from the root
+        with pytest.raises(RootScanError) as refused:
+            solve_evanescent_pair(mu, gamma_ep(mu, n), n)
+        assert str(refused.value) == (f"the evanescent root did not converge for n={n}, "
+                                      f"mu={mu} from the seed kappa={seed!r}")
+        assert refused.value.__cause__ is None and refused.value.__suppress_context__
+
 
 class TestZeroMode:
     def test_six_site_mu2_vector(self):
@@ -474,11 +486,64 @@ class TestRootMatching:
     def test_every_level_maps_to_a_root(self, n, mu):
         gamma = gamma_ep(mu, n)
         es = eig(build_ssh(n, mu, gamma))
-        records, _ = classify_modes(es, mu, gamma)
         pair = solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
-        residuals = match_spectrum_to_roots(records, mu, gamma, n, pair)
+        residuals = match_spectrum_to_roots(classify_modes(es, mu, gamma), mu, gamma, n, pair)
         assert len(residuals) == n
         assert max(residuals) <= 1e-9
+
+    #: sha256 of the float64 bytes of the residuals of each closed-form chain
+    #: of ``verify`` (its grid chains, solved as there), recorded when the
+    #: levels were matched from per-level records; they depend on the LAPACK
+    #: eigenvalues, so as the spectrum digests of ``tests/test_cli.py`` they
+    #: were recorded with numpy 2.4 on OpenBLAS
+    RESIDUAL_DIGESTS = {
+        (6, 0.5): "bb29097505fcfbfe041ca4845ac5469725265bc3da5f76bea89d712efa616dd7",
+        (6, 1.5): "7167df93f644cf7976302a8ba110868be3348efe0b0966cca42fd4ab6413f9c2",
+        (6, 2.0): "499818692769584bbceb9ad8cd7a65d6a98f3c4efaf7cb9bb8821ebe5b13b157",
+        (10, 0.5): "64acf93c5a43e92acc971a3a887ba5ccfff6d2e07bb4f718dc89c2c6f7e1f5fd",
+        (10, 1.5): "a00af0bb4d29eb8a8b68985aff7d3b5968f80ae625007e9e53531170f7d7fcd5",
+        (10, 2.0): "67594309d9e9c253e751aaab56b9680fbf39ea6b24ea115f1c242952eea42065",
+        (14, 0.5): "08b5c1aad7a3a6bdcc3b7e275f4580fccba237d3676d341c5b98d6106d14eedd",
+        (14, 1.5): "208fc070853afd79b8625d01b0e29fcbf4e1672d10c284851e3e851009034fd8",
+        (14, 2.0): "39109227aa263bb66c40b57e50ac4179ab4a7e6ddad3ea0fdd01412cd486e248",
+        (22, 0.5): "75403ad1430c31dec02df32ab642e3dfffcb025f786021182d4ab06d837d88a8",
+        (22, 1.5): "8bf262ae6f7ef176dad9afc2b8a6b0e687a0c45a279658a1511b4db4f1adb36e",
+        (22, 2.0): "ec466733e945255889126437e29d9915649a0809ca0151d07c22d374c9369f64",
+        (30, 0.5): "b02f433dbf8aa2f377c38dc3e9ead3250d9e794e16ff575f94c50d89098db46a",
+        (30, 1.5): "69697780575cb590f9e4ae1ba7831d25a93c34de6948289dac1b5974b170a759",
+        (30, 2.0): "f3d9e6fd9b584ccd72ad6072d6eebc8cd1644aab4b6b8fc2bdd4eca8a4fe25ec",
+    }
+
+    def test_closed_form_chains_keep_their_recorded_residuals(self):
+        assert sorted(self.RESIDUAL_DIGESTS) == [
+            (n, mu) for n in verify.CLOSED_FORM_N for mu in verify.CLOSED_FORM_MU]
+        solved = {}
+        for (n, mu), digest in self.RESIDUAL_DIGESTS.items():
+            chain = verify._grid_chain(n, mu, solved)
+            pair = solve_evanescent_pair(mu, chain.gamma, n) if mu < 1 else []
+            residuals = match_spectrum_to_roots(chain.modes, mu, chain.gamma, n, pair)
+            assert len(residuals) == n
+            got = hashlib.sha256(np.array(residuals, dtype=float).tobytes()).hexdigest()
+            assert got == digest, (n, mu)
+
+    def test_levels_are_matched_by_class(self):
+        # the pair's levels take the zero-mode root's residual, the imaginary
+        # levels their evanescent root's, the others the inverted dispersion's
+        n, mu = 14, 0.5
+        gamma = gamma_ep(mu, n)
+        modes = classify_modes(eig(build_ssh(n, mu, gamma)), mu, gamma)
+        pair = solve_evanescent_pair(mu, gamma, n)
+        residuals = match_spectrum_to_roots(modes, mu, gamma, n, pair)
+        zero = normalized_residual(zero_mode_root(mu), mu, gamma, n)
+        for i, (value, residual) in enumerate(zip(modes.coalesced.tolist(), residuals)):
+            if i in modes.pair:
+                assert residual == zero
+            elif modes.imaginary[i]:
+                assert residual == min(pair, key=lambda r: abs(r.epsilon - value)).residual
+            else:
+                k = k_from_epsilon(value, mu)
+                assert k.imag == 0.0 or abs(k.imag) < 1e-9
+                assert residual == normalized_residual(complex(k.real, 0.0), mu, gamma, n)
 
     def test_full_level_accounting(self):
         # scattering roots + zero-mode pair + imaginary pair exhaust n levels

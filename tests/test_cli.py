@@ -506,6 +506,36 @@ class TestNumericalFailures:
         code, out, err = run(capsys, "bethe", "--N", "6", "--mu", mu, "--gamma", gamma)
         assert (code, out, err) == (1, "", "error: gamma must be finite\n")
 
+    @pytest.mark.parametrize("argv,locus", [
+        ("bethe --N 6 --mu 2.0 --gamma 0.3", "0.25"),
+        ("bethe --N 14 --mu 0.5 --gamma 1.0", "64.0"),
+        ("bethe --N 6 --mu 1.0 --gamma 0.3", "1.0"),
+        ("bethe --N 6 --mu 2.0 --gamma -0.25", "0.25"),
+    ])
+    def test_bethe_refuses_a_gamma_off_the_locus(self, capsys, argv, locus):
+        # the zero-mode root and the imaginary pair exist only on the locus:
+        # at (6, 2.0, 0.3) k = (i/2) ln mu leaves a residual of 8.1e-2, and
+        # the imaginary pair at +/-0.129i that spectrum finds goes unsolved
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err == (f"error: the zero-mode root exists only at gamma = gamma_ep(mu, N) = "
+                       f"{locus}, got {float(argv.split()[-1])!r}\n")
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_zero_mode_refuses_a_non_finite_gamma_as_bethe_does(self, capsys, gamma):
+        # the shared locus check refuses a non-finite gamma first
+        code, out, err = run(capsys, "zero-mode", "--N", "6", "--mu", "2", "--gamma", gamma)
+        assert (code, out, err) == (1, "", "error: gamma must be finite\n")
+
+    @pytest.mark.parametrize("n,mu", [("24", "0.97"), ("60", "0.99"), ("116", "0.999")])
+    def test_bethe_unconverged_evanescent_root_is_one_error_line(self, capsys, n, mu):
+        # just past N*(mu): mpmath's findroot fails from the asymptotic seed
+        code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: the evanescent root did not converge for n={n}, "
+                              f"mu={mu} from the seed kappa=")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("n,mu", [("590", "0.3"), ("1024", "0.5")])
     def test_bethe_at_the_gamma_squared_edge_meets_the_root_bound(self, capsys, n, mu):
         code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)
@@ -605,6 +635,8 @@ class TestCsvArtifactBytes:
             "fd10f6d4d7aa9a8bf70639d0450926108c4e25b32b5340fd07a42bfe44e68667",
         "sweep --N-grid 100,200,300,400 --mu-grid 0.95,1.05,1.1":
             "f7cbc12b1e3b3211527773946720b218426a260e9705f22e078b3bc16d4520c4",
+        "spectrum --N 30 --mu 1.5 --gamma 1.0":
+            "ace132f1abe4c3eddf920b631b59cd0d8ff064c29687d3c305708d3fa67fff2e",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)
@@ -639,6 +671,10 @@ class TestJsonArtifactBytes:
             "f82cd632777837f4b96cd17459f5c4d4f4e257df8f485eea716111ffd6569e43",
         "census --N 14 --mu 0.5":
             "1923d6da28a9716bff9a8aeace192414de6295ea493152d6b72b29c7512676a9",
+        # off the locus: no pair, two imaginary and 28 real levels; recorded
+        # when the mode classes were read from per-level records
+        "spectrum --N 30 --mu 1.5 --gamma 1.0":
+            "58a316b9db4b098d36b62a079a72879a18e21562b1c23d55d53698da396c55dc",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)
@@ -646,6 +682,17 @@ class TestJsonArtifactBytes:
         code, out, _ = run(capsys, *argv.split(), "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_off_the_locus_at_mu_half_nothing_is_written(self, capsys, fmt):
+        # at (30, 0.5, 1.0) PT is broken: a level is neither real nor
+        # imaginary, so the chain is refused with exit 2 and no artifact
+        code, out, err = run(capsys, "spectrum", "--N", "30", "--mu", "0.5",
+                             "--gamma", "1.0", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("classification error: eigenvalue (")
+        assert err.endswith(" is neither real nor imaginary at threshold 1.492e-08; "
+                            "off the coalescence locus\n")
 
 
 class TestParserReuse:

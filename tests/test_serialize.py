@@ -39,7 +39,7 @@ class TestEigenSystemFormat:
 class TestCsvFormats:
     def test_census_header_and_row(self):
         es = eig(build_ssh(6, 2.0, 0.25))
-        _, census = classify_modes(es, 2.0, 0.25)
+        census = classify_modes(es, 2.0, 0.25).census
         text = serialize.census_csv([(6, 2.0, 0.25, census)])
         lines = text.strip().split("\n")
         assert lines[0] == "N,mu,gamma,n_I,n_EP,n_S"

@@ -421,12 +421,12 @@ def _relative_level_gap(a, b):
 
 
 def _classified(es, mu, gamma):
-    """Census and record eigenvalues (the pair as its centroid), or the refusal."""
+    """Census and coalesced eigenvalues (the pair as its centroid), or the refusal."""
     try:
-        records, census = classify_modes(es, mu, gamma)
+        modes = classify_modes(es, mu, gamma)
     except ClassificationError:
         return ClassificationError, None
-    return census, np.array([r.eigenvalue for r in records])
+    return modes.census, modes.coalesced
 
 
 class TestChainEigensystem:
@@ -459,9 +459,8 @@ class TestChainEigensystem:
 
     def test_real_levels_are_exactly_real(self):
         es = chain_eigensystem(14, 0.5, gamma_ep(0.5, 14))
-        records, _ = classify_modes(es, 0.5, gamma_ep(0.5, 14))
-        real = [i for i, r in enumerate(records) if r.mode_class is ModeClass.REAL_SCATTERING]
-        assert len(real) == 10
+        real = classify_modes(es, 0.5, gamma_ep(0.5, 14)).real
+        assert np.count_nonzero(real) == 10
         assert np.all(es.eigenvalues[real].imag == 0.0)
 
     def test_makes_one_real_solve(self, monkeypatch):
@@ -494,7 +493,9 @@ def _single_chain_reference(n, mu, gamma):
 
     One real solve of one chain, a per-level class loop with the closed-form
     certificate of one zero mode, and the two-loop cluster search; ``modes``
-    is ``(records, census)`` or the error that refused them.
+    is ``(classes, pair, biorth, values)``, with ``values`` the eigenvalues
+    and the pair at ``complex(np.mean(...))`` of its levels, or the error
+    that refused them.
     """
     values, v = np.linalg.eig(build_ssh_real(n, mu, gamma))
     order = np.lexsort((values.imag, values.real))
@@ -521,19 +522,18 @@ def _single_chain_reference(n, mu, gamma):
         assert np.max(np.abs(apply_ssh(n, mu, gamma, psi))) <= RESIDUAL_TOLERANCE * es.norm_inf
         biorth = complex(psi @ psi)
         pair = tuple(sorted((int(first), int(second))))
-    records = []
+    classes, pair_values = [], values.copy()
     for i, value in enumerate(values):
         if pair and i in pair:
-            records.append((i, complex(np.mean(values[list(pair)])), ModeClass.ZERO_COALESCING,
-                            biorth))
+            classes.append(ModeClass.ZERO_COALESCING)
+            pair_values[i] = complex(np.mean(values[list(pair)]))
         elif abs(value.imag) <= threshold:
-            records.append((i, complex(value), ModeClass.REAL_SCATTERING, es.biorth_norms[i]))
+            classes.append(ModeClass.REAL_SCATTERING)
         elif abs(value.real) <= threshold:
-            records.append((i, complex(value), ModeClass.IMAGINARY_EVANESCENT,
-                            es.biorth_norms[i]))
+            classes.append(ModeClass.IMAGINARY_EVANESCENT)
         else:
             return es, ClassificationError, coalesced
-    return es, records, coalesced
+    return es, (classes, list(pair or ()), biorth, pair_values), coalesced
 
 
 def _bits(*arrays):
@@ -552,13 +552,15 @@ class TestStackedChains:
         if ref_modes is ClassificationError:
             assert isinstance(modes, ClassificationError)
             return
-        records, census = modes
-        assert [(r.index, r.eigenvalue, r.mode_class, r.biorth_norm) for r in records] == ref_modes
-        # the records' values are the spectrum coalesced by the two-loop
-        # cluster search
-        assert _bits(np.array([r.eigenvalue for r in records])) == _bits(ref_coalesced)
-        classes = [r.mode_class for r in records]
-        assert census == spectral.ModeCensus(
+        classes, pair, biorth, pair_values = ref_modes
+        assert modes.es is es
+        assert modes.mode_classes == classes
+        assert modes.pair == pair
+        assert modes.biorth == biorth
+        # the coalesced values are the spectrum with the pair at its mean, and
+        # the spectrum coalesced by the two-loop cluster search
+        assert _bits(modes.coalesced) == _bits(pair_values) == _bits(ref_coalesced)
+        assert modes.census == spectral.ModeCensus(
             classes.count(ModeClass.IMAGINARY_EVANESCENT),
             classes.count(ModeClass.ZERO_COALESCING) // 2,
             classes.count(ModeClass.REAL_SCATTERING), n)
@@ -596,7 +598,7 @@ class TestStackedChains:
         assert str(rows[1]) == str(alone.value)
         assert "neither real nor imaginary" in str(rows[1])
         for row, mu, gamma in [(rows[0], 2.0, 0.25), (rows[2], 0.5, 4.0)]:
-            assert row[1] == classify_modes(chain_eigensystem(6, mu, gamma), mu, gamma)[1]
+            assert row.census == classify_modes(chain_eigensystem(6, mu, gamma), mu, gamma).census
 
     def test_refused_solves_pass_through_the_stack(self, monkeypatch):
         monkeypatch.setattr(spectral, "RESIDUAL_TOLERANCE", 1e-30)
@@ -745,29 +747,35 @@ class TestClassifyModes:
     )
     def test_census_counts(self, n, mu, expected):
         es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
-        records, census = classify_modes(es, mu, gamma_ep(mu, n))
+        modes = classify_modes(es, mu, gamma_ep(mu, n))
+        census = modes.census
         assert (census.n_I, census.n_EP, census.n_S) == expected
         assert census.n_I + 2 * census.n_EP + census.n_S == n
-        assert len(records) == n
+        assert len(modes.codes) == len(modes.mode_classes) == n
 
     def test_record_invariants(self):
         es = eig(build_ssh(14, 0.5, gamma_ep(0.5, 14)))
-        records, _ = classify_modes(es, 0.5, gamma_ep(0.5, 14))
+        modes = classify_modes(es, 0.5, gamma_ep(0.5, 14))
         scale = es.scale
-        for record in records:
-            if record.mode_class is ModeClass.REAL_SCATTERING:
-                assert abs(record.eigenvalue.imag) <= 1e-8 * scale
-            elif record.mode_class is ModeClass.IMAGINARY_EVANESCENT:
-                assert abs(record.eigenvalue.real) <= 1e-8 * scale
-                assert abs(record.eigenvalue.imag) > 1e-8 * scale
+        assert modes.real.tolist() == [c is ModeClass.REAL_SCATTERING for c in modes.mode_classes]
+        assert modes.imaginary.tolist() == [c is ModeClass.IMAGINARY_EVANESCENT
+                                            for c in modes.mode_classes]
+        for eigenvalue, mode_class in zip(modes.coalesced.tolist(), modes.mode_classes):
+            if mode_class is ModeClass.REAL_SCATTERING:
+                assert abs(eigenvalue.imag) <= 1e-8 * scale
+            elif mode_class is ModeClass.IMAGINARY_EVANESCENT:
+                assert abs(eigenvalue.real) <= 1e-8 * scale
+                assert abs(eigenvalue.imag) > 1e-8 * scale
             else:
-                assert abs(record.eigenvalue) <= 1e-8 * scale
-                assert abs(record.biorth_norm) <= 1e-6
+                assert abs(eigenvalue) <= 1e-8 * scale
+                assert abs(modes.biorth) <= 1e-6
 
     def test_hermitian_chain_is_all_scattering(self):
         es = eig(build_ssh(6, 2.0, 0.0))
-        _, census = classify_modes(es, 2.0, 0.0)
+        modes = classify_modes(es, 2.0, 0.0)
+        census = modes.census
         assert (census.n_I, census.n_EP, census.n_S) == (0, 0, 6)
+        assert (modes.pair, modes.biorth) == ([], None)
 
     def test_broken_pt_levels_are_unclassifiable(self):
         # gamma between the band scales drives scattering levels complex
@@ -778,18 +786,22 @@ class TestClassifyModes:
     def test_uniform_chain_pair_is_certified(self):
         # at mu = 1 the certificate takes zero_mode's limit, |psi_j| = 1/sqrt(n)
         es = eig(build_ssh(8, 1.0, 1.0))
-        records, census = classify_modes(es, 1.0, 1.0)
+        modes = classify_modes(es, 1.0, 1.0)
+        census = modes.census
         assert (census.n_I, census.n_EP, census.n_S) == (0, 1, 6)
         assert chain_census(8, 1.0, 1.0) == census
-        assert all(abs(r.biorth_norm) < 1e-15 for r in records
-                   if r.mode_class is ModeClass.ZERO_COALESCING)
+        assert len(modes.pair) == 2 and abs(modes.biorth) < 1e-15
 
     def test_pair_records_carry_the_centroid(self):
         es = eig(build_ssh(14, 1.5, gamma_ep(1.5, 14)))
-        records, _ = classify_modes(es, 1.5, gamma_ep(1.5, 14))
-        pair = [r for r in records if r.mode_class is ModeClass.ZERO_COALESCING]
-        assert [r.index for r in pair] == sorted(np.argsort(np.abs(es.eigenvalues))[:2])
-        assert pair[0].eigenvalue == pair[1].eigenvalue == np.mean(es.eigenvalues[[r.index for r in pair]])
+        modes = classify_modes(es, 1.5, gamma_ep(1.5, 14))
+        pair = modes.pair
+        assert pair == sorted(np.argsort(np.abs(es.eigenvalues))[:2])
+        assert [modes.mode_classes[i] for i in pair] == [ModeClass.ZERO_COALESCING] * 2
+        values = modes.coalesced
+        assert values[pair[0]] == values[pair[1]] == np.mean(es.eigenvalues[pair])
+        others = [i for i in range(14) if i not in pair]
+        assert _bits(values[others]) == _bits(es.eigenvalues[others])
 
     def test_pair_without_a_gap_is_refused(self):
         n, mu = 78, 0.99901401
@@ -811,7 +823,7 @@ class TestClassifyModes:
         for mu in (0.5, 0.8, 1.1, 1.5, 2.0):
             for n in sorted({2 * round(3 * (200 / 6) ** (i / 19)) for i in range(20)}):
                 gamma = gamma_ep(mu, n)
-                _, census = classify_modes(eig(build_ssh(n, mu, gamma)), mu, gamma)
+                census = classify_modes(eig(build_ssh(n, mu, gamma)), mu, gamma).census
                 assert chain_census(n, mu, gamma) == census, (n, mu)
                 assert (census.n_I, census.n_EP) == ((0, 1) if mu > 1 else (2, 1))
 
@@ -836,9 +848,7 @@ class TestPtActionOnEigenvectors:
     def test_imaginary_pair_are_pt_partners(self, n):
         mu = 0.5
         es = eig(build_ssh(n, mu, gamma_ep(mu, n)))
-        records, _ = classify_modes(es, mu, gamma_ep(mu, n))
-        idx = [r.index for r in records
-               if r.mode_class is ModeClass.IMAGINARY_EVANESCENT]
+        idx = np.flatnonzero(classify_modes(es, mu, gamma_ep(mu, n)).imaginary).tolist()
         assert len(idx) == 2
         v_plus, v_minus = es.right[:, idx[0]], es.right[:, idx[1]]
         mapped = parity_matrix(n) @ v_plus.conj()
