@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import analysis, bethe, model, serialize, spectral, svgfig, verify
@@ -36,10 +37,14 @@ USAGE_ERROR, CLASSIFICATION_ERROR, VERIFY_FAILURE = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flags match only when spelled out; usage errors exit 1."""
+    """Flags match only when spelled out; usage errors exit 1.  A value may
+    start with a minus: ``--gamma -1e-3``, ``--gamma -inf`` and ``--mu-grid
+    -0.5,1`` pass their value to the flag (argparse alone takes only ``-2``
+    and ``-.5`` for values)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)

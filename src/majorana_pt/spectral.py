@@ -24,7 +24,11 @@ accepted only when they are isolated there and when the closed-form zero
 mode (:func:`~.bethe.zero_mode`) certifies the Jordan block; off the locus
 there is no pair.  :func:`classify_modes` applies this to a computed
 eigensystem, and :func:`chain_census` to the eigenvalues of the chain's
-real form (:func:`~.model.build_ssh_real`), one real eigenvalues-only solve.
+real form ``M`` (:func:`~.model.build_ssh_real`), one real eigenvalues-only
+solve: on the locus with ``mu >= 1``, of the ``n/2 x n/2`` product of
+``M``'s sublattice blocks, whose eigenvalues are the levels squared;
+elsewhere of ``M``, since the product loses the pair for ``gamma > 1`` and,
+off the locus, can read a real level near zero as imaginary.
 
 A classified chain is one :class:`Classification`: its eigensystem, the
 mode class code of each level, the coalescing pair's indices and its
@@ -674,12 +678,35 @@ class Classification:
 
 
 def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
-    """Census of ``build_ssh(n, mu, gamma)`` from the eigenvalues alone.
+    """Census of ``build_ssh(n, mu, gamma)`` from the eigenvalues alone,
+    classified as in :func:`classify_modes`.
 
-    One real, eigenvalues-only LAPACK solve of the similar real form
-    :func:`~.model.build_ssh_real`, classified as in :func:`classify_modes`.
+    The levels come from one real, eigenvalues-only LAPACK solve of the
+    similar real form ``M`` (:func:`~.model.build_ssh_real`).  ``M`` is
+    bipartite: every bond and both corners join an even site to an odd one.
+    So ``M^2 = diag(B C, C B)``, with ``B = M[0::2, 1::2]`` and ``C =
+    M[1::2, 0::2]``, and each eigenvalue ``x`` of the ``n/2 x n/2`` matrix
+    ``B C`` gives the level pair ``+/- sqrt(x)``.
+
+    On the locus with ``gamma <= 1`` (that is, ``mu >= 1``) the levels are
+    taken from ``B C``.  Its norm is at most ``(1 + mu)^2``, so ``x`` is
+    accurate to about ``2^-52 (1 + mu)^2``; a real ``x`` gives an exactly
+    real or imaginary level; and the EP pair comes from one simple ``x``
+    near zero, which the pair rule reads whatever its sign.  Everywhere else
+    ``M`` itself is solved.  For ``|gamma| > 1`` the entry ``B C[0, 0] = 1 -
+    gamma^2`` swamps the pair's ``x``, and loses it once ``gamma^2 >
+    2^53``.  Off the locus no pair rule applies, and the class threshold
+    ``CLASS_TOLERANCE * scale`` is finer than ``sqrt`` of the noise in
+    ``x``: a real level near zero, as in the Hermitian chain at ``mu > 1``,
+    can come out of ``B C`` imaginary.
     """
-    values = np.linalg.eigvals(model.build_ssh_real(n, mu, gamma))
+    m = model.build_ssh_real(n, mu, gamma)
+    # B C only where it is well scaled and the pair rule reads its x near zero
+    if gamma <= 1 and model.on_locus(mu, n, gamma):
+        roots = np.sqrt(np.linalg.eigvals(m[0::2, 1::2] @ m[1::2, 0::2]).astype(complex))
+        values = np.concatenate([roots, -roots])
+    else:
+        values = np.linalg.eigvals(m)
     codes, _, _ = _served(_classify_levels(values[None], [mu], [gamma])[0])
     return _census(codes)
 

@@ -481,6 +481,52 @@ class TestModelFlags:
                    "--gamma", gamma)[0] == code
 
 
+class TestValuesWithALeadingMinus:
+    """A flag's value may start with a minus, as after ``=``."""
+
+    @pytest.mark.parametrize("command", ["census", "spectrum", "bethe", "zero-mode"])
+    @pytest.mark.parametrize("gamma", ["-inf", "-nan", "-1e400", "-Infinity"])
+    def test_a_non_finite_gamma_reaches_the_finite_check(self, capsys, command, gamma):
+        expected = (1, "", "error: gamma must be finite\n")
+        assert run(capsys, command, "--N", "6", "--mu", "2", "--gamma", gamma) == expected
+        assert run(capsys, command, "--N", "6", "--mu", "2", f"--gamma={gamma}") == expected
+
+    @pytest.mark.parametrize("command,gamma,last", [
+        ("census", "-1e-3", "6,2.0,-0.001,0,0,6"),
+        ("census", "-2.5e-1", "6,2.0,-0.25,0,0,6"),
+        ("spectrum", "-1e-3", None),
+        ("bethe", "-2.5e-1", None),
+        ("zero-mode", "-2.5e-1", None),
+    ])
+    def test_a_negative_gamma_is_read_as_with_equals(self, capsys, command, gamma, last):
+        spaced = run(capsys, command, "--N", "6", "--mu", "2", "--gamma", gamma)
+        assert spaced == run(capsys, command, "--N", "6", "--mu", "2", f"--gamma={gamma}")
+        code, out, err = spaced
+        if command in ("census", "spectrum"):
+            assert (code, err) == (0, "")
+        else:  # -0.25 is off the locus, whose gamma is +0.25
+            assert (code, out) == (1, "")
+            assert err.endswith("only at gamma = gamma_ep(mu, N) = 0.25, got -0.25\n")
+        if last is not None:
+            assert out.splitlines()[-1] == last
+
+    @pytest.mark.parametrize("argv,err", [
+        ("sweep --N-grid 6 --mu-grid -0.5,1",
+         "error: sweep requires mu > 0 and mu != 1, got -0.5\n"),
+        ("sweep --N-grid -6,8 --mu-grid 2",
+         "error: site count must be even and >= 4, got -6\n"),
+        ("census --N -6 --mu 2", "error: site count must be even and >= 4, got -6\n"),
+        ("census --N 6 --mu -2e0", "error: mu must be positive, got -2.0\n"),
+    ])
+    def test_negative_grids_and_counts_reach_their_checks(self, capsys, argv, err):
+        assert run(capsys, *argv.split()) == (1, "", err)
+
+    def test_a_flag_is_still_not_a_value(self, capsys):
+        code, out, err = run(capsys, "census", "--N", "6", "--gamma", "--mu", "2")
+        assert (code, out) == (1, "")
+        assert "error: argument --gamma: expected one argument" in err
+
+
 class TestNumericalFailures:
     @pytest.mark.parametrize("n", ["132", "300"])
     def test_bethe_root_scan_failure_is_an_error_line(self, capsys, n):

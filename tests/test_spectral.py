@@ -833,6 +833,103 @@ class TestClassifyModes:
             classify_modes(es, 2.0, 0.0)
 
 
+def _census_outcome(census, n, mu, gamma):
+    """``(n_I, n_EP, n_S)`` of ``census(n, mu, gamma)``, or the type of its refusal."""
+    try:
+        c = census(n, mu, gamma)
+    except (ClassificationError, RuntimeError) as exc:
+        return type(exc)
+    return c.n_I, c.n_EP, c.n_S
+
+
+def _full_solve_census(n, mu, gamma):
+    """The oracle: the census from one N x N eigvals of the real form."""
+    values = np.linalg.eigvals(build_ssh_real(n, mu, gamma))
+    codes, _, _ = spectral._served(spectral._classify_levels(values[None], [mu], [gamma])[0])
+    return spectral._census(codes)
+
+
+#: Off the locus: |gamma| <= 1, both signs, where the half-size solve would be
+#: well scaled.  N runs to 200, where the Hermitian chain at mu = 2 has a real
+#: pair far below the half-size solve's noise.
+OFF_LOCUS_GAMMA = sorted({s * g for g in (0.0, 1e-3, 0.3, 0.5, 0.9, 1.0) for s in (1, -1)})
+OFF_LOCUS_MU = (0.5, 0.8, 1.1, 2.0)
+OFF_LOCUS_N = tuple(range(4, 41, 2)) + (64, 100, 154, 200)
+
+
+def _off_locus_points():
+    """``(n, mu, gamma)`` of the off-locus grid; (4, 2.0, 0.5) lies on the locus."""
+    return [(n, mu, gamma) for mu in OFF_LOCUS_MU for gamma in OFF_LOCUS_GAMMA
+            for n in OFF_LOCUS_N if not on_locus(mu, n, gamma)]
+
+
+#: Off-locus points at which the N x N census turns on the sign of gamma.
+#: ``M(-gamma) = M(gamma)^T``, so both signs share the spectrum: a pair of band
+#: levels sits at an exceptional point, and whether its numerically split
+#: levels read as real or as neither real nor imaginary is rounding noise.
+#: At (6, 0.5) and (18, 0.5) the census refuses at gamma = -0.5 and answers
+#: (0, 0, N) at +0.5.
+SIGN_DEPENDENT = {(6, 0.5, 0.5), (18, 0.5, 0.5)}
+
+
+class TestCensusRoutes:
+    """``chain_census`` solves the (N/2) x (N/2) sublattice product on the
+    locus with mu >= 1, and the N x N real form elsewhere (the oracle)."""
+
+    @pytest.mark.parametrize("mu", [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0])
+    def test_half_size_solve_matches_the_full_solve_on_the_locus(self, mu):
+        for n in (*range(4, 201, 2), 256, 400, 1000):
+            if n > 648 and mu == 10.0:  # gamma_ep underflows to 0 past N = 648
+                continue
+            gamma = gamma_ep(mu, n)
+            expected = _census_outcome(_full_solve_census, n, mu, gamma)
+            assert _census_outcome(chain_census, n, mu, gamma) == expected, (n, mu)
+            assert expected == (0, 1, n - 2), (n, mu)
+
+    def test_off_the_locus_the_full_solve_is_kept(self):
+        # the half-size solve would read the Hermitian chain (gamma = 0) at
+        # mu = 2 as having an imaginary pair at N = 154 and 200
+        for n, mu, gamma in _off_locus_points():
+            assert (_census_outcome(chain_census, n, mu, gamma)
+                    == _census_outcome(_full_solve_census, n, mu, gamma)), (n, mu, gamma)
+
+    def test_census_is_even_in_gamma_off_the_locus(self):
+        asymmetric = {(n, mu, gamma) for n, mu, gamma in _off_locus_points()
+                      if gamma > 0 and (_census_outcome(chain_census, n, mu, gamma)
+                                        != _census_outcome(chain_census, n, mu, -gamma))}
+        assert asymmetric <= SIGN_DEPENDENT
+
+    @pytest.mark.parametrize("n", [154, 200])
+    def test_the_hermitian_chain_at_mu_2_is_all_real(self, n):
+        # why the half-size solve stays on the locus: the edge pair of this
+        # chain lies near +/-1e-23 (N = 154) and +/-1e-30 (N = 200), far below
+        # the noise of B C's eigenvalues x = eps^2, about 2^-52 (1 + mu)^2;
+        # sqrt of that noise, 4.5e-8, is over the class threshold 1e-8
+        # max|eps| = 3e-8, so from B C the pair could read as imaginary
+        assert _census_outcome(chain_census, n, 2.0, 0.0) == (0, 0, n)
+
+    @pytest.mark.parametrize("n,mu,gamma,shape", [
+        (6, 2.0, 0.25, (3, 3)),        # on the locus, mu > 1
+        (200, 1.1, None, (100, 100)),
+        (8, 1.0, 1.0, (4, 4)),         # the uniform chain: gamma = 1
+        (6, 0.5, 4.0, (6, 6)),         # on the locus, mu < 1: gamma > 1
+        (30, 0.8, None, (30, 30)),
+        (6, 2.0, 0.0, (6, 6)),         # off the locus
+        (6, 2.0, -0.25, (6, 6)),
+        (30, 1.5, 1.0, (30, 30)),
+    ])
+    def test_one_eigvals_call_per_census(self, monkeypatch, n, mu, gamma, shape):
+        calls, solve = [], np.linalg.eigvals
+
+        def recorded(a):
+            calls.append((np.asarray(a).dtype, np.shape(a)))
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        chain_census(n, mu, gamma_ep(mu, n) if gamma is None else gamma)
+        assert calls == [(np.float64, shape)]
+
+
 class TestPtActionOnEigenvectors:
     @pytest.mark.parametrize("n,mu", [(10, 0.5), (14, 1.5)])
     def test_parity_conjugation_maps_spectrum(self, n, mu):
