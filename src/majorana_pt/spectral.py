@@ -12,7 +12,10 @@ through ``V``.  Residuals and overlaps are still taken against the ring.
 :func:`chain_eigensystem` keeps that contract for the complex symmetric SSH
 chain with one real solve: ``left = conj(right)``, with equal residuals, and
 the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
-modulus is meaningful.
+modulus is meaningful.  On the locus with ``mu >= 1`` that solve is of the
+``n/2 x n/2`` sublattice product that :func:`chain_census` solves there;
+the coalescing pair's two rows then share one solver vector, the product's
+null vector, and its residual is taken at ``eps = 0``.
 :func:`detect_coalescence` groups numerically split eigenvalue pairs whose
 eigenvectors have become parallel (the dense solver returns two nearly equal
 eigenvalues rather than a Jordan block at an exceptional point).
@@ -26,17 +29,19 @@ there is no pair.  :func:`classify_modes` applies this to a computed
 eigensystem, and :func:`chain_census` to the eigenvalues of the chain's
 real form ``M`` (:func:`~.model.build_ssh_real`), one real eigenvalues-only
 solve: on the locus with ``mu >= 1``, of the ``n/2 x n/2`` product of
-``M``'s sublattice blocks, whose eigenvalues are the levels squared;
-elsewhere of ``M``, since the product loses the pair for ``gamma > 1`` and,
-off the locus, can read a real level near zero as imaginary.
+``M``'s sublattice blocks (:func:`_sublattice_product`, the one place that
+rule is written), whose eigenvalues are the levels squared; elsewhere of
+``M``, since the product loses the pair for ``gamma > 1`` and, off the
+locus, can read a real level near zero as imaginary.
 
 A classified chain is one :class:`Classification`: its eigensystem, the
-mode class code of each level, the coalescing pair's indices and its
-closed-form ``<eta|psi>``; the census, the class masks and the coalesced
-spectrum are read from these arrays.
+mode class code of each level, the coalescing pair's indices and the
+closed-form zero mode that certified it; the census, the class masks, the
+coalesced spectrum and the pair's ``<eta|psi>`` are read from these arrays.
 
 The chain pipeline also runs on a stack of same-length chains:
-:func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call, and
+:func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call per
+route (the sublattice product, the real form), and
 :func:`classify_stack` classifies them together.  Each returns one row
 per chain, which is either the chain's result or the error that refused
 that chain alone; a refused row does not stop the others, and a row that
@@ -118,10 +123,14 @@ class EigenSystem:
         and ``conj(x)`` (:func:`_ring_eigenvectors`); of any other matrix
         the left vectors come from a second solve, of the conjugate
         transpose, paired greedily by nearest eigenvalue.  From
-        :func:`chain_eigensystem` ``left`` is ``conj(right)``.
+        :func:`chain_eigensystem` ``left`` is ``conj(right)``; on the locus
+        with ``mu >= 1`` the coalescing pair's two columns are one vector,
+        the null vector of the sublattice product.
     residuals, left_residuals : np.ndarray
-        Per-column residual magnitudes, each against its own eigenvalue;
-        equal for :func:`chain_eigensystem`.
+        Per-column residual magnitudes, each against its own eigenvalue,
+        except the shared pair columns of :func:`chain_eigensystem` on the
+        locus with ``mu >= 1``, taken at ``eps = 0``; equal for
+        :func:`chain_eigensystem`.
     biorth_norms : np.ndarray
         Complex overlaps ``<left_i|right_i>`` of the unit-norm pairs; these
         approach zero when two levels coalesce.  Only the modulus is
@@ -179,7 +188,7 @@ def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _eigensystems(values, right, apply, norm_inf, left=None) -> list:
+def _eigensystems(values, right, apply, norm_inf, left=None, shifts=None) -> list:
     """Normalise each row of a stack, bound its residuals by
     ``RESIDUAL_TOLERANCE * norm_inf`` and form ``biorth = sum(conj(left) *
     right)``.
@@ -189,16 +198,17 @@ def _eigensystems(values, right, apply, norm_inf, left=None) -> list:
     row's matrix times the columns of that row of ``x``; ``left`` is the
     paired ``(vectors, values, apply)`` of the adjoint problem, or ``None``
     for complex symmetric matrices: ``A^dag conj(v) = conj(A v)``, so ``left
-    = conj(right)`` with the same residuals.  Row ``i`` becomes an
-    :class:`EigenSystem`, or the ``RuntimeError`` naming its worst residual
-    over the bound.
+    = conj(right)`` with the same residuals.  The right residuals are taken
+    against ``shifts``, ``(s, n)``, where given, else against ``values``.
+    Row ``i`` becomes an :class:`EigenSystem`, or the ``RuntimeError``
+    naming its worst residual over the bound.
     """
     def unit_and_residuals(vectors, eps, apply):
         vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
         residuals = np.abs(apply(vectors) - vectors * eps[:, None, :])
         return vectors, residuals.max(axis=-2, initial=0.0)
 
-    right, residuals = unit_and_residuals(right, values, apply)
+    right, residuals = unit_and_residuals(right, values if shifts is None else shifts, apply)
     if left is None:
         left, left_residuals = right.conj(), residuals
     else:
@@ -230,7 +240,10 @@ def _ring_eigenvectors(a: np.ndarray):
     x``, gives ``eps / 2`` with right vector ``V_+ g x`` and left vector
     ``V_+ g conj(x)``, and ``conj(eps) / 2`` with ``V_- g conj(x)`` and
     ``V_- g x``.  Both blocks of ``V`` hold their two nonzeros per column in
-    the same rows, so each lift is two row scatters.
+    the same rows, so each lift is two row scatters.  The chain is solved
+    ``n x n`` for every ring: :func:`eig` bounds each residual at its own
+    level, which the one vector that the sublattice product of
+    :func:`chain_eigensystem` gives both pair levels misses by ``|eps|``.
     """
     dim = len(a)
     if dim < 8 or dim % 2:
@@ -242,8 +255,9 @@ def _ring_eigenvectors(a: np.ndarray):
         return None
     if not np.array_equal(a, model.build_majorana_ring(params)):
         return None
-    # the real solve of chain_eigensystem: build_ssh x = eps x for x = Q v,
-    # left unnormalised, since the lifted vectors are normalised on the ring
+    # the n x n real solve of the chain's real form: build_ssh x = eps x for
+    # x = Q v, left unnormalised, since the lifted vectors are normalised on
+    # the ring
     eps, v = np.linalg.eig(model.build_ssh_real(n, params.mu, params.gamma))
     gx = model.staggered_signs(n)[:, None] * (v + 1j * v[::-1])
     eps = eps.astype(complex)
@@ -334,19 +348,86 @@ def eig(a: np.ndarray) -> EigenSystem:
 def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     """:func:`eig` of ``build_ssh(n, mu, gamma)`` from one real solve.
 
-    One ``np.linalg.eig`` of the real form ``M = Q^dag h Q``
-    (:func:`~.model.build_ssh_real`) gives ``right = Q V = (V + i V[::-1]) /
-    sqrt(2)``, and real levels exactly real.  ``h`` is complex symmetric, so
-    ``left = conj(right)``: no second solve and no pairing.  Residuals are
-    applied bond by bond (:func:`~.model.apply_ssh`) and bounded as in
-    :func:`eig`.  This is the stack of one of :func:`chain_eigensystems`.
+    The real form ``M = Q^dag h Q`` (:func:`~.model.build_ssh_real`) is
+    solved, and each of its vectors ``V`` gives ``right = Q V = (V + i
+    V[::-1]) / sqrt(2)``, with real levels exactly real.  On the locus with
+    ``gamma <= 1`` the one ``np.linalg.eig`` call is of the ``n/2 x n/2``
+    sublattice product of ``M`` (:func:`_sublattice_product`), and the
+    coalescing pair's two levels ``+/- sqrt(x)`` share one vector, the
+    product's null vector, whose residual is taken at ``eps = 0``;
+    elsewhere it is of ``M``.  ``h`` is complex symmetric, so ``left =
+    conj(right)``: no second solve and no pairing.  Residuals are applied
+    bond by bond (:func:`~.model.apply_ssh`) and bounded as in :func:`eig`.
+    This is the stack of one of :func:`chain_eigensystems`.
     """
     return _served(chain_eigensystems(n, [mu], [gamma])[0])
 
 
+def _sublattice_product(m: np.ndarray, n: int, mu: float, gamma: float):
+    """``(own, outward, product)`` of the real form ``m`` of ``build_ssh(n,
+    mu, gamma)`` on the locus with ``gamma <= 1``; ``None`` elsewhere.
+
+    ``m`` is bipartite, so its square is block diagonal on the two
+    sublattices (even and odd sites), each block the product of the two
+    hopping blocks.  The zero mode lives on one sublattice, ``own``: on the
+    locus the chain of equations ``(m u)_j = 0`` for ``u`` on the even sites
+    closes with ``gamma = (-1)^(n/2) mu^(1 - n/2)``, and for ``u`` on the
+    odd sites with ``gamma = (-1)^(n/2 - 1) mu^(1 - n/2)``; so ``own = n/2
+    mod 2``.  ``outward = m[other::2, own::2]`` maps the own sublattice to
+    the other, and ``product = m[own::2, other::2] @ outward`` is the own
+    block of ``m^2``: its ``n/2`` eigenvalues ``x`` give the levels ``+/-
+    sqrt(x)``, and an eigenvector ``w`` the real-form vectors ``+/- sqrt(x)
+    w`` on the own sites next to ``outward @ w`` on the other.  The rule
+    holds where the product is well scaled (its norm is at most ``(1 +
+    mu)^2``) and the pair rule reads the ``x`` near zero; see
+    :func:`chain_census`.
+    """
+    if not (gamma <= 1 and model.on_locus(mu, n, gamma)):
+        return None
+    own = n // 2 % 2
+    outward = m[1 - own::2, own::2]
+    return own, outward, m[own::2, 1 - own::2] @ outward
+
+
+def _product_levels(x: np.ndarray) -> np.ndarray:
+    """The levels ``sqrt(x)`` and then ``-sqrt(x)`` of the eigenvalues ``x``
+    of sublattice products, along the last axis; ``0 - sqrt(x)``, so that a
+    real or imaginary level keeps a positive zero part."""
+    roots = np.sqrt(x.astype(complex))
+    return np.concatenate([roots, 0.0 - roots], axis=-1)
+
+
+def _product_vectors(own: int, outward: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """``(levels, shifts, vectors)`` of a stack of chains from the
+    eigenpairs ``(x, w)`` of their sublattice products
+    (:func:`_sublattice_product`), unsorted.
+
+    ``vectors[i, j]`` is the real-form vector of level ``levels[i, j]``.
+    The pair, the ``x`` of least modulus, gives both its levels ``+/-
+    sqrt(x)`` the vector ``w`` on the own sites and zero on the other, the
+    product's null vector; its ``shifts`` are 0, the level at which its
+    residual is taken, and every other level's shift is the level itself.
+    """
+    s, half, _ = w.shape
+    levels = _product_levels(x)
+    vectors = np.empty((s, 2 * half, 2 * half), dtype=complex)
+    wt, kwt = w.transpose(0, 2, 1), (outward @ w).transpose(0, 2, 1)  # level by level
+    for block in (slice(None, half), slice(half, None)):  # +sqrt(x), then -sqrt(x)
+        vectors[:, block, own::2] = levels[:, block, None] * wt
+        vectors[:, block, 1 - own::2] = kwt
+    rows, pair = np.arange(s), np.argmin(np.abs(x), axis=1)
+    shifts = levels.copy()
+    for j in (pair, pair + half):
+        vectors[rows, j, own::2] = wt[rows, pair]
+        vectors[rows, j, 1 - own::2] = 0.0
+        shifts[rows, j] = 0.0
+    return levels, shifts, vectors
+
+
 def chain_eigensystems(n: int, mus, gammas) -> list:
     """:func:`chain_eigensystem` of a stack of chains of one length, from one
-    ``np.linalg.eig`` call.
+    ``np.linalg.eig`` call per route: one of the stacked real forms off the
+    product route, one of the stacked sublattice products on it.
 
     Row ``i`` is the eigensystem of ``build_ssh(n, mus[i], gammas[i])``, or
     the ``RuntimeError`` that refused it; the other rows are still served.
@@ -357,24 +438,39 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
     if not len(mus):
         return []
     mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
-    m = np.array([model.build_ssh_real(n, mu, gamma) for mu, gamma in zip(mus, gammas)])
+    m = [model.build_ssh_real(n, mu, gamma) for mu, gamma in zip(mus, gammas)]
+    routes = [_sublattice_product(mi, n, mu, gamma) for mi, mu, gamma in zip(m, mus, gammas)]
+    full = [i for i, route in enumerate(routes) if route is None]
+    halved = [i for i, route in enumerate(routes) if route is not None]
+    solved = []  # (rows of the stack, levels, shifts, real-form vectors level by level)
     try:
-        values, v = np.linalg.eig(m)
+        if full:
+            levels, v = np.linalg.eig(np.array([m[i] for i in full]))
+            solved.append((full, levels, levels, v.transpose(0, 2, 1)))
+        if halved:
+            x, w = np.linalg.eig(np.array([routes[i][2] for i in halved]))
+            outward = np.array([routes[i][1] for i in halved])
+            solved.append((halved, *_product_vectors(routes[halved[0]][0], outward, x, w)))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    rows, order = np.arange(len(m))[:, None], _sort_by_re_im(values)
-    values = values[rows, order].astype(complex)
-    # sorted level by level, so that each row's vectors are contiguous columns
-    # as after a single solve's v[:, order]: norms and overlaps then sum in
-    # the same order
-    vt = v.transpose(0, 2, 1)[rows, order]
+    values = np.empty((len(m), n), dtype=complex)
+    shifts = np.empty((len(m), n), dtype=complex)
+    # sorted level by level, so that each row's vectors are contiguous
+    # columns once transposed, as after a single solve's v[:, order]: norms
+    # and overlaps then sum in the same order
+    vt = np.empty((len(m), n, n), dtype=complex)
+    for index, levels, level_shifts, vectors in solved:
+        rows, order = np.arange(len(index))[:, None], _sort_by_re_im(levels)
+        values[index], shifts[index] = levels[rows, order], level_shifts[rows, order]
+        vt[index] = vectors[rows, order]
     right = ((vt + 1j * vt[:, :, ::-1]) / np.sqrt(2)).transpose(0, 2, 1)
 
     def apply(x):  # sites first for apply_ssh, one chain per stack row
         hx = model.apply_ssh(n, mus[:, None], gammas[:, None], x.transpose(1, 0, 2))
         return hx.transpose(1, 0, 2)
 
-    return _eigensystems(values, right, apply, 1.0 + np.maximum(mus, np.abs(gammas)))
+    return _eigensystems(values, right, apply, 1.0 + np.maximum(mus, np.abs(gammas)),
+                         shifts=shifts)
 
 
 def pseudo_hermiticity_check(
@@ -497,8 +593,8 @@ _REAL, _ZERO, _IMAGINARY = range(3)
 
 
 def _certify_zero_mode(n: int, mus, gammas) -> list:
-    """``<eta|psi> = psi^T psi`` of the closed-form zero mode of each chain
-    ``build_ssh(n, mus[i], gammas[i])``, once certified.
+    """The closed-form zero mode ``psi`` of each chain ``build_ssh(n,
+    mus[i], gammas[i])``, once certified.
 
     ``h`` is complex symmetric, so ``eta = conj(psi)``; ``h psi`` is applied
     bond by bond (:func:`~.model.apply_ssh`), to all the chains at once.
@@ -522,7 +618,7 @@ def _certify_zero_mode(n: int, mus, gammas) -> list:
             rows.append(RuntimeError(f"closed-form zero mode <eta|psi> {abs(biorth):.3e} "
                                      f"exceeds {EP_TOLERANCE:.3e}"))
         else:
-            rows.append(biorth)
+            rows.append(psi)
     return rows
 
 
@@ -530,12 +626,12 @@ def _classify_levels(values, mus, gammas) -> list:
     """Mode class of each level of each row of ``values``, the eigenvalues of
     ``build_ssh(n, mus[i], gammas[i])``.
 
-    Row ``i`` becomes ``(codes, pair, biorth)`` or the
+    Row ``i`` becomes ``(codes, pair, psi)`` or the
     :class:`ClassificationError` or ``RuntimeError`` that refused it.
     ``codes`` indexes ``_MODE_CLASSES`` level by level; ``pair`` holds the
-    indices of the coalescing levels and ``biorth`` their closed-form
-    ``<eta|psi>``, both ``None`` off the locus.  The classes follow the
-    rules of :func:`classify_modes`.
+    indices of the coalescing levels and ``psi`` the closed-form zero mode
+    that certified them, both ``None`` off the locus.  The classes follow
+    the rules of :func:`classify_modes`.
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[1]
@@ -563,13 +659,13 @@ def _classify_levels(values, mus, gammas) -> list:
         else:
             pairs[i] = tuple(sorted(nearest[i, :2].tolist()))
     certified = _certify_zero_mode(n, [mus[i] for i in pairs], [gammas[i] for i in pairs])
-    biorths = {}
-    for (i, pair), biorth in zip(pairs.items(), certified):
-        if isinstance(biorth, Exception):
-            rows[i] = biorth
+    psis = {}
+    for (i, pair), psi in zip(pairs.items(), certified):
+        if isinstance(psi, Exception):
+            rows[i] = psi
         else:
             codes[i, list(pair)] = _ZERO
-            biorths[i] = biorth
+            psis[i] = psi
     unclassified = (codes < 0).any(axis=1).tolist()
     for i, row in enumerate(rows):
         if row is None and unclassified[i]:
@@ -578,7 +674,7 @@ def _classify_levels(values, mus, gammas) -> list:
                 f"eigenvalue {value} is neither real nor imaginary at threshold "
                 f"{threshold[i, 0]:.3e}; off the coalescence locus")
         elif row is None:
-            rows[i] = (codes[i], pairs.get(i), biorths.get(i))
+            rows[i] = (codes[i], pairs.get(i), psis.get(i))
     return rows
 
 
@@ -628,8 +724,8 @@ def classify_stack(systems, mus, gammas) -> list:
         if isinstance(level, Exception):
             rows[i] = level
         else:
-            codes, pair, biorth = level
-            rows[i] = Classification(systems[i], codes, list(pair or ()), biorth)
+            codes, pair, psi = level
+            rows[i] = Classification(systems[i], codes, list(pair or ()), psi)
     return rows
 
 
@@ -638,15 +734,20 @@ class Classification:
     """The mode classes of the levels of one eigensystem ``es``, as arrays.
 
     ``codes`` indexes ``_MODE_CLASSES`` level by level, ``pair`` lists the
-    indices of the coalescing levels and ``biorth`` is their closed-form
-    ``<eta|psi>`` (``[]`` and ``None`` off the locus).  Every property reads
-    these arrays.
+    indices of the coalescing levels and ``psi`` is the closed-form zero
+    mode that certified them (``[]`` and ``None`` off the locus).  Every
+    property reads these arrays.
     """
 
     es: EigenSystem
     codes: np.ndarray
     pair: list
-    biorth: complex | None
+    psi: np.ndarray | None
+
+    @property
+    def biorth(self) -> complex | None:
+        """The pair's closed-form ``<eta|psi> = psi^T psi``."""
+        return None if self.psi is None else complex(self.psi @ self.psi)
 
     @property
     def census(self) -> ModeCensus:
@@ -686,25 +787,27 @@ def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
     bipartite: every bond and both corners join an even site to an odd one.
     So ``M^2 = diag(B C, C B)``, with ``B = M[0::2, 1::2]`` and ``C =
     M[1::2, 0::2]``, and each eigenvalue ``x`` of the ``n/2 x n/2`` matrix
-    ``B C`` gives the level pair ``+/- sqrt(x)``.
+    ``B C``, or of ``C B``, which shares them, gives the level pair ``+/-
+    sqrt(x)``.
 
     On the locus with ``gamma <= 1`` (that is, ``mu >= 1``) the levels are
-    taken from ``B C``.  Its norm is at most ``(1 + mu)^2``, so ``x`` is
-    accurate to about ``2^-52 (1 + mu)^2``; a real ``x`` gives an exactly
-    real or imaginary level; and the EP pair comes from one simple ``x``
-    near zero, which the pair rule reads whatever its sign.  Everywhere else
-    ``M`` itself is solved.  For ``|gamma| > 1`` the entry ``B C[0, 0] = 1 -
-    gamma^2`` swamps the pair's ``x``, and loses it once ``gamma^2 >
-    2^53``.  Off the locus no pair rule applies, and the class threshold
+    taken from the product on the sublattice of the zero mode
+    (:func:`_sublattice_product`), as :func:`chain_eigensystem` takes them.
+    Its norm is at most ``(1 + mu)^2``, so ``x`` is accurate to about
+    ``2^-52 (1 + mu)^2``; a real ``x`` gives an exactly real or imaginary
+    level; and the EP pair comes from one simple ``x`` near zero, which the
+    pair rule reads whatever its sign.  Everywhere else ``M`` itself is
+    solved.  For ``|gamma| > 1`` a diagonal entry ``1 - gamma^2`` of either
+    product swamps the pair's ``x``, and loses it once ``gamma^2 > 2^53``.
+    Off the locus no pair rule applies, and the class threshold
     ``CLASS_TOLERANCE * scale`` is finer than ``sqrt`` of the noise in
     ``x``: a real level near zero, as in the Hermitian chain at ``mu > 1``,
-    can come out of ``B C`` imaginary.
+    can come out of the product imaginary.
     """
     m = model.build_ssh_real(n, mu, gamma)
-    # B C only where it is well scaled and the pair rule reads its x near zero
-    if gamma <= 1 and model.on_locus(mu, n, gamma):
-        roots = np.sqrt(np.linalg.eigvals(m[0::2, 1::2] @ m[1::2, 0::2]).astype(complex))
-        values = np.concatenate([roots, -roots])
+    route = _sublattice_product(m, n, mu, gamma)
+    if route is not None:
+        values = _product_levels(np.linalg.eigvals(route[2]))
     else:
         values = np.linalg.eigvals(m)
     codes, _, _ = _served(_classify_levels(values[None], [mu], [gamma])[0])

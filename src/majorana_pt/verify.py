@@ -13,15 +13,19 @@ censuses and closed forms are checked across the desk-scale grid
 (n up to 30, matrices up to 60 x 60), and dense eigensolves serve as the
 independent oracle for everything the closed forms claim.  The grid is
 filled one chain length at a time: the six couplings of a length are
-solved in one stacked real solve (:func:`~.spectral.chain_eigensystems`),
+solved in one stacked real solve per route (the three with mu > 1 from
+their sublattice products, :func:`~.spectral.chain_eigensystems`),
 then classified together, each chain exactly as if alone.  The grid
 criteria read each chain's :class:`~.spectral.Classification`: its mode
 codes, pair indices and coalesced spectrum.
 
 The census classifies eigenvalues alone and takes its coalescing pair from
 the spectral gap and the closed-form zero mode; ``mode-census`` also
-requires the pair's two right eigenvectors, and no other two, to be
-parallel, so the eigenvalue and eigenvector routes check each other.
+requires the pair's two right eigenvectors, and no other, to be parallel
+to the closed-form zero mode, and no two others to each other, so the
+eigenvalue and eigenvector routes check each other.  The pair is checked
+against the closed form, not against each other, since on the product
+route both its columns hold one solver vector.
 
 Numerically split coalescing pairs are compared through their centroid: a
 defective pair computed in double precision splits by the square root of
@@ -131,22 +135,35 @@ def mode_census(solved):
     mus = GRID_MU_TOPO + GRID_MU_TRIV
     for n in GRID_N:
         chains = [_grid_chain(n, mu, solved) for mu in mus]
-        # the eigenvector route: the pair's unit right vectors, and no other
-        # two, must be parallel; one Gram stack for the six chains
+        # the eigenvector route: the pair's unit right vectors, and no other,
+        # must be parallel to the unit closed-form zero mode that certified
+        # the pair, and no two others to each other; one Gram stack for the
+        # six chains
         right = np.array([chain.es.right for chain in chains])
+        modes = [chain.modes for chain in chains]
+        paired = np.zeros((len(mus), n), dtype=bool)
+        for row, classified in zip(paired, modes):
+            row[classified.pair] = True
+        psi = np.array([classified.psi for classified in modes])
+        along = np.abs(np.einsum("si,sij->sj", psi.conj(), right)) >= 1.0 - spectral.EP_TOLERANCE
         gram = np.abs(right.conj().transpose(0, 2, 1) @ right)
         gram[:, np.arange(n), np.arange(n)] = 0.0
-        parallel = gram.max(axis=1) >= 1.0 - spectral.EP_TOLERANCE
-        for mu, chain, columns in zip(mus, chains, parallel):
+        parallel = (gram >= 1.0 - spectral.EP_TOLERANCE) & ~paired[:, :, None] & ~paired[:, None, :]
+        strays, merges = (along != paired).any(axis=1).tolist(), parallel.any(axis=(1, 2)).tolist()
+        for i, (mu, classified) in enumerate(zip(mus, modes)):
             expected = (0, 1, n - 2) if mu > 1 else (2, 1, n - 4)
-            census = chain.modes.census
+            census = classified.census
             got = (census.n_I, census.n_EP, census.n_S)
             if got != expected:
                 failures.append(f"(n={n}, mu={mu}): {got} != {expected}")
-            merged, pair = np.flatnonzero(columns).tolist(), chain.modes.pair
-            if merged != pair:
-                failures.append(f"(n={n}, mu={mu}): eigenvectors coalesce levels "
-                                f"{merged}, not the pair {pair}")
+            if strays[i]:
+                failures.append(f"(n={n}, mu={mu}): eigenvectors along the closed-form "
+                                f"zero mode at levels {np.flatnonzero(along[i]).tolist()}, "
+                                f"not the pair {classified.pair}")
+            if merges[i]:
+                failures.append(f"(n={n}, mu={mu}): levels "
+                                f"{sorted(np.argwhere(parallel[i])[0].tolist())} "
+                                f"outside the pair have parallel eigenvectors")
     elapsed = time.perf_counter() - started
     checks = [
         (not failures, f"{len(GRID_N) * 6} grid points match the expected censuses, "

@@ -222,7 +222,47 @@ def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
     monkeypatch.setattr(verify.spectral, "chain_eigensystems", orthonormal)
     result = verify.mode_census({})
     assert not result.passed
-    assert "(n=6, mu=1.5): eigenvectors coalesce levels [], not the pair [" in result.detail
+    assert ("(n=6, mu=1.5): eigenvectors along the closed-form zero mode at levels [], "
+            "not the pair [") in result.detail
+
+
+def _replaced_columns(monkeypatch, replace):
+    """Route the grid's eigensystems through ``replace(right, pair)``, which
+    overwrites a copy of each chain's right vectors in place."""
+    original = verify.spectral.chain_eigensystems
+
+    def replaced(n, mus, gammas):
+        systems = []
+        for es, mu, gamma in zip(original(n, mus, gammas), mus, gammas):
+            right = es.right.copy()
+            replace(right, verify.spectral.classify_modes(es, mu, gamma).pair)
+            systems.append(dataclasses.replace(es, right=right))
+        return systems
+
+    monkeypatch.setattr(verify.spectral, "chain_eigensystems", replaced)
+
+
+def test_mode_census_checks_the_pair_against_the_closed_form(monkeypatch):
+    # both pair columns become one site vector: parallel to each other, as
+    # on the product route, but not to the closed-form zero mode
+    def one_site(right, pair):
+        right[:, pair] = np.eye(len(right))[:, [0]]
+
+    _replaced_columns(monkeypatch, one_site)
+    result = verify.mode_census({})
+    assert not result.passed
+    assert ("(n=6, mu=1.5): eigenvectors along the closed-form zero mode at levels [], "
+            "not the pair [") in result.detail
+
+
+def test_mode_census_refuses_parallel_levels_outside_the_pair(monkeypatch):
+    def duplicate(right, pair):
+        right[:, 1] = right[:, 0]
+
+    _replaced_columns(monkeypatch, duplicate)
+    result = verify.mode_census({})
+    assert not result.passed
+    assert "(n=6, mu=1.5): levels [0, 1] outside the pair have parallel eigenvectors" in result.detail
 
 
 def _spin(seconds):

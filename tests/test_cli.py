@@ -272,7 +272,8 @@ class TestCensusAndSweep:
         code, out, _ = run(capsys, "sweep", "--N-grid", "6,10,14", "--mu-grid", "0.5,2.0")
         assert code == 0
         assert out.splitlines()[-1] == "14,2.0,0.015625,0,1,12,2"
-        assert solved == [(np.float64, n) for n in (6, 10, 14) for _ in range(2)]
+        # mu = 2.0 lies on the product route: the (N/2) x (N/2) sublattice product
+        assert solved == [(np.float64, size) for n in (6, 10, 14) for size in (n, n // 2)]
 
     def test_sweep_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "sweep", "--N-grid", "6,10", "--mu-grid", "1.5")
@@ -657,8 +658,10 @@ class TestCsvArtifactBytes:
     """
 
     DIGESTS = {
+        # re-recorded when the chain on the locus with mu >= 1 took the
+        # sublattice product solve
         "spectrum --N 6 --mu 2.0":
-            "a35707eb3d56acf693a2bb0d3dd7eae4fe2e04093a4b8ee837b921da7f1e69e6",
+            "9f6059f0a8fba379b387d8700370220e754fc7ffc9a4c0a7a0faf0b923ba71cc",
         "census --N 6 --mu 2.0":
             "83b9cfb163f67fb67cdcbb46f67b87279e3333d0525b794063864ae12157912b",
         "bethe --N 6 --mu 2.0":
@@ -701,8 +704,10 @@ class TestJsonArtifactBytes:
     """
 
     DIGESTS = {
+        # re-recorded, and checked equal to the stdlib encoding, when the
+        # chain on the locus with mu >= 1 took the sublattice product solve
         "spectrum --N 6 --mu 2.0":
-            "bfea56d8ff1ec135766ce96f3d48570b7ae0efa4d48a6a9e5fc0c036d6aac237",
+            "64d0cae068322d5c23adcd97ef136fedd51bd2a3a9a7bbe3b6aad0b290fd2cfb",
         "bethe --N 6 --mu 2.0":
             "6484a3087a33813bf99f94e3e738b22425832b6a86e3895d870723a696da301e",
         "zero-mode --N 6 --mu 2.0":

@@ -306,10 +306,15 @@ class TestRealGauge:
     @pytest.mark.parametrize("mu", [0.5, 1.1, 2.0])
     @pytest.mark.parametrize("n", [4, 6, 10, 16, 30, 58])
     def test_ring_gauge_is_exact(self, n, mu):
-        # the levels are the chain's halved and their conjugates, bit for bit
+        # the levels are those of the chain's N x N real solve halved, and
+        # their conjugates, bit for bit; chain_eigensystem makes that solve
+        # off the product route (the locus with mu >= 1)
         for gamma in (gamma_ep(mu, n), 0.3 * gamma_ep(mu, n), 0.0):
             es = eig(build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma)))
-            chain = chain_eigensystem(n, mu, gamma).eigenvalues
+            chain = np.linalg.eig(build_ssh_real(n, mu, gamma))[0].astype(complex)
+            if mu < 1 or gamma != gamma_ep(mu, n):
+                assert np.array_equal(chain[np.lexsort((chain.imag, chain.real))],
+                                      chain_eigensystem(n, mu, gamma).eigenvalues)
             want = np.concatenate([chain / 2, chain.conj() / 2])
             want = want[np.lexsort((want.imag, want.real))]
             assert es.eigenvalues.tobytes() == want.tobytes()
@@ -451,8 +456,12 @@ class TestChainEigensystem:
         assert np.array_equal(es.left_residuals, es.residuals)
         assert es.norm_inf == reference.norm_inf
         assert float(np.max(es.residuals)) <= RESIDUAL_TOLERANCE * es.norm_inf
-        # the bond-by-bond residuals against the dense product
-        dense = np.max(np.abs(h @ es.right - es.right * es.eigenvalues), axis=0)
+        # the bond-by-bond residuals against the dense product; on the
+        # product route (the locus with mu > 1) the pair's at eps = 0
+        shifts = es.eigenvalues.copy()
+        if on_locus and mu > 1:
+            shifts[classify_modes(es, mu, gamma).pair] = 0.0
+        dense = np.max(np.abs(h @ es.right - es.right * shifts), axis=0)
         assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
         assert np.allclose(np.linalg.norm(es.right, axis=0), 1.0)
         assert np.array_equal(es.biorth_norms, np.einsum("ij,ij->j", es.right, es.right))
@@ -487,22 +496,55 @@ class TestChainEigensystem:
                 chain_eigensystem(*args)
 
 
+def _product_solve(n, mu, gamma):
+    """Reference: the real-form levels, vectors (as columns) and residual
+    shifts of one chain on the product route, level by level.
+
+    ``x, w`` solve the product of the sublattice blocks on the zero mode's
+    own sublattice; a level ``+/- sqrt(x)`` has the vector ``+/- sqrt(x) w``
+    there and ``outward @ w`` on the other, except the pair, the ``x`` of
+    least modulus, whose two levels both have ``w`` and zero, with their
+    residual taken at 0.
+    """
+    m, own, half = build_ssh_real(n, mu, gamma), n // 2 % 2, n // 2
+    outward = m[1 - own::2, own::2]
+    x, w = np.linalg.eig(m[own::2, 1 - own::2] @ outward)
+    roots = np.sqrt(x.astype(complex))
+    values = np.concatenate([roots, 0.0 - roots])
+    shifts, vectors = values.copy(), np.zeros((n, n), dtype=complex)
+    pair, kw = int(np.argmin(np.abs(x))), outward @ w
+    for j in range(half):
+        for level in (j, j + half):
+            if j == pair:
+                vectors[own::2, level] = w[:, j]
+                shifts[level] = 0.0
+            else:
+                vectors[own::2, level] = values[level] * w[:, j]
+                vectors[1 - own::2, level] = kw[:, j]
+    return values, vectors, shifts
+
+
 def _single_chain_reference(n, mu, gamma):
     """Reference: the former single-chain pipeline, as ``(es, modes,
     coalesced)``.
 
-    One real solve of one chain, a per-level class loop with the closed-form
-    certificate of one zero mode, and the two-loop cluster search; ``modes``
-    is ``(classes, pair, biorth, values)``, with ``values`` the eigenvalues
-    and the pair at ``complex(np.mean(...))`` of its levels, or the error
-    that refused them.
+    One real solve of one chain (of its sublattice product on the locus
+    with mu >= 1, :func:`_product_solve`), a per-level class loop with the
+    closed-form certificate of one zero mode, and the two-loop cluster
+    search; ``modes`` is ``(classes, pair, biorth, values)``, with
+    ``values`` the eigenvalues and the pair at ``complex(np.mean(...))`` of
+    its levels, or the error that refused them.
     """
-    values, v = np.linalg.eig(build_ssh_real(n, mu, gamma))
+    if on_locus(mu, n, gamma) and gamma <= 1:
+        values, v, shifts = _product_solve(n, mu, gamma)
+    else:
+        values, v = np.linalg.eig(build_ssh_real(n, mu, gamma))
+        shifts = values
     order = np.lexsort((values.imag, values.real))
-    values = values[order].astype(complex)
+    values, shifts = values[order].astype(complex), shifts[order]
     right = (v[:, order] + 1j * v[::-1, order]) / np.sqrt(2)
     right = right / np.linalg.norm(right, axis=0)
-    residuals = np.max(np.abs(apply_ssh(n, mu, gamma, right) - right * values[None, :]), axis=0)
+    residuals = np.max(np.abs(apply_ssh(n, mu, gamma, right) - right * shifts[None, :]), axis=0)
     left = right.conj()
     es = EigenSystem(values, right, left, residuals, residuals,
                      np.einsum("ij,ij->j", left.conj(), right), 1.0 + max(mu, abs(gamma)))
@@ -928,6 +970,109 @@ class TestCensusRoutes:
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
         chain_census(n, mu, gamma_ep(mu, n) if gamma is None else gamma)
         assert calls == [(np.float64, shape)]
+
+
+#: The product route's grid: on the locus, N to 402 (and 256, 258, 400,
+#: 402) at mu from the uniform chain, where the gap closes, to mu = 10.
+ROUTE_MU = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0)
+ROUTE_N = (*range(4, 203, 2), 256, 258, 400, 402)
+
+
+class TestEigensystemRoutes:
+    """``chain_eigensystem`` solves the (N/2) x (N/2) sublattice product on
+    the locus with mu >= 1, and the N x N real form elsewhere; the N x N
+    solve is the oracle."""
+
+    @pytest.mark.parametrize("n", [*range(4, 42, 2), 100, 102])
+    def test_the_zero_mode_lives_on_the_product_sublattice(self, n):
+        # Q^dag psi, the closed-form zero mode in the real form, lies on the
+        # sites n/2 mod 2, 0::2 or 1::2, where the product's null vector lies
+        own = n // 2 % 2
+        for mu in (1.0, 1.5, 2.0, 0.5):
+            gamma, psi = gamma_ep(mu, n), zero_mode_amplitudes(n, mu)
+            u = (psi - 1j * psi[::-1]) / np.sqrt(2)
+            m = build_ssh_real(n, mu, gamma)
+            assert np.max(np.abs(u[1 - own::2])) <= 1e-15 * np.max(np.abs(u))
+            assert np.max(np.abs(m[1 - own::2, own::2] @ u[own::2])) <= 1e-15 * (1 + mu)
+            route = spectral._sublattice_product(m, n, mu, gamma)
+            if mu < 1:  # gamma > 1: the product loses the pair
+                assert route is None
+            else:
+                assert route[0] == own
+                assert route[1].tobytes() == m[1 - own::2, own::2].tobytes()
+
+    @pytest.mark.parametrize("sizes", [ROUTE_N[:50], ROUTE_N[50:90], ROUTE_N[90:]],
+                             ids=["N4-102", "N104-182", "N184-402"])
+    def test_product_route_matches_the_full_solve(self, sizes):
+        for n in sizes:
+            gammas = [gamma_ep(mu, n) for mu in ROUTE_MU]
+            full = np.linalg.eigvals([build_ssh_real(n, mu, g) for mu, g in zip(ROUTE_MU, gammas)])
+            stacked = chain_eigensystems(n, ROUTE_MU, gammas)
+            for mu, gamma, levels, es in zip(ROUTE_MU, gammas, full, stacked):
+                self._assert_matches_the_full_solve(n, mu, gamma, levels, es)
+
+    @staticmethod
+    def _assert_matches_the_full_solve(n, mu, gamma, full, es):
+        # each row of the stack is bit for bit the chain solved alone
+        alone = chain_eigensystem(n, mu, gamma)
+        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(alone, f) for f in fields))
+        modes = classify_modes(es, mu, gamma)
+        census = chain_census(n, mu, gamma)
+        assert modes.census == census == spectral.ModeCensus(0, 1, n - 2, n), (n, mu)
+        codes, _, _ = spectral._served(spectral._classify_levels(full[None], [mu], [gamma])[0])
+        assert census == spectral._census(codes)
+        pair = modes.pair
+        # the levels outside the pair against the full solve's
+        gap = match_multisets(np.delete(es.eigenvalues, pair),
+                              np.delete(full, np.argsort(np.abs(full))[:2]))
+        assert gap <= 1e-12 * es.scale, (n, mu)
+        assert np.all(es.eigenvalues[modes.real].imag == 0.0)
+        # both pair columns are one vector, the closed-form zero mode
+        assert np.array_equal(es.right[:, pair[0]], es.right[:, pair[1]])
+        psi = zero_mode_amplitudes(n, mu)
+        assert abs(np.vdot(psi, es.right[:, pair[0]])) / np.linalg.norm(psi) >= 1 - 1e-14
+        # the pair's residual is taken at eps = 0; every residual lies at
+        # the LAPACK floor, a tenth of the bound or less
+        shifts = es.eigenvalues.copy()
+        shifts[pair] = 0.0
+        h = build_ssh(n, mu, gamma)
+        dense = np.max(np.abs(h @ es.right - es.right * shifts), axis=0)
+        assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
+        assert float(np.max(es.residuals)) <= 0.1 * RESIDUAL_TOLERANCE * es.norm_inf
+
+    @pytest.mark.parametrize("n,mu,gamma,shape", [
+        (6, 2.0, 0.25, (3, 3)),        # on the locus, mu > 1
+        (200, 1.1, None, (100, 100)),
+        (8, 1.0, 1.0, (4, 4)),         # the uniform chain: gamma = 1
+        (6, 0.5, 4.0, (6, 6)),         # on the locus, mu < 1: gamma > 1
+        (30, 0.8, None, (30, 30)),
+        (6, 2.0, 0.0, (6, 6)),         # off the locus
+        (6, 2.0, -0.25, (6, 6)),
+        (30, 1.5, 1.0, (30, 30)),
+    ])
+    def test_one_eig_call_per_eigensystem(self, monkeypatch, n, mu, gamma, shape):
+        calls, solve = [], np.linalg.eig
+
+        def recorded(a):
+            calls.append((np.asarray(a).dtype, np.shape(a)))
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eig", recorded)
+        chain_eigensystem(n, mu, gamma_ep(mu, n) if gamma is None else gamma)
+        assert calls == [(np.float64, (1, *shape))]  # a stack of one
+
+    def test_a_mixed_stack_makes_one_call_per_route(self, monkeypatch):
+        calls, solve = [], np.linalg.eig
+
+        def recorded(a):
+            calls.append((np.asarray(a).dtype, np.shape(a)))
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eig", recorded)
+        mus = GRID_MU_TOPO + GRID_MU_TRIV
+        chain_eigensystems(30, mus, [gamma_ep(mu, 30) for mu in mus])
+        assert calls == [(np.float64, (3, 30, 30)), (np.float64, (3, 15, 15))]
 
 
 class TestPtActionOnEigenvectors:
