@@ -510,17 +510,16 @@ def _canonical_phase(vec: np.ndarray) -> np.ndarray:
 class Coalescence:
     """A cluster of eigenvalues whose eigenvectors have coalesced.
 
-    ``right_vector`` and ``left_vector`` are the dominant singular vectors of
-    the clustered eigenvector sets; the numerical +/- splitting of the
-    cluster members cancels in them, so ``biorth_norm = <left|right>`` of the
-    coalesced pair reproduces the defective-point zero far more accurately
-    than the per-member overlaps.
+    ``right_vector`` is the dominant singular vector of the clustered right
+    eigenvectors, and ``biorth_norm = <left|right>`` pairs it with that of
+    the left ones; the numerical +/- splitting of the cluster members
+    cancels in them, so ``biorth_norm`` reproduces the defective-point zero
+    far more accurately than the per-member overlaps.
     """
 
     indices: tuple[int, ...]
     eigenvalue: complex
     right_vector: np.ndarray
-    left_vector: np.ndarray
     biorth_norm: complex
 
 
@@ -558,7 +557,7 @@ def detect_coalescence(es: EigenSystem) -> list[Coalescence]:
         biorth = complex(np.vdot(w_coal, v_coal))
         if abs(biorth) <= EP_TOLERANCE:
             centroid = complex(np.mean(values[list(idx)]))
-            clusters.append(Coalescence(idx, centroid, v_coal, w_coal, biorth))
+            clusters.append(Coalescence(idx, centroid, v_coal, biorth))
     clusters.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     return clusters
 
@@ -605,7 +604,9 @@ def _certify_zero_mode(n: int, mus, gammas) -> list:
     if not len(mus):
         return []
     mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
-    psis = [bethe.zero_mode_amplitudes(n, mu) for mu in mus]
+    # h(-gamma) = P h(gamma) P, P the site reversal: at -gamma_ep the zero mode is P psi
+    psis = [bethe.zero_mode_amplitudes(n, mu)[::-1 if gamma < 0 else 1]
+            for mu, gamma in zip(mus, gammas)]
     residuals = np.abs(model.apply_ssh(n, mus, gammas, np.array(psis).T)).max(axis=0)
     rows = []
     for psi, residual, mu, gamma in zip(psis, residuals.tolist(), mus.tolist(), gammas.tolist()):
@@ -645,7 +646,7 @@ def _classify_levels(values, mus, gammas) -> list:
     rows = [None] * len(values)
     pairs = {}
     for i, (mu, gamma, scale) in enumerate(zip(mus, gammas, scales)):
-        if not model.on_locus(mu, n, gamma):
+        if not model.on_locus(mu, n, abs(gamma)):
             continue
         _, second, third = smallest[i]
         if third <= PAIR_SEPARATION * second:
@@ -687,7 +688,8 @@ def classify_modes(es: EigenSystem, mu: float, gamma: float) -> Classification:
     """Assign every level of an eigensystem ``es`` of ``build_ssh(n, mu, gamma)``
     (:func:`chain_eigensystem` or :func:`eig`) a mode class.
 
-    On the coalescence locus (:func:`~.model.on_locus`) the coalescing pair
+    On the coalescence locus (:func:`~.model.on_locus`), and on its mirror
+    ``-gamma_ep``, where the chain is site-reversed, the coalescing pair
     is the two eigenvalues of least modulus.  They are refused with
     :class:`ClassificationError` unless the third lies more than
     ``PAIR_SEPARATION`` times farther out than the second and both lie

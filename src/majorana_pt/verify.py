@@ -1,8 +1,10 @@
 """Verification suite: the checks that pin the library to its exact results.
 
 Each criterion is a function of ``solved``, the run's cache of grid
-chains (see :class:`_GridChain`), returning a :class:`CriterionResult`;
-:func:`run_criteria` executes a filtered subset and shares one cache among
+chains (see :class:`_GridChain`), returning its checks, a list of
+``(passed, detail)`` pairs.  :func:`run_criteria` executes a filtered
+subset, makes each one's :class:`CriterionResult` from its checks (its id
+from :data:`CRITERIA`, its time from one timer) and shares one cache among
 them, so a run solves and analyses each grid chain once; only the six-site
 criteria, whose budget times a real solve, and the rings are solved outside
 it.  A ring's levels come from ``np.linalg.eigvals`` of the ring itself, an
@@ -61,13 +63,7 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(criterion_id, passed, detail, started):
-    return CriterionResult(criterion_id, bool(passed), detail, time.perf_counter() - started)
-
-
-def _six_site_case(criterion_id, mu, gamma, exact_values, target_vector,
-                     time_budget=None):
-    started = time.perf_counter()
+def _six_site_case(mu, gamma, exact_values, target_vector, time_budget=None):
     h = model.build_ssh(6, mu, gamma)
     np.linalg.eig(np.eye(2, dtype=complex))  # warm the solver path before timing
     t0 = time.thread_time()  # CPU time: a preempted thread is not charged
@@ -101,8 +97,7 @@ def _six_site_case(criterion_id, mu, gamma, exact_values, target_vector,
             (elapsed_core < time_budget,
              f"runtime {elapsed_core * 1e3:.2f} ms < {time_budget * 1e3:.0f} ms")
         )
-    passed = all(ok for ok, _ in checks)
-    return _result(criterion_id, passed, "; ".join(msg for _, msg in checks), started)
+    return checks
 
 
 def six_site_mu2(solved):
@@ -114,7 +109,7 @@ def six_site_mu2(solved):
         -np.sqrt(350 - 2 * np.sqrt(3553)) / 8,
     ]
     target = np.array([4j, 1, -2j, -2, 1j, 4], dtype=complex)
-    return _six_site_case("six-site-mu2", 2.0, 0.25, exact, target, time_budget=0.010)
+    return _six_site_case(2.0, 0.25, exact, target, time_budget=0.010)
 
 
 def six_site_mu_half(solved):
@@ -126,7 +121,7 @@ def six_site_mu_half(solved):
         -0.5 * np.sqrt(2 * np.sqrt(238) - 25),
     ]
     target = np.array([1j, 4, -2j, -2, 4j, 1], dtype=complex)
-    return _six_site_case("six-site-mu-half", 0.5, 4.0, exact, target)
+    return _six_site_case(0.5, 4.0, exact, target)
 
 
 def mode_census(solved):
@@ -165,18 +160,15 @@ def mode_census(solved):
                                 f"{sorted(np.argwhere(parallel[i])[0].tolist())} "
                                 f"outside the pair have parallel eigenvectors")
     elapsed = time.perf_counter() - started
-    checks = [
+    return [
         (not failures, f"{len(GRID_N) * 6} grid points match the expected censuses, "
          "each pair confirmed by its eigenvectors"
          + ("" if not failures else f"; failures: {failures[:4]}")),
         (elapsed < 5.0, f"runtime {elapsed:.2f} s < 5 s"),
     ]
-    return _result("mode-census", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 def zero_mode_closed_form(solved):
-    started = time.perf_counter()
     worst_res = worst_biorth = worst_parity = worst_conj = 0.0
     for n in CLOSED_FORM_N:
         p = model.parity_matrix(n)
@@ -195,18 +187,15 @@ def zero_mode_closed_form(solved):
             # the closed-form grid has n = 2 (mod 4), where eta = +i P psi
             worst_parity = max(worst_parity, np.max(np.abs(eta - 1j * (p @ psi))))
             worst_conj = max(worst_conj, np.max(np.abs(eta - np.conj(psi))))
-    checks = [
+    return [
         (worst_res <= 1e-12, f"residual/||h|| {worst_res:.2e} <= 1e-12"),
         (worst_biorth <= 1e-12, f"<eta|psi> {worst_biorth:.2e} <= 1e-12"),
         (worst_parity <= 1e-14, f"eta = i P psi to {worst_parity:.2e} <= 1e-14"),
         (worst_conj <= 1e-14, f"eta = conj(psi) to {worst_conj:.2e} <= 1e-14"),
     ]
-    return _result("zero-mode-closed-form", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 def bethe_spectrum_equivalence(solved):
-    started = time.perf_counter()
     worst_match = worst_root_res = 0.0
     for n in CLOSED_FORM_N:
         for mu in CLOSED_FORM_MU:
@@ -219,17 +208,14 @@ def bethe_spectrum_equivalence(solved):
             worst_match = max(worst_match, spectral.match_multisets(modes.coalesced, analytic))
             residuals = bethe.match_spectrum_to_roots(modes, mu, chain.gamma, n, pair)
             worst_root_res = max(worst_root_res, max(residuals))
-    checks = [
+    return [
         (worst_match <= 1e-9, f"spectrum match {worst_match:.2e} <= 1e-9"),
         (worst_root_res <= 1e-9,
          f"per-level quantization residual {worst_root_res:.2e} <= 1e-9"),
     ]
-    return _result("bethe-spectrum-equivalence", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 def evanescent_asymptotics(solved):
-    started = time.perf_counter()
     mu = 0.5
     ratios = []
     for n in GRID_N:
@@ -242,19 +228,16 @@ def evanescent_asymptotics(solved):
     exact6 = 0.5 * np.sqrt(2 * np.sqrt(238) + 25)
     cross = abs(ratios[0] - exact6 / 4.0)
     errs_large = [abs(1 - r) for n, r in zip(GRID_N, ratios) if n >= 14]
-    checks = [
+    return [
         (monotone, "|eps_IM|/gamma increases monotonically toward 1"),
         (err6 <= 0.10, f"relative error {err6:.4f} <= 10% at n=6"),
         (cross <= 1e-10, f"n=6 ratio agrees with the explicit radical ({cross:.2e})"),
         (max(errs_large) <= 0.01,
          f"relative error {max(errs_large):.2e} <= 1% for n >= 14"),
     ]
-    return _result("evanescent-asymptotics", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 def block_decomposition(solved):
-    started = time.perf_counter()
     worst_leak = worst_spec = 0.0
     scales = []
     for n in (6, 10, 14):
@@ -277,17 +260,14 @@ def block_decomposition(solved):
             union = np.concatenate([ssh_values, ssh_values.conj()])
             worst_spec = max(worst_spec, spectral.match_multisets(ring_values, union))
     scale_dev = max(abs(s - 0.5) for s in scales)
-    checks = [
+    return [
         (worst_leak <= 1e-13, f"leakage {worst_leak:.2e} <= 1e-13 * ||h||"),
         (worst_spec <= 1e-10, f"spectrum(h)/s vs SSH union: {worst_spec:.2e} <= 1e-10"),
         (scale_dev <= 1e-12, f"fitted scale s = 1/2 to {scale_dev:.2e}"),
     ]
-    return _result("block-decomposition", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 def common_part(solved):
-    started = time.perf_counter()
     mu = 1.5
     worst_ratio = 0.0
     for n in (14, 22, 30):
@@ -297,13 +277,11 @@ def common_part(solved):
         worst_ratio = max(worst_ratio, np.max(np.abs(profile[0::2] / profile[0] - expected)))
     dev_a = analysis.common_part_compare(14, 22, mu)
     dev_b = analysis.common_part_compare(22, 30, mu)
-    checks = [
+    return [
         (worst_ratio <= 1e-14, f"odd-site ratio identity to {worst_ratio:.2e} <= 1e-14"),
         (dev_a <= 5e-3, f"deviation(14, 22) = {dev_a:.2e} <= 5e-3"),
         (dev_b < dev_a, f"deviation(22, 30) = {dev_b:.2e} < deviation(14, 22)"),
     ]
-    return _result("common-part", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 class _GridChain:
@@ -344,7 +322,6 @@ def _grid_chain(n, mu, solved):
 
 
 def scattering_gap_bound(solved):
-    started = time.perf_counter()
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
@@ -354,11 +331,10 @@ def scattering_gap_bound(solved):
               f"{len(GRID_N) * 6} grid points")
     if failures:
         detail = f"band violations at {failures[:5]}"
-    return _result("scattering-gap-bound", not failures, detail, started)
+    return [(not failures, detail)]
 
 
 def pseudo_hermiticity_pt(solved):
-    started = time.perf_counter()
     worst_pt = 0.0
     unmatched_points = []
     for n in GRID_N:
@@ -369,14 +345,12 @@ def pseudo_hermiticity_pt(solved):
                 chain.modes.coalesced, spectral.CLASS_TOLERANCE * chain.es.scale)
             if not ok:
                 unmatched_points.append((n, mu, unmatched))
-    checks = [
+    return [
         (not unmatched_points,
          "every spectrum is conjugation-symmetric"
          + ("" if not unmatched_points else f"; failures {unmatched_points[:3]}")),
         (worst_pt <= 1e-15, f"P conj(h) P = h to {worst_pt:.2e} <= 1e-15"),
     ]
-    return _result("pseudo-hermiticity-pt", all(ok for ok, _ in checks),
-                   "; ".join(m for _, m in checks), started)
 
 
 CRITERIA = [
@@ -393,25 +367,29 @@ CRITERIA = [
 ]
 
 
-def run_criteria(only: str | None = None) -> list[CriterionResult]:
-    """Run all criteria whose id contains ``only`` (all of them by default).
+def _evaluate(criterion_id: str, solved: dict) -> CriterionResult:
+    """The :class:`CriterionResult` of the criterion ``criterion_id`` of
+    :data:`CRITERIA`, run on the grid cache ``solved``.
 
-    A criterion that raises is reported as failed with the exception text,
-    so a bound of :mod:`.spectral` that a computed eigensystem misses
-    surfaces as an ordinary failure.
+    It passes when all its checks pass, its detail joins theirs, and its
+    time is the whole call's.  A criterion that raises fails with one check,
+    the exception text, so a bound of :mod:`.spectral` that a computed
+    eigensystem misses surfaces as an ordinary failure.
     """
-    selected = [(cid, fn) for cid, fn in CRITERIA if not only or only in cid]
+    started = time.perf_counter()
+    try:
+        checks = dict(CRITERIA)[criterion_id](solved)
+    except Exception as exc:
+        checks = [(False, f"raised {type(exc).__name__}: {exc}")]
+    return CriterionResult(criterion_id, all(ok for ok, _ in checks),
+                           "; ".join(msg for _, msg in checks), time.perf_counter() - started)
+
+
+def run_criteria(only: str | None = None) -> list[CriterionResult]:
+    """Run all criteria whose id contains ``only`` (all of them by default),
+    sharing one grid cache (:func:`_evaluate`)."""
+    selected = [cid for cid, _ in CRITERIA if not only or only in cid]
     if only and not selected:
         raise ValueError(f"no criterion id contains {only!r}")
-    results = []
     solved = {}
-    for cid, fn in selected:
-        started = time.perf_counter()
-        try:
-            results.append(fn(solved))
-        except Exception as exc:
-            results.append(
-                CriterionResult(cid, False, f"raised {type(exc).__name__}: {exc}",
-                                time.perf_counter() - started)
-            )
-    return results
+    return [_evaluate(cid, solved) for cid in selected]

@@ -19,8 +19,7 @@ _RESULTS = {}
 
 def _run(criterion_id):
     if criterion_id not in _RESULTS:
-        fn = dict(verify.CRITERIA)[criterion_id]
-        _RESULTS[criterion_id] = fn({})
+        _RESULTS[criterion_id] = verify._evaluate(criterion_id, {})
     return _RESULTS[criterion_id]
 
 
@@ -42,8 +41,8 @@ def test_full_suite_runs_quickly():
 
 def test_grid_criteria_share_solved_eigensystems(monkeypatch):
     solved = {}
-    census = verify.mode_census(solved)
-    pt = verify.pseudo_hermiticity_pt(solved)
+    census = verify._evaluate("mode-census", solved)
+    pt = verify._evaluate("pseudo-hermiticity-pt", solved)
     assert len(solved) == len(verify.GRID_N) * 6
 
     def no_repeat(*args, **kwargs):
@@ -53,8 +52,8 @@ def test_grid_criteria_share_solved_eigensystems(monkeypatch):
                  "classify_stack", "coalesced_eigenvalues"):
         monkeypatch.setattr(verify.spectral, name, no_repeat)
     monkeypatch.setattr(verify.model, "build_ssh", no_repeat)
-    gap = verify.scattering_gap_bound(solved)
-    evanescent = verify.evanescent_asymptotics(solved)
+    gap = verify._evaluate("scattering-gap-bound", solved)
+    evanescent = verify._evaluate("evanescent-asymptotics", solved)
     assert census.passed and pt.passed and gap.passed and evanescent.passed
     assert gap.detail == _run("scattering-gap-bound").detail
     assert evanescent.detail == _run("evanescent-asymptotics").detail
@@ -220,7 +219,7 @@ def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
                 for es in original(n, mus, gammas)]
 
     monkeypatch.setattr(verify.spectral, "chain_eigensystems", orthonormal)
-    result = verify.mode_census({})
+    result = verify._evaluate("mode-census", {})
     assert not result.passed
     assert ("(n=6, mu=1.5): eigenvectors along the closed-form zero mode at levels [], "
             "not the pair [") in result.detail
@@ -249,7 +248,7 @@ def test_mode_census_checks_the_pair_against_the_closed_form(monkeypatch):
         right[:, pair] = np.eye(len(right))[:, [0]]
 
     _replaced_columns(monkeypatch, one_site)
-    result = verify.mode_census({})
+    result = verify._evaluate("mode-census", {})
     assert not result.passed
     assert ("(n=6, mu=1.5): eigenvectors along the closed-form zero mode at levels [], "
             "not the pair [") in result.detail
@@ -260,7 +259,7 @@ def test_mode_census_refuses_parallel_levels_outside_the_pair(monkeypatch):
         right[:, 1] = right[:, 0]
 
     _replaced_columns(monkeypatch, duplicate)
-    result = verify.mode_census({})
+    result = verify._evaluate("mode-census", {})
     assert not result.passed
     assert "(n=6, mu=1.5): levels [0, 1] outside the pair have parallel eigenvectors" in result.detail
 
@@ -280,7 +279,7 @@ def test_six_site_budget_counts_thread_time(monkeypatch, stall, within_budget):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(verify.spectral, "eig", stalled)
-    result = verify.six_site_mu2({})
+    result = verify._evaluate("six-site-mu2", {})
     budget = result.detail.split("; ")[-1]
     assert re.fullmatch(r"runtime [0-9.]+ ms < 10 ms", budget)
     assert (float(budget.split()[1]) < 10) is within_budget

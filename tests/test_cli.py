@@ -494,7 +494,7 @@ class TestValuesWithALeadingMinus:
 
     @pytest.mark.parametrize("command,gamma,last", [
         ("census", "-1e-3", "6,2.0,-0.001,0,0,6"),
-        ("census", "-2.5e-1", "6,2.0,-0.25,0,0,6"),
+        ("census", "-2.5e-1", "6,2.0,-0.25,0,1,4"),
         ("spectrum", "-1e-3", None),
         ("bethe", "-2.5e-1", None),
         ("zero-mode", "-2.5e-1", None),
@@ -505,7 +505,7 @@ class TestValuesWithALeadingMinus:
         code, out, err = spaced
         if command in ("census", "spectrum"):
             assert (code, err) == (0, "")
-        else:  # -0.25 is off the locus, whose gamma is +0.25
+        else:  # -0.25 mirrors the locus, whose gamma is +0.25; bethe and zero-mode refuse it
             assert (code, out) == (1, "")
             assert err.endswith("only at gamma = gamma_ep(mu, N) = 0.25, got -0.25\n")
         if last is not None:
