@@ -13,9 +13,12 @@ through ``V``.  Residuals and overlaps are still taken against the ring.
 chain with one real solve: ``left = conj(right)``, with equal residuals, and
 the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
 modulus is meaningful.  On the locus with ``mu >= 1`` that solve is of the
-``n/2 x n/2`` sublattice product that :func:`chain_census` solves there;
-the coalescing pair's two rows then share one solver vector, the product's
-null vector, and its residual is taken at ``eps = 0``.
+``n/2 x n/2`` sublattice product that :func:`chain_census` solves there,
+and with ``gamma >= SPLIT_GAMMA`` (``mu < 1``) of the ``(n/2 - 1) x (n/2 -
+1)`` product of the inner chain, the two end sites split off as the
+evanescent pair ``+/- i gamma``; the coalescing pair's two rows then share
+one solver vector, the product's null vector, and its residual is taken at
+``eps = 0``.
 :func:`detect_coalescence` groups numerically split eigenvalue pairs whose
 eigenvectors have become parallel (the dense solver returns two nearly equal
 eigenvalues rather than a Jordan block at an exceptional point).
@@ -30,9 +33,11 @@ eigensystem, and :func:`chain_census` to the eigenvalues of the chain's
 real form ``M`` (:func:`~.model.build_ssh_real`), one real eigenvalues-only
 solve: on the locus with ``mu >= 1``, of the ``n/2 x n/2`` product of
 ``M``'s sublattice blocks (:func:`_sublattice_product`, the one place that
-rule is written), whose eigenvalues are the levels squared; elsewhere of
-``M``, since the product loses the pair for ``gamma > 1`` and, off the
-locus, can read a real level near zero as imaginary.
+rule is written), whose eigenvalues are the levels squared; on the locus
+with ``gamma >= SPLIT_GAMMA``, of the same product of the inner chain left
+when the two end sites are split off as ``+/- i gamma``; elsewhere of
+``M``, since the product loses the pair for ``1 < gamma < SPLIT_GAMMA``
+and, off the locus, can read a real level near zero as imaginary.
 
 A classified chain is one :class:`Classification`: its eigensystem, the
 mode class code of each level, the coalescing pair's indices and the
@@ -41,7 +46,7 @@ coalesced spectrum and the pair's ``<eta|psi>`` are read from these arrays.
 
 The chain pipeline also runs on a stack of same-length chains:
 :func:`chain_eigensystems` solves them in one ``np.linalg.eig`` call per
-route (the sublattice product, the real form), and
+route (the real form, the sublattice product, the inner chain's product), and
 :func:`classify_stack` classifies them together.  Each returns one row
 per chain, which is either the chain's result or the error that refused
 that chain alone; a refused row does not stop the others, and a row that
@@ -123,13 +128,14 @@ class EigenSystem:
         and ``conj(x)`` (:func:`_ring_eigenvectors`); of any other matrix
         the left vectors come from a second solve, of the conjugate
         transpose, paired greedily by nearest eigenvalue.  From
-        :func:`chain_eigensystem` ``left`` is ``conj(right)``; on the locus
-        with ``mu >= 1`` the coalescing pair's two columns are one vector,
+        :func:`chain_eigensystem` ``left`` is ``conj(right)``; on its
+        product routes (the locus with ``mu >= 1`` or ``gamma >=
+        SPLIT_GAMMA``) the coalescing pair's two columns are one vector,
         the null vector of the sublattice product.
     residuals, left_residuals : np.ndarray
         Per-column residual magnitudes, each against its own eigenvalue,
-        except the shared pair columns of :func:`chain_eigensystem` on the
-        locus with ``mu >= 1``, taken at ``eps = 0``; equal for
+        except the shared pair columns of :func:`chain_eigensystem` on its
+        product routes, taken at ``eps = 0``; equal for
         :func:`chain_eigensystem`.
     biorth_norms : np.ndarray
         Complex overlaps ``<left_i|right_i>`` of the unit-norm pairs; these
@@ -211,9 +217,10 @@ def _eigensystems(values, right, apply, norm_inf, left=None, shifts=None) -> lis
     right, residuals = unit_and_residuals(right, values if shifts is None else shifts, apply)
     if left is None:
         left, left_residuals = right.conj(), residuals
+        biorth = np.einsum("sij,sij->sj", right, right)
     else:
         left, left_residuals = unit_and_residuals(*left)
-    biorth = np.einsum("sij,sij->sj", left.conj(), right)
+        biorth = np.einsum("sij,sij->sj", left.conj(), right)
     peaks = np.maximum(residuals, left_residuals).max(axis=-1, initial=0.0).tolist()
     rows = []
     for i, norm in enumerate(norm_inf.tolist()):
@@ -354,8 +361,12 @@ def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     ``gamma <= 1`` the one ``np.linalg.eig`` call is of the ``n/2 x n/2``
     sublattice product of ``M`` (:func:`_sublattice_product`), and the
     coalescing pair's two levels ``+/- sqrt(x)`` share one vector, the
-    product's null vector, whose residual is taken at ``eps = 0``;
-    elsewhere it is of ``M``.  ``h`` is complex symmetric, so ``left =
+    product's null vector, whose residual is taken at ``eps = 0``.  On the
+    locus with ``gamma >= SPLIT_GAMMA`` it is of the ``(n/2 - 1) x (n/2 -
+    1)`` product of the inner chain, with the pair as above; each vector
+    gains its two end rows, and the evanescent pair ``+/- i gamma`` lives on
+    the end sites (:func:`_with_end_sites`).  Elsewhere it is of ``M``.
+    ``h`` is complex symmetric, so ``left =
     conj(right)``: no second solve and no pairing.  Residuals are applied
     bond by bond (:func:`~.model.apply_ssh`) and bounded as in :func:`eig`.
     This is the stack of one of :func:`chain_eigensystems`.
@@ -363,9 +374,16 @@ def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     return _served(chain_eigensystems(n, [mu], [gamma])[0])
 
 
+#: On the locus with ``mu < 1``, the coupling from which the two end sites
+#: are split off the real form (:func:`_sublattice_product`): there the terms
+#: their Schur complement drops are under ``2 / gamma^2 <= 2^-53``.
+SPLIT_GAMMA = 2.0 ** 27
+
+
 def _sublattice_product(m: np.ndarray, n: int, mu: float, gamma: float):
-    """``(own, outward, product)`` of the real form ``m`` of ``build_ssh(n,
-    mu, gamma)`` on the locus with ``gamma <= 1``; ``None`` elsewhere.
+    """``(split, own, outward, product)`` of the real form ``m`` of
+    ``build_ssh(n, mu, gamma)`` on the locus with ``gamma <= 1`` or ``gamma
+    >= SPLIT_GAMMA``; ``None`` elsewhere.
 
     ``m`` is bipartite, so its square is block diagonal on the two
     sublattices (even and odd sites), each block the product of the two
@@ -381,12 +399,37 @@ def _sublattice_product(m: np.ndarray, n: int, mu: float, gamma: float):
     holds where the product is well scaled (its norm is at most ``(1 +
     mu)^2``) and the pair rule reads the ``x`` near zero; see
     :func:`chain_census`.
+
+    With ``split`` (``gamma >= SPLIT_GAMMA``) the rule is applied to the
+    inner chain instead: ``m[1:-1, 1:-1]`` with the corners ``-1/gamma`` and
+    ``+1/gamma``, the real form of the ``n - 2`` sites with bonds ``(mu, 1,
+    ..., 1, mu)`` at ``1/gamma``, so ``own = (n/2 - 1) mod 2`` in inner
+    sites, the full chain's sites that carry the zero mode.  It is the Schur
+    complement ``K + G (eps - E)^-1 F`` of the end block ``E = [[0, -gamma],
+    [gamma, 0]]`` at ``eps = 0``, which keeps the zero mode and the pair
+    rule exact; at a level ``|eps| <= 1 + mu`` it drops ``eps / (eps^2 +
+    gamma^2)`` on two diagonal entries and ``gamma / (eps^2 + gamma^2) -
+    1/gamma`` on the corners, both under rounding.  The end sites carry the
+    evanescent pair ``+/- i gamma`` (:func:`_with_end_sites`).
     """
-    if not (gamma <= 1 and model.on_locus(mu, n, gamma)):
+    if not model.on_locus(mu, n, gamma):
         return None
-    own = n // 2 % 2
+    split = gamma >= SPLIT_GAMMA
+    if split:
+        m = m[1:-1, 1:-1].copy()
+        m[0, -1], m[-1, 0] = -1.0 / gamma, 1.0 / gamma
+    elif gamma > 1:
+        return None
+    own = len(m) // 2 % 2
     outward = m[1 - own::2, own::2]
-    return own, outward, m[own::2, 1 - own::2] @ outward
+    return split, own, outward, m[own::2, 1 - own::2] @ outward
+
+
+def _end_levels(gammas) -> np.ndarray:
+    """The evanescent pair ``+i gamma`` and then ``-i gamma`` of each chain,
+    along the last axis, with a positive zero real part."""
+    upper = 1j * np.asarray(gammas, dtype=float)[..., None]
+    return np.concatenate([upper, 0.0 - upper], axis=-1)
 
 
 def _product_levels(x: np.ndarray) -> np.ndarray:
@@ -424,10 +467,53 @@ def _product_vectors(own: int, outward: np.ndarray, x: np.ndarray, w: np.ndarray
     return levels, shifts, vectors
 
 
+def _with_end_sites(mus: np.ndarray, gammas: np.ndarray, levels, shifts, inner):
+    """``(levels, shifts, vectors)`` of a stack of chains on the split route
+    (:func:`_sublattice_product`), from those of their inner chains,
+    :func:`_product_vectors` of ``n - 2`` sites.
+
+    An inner vector ``u`` at its shift ``eps`` gains the end rows ``[u_0,
+    u_{n-1}] = [[eps, -gamma], [gamma, eps]] [u_1, u_{n-2}] / (eps^2 +
+    gamma^2)``, written in ``t = eps / gamma`` so that ``gamma^2`` does not
+    overflow.  The evanescent pair ``+/- i gamma`` follows: ``(1, -/+ i)``
+    on the end sites, and on the inner ones the response ``(eps - K)^-1 b``
+    to the end values ``b`` that the unit end bonds carry to sites 1 and
+    ``n - 2``, from the first three terms of its Neumann series in ``K /
+    eps``, ``K`` the inner block of the real form, applied bond by bond; the
+    next term is under ``(2 / gamma)^3``.
+    The true pair lies within ``1 / gamma`` of ``+/- i gamma``, under half
+    an ulp of ``gamma``.
+    """
+    s, k, _ = inner.shape
+    g = gammas[:, None]
+    t = shifts / g
+    scale = g * (1.0 + t * t)
+    first, last = inner[:, :, 0], inner[:, :, -1]
+    ends = _end_levels(gammas)
+    vectors = np.zeros((s, k + 2, k + 2), dtype=complex)
+    vectors[:, :k, 1:-1] = inner
+    vectors[:, :k, 0] = (t * first - last) / scale
+    vectors[:, :k, -1] = (first + t * last) / scale
+    vectors[:, k:, 0], vectors[:, k:, -1] = 1.0, [-1j, 1j]
+    bonds = model._bonds(k + 2, mus)[1:-1].T[:, None, :]  # K's, (mu, 1, ..., 1, mu)
+    term = np.zeros((s, 2, k), dtype=complex)  # b and its Neumann terms, level by level
+    term[:, :, 0], term[:, :, -1] = 1.0, [-1j, 1j]
+    response = term.copy()
+    for _ in range(2):
+        hop = np.zeros_like(term)
+        hop[:, :, :-1] += bonds * term[:, :, 1:]
+        hop[:, :, 1:] += bonds * term[:, :, :-1]
+        term = hop / ends[:, :, None]
+        response += term
+    vectors[:, k:, 1:-1] = response / ends[:, :, None]
+    return (np.concatenate([levels, ends], axis=1),
+            np.concatenate([shifts, ends], axis=1), vectors)
+
+
 def chain_eigensystems(n: int, mus, gammas) -> list:
     """:func:`chain_eigensystem` of a stack of chains of one length, from one
     ``np.linalg.eig`` call per route: one of the stacked real forms off the
-    product route, one of the stacked sublattice products on it.
+    product routes, one of the stacked sublattice products on each.
 
     Row ``i`` is the eigensystem of ``build_ssh(n, mus[i], gammas[i])``, or
     the ``RuntimeError`` that refused it; the other rows are still served.
@@ -441,16 +527,21 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
     m = [model.build_ssh_real(n, mu, gamma) for mu, gamma in zip(mus, gammas)]
     routes = [_sublattice_product(mi, n, mu, gamma) for mi, mu, gamma in zip(m, mus, gammas)]
     full = [i for i, route in enumerate(routes) if route is None]
-    halved = [i for i, route in enumerate(routes) if route is not None]
     solved = []  # (rows of the stack, levels, shifts, real-form vectors level by level)
     try:
         if full:
             levels, v = np.linalg.eig(np.array([m[i] for i in full]))
             solved.append((full, levels, levels, v.transpose(0, 2, 1)))
-        if halved:
-            x, w = np.linalg.eig(np.array([routes[i][2] for i in halved]))
-            outward = np.array([routes[i][1] for i in halved])
-            solved.append((halved, *_product_vectors(routes[halved[0]][0], outward, x, w)))
+        for split in (False, True):
+            halved = [i for i, route in enumerate(routes) if route and route[0] == split]
+            if not halved:
+                continue
+            x, w = np.linalg.eig(np.array([routes[i][3] for i in halved]))
+            outward = np.array([routes[i][2] for i in halved])
+            product = _product_vectors(routes[halved[0]][1], outward, x, w)
+            if split:
+                product = _with_end_sites(mus[halved], gammas[halved], *product)
+            solved.append((halved, *product))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
     values = np.empty((len(m), n), dtype=complex)
@@ -785,12 +876,14 @@ def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
     classified as in :func:`classify_modes`.
 
     The levels come from one real, eigenvalues-only LAPACK solve of the
-    similar real form ``M`` (:func:`~.model.build_ssh_real`).  ``M`` is
-    bipartite: every bond and both corners join an even site to an odd one.
-    So ``M^2 = diag(B C, C B)``, with ``B = M[0::2, 1::2]`` and ``C =
-    M[1::2, 0::2]``, and each eigenvalue ``x`` of the ``n/2 x n/2`` matrix
-    ``B C``, or of ``C B``, which shares them, gives the level pair ``+/-
-    sqrt(x)``.
+    similar real form ``M`` (:func:`~.model.build_ssh_real`) at ``|gamma|``:
+    ``M(-gamma) = M(gamma)^T`` has the same spectrum, and the classes keep
+    the sign, so that ``-gamma_ep`` certifies the site-reversed zero mode.
+    ``M`` is bipartite: every bond and both corners join an even site to an
+    odd one.  So ``M^2 = diag(B C, C B)``, with ``B = M[0::2, 1::2]`` and
+    ``C = M[1::2, 0::2]``, and each eigenvalue ``x`` of the ``n/2 x n/2``
+    matrix ``B C``, or of ``C B``, which shares them, gives the level pair
+    ``+/- sqrt(x)``.
 
     On the locus with ``gamma <= 1`` (that is, ``mu >= 1``) the levels are
     taken from the product on the sublattice of the zero mode
@@ -798,20 +891,25 @@ def chain_census(n: int, mu: float, gamma: float) -> ModeCensus:
     Its norm is at most ``(1 + mu)^2``, so ``x`` is accurate to about
     ``2^-52 (1 + mu)^2``; a real ``x`` gives an exactly real or imaginary
     level; and the EP pair comes from one simple ``x`` near zero, which the
-    pair rule reads whatever its sign.  Everywhere else ``M`` itself is
-    solved.  For ``|gamma| > 1`` a diagonal entry ``1 - gamma^2`` of either
-    product swamps the pair's ``x``, and loses it once ``gamma^2 > 2^53``.
-    Off the locus no pair rule applies, and the class threshold
-    ``CLASS_TOLERANCE * scale`` is finer than ``sqrt`` of the noise in
-    ``x``: a real level near zero, as in the Hermitian chain at ``mu > 1``,
-    can come out of the product imaginary.
+    pair rule reads whatever its sign.  On the locus with ``gamma >=
+    SPLIT_GAMMA`` the two end sites are split off as the levels ``+/- i
+    gamma``, and the other ``n - 2`` come from the ``(n/2 - 1) x (n/2 -
+    1)`` product of the inner chain, again well scaled.  Everywhere else
+    ``M`` itself is solved.  For ``|gamma| > 1`` a diagonal entry ``1 -
+    gamma^2`` of either product of ``M`` swamps the pair's ``x``, and loses
+    it once ``gamma^2 > 2^53``.  Off the locus no pair rule applies, and the
+    class threshold ``CLASS_TOLERANCE * scale`` is finer than ``sqrt`` of
+    the noise in ``x``: a real level near zero, as in the Hermitian chain at
+    ``mu > 1``, can come out of the product imaginary.
     """
-    m = model.build_ssh_real(n, mu, gamma)
-    route = _sublattice_product(m, n, mu, gamma)
-    if route is not None:
-        values = _product_levels(np.linalg.eigvals(route[2]))
-    else:
+    m = model.build_ssh_real(n, mu, abs(gamma))
+    route = _sublattice_product(m, n, mu, abs(gamma))
+    if route is None:
         values = np.linalg.eigvals(m)
+    else:
+        values = _product_levels(np.linalg.eigvals(route[3]))
+        if route[0]:
+            values = np.concatenate([values, _end_levels(abs(gamma))])
     codes, _, _ = _served(_classify_levels(values[None], [mu], [gamma])[0])
     return _census(codes)
 

@@ -308,11 +308,13 @@ class TestRealGauge:
     def test_ring_gauge_is_exact(self, n, mu):
         # the levels are those of the chain's N x N real solve halved, and
         # their conjugates, bit for bit; chain_eigensystem makes that solve
-        # off the product route (the locus with mu >= 1)
+        # off the product routes (the locus with mu >= 1, or with gamma >=
+        # SPLIT_GAMMA)
         for gamma in (gamma_ep(mu, n), 0.3 * gamma_ep(mu, n), 0.0):
             es = eig(build_majorana_ring(ModelParams(n=n, mu=mu, gamma=gamma)))
-            chain = np.linalg.eig(build_ssh_real(n, mu, gamma))[0].astype(complex)
-            if mu < 1 or gamma != gamma_ep(mu, n):
+            m = build_ssh_real(n, mu, gamma)
+            chain = np.linalg.eig(m)[0].astype(complex)
+            if spectral._sublattice_product(m, n, mu, gamma) is None:
                 assert np.array_equal(chain[np.lexsort((chain.imag, chain.real))],
                                       chain_eigensystem(n, mu, gamma).eigenvalues)
             want = np.concatenate([chain / 2, chain.conj() / 2])
@@ -904,8 +906,15 @@ def _census_outcome(census, n, mu, gamma):
 
 
 def _full_solve_census(n, mu, gamma):
-    """The oracle: the census from one N x N eigvals of the real form."""
-    values = np.linalg.eigvals(build_ssh_real(n, mu, gamma))
+    """The oracle: the census from one N x N eigvals of the real form at
+    ``|gamma|``.
+
+    ``M(-gamma) = M(gamma)^T`` shares the spectrum, but the transposed solve
+    can round differently: at (6, 0.5) and (18, 0.5) a real double level of
+    a band pair (±sqrt(3)/2 at N = 6, split by 1e-31 at 60 digits) comes out
+    of it neither real nor imaginary at gamma = -0.5, and is refused.
+    """
+    values = np.linalg.eigvals(build_ssh_real(n, mu, abs(gamma)))
     codes, _, _ = spectral._served(spectral._classify_levels(values[None], [mu], [gamma])[0])
     return spectral._census(codes)
 
@@ -926,18 +935,11 @@ def _off_locus_points():
             for n in OFF_LOCUS_N if not on_locus(mu, n, gamma)]
 
 
-#: Off-locus points at which the N x N census turns on the sign of gamma.
-#: ``M(-gamma) = M(gamma)^T``, so both signs share the spectrum: a pair of band
-#: levels sits at an exceptional point, and whether its numerically split
-#: levels read as real or as neither real nor imaginary is rounding noise.
-#: At (6, 0.5) and (18, 0.5) the census refuses at gamma = -0.5 and answers
-#: (0, 0, N) at +0.5.
-SIGN_DEPENDENT = {(6, 0.5, 0.5), (18, 0.5, 0.5)}
-
-
 class TestCensusRoutes:
     """``chain_census`` solves the (N/2) x (N/2) sublattice product on the
-    locus with mu >= 1, and the N x N real form elsewhere (the oracle)."""
+    locus with mu >= 1, the (N/2 - 1) x (N/2 - 1) product of the inner chain
+    on the locus with gamma >= SPLIT_GAMMA, and the N x N real form elsewhere
+    (the oracle), each at |gamma|."""
 
     @pytest.mark.parametrize("mu", [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0])
     def test_half_size_solve_matches_the_full_solve_on_the_locus(self, mu):
@@ -957,10 +959,13 @@ class TestCensusRoutes:
                     == _census_outcome(_full_solve_census, n, mu, gamma)), (n, mu, gamma)
 
     def test_census_is_even_in_gamma_off_the_locus(self):
+        # M(-gamma) = M(gamma)^T has the spectrum of M(gamma), so the census
+        # is solved at |gamma|; at (6, 0.5, -0.5) and (18, 0.5, -0.5) the
+        # solve of M(-gamma) refused a real double level of a band pair
         asymmetric = {(n, mu, gamma) for n, mu, gamma in _off_locus_points()
                       if gamma > 0 and (_census_outcome(chain_census, n, mu, gamma)
                                         != _census_outcome(chain_census, n, mu, -gamma))}
-        assert asymmetric <= SIGN_DEPENDENT
+        assert asymmetric == set()
 
     @pytest.mark.parametrize("n", [154, 200])
     def test_the_hermitian_chain_at_mu_2_is_all_real(self, n):
@@ -975,10 +980,14 @@ class TestCensusRoutes:
         (6, 2.0, 0.25, (3, 3)),        # on the locus, mu > 1
         (200, 1.1, None, (100, 100)),
         (8, 1.0, 1.0, (4, 4)),         # the uniform chain: gamma = 1
-        (6, 0.5, 4.0, (6, 6)),         # on the locus, mu < 1: gamma > 1
+        (6, 0.5, 4.0, (6, 6)),         # on the locus, mu < 1: 1 < gamma < 2^27
         (30, 0.8, None, (30, 30)),
+        (54, 0.5, None, (54, 54)),     # gamma = 2^26
+        (56, 0.5, None, (27, 27)),     # gamma = 2^27: the inner chain's product
+        (168, 0.8, None, (168, 168)),  # gamma = 1.1e8
+        (170, 0.8, None, (84, 84)),    # gamma = 1.4e8
         (6, 2.0, 0.0, (6, 6)),         # off the locus
-        (6, 2.0, -0.25, (6, 6)),       # the mirrored locus, -gamma_ep
+        (6, 2.0, -0.25, (3, 3)),       # the mirrored locus, -gamma_ep, solved at +gamma_ep
         (30, 1.5, 1.0, (30, 30)),
     ])
     def test_one_eigvals_call_per_census(self, monkeypatch, n, mu, gamma, shape):
@@ -999,28 +1008,53 @@ ROUTE_MU = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0)
 ROUTE_N = (*range(4, 203, 2), 256, 258, 400, 402)
 
 
+#: The split route's grid: on the locus where gamma >= SPLIT_GAMMA, N to 400
+#: (from N = 26 at mu = 0.2, 56 at 0.5, 170 at 0.8 and 358 at 0.9), and
+#: (1000, 0.5).  mu = 0.99 would reach it only past N = 3700, beyond the
+#: dimension ceiling.
+SPLIT_MU = (0.2, 0.5, 0.8, 0.9)
+SPLIT_N = (*range(26, 73, 2), *range(74, 121, 6), 150, 168, 170, 200, 256, 300, 358, 400)
+
+
+def _split_gamma(mu, n):
+    """True where ``gamma_ep(mu, n)`` is a float of at least SPLIT_GAMMA."""
+    try:
+        return gamma_ep(mu, n) >= spectral.SPLIT_GAMMA
+    except ValueError:  # overflows
+        return False
+
+
 class TestEigensystemRoutes:
     """``chain_eigensystem`` solves the (N/2) x (N/2) sublattice product on
-    the locus with mu >= 1, and the N x N real form elsewhere; the N x N
-    solve is the oracle."""
+    the locus with mu >= 1, the (N/2 - 1) x (N/2 - 1) product of the inner
+    chain on the locus with gamma >= SPLIT_GAMMA, and the N x N real form
+    elsewhere; the N x N solve is the oracle."""
 
     @pytest.mark.parametrize("n", [*range(4, 42, 2), 100, 102])
     def test_the_zero_mode_lives_on_the_product_sublattice(self, n):
         # Q^dag psi, the closed-form zero mode in the real form, lies on the
-        # sites n/2 mod 2, 0::2 or 1::2, where the product's null vector lies
+        # sites n/2 mod 2, 0::2 or 1::2, where the product's null vector lies;
+        # on the split route those are the inner chain's sites (n/2 - 1) mod 2
         own = n // 2 % 2
-        for mu in (1.0, 1.5, 2.0, 0.5):
+        for mu in (1.0, 1.5, 2.0, 0.5, 0.2):
             gamma, psi = gamma_ep(mu, n), zero_mode_amplitudes(n, mu)
             u = (psi - 1j * psi[::-1]) / np.sqrt(2)
             m = build_ssh_real(n, mu, gamma)
             assert np.max(np.abs(u[1 - own::2])) <= 1e-15 * np.max(np.abs(u))
             assert np.max(np.abs(m[1 - own::2, own::2] @ u[own::2])) <= 1e-15 * (1 + mu)
             route = spectral._sublattice_product(m, n, mu, gamma)
-            if mu < 1:  # gamma > 1: the product loses the pair
+            if 1 < gamma < spectral.SPLIT_GAMMA:  # the product loses the pair
                 assert route is None
-            else:
-                assert route[0] == own
-                assert route[1].tobytes() == m[1 - own::2, own::2].tobytes()
+            elif gamma <= 1:
+                assert route[:2] == (False, own)
+                assert route[2].tobytes() == m[1 - own::2, own::2].tobytes()
+            else:  # the inner chain: the Schur complement of the end sites at eps = 0
+                inner = (n // 2 - 1) % 2
+                assert route[:2] == (True, inner) and inner == 1 - own
+                k = m[1:-1, 1:-1].copy()
+                k[0, -1], k[-1, 0] = -1 / gamma, 1 / gamma
+                assert route[2].tobytes() == k[1 - inner::2, inner::2].tobytes()
+                assert np.max(np.abs(route[2] @ u[1:-1][inner::2])) <= 1e-15 * (1 + mu)
 
     @pytest.mark.parametrize("sizes", [ROUTE_N[:50], ROUTE_N[50:90], ROUTE_N[90:]],
                              ids=["N4-102", "N104-182", "N184-402"])
@@ -1062,12 +1096,59 @@ class TestEigensystemRoutes:
         assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
         assert float(np.max(es.residuals)) <= 0.1 * RESIDUAL_TOLERANCE * es.norm_inf
 
+    @pytest.mark.parametrize("sizes,split_mu", [(SPLIT_N[:24], SPLIT_MU),
+                                                (SPLIT_N[24:], SPLIT_MU), ((1000,), (0.5,))],
+                             ids=["N26-72", "N74-400", "N1000"])
+    def test_split_route_matches_the_full_solve(self, sizes, split_mu):
+        for n in sizes:
+            mus = [mu for mu in split_mu if _split_gamma(mu, n)]
+            gammas = [gamma_ep(mu, n) for mu in mus]
+            full = np.linalg.eigvals([build_ssh_real(n, mu, g) for mu, g in zip(mus, gammas)])
+            stacked = chain_eigensystems(n, mus, gammas)
+            for mu, gamma, levels, es in zip(mus, gammas, full, stacked):
+                self._assert_split_route_matches(n, mu, gamma, levels, es)
+
+    @staticmethod
+    def _assert_split_route_matches(n, mu, gamma, full, es):
+        alone = chain_eigensystem(n, mu, gamma)
+        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(alone, f) for f in fields))
+        modes = classify_modes(es, mu, gamma)
+        census = chain_census(n, mu, gamma)
+        codes, _, _ = spectral._served(spectral._classify_levels(full[None], [mu], [gamma])[0])
+        assert modes.census == census == spectral._census(codes), (n, mu)
+        assert census.n_EP == 1, (n, mu)
+        pair = modes.pair
+        # the levels outside the pair against the full solve's, each
+        # relative to max(1, |eps|); the evanescent pair is +/- i gamma
+        ours = np.delete(es.eigenvalues, pair)
+        theirs = np.delete(full, np.argsort(np.abs(full))[:2])
+        gap = match_multisets(ours / np.maximum(1.0, np.abs(ours)),
+                              theirs / np.maximum(1.0, np.abs(theirs)))
+        assert gap <= 5e-14, (n, mu, gap)
+        assert np.count_nonzero(np.isin(es.eigenvalues, [1j * gamma, -1j * gamma])) == 2
+        assert np.all(es.eigenvalues[modes.real].imag == 0.0)
+        # both pair columns are one vector, the closed-form zero mode
+        assert np.array_equal(es.right[:, pair[0]], es.right[:, pair[1]])
+        psi = zero_mode_amplitudes(n, mu)
+        assert abs(np.vdot(psi, es.right[:, pair[0]])) / np.linalg.norm(psi) >= 1 - 1e-14
+        # every residual on the chain, the pair's at eps = 0, is at the LAPACK floor
+        shifts = es.eigenvalues.copy()
+        shifts[pair] = 0.0
+        dense = np.max(np.abs(build_ssh(n, mu, gamma) @ es.right - es.right * shifts), axis=0)
+        assert float(np.max(dense)) <= 1e-14 * (1 + mu), (n, mu)
+        assert float(np.max(es.residuals)) <= 1e-14 * (1 + mu), (n, mu)
+
     @pytest.mark.parametrize("n,mu,gamma,shape", [
         (6, 2.0, 0.25, (3, 3)),        # on the locus, mu > 1
         (200, 1.1, None, (100, 100)),
         (8, 1.0, 1.0, (4, 4)),         # the uniform chain: gamma = 1
-        (6, 0.5, 4.0, (6, 6)),         # on the locus, mu < 1: gamma > 1
+        (6, 0.5, 4.0, (6, 6)),         # on the locus, mu < 1: 1 < gamma < 2^27
         (30, 0.8, None, (30, 30)),
+        (54, 0.5, None, (54, 54)),     # gamma = 2^26
+        (56, 0.5, None, (27, 27)),     # gamma = 2^27: the inner chain's product
+        (168, 0.8, None, (168, 168)),  # gamma = 1.1e8
+        (170, 0.8, None, (84, 84)),    # gamma = 1.4e8
         (6, 2.0, 0.0, (6, 6)),         # off the locus
         (6, 2.0, -0.25, (6, 6)),       # the mirrored locus, -gamma_ep
         (30, 1.5, 1.0, (30, 30)),
@@ -1094,6 +1175,20 @@ class TestEigensystemRoutes:
         mus = GRID_MU_TOPO + GRID_MU_TRIV
         chain_eigensystems(30, mus, [gamma_ep(mu, 30) for mu in mus])
         assert calls == [(np.float64, (3, 30, 30)), (np.float64, (3, 15, 15))]
+
+    def test_a_stack_over_the_three_routes_makes_one_call_each(self, monkeypatch):
+        # N x N at mu = 0.9 (gamma = 174), then the product, then the split route
+        n, mus = 100, (0.5, 0.9, 1.5, 0.3, 2.0)
+        calls = _recorded_solves(monkeypatch)
+        gammas = [gamma_ep(mu, n) for mu in mus]
+        stacked = chain_eigensystems(n, mus, gammas)
+        assert calls == [(np.float64, (1, 100, 100)), (np.float64, (2, 50, 50)),
+                         (np.float64, (2, 49, 49))]
+        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        for mu, gamma, es in zip(mus, gammas, stacked):  # each row as when solved alone
+            alone = chain_eigensystem(n, mu, gamma)
+            assert (_bits(*(getattr(es, f) for f in fields))
+                    == _bits(*(getattr(alone, f) for f in fields))), mu
 
 
 class TestPtActionOnEigenvectors:
