@@ -14,14 +14,17 @@ Exit codes: 0 success, 1 usage, parameter or numerical error (``zero-mode``
 and ``bethe`` refuse a gamma off the coalescence locus), 2 classification
 failure (no isolated zero pair on the locus, or a level neither real nor
 imaginary), 3 verification failure.
-Flags override values from an optional ``--config`` file of ``key = value``
-lines, whose keys must name flags of the subcommand; the effective
-configuration is echoed into every artifact.  Flags must be spelled out in
-full.  ``spectrum`` solves the chain's real form once: ``left_residuals``
-equal ``residuals``, and only ``|biorth|`` is basis-independent.  All
-computations are deterministic, so identical configurations give
-byte-identical artifacts.  ``main`` may be called any number of times in
-one process; the parser is built on the first call and reused.
+An optional ``--config`` file of ``key = value`` lines, whose keys must
+name flags of the subcommand, is parsed as those flags ahead of the command
+line's: flags override it, and its values are checked as flags are.  Each
+subcommand's formats and defaults are declared on its flags and shown by
+``--help``; the effective configuration is echoed into every artifact.
+Flags must be spelled out in full.  ``spectrum`` solves the chain's real
+form once: ``left_residuals`` equal ``residuals``, and only ``|biorth|`` is
+basis-independent.  All computations are deterministic, so identical
+configurations give byte-identical artifacts.  ``main`` may be called any
+number of times in one process; the parser is built on the first call and
+reused.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _read_config(path: str, keys) -> dict[str, str]:
-    """``key = value`` lines; every key must be one of ``keys``."""
-    config = {}
+def _read_config(path: str, keys) -> list[str]:
+    """``key = value`` lines as flags ``--key=value``; every key must be one
+    of ``keys``, the flags' destinations."""
+    flags = []
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -65,20 +69,8 @@ def _read_config(path: str, keys) -> dict[str, str]:
             name = key.replace("-", "_")
             if name not in keys:
                 raise ValueError(f"{path}: unknown key {key!r}")
-            config[name] = value
-    return config
-
-
-def _merge(args, key: str, cast, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = args._config.get(key)
-        if value is not None:
-            value = cast(value)
-    if value is None:
-        value = default
-    return value
+            flags.append(f"--{name.replace('_', '-')}={value}")
+    return flags
 
 
 def _csv_ints(text: str) -> list[int]:
@@ -89,20 +81,12 @@ def _csv_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _resolve_gamma(args, n: int, mu: float) -> float:
-    raw = _merge(args, "gamma", str, "auto")
-    if str(raw).strip() == "auto":
-        return model.gamma_ep(mu, n)
-    return float(raw)
-
-
-def _model_config(args, command: str):
-    n = _merge(args, "N", int)
-    mu = _merge(args, "mu", float)
+def _model_config(args):
+    n, mu = args.N, args.mu
     if n is None or mu is None:
-        raise ValueError(f"{command} requires --N and --mu")
-    gamma = _resolve_gamma(args, n, mu)
-    return n, mu, gamma, {"command": command, "N": n, "mu": mu, "gamma": gamma}
+        raise ValueError(f"{args.command} requires --N and --mu")
+    gamma = model.gamma_ep(mu, n) if args.gamma.strip() == "auto" else float(args.gamma)
+    return n, mu, gamma, {"command": args.command, "N": n, "mu": mu, "gamma": gamma}
 
 
 def _config_lines(config: dict) -> list[str]:
@@ -111,21 +95,19 @@ def _config_lines(config: dict) -> list[str]:
 
 
 def _emit(args, content: str) -> None:
-    out = _merge(args, "out", str)
-    if out:
-        serialize.atomic_write(out, content)
+    if args.out:
+        serialize.atomic_write(args.out, content)
     else:
         sys.stdout.write(content)
 
 
 def _cmd_spectrum(args) -> int:
-    n, mu, gamma, config = _model_config(args, "spectrum")
-    fmt = _merge(args, "format", str, "json")
+    n, mu, gamma, config = _model_config(args)
     es = spectral.chain_eigensystem(n, mu, gamma)
     modes = spectral.classify_modes(es, mu, gamma)
     ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues,
                                                        spectral.CLASS_TOLERANCE * es.scale)
-    if fmt == "json":
+    if args.format == "json":
         census = modes.census
         payload = serialize.eigensystem_to_json(es)
         payload["config"] = config
@@ -137,16 +119,14 @@ def _cmd_spectrum(args) -> int:
         payload["pseudo_hermitian"] = ok
         payload["unmatched"] = serialize.complex_pairs(unmatched)
         _emit(args, serialize.dump_json(payload))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(args, serialize.spectrum_csv(modes, _config_lines(config)))
-    elif fmt == "text":
+    else:
         lines = [f"# {l}" for l in _config_lines(config)]
         lines.append(serialize.matrix_to_text(model.build_ssh(n, mu, gamma)).rstrip("\n"))
         lines.append("eigenvalues: " + " ".join(
             serialize.format_complex(z) for z in es.eigenvalues))
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"spectrum does not support format {fmt!r}")
     return 0
 
 
@@ -160,68 +140,57 @@ def _require_locus(n: int, mu: float, gamma: float, subject: str) -> None:
 
 
 def _cmd_zero_mode(args) -> int:
-    n, mu, gamma, config = _model_config(args, "zero-mode")
+    n, mu, gamma, config = _model_config(args)
     _require_locus(n, mu, gamma, "the coalescing zero mode exists")
-    side = _merge(args, "side", str, "right")
-    config["side"] = side
-    fmt = _merge(args, "format", str, "csv")
-    wavefunction = bethe.zero_mode(n, mu, side)
-    if fmt == "csv":
+    config["side"] = args.side
+    wavefunction = bethe.zero_mode(n, mu, args.side)
+    if args.format == "csv":
         _emit(args, serialize.zero_mode_csv(wavefunction, _config_lines(config)))
-    elif fmt == "json":
+    else:
         payload = {
             "config": config,
             "omega": wavefunction.omega,
             "amplitudes": serialize.complex_pairs(wavefunction.amplitudes),
         }
         _emit(args, serialize.dump_json(payload))
-    else:
-        raise ValueError(f"zero-mode does not support format {fmt!r}")
     return 0
 
 
 def _cmd_bethe(args) -> int:
-    n, mu, gamma, config = _model_config(args, "bethe")
+    n, mu, gamma, config = _model_config(args)
     _require_locus(n, mu, gamma, "the zero-mode root exists")
-    fmt = _merge(args, "format", str, "json")
     roots = bethe.solve_real_k(mu, gamma, n)
     zero_k = bethe.zero_mode_root(mu)
     roots.append(bethe.BetheRoot(k=zero_k, branch=+1, epsilon=0.0, sector="imaginary",
                                  residual=bethe.normalized_residual(zero_k, mu, gamma, n)))
     if mu < 1:
         roots.extend(bethe.solve_evanescent_pair(mu, gamma, n))
-    if fmt == "json":
+    if args.format == "json":
         payload = {"config": config, "roots": serialize.roots_to_json(roots)}
         _emit(args, serialize.dump_json(payload))
-    elif fmt == "csv":
-        _emit(args, serialize.roots_csv(roots, _config_lines(config)))
     else:
-        raise ValueError(f"bethe does not support format {fmt!r}")
+        _emit(args, serialize.roots_csv(roots, _config_lines(config)))
     return 0
 
 
 def _cmd_census(args) -> int:
-    n, mu, gamma, config = _model_config(args, "census")
-    fmt = _merge(args, "format", str, "csv")
+    n, mu, gamma, config = _model_config(args)
     census = spectral.chain_census(n, mu, gamma)
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(args, serialize.census_csv([(n, mu, gamma, census)],
                                          _config_lines(config)))
-    elif fmt == "json":
+    else:
         payload = {
             "config": config,
             "census": {"n_I": census.n_I, "n_EP": census.n_EP,
                        "n_S": census.n_S, "N": census.n},
         }
         _emit(args, serialize.dump_json(payload))
-    else:
-        raise ValueError(f"census does not support format {fmt!r}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    n_grid = _merge(args, "N_grid", _csv_ints)
-    mu_grid = _merge(args, "mu_grid", _csv_floats)
+    n_grid, mu_grid = args.N_grid, args.mu_grid
     if not n_grid or not mu_grid:
         raise ValueError("sweep requires --N-grid and --mu-grid")
     config = {
@@ -229,11 +198,10 @@ def _cmd_sweep(args) -> int:
         "N_grid": ",".join(str(n) for n in n_grid),
         "mu_grid": ",".join(repr(mu) for mu in mu_grid),
     }
-    fmt = _merge(args, "format", str, "csv")
     points = analysis.census_sweep(n_grid, mu_grid)
-    if fmt == "csv":
+    if args.format == "csv":
         _emit(args, serialize.sweep_csv(points, _config_lines(config)))
-    elif fmt == "json":
+    else:
         payload = {
             "config": config,
             "points": [
@@ -246,14 +214,11 @@ def _cmd_sweep(args) -> int:
             ],
         }
         _emit(args, serialize.dump_json(payload))
-    else:
-        raise ValueError(f"sweep does not support format {fmt!r}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    n_grid = _merge(args, "N_grid", _csv_ints)
-    mu = _merge(args, "mu", float)
+    n_grid, mu = args.N_grid, args.mu
     if not n_grid or mu is None:
         raise ValueError("plot requires --N-grid and --mu")
     config = {
@@ -275,7 +240,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_criteria(only=_merge(args, "only", str))
+    results = verify.run_criteria(only=args.only)
     lines = []
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -283,8 +248,7 @@ def _cmd_verify(args) -> int:
                      f"{result.detail}")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    out = _merge(args, "out", str)
-    if out:
+    if args.out:
         payload = {
             "criteria": [
                 {
@@ -297,19 +261,25 @@ def _cmd_verify(args) -> int:
             ],
             "all_passed": all(r.passed for r in results),
         }
-        serialize.atomic_write(out, serialize.dump_json(payload))
+        serialize.atomic_write(args.out, serialize.dump_json(payload))
     return 0 if all(r.passed for r in results) else VERIFY_FAILURE
 
 
 def _add_model_flags(parser) -> None:
     parser.add_argument("--N", type=int, help="even site count >= 4")
     parser.add_argument("--mu", type=float, help="bulk coupling mu > 0")
-    parser.add_argument("--gamma", help="end potential, a number or 'auto'")
+    parser.add_argument("--gamma", default="auto",
+                        help="end potential, a number or 'auto' (default: %(default)s)")
 
 
-def _add_common_flags(parser) -> None:
+def _add_common_flags(parser, formats=()) -> None:
+    """``--config`` and ``--out``, and ``--format`` where the subcommand
+    writes ``formats``, the first of them by default."""
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output path (default: stdout)")
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0],
+                            help="artifact format (default: %(default)s)")
 
 
 @functools.cache
@@ -323,18 +293,18 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, handler in [
-        ("spectrum", _cmd_spectrum),
-        ("zero-mode", _cmd_zero_mode),
-        ("bethe", _cmd_bethe),
-        ("census", _cmd_census),
+    for name, handler, formats in [
+        ("spectrum", _cmd_spectrum, ("json", "csv", "text")),
+        ("zero-mode", _cmd_zero_mode, ("csv", "json")),
+        ("bethe", _cmd_bethe, ("json", "csv")),
+        ("census", _cmd_census, ("csv", "json")),
     ]:
         p = sub.add_parser(name)
         _add_model_flags(p)
-        _add_common_flags(p)
-        p.add_argument("--format", help="artifact format")
+        _add_common_flags(p, formats)
         if name == "zero-mode":
-            p.add_argument("--side", choices=("right", "left"))
+            p.add_argument("--side", choices=("right", "left"), default="right",
+                           help="the right or left zero mode (default: %(default)s)")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("sweep")
@@ -342,8 +312,7 @@ def build_parser() -> _Parser:
                    help="comma-separated even site counts")
     p.add_argument("--mu-grid", dest="mu_grid", type=_csv_floats,
                    help="comma-separated couplings")
-    _add_common_flags(p)
-    p.add_argument("--format", help="artifact format")
+    _add_common_flags(p, ("csv", "json"))
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("plot")
@@ -361,15 +330,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, argv = build_parser(), (sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        flags = set(vars(args)) - {"command", "handler", "config"}
-        args._config = _read_config(args.config, flags) if args.config else {}
+        if args.config:  # again, the file's lines as flags ahead of the subcommand's own
+            flags = _read_config(args.config, set(vars(args)) - {"command", "handler", "config"})
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return args.handler(args)
+    except SystemExit as exc:  # a usage error or --help, from either parse
+        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except spectral.ClassificationError as exc:
         print(f"classification error: {exc}", file=sys.stderr)
         return CLASSIFICATION_ERROR

@@ -366,10 +366,13 @@ def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     1)`` product of the inner chain, with the pair as above; each vector
     gains its two end rows, and the evanescent pair ``+/- i gamma`` lives on
     the end sites (:func:`_with_end_sites`).  Elsewhere it is of ``M``.
-    ``h`` is complex symmetric, so ``left =
-    conj(right)``: no second solve and no pairing.  Residuals are applied
-    bond by bond (:func:`~.model.apply_ssh`) and bounded as in :func:`eig`.
-    This is the stack of one of :func:`chain_eigensystems`.
+    Each route is taken at ``|gamma|``: ``h(-gamma) = P h(gamma) P``, ``P``
+    the site reversal, so for ``gamma < 0`` the vectors are reversed site for
+    site, and the mirrored locus ``-gamma_ep`` takes the routes of the locus.
+    ``h`` is complex symmetric, so ``left = conj(right)``: no second solve
+    and no pairing.  Residuals are applied bond by bond
+    (:func:`~.model.apply_ssh`) and bounded as in :func:`eig`.  This is the
+    stack of one of :func:`chain_eigensystems`.
     """
     return _served(chain_eigensystems(n, [mu], [gamma])[0])
 
@@ -524,8 +527,9 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
     if not len(mus):
         return []
     mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
-    m = [model.build_ssh_real(n, mu, gamma) for mu, gamma in zip(mus, gammas)]
-    routes = [_sublattice_product(mi, n, mu, gamma) for mi, mu, gamma in zip(m, mus, gammas)]
+    sizes = np.abs(gammas)
+    m = [model.build_ssh_real(n, mu, size) for mu, size in zip(mus, sizes)]
+    routes = [_sublattice_product(mi, n, mu, size) for mi, mu, size in zip(m, mus, sizes)]
     full = [i for i, route in enumerate(routes) if route is None]
     solved = []  # (rows of the stack, levels, shifts, real-form vectors level by level)
     try:
@@ -540,7 +544,7 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
             outward = np.array([routes[i][2] for i in halved])
             product = _product_vectors(routes[halved[0]][1], outward, x, w)
             if split:
-                product = _with_end_sites(mus[halved], gammas[halved], *product)
+                product = _with_end_sites(mus[halved], sizes[halved], *product)
             solved.append((halved, *product))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
@@ -555,13 +559,13 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
         values[index], shifts[index] = levels[rows, order], level_shifts[rows, order]
         vt[index] = vectors[rows, order]
     right = ((vt + 1j * vt[:, :, ::-1]) / np.sqrt(2)).transpose(0, 2, 1)
+    right[gammas < 0] = right[gammas < 0, ::-1]  # P, the site reversal
 
     def apply(x):  # sites first for apply_ssh, one chain per stack row
         hx = model.apply_ssh(n, mus[:, None], gammas[:, None], x.transpose(1, 0, 2))
         return hx.transpose(1, 0, 2)
 
-    return _eigensystems(values, right, apply, 1.0 + np.maximum(mus, np.abs(gammas)),
-                         shifts=shifts)
+    return _eigensystems(values, right, apply, 1.0 + np.maximum(mus, sizes), shifts=shifts)
 
 
 def pseudo_hermiticity_check(

@@ -1,7 +1,7 @@
 """Verification suite: the checks that pin the library to its exact results.
 
 Each criterion is a function of ``solved``, the run's cache of grid
-chains (see :class:`_GridChain`), returning its checks, a list of
+chains (see :func:`_grid_chain`), returning its checks, a list of
 ``(passed, detail)`` pairs.  :func:`run_criteria` executes a filtered
 subset, makes each one's :class:`CriterionResult` from its checks (its id
 from :data:`CRITERIA`, its time from one timer) and shares one cache among
@@ -129,13 +129,12 @@ def mode_census(solved):
     failures = []
     mus = GRID_MU_TOPO + GRID_MU_TRIV
     for n in GRID_N:
-        chains = [_grid_chain(n, mu, solved) for mu in mus]
+        modes = [_grid_chain(n, mu, solved)[1] for mu in mus]
         # the eigenvector route: the pair's unit right vectors, and no other,
         # must be parallel to the unit closed-form zero mode that certified
         # the pair, and no two others to each other; one Gram stack for the
         # six chains
-        right = np.array([chain.es.right for chain in chains])
-        modes = [chain.modes for chain in chains]
+        right = np.array([classified.es.right for classified in modes])
         paired = np.zeros((len(mus), n), dtype=bool)
         for row, classified in zip(paired, modes):
             row[classified.pair] = True
@@ -199,14 +198,13 @@ def bethe_spectrum_equivalence(solved):
     worst_match = worst_root_res = 0.0
     for n in CLOSED_FORM_N:
         for mu in CLOSED_FORM_MU:
-            chain = _grid_chain(n, mu, solved)
-            pair = bethe.solve_evanescent_pair(mu, chain.gamma, n) if mu < 1 else []
-            analytic = [r.epsilon for r in bethe.solve_real_k(mu, chain.gamma, n)]
+            gamma, modes = _grid_chain(n, mu, solved)
+            pair = bethe.solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
+            analytic = [r.epsilon for r in bethe.solve_real_k(mu, gamma, n)]
             analytic += [0.0, 0.0]
             analytic += [r.epsilon for r in pair]
-            modes = chain.modes
             worst_match = max(worst_match, spectral.match_multisets(modes.coalesced, analytic))
-            residuals = bethe.match_spectrum_to_roots(modes, mu, chain.gamma, n, pair)
+            residuals = bethe.match_spectrum_to_roots(modes, mu, gamma, n, pair)
             worst_root_res = max(worst_root_res, max(residuals))
     return [
         (worst_match <= 1e-9, f"spectrum match {worst_match:.2e} <= 1e-9"),
@@ -219,10 +217,10 @@ def evanescent_asymptotics(solved):
     mu = 0.5
     ratios = []
     for n in GRID_N:
-        chain = _grid_chain(n, mu, solved)
-        imag = chain.es.eigenvalues[chain.modes.imaginary]
+        gamma, modes = _grid_chain(n, mu, solved)
+        imag = modes.es.eigenvalues[modes.imaginary]
         # |eps| by hypot, bit for bit Python's abs(complex)
-        ratios.append(max(np.hypot(imag.real, imag.imag).tolist()) / chain.gamma)
+        ratios.append(max(np.hypot(imag.real, imag.imag).tolist()) / gamma)
     monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     err6 = abs(1 - ratios[0])
     exact6 = 0.5 * np.sqrt(2 * np.sqrt(238) + 25)
@@ -256,7 +254,7 @@ def block_decomposition(solved):
             ep = np.argsort(np.abs(ring_values))[:4]
             ring_values[ep] = np.mean(ring_values[ep])
             ring_values /= s
-            ssh_values = _grid_chain(n, mu, solved).modes.coalesced
+            ssh_values = _grid_chain(n, mu, solved)[1].coalesced
             union = np.concatenate([ssh_values, ssh_values.conj()])
             worst_spec = max(worst_spec, spectral.match_multisets(ring_values, union))
     scale_dev = max(abs(s - 0.5) for s in scales)
@@ -284,48 +282,35 @@ def common_part(solved):
     ]
 
 
-class _GridChain:
-    """The eigensystem ``es`` of the chain at ``(n, mu, gamma)`` and its
-    :class:`~.spectral.Classification` ``modes``, as one row of the stacked
-    pass of :func:`_grid_chain`.
-
-    A part that the pass refused for this chain is kept as its error and
-    raised on each read, so it fails each criterion that reads it, and only
-    those; the other chains of the pass are served.
-    """
-
-    def __init__(self, gamma, es, modes):
-        self.gamma = gamma
-        self._rows = es, modes
-
-    es = property(lambda self: spectral._served(self._rows[0]))
-    modes = property(lambda self: spectral._served(self._rows[1]))
-
-
 def _grid_chain(n, mu, solved):
-    """The run's :class:`_GridChain` at the grid point ``(n, mu)``; ``solved``
-    is keyed on ``(n, mu)``.
+    """``(gamma, modes)`` of the grid point ``(n, mu)``: ``gamma_ep`` and the
+    chain's :class:`~.spectral.Classification`, whose ``es`` is its
+    eigensystem.  ``solved`` is the run's cache, keyed on ``(n, mu)``.
 
     A miss solves and classifies the chains of length ``n`` at the six grid
     couplings, in order, in one stacked pass at ``gamma_ep``:
     :func:`~.spectral.chain_eigensystems`, then
-    :func:`~.spectral.classify_stack`.
+    :func:`~.spectral.classify_stack`, and caches each chain's ``(gamma,
+    row)``.  A row that the pass refused is the error, from the solve or
+    the classification, that is raised on each read, so it fails each
+    criterion that reads that chain, and only those; the other chains of the
+    pass are served.
     """
     if (n, mu) not in solved:
         mus = GRID_MU_TOPO + GRID_MU_TRIV
         gammas = [model.gamma_ep(m, n) for m in mus]
-        systems = spectral.chain_eigensystems(n, mus, gammas)
-        rows = zip(mus, gammas, systems, spectral.classify_stack(systems, mus, gammas))
-        for m, *parts in rows:
-            solved[n, m] = _GridChain(*parts)
-    return solved[n, mu]
+        rows = spectral.classify_stack(spectral.chain_eigensystems(n, mus, gammas), mus, gammas)
+        for m, gamma, row in zip(mus, gammas, rows):
+            solved[n, m] = gamma, row
+    gamma, row = solved[n, mu]
+    return gamma, spectral._served(row)
 
 
 def scattering_gap_bound(solved):
     failures = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            if not analysis.gap_bound_check(_grid_chain(n, mu, solved).modes, mu):
+            if not analysis.gap_bound_check(_grid_chain(n, mu, solved)[1], mu):
                 failures.append((n, mu))
     detail = (f"all scattering levels inside |1-mu| <= |eps| <= 1+mu over "
               f"{len(GRID_N) * 6} grid points")
@@ -339,10 +324,10 @@ def pseudo_hermiticity_pt(solved):
     unmatched_points = []
     for n in GRID_N:
         for mu in GRID_MU_TOPO + GRID_MU_TRIV:
-            chain = _grid_chain(n, mu, solved)
-            worst_pt = max(worst_pt, model.pt_deviation(model.build_ssh(n, mu, chain.gamma)))
+            gamma, modes = _grid_chain(n, mu, solved)
+            worst_pt = max(worst_pt, model.pt_deviation(model.build_ssh(n, mu, gamma)))
             ok, unmatched = spectral.pseudo_hermiticity_check(
-                chain.modes.coalesced, spectral.CLASS_TOLERANCE * chain.es.scale)
+                modes.coalesced, spectral.CLASS_TOLERANCE * modes.es.scale)
             if not ok:
                 unmatched_points.append((n, mu, unmatched))
     return [

@@ -165,12 +165,11 @@ def test_grid_arrays_equal_the_classified_records():
     solved = {}
     for n in verify.GRID_N:
         for mu in verify.GRID_MU_TOPO + verify.GRID_MU_TRIV:
-            chain = verify._grid_chain(n, mu, solved)
-            got = chain.modes
-            alone = verify.spectral.classify_modes(chain.es, mu, chain.gamma)
+            gamma, got = verify._grid_chain(n, mu, solved)
+            alone = verify.spectral.classify_modes(got.es, mu, gamma)
             classes = alone.mode_classes
             pair = [i for i, c in enumerate(classes) if c is modes.ZERO_COALESCING]
-            assert got.es is alone.es is chain.es
+            assert got.es is alone.es
             assert got.codes.tobytes() == alone.codes.tobytes()
             assert got.mode_classes == classes
             assert got.census == alone.census
@@ -178,8 +177,8 @@ def test_grid_arrays_equal_the_classified_records():
             assert got.biorth == alone.biorth
             assert got.real.tolist() == [c is modes.REAL_SCATTERING for c in classes]
             assert got.imaginary.tolist() == [c is modes.IMAGINARY_EVANESCENT for c in classes]
-            expected = chain.es.eigenvalues.copy()
-            expected[pair] = complex(np.mean(chain.es.eigenvalues[pair]))
+            expected = got.es.eigenvalues.copy()
+            expected[pair] = complex(np.mean(got.es.eigenvalues[pair]))
             assert got.coalesced.tobytes() == expected.tobytes()
             assert got.coalesced.tobytes() == alone.coalesced.tobytes()
 
@@ -202,13 +201,12 @@ def test_a_refused_grid_chain_fails_alone(monkeypatch):
     # the pair at mu = 0.8, and over 1e8 times at the other grid couplings
     monkeypatch.setattr(verify.spectral, "PAIR_SEPARATION", 5e7)
     solved = {}
-    refused = verify._grid_chain(6, 0.8, solved)
     for _ in range(2):
         with pytest.raises(verify.spectral.ClassificationError, match="no isolated zero pair"):
-            refused.modes
-    assert refused.es.dim == 6
+            verify._grid_chain(6, 0.8, solved)
+    assert len(solved) == 6
     for mu in verify.GRID_MU_TOPO + [0.3, 0.5]:
-        assert solved[6, mu].modes.census.n_EP == 1
+        assert verify._grid_chain(6, mu, solved)[1].census.n_EP == 1
 
 
 def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):

@@ -520,9 +520,9 @@ class TestRootMatching:
             (n, mu) for n in verify.CLOSED_FORM_N for mu in verify.CLOSED_FORM_MU]
         solved = {}
         for (n, mu), digest in self.RESIDUAL_DIGESTS.items():
-            chain = verify._grid_chain(n, mu, solved)
-            pair = solve_evanescent_pair(mu, chain.gamma, n) if mu < 1 else []
-            residuals = match_spectrum_to_roots(chain.modes, mu, chain.gamma, n, pair)
+            gamma, modes = verify._grid_chain(n, mu, solved)
+            pair = solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
+            residuals = match_spectrum_to_roots(modes, mu, gamma, n, pair)
             assert len(residuals) == n
             got = hashlib.sha256(np.array(residuals, dtype=float).tobytes()).hexdigest()
             assert got == digest, (n, mu)

@@ -100,6 +100,20 @@ class TestSpectrum:
         assert lines[0].split("\t")[0] == "0.0+0.25i"
         assert lines[-1].startswith("eigenvalues: ")
 
+    @pytest.mark.parametrize("n", ["6", "18"])
+    @pytest.mark.parametrize("gamma", ["0.5", "-0.5"])
+    def test_spectrum_and_census_agree_at_either_sign_of_gamma(self, capsys, n, gamma):
+        # at -0.5 the N x N solve of M(-gamma) read a real double level as
+        # neither real nor imaginary; both now solve at |gamma|
+        code, out, _ = run(capsys, "spectrum", "--N", n, "--mu", "0.5", f"--gamma={gamma}")
+        assert code == 0
+        census = json.loads(out)["census"]
+        code, out, _ = run(capsys, "census", "--N", n, "--mu", "0.5", f"--gamma={gamma}",
+                           "--format", "json")
+        assert code == 0
+        assert census == json.loads(out)["census"] == {"n_I": 0, "n_EP": 0, "n_S": int(n),
+                                                       "N": int(n)}
+
     def test_unknown_format_exits_one(self, capsys):
         code, _, err = run(capsys, "spectrum", "--N", "6", "--mu", "2",
                            "--gamma", "auto", "--format", "yaml")
@@ -417,6 +431,42 @@ class TestConfigAndErrors:
         code, out, _ = run(capsys, "sweep", "--config", str(config))
         assert code == 0
         assert "6,2.0,0.25,0,1,4,2" in out
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --N 6 --mu 2.0 --format json", "spectrum --N 6 --mu 2.0 --format csv",
+        "spectrum --N 6 --mu 2.0 --gamma 0.3 --format text",
+        "zero-mode --N 6 --mu 0.5 --format csv",
+        "zero-mode --N 6 --mu 0.5 --side left --format json",
+        "bethe --N 14 --mu 0.5 --format json", "bethe --N 14 --mu 0.5 --format csv",
+        "census --N 6 --mu 2.0 --gamma auto --format csv", "census --N 6 --mu 0.5 --format json",
+        "sweep --N-grid 6,8 --mu-grid 0.5,2.0 --format csv",
+        "sweep --N-grid 6,8 --mu-grid 0.5,2.0 --format json",
+    ])
+    def test_a_config_file_writes_the_bytes_of_its_flags(self, capsys, tmp_path, argv):
+        command, *flags = argv.split()
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{flag[2:]} = {value}\n"
+                                  for flag, value in zip(flags[::2], flags[1::2])))
+        expected = run(capsys, command, *flags)
+        assert expected[0] == 0
+        assert run(capsys, command, "--config", str(config)) == expected
+
+    @pytest.mark.parametrize("command,line,flag,value", [
+        ("census", "N = x", "--N", "6"), ("census", "format = yaml", "--format", "csv"),
+        ("spectrum", "format = yaml", "--format", "json"),
+        ("zero-mode", "side = up", "--side", "right"),
+    ])
+    def test_a_config_value_the_parser_refuses_is_a_usage_error(self, capsys, tmp_path,
+                                                                command, line, flag, value):
+        # checked as the flag is, also where a flag overrides it
+        config = tmp_path / "c.cfg"
+        config.write_text(f"N = 6\nmu = 2.0\n{line}\n")
+        for argv in ((), (flag, value)):
+            code, out, err = run(capsys, command, "--config", str(config), *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"usage: majorana-pt {command} ")
+            assert err.count("error:") == 1
+            assert f"majorana-pt {command}: error: argument {flag}: invalid " in err
 
     def test_malformed_config_exits_one(self, capsys, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1016,6 +1016,12 @@ SPLIT_MU = (0.2, 0.5, 0.8, 0.9)
 SPLIT_N = (*range(26, 73, 2), *range(74, 121, 6), 150, 168, 170, 200, 256, 300, 358, 400)
 
 
+#: The mirrored locus's grid, -gamma_ep: N to 200, and 256 and 400,
+#: over the product route (mu > 1), the N x N solve and the split route.
+MIRROR_MU = (0.5, 0.8, 1.1, 1.5, 2.0, 3.0)
+MIRROR_N = (*range(4, 202, 2), 256, 400)
+
+
 def _split_gamma(mu, n):
     """True where ``gamma_ep(mu, n)`` is a float of at least SPLIT_GAMMA."""
     try:
@@ -1150,7 +1156,7 @@ class TestEigensystemRoutes:
         (168, 0.8, None, (168, 168)),  # gamma = 1.1e8
         (170, 0.8, None, (84, 84)),    # gamma = 1.4e8
         (6, 2.0, 0.0, (6, 6)),         # off the locus
-        (6, 2.0, -0.25, (6, 6)),       # the mirrored locus, -gamma_ep
+        (6, 2.0, -0.25, (3, 3)),       # the mirrored locus, -gamma_ep, solved at +gamma_ep
         (30, 1.5, 1.0, (30, 30)),
     ])
     def test_one_eig_call_per_eigensystem(self, monkeypatch, n, mu, gamma, shape):
@@ -1163,6 +1169,31 @@ class TestEigensystemRoutes:
         monkeypatch.setattr(np.linalg, "eig", recorded)
         chain_eigensystem(n, mu, gamma_ep(mu, n) if gamma is None else gamma)
         assert calls == [(np.float64, (1, *shape))]  # a stack of one
+
+    def test_the_eigensystem_census_is_chain_census_off_the_locus(self):
+        # both solve at |gamma|; the N x N solve of M(-gamma) refused a real
+        # double level at (6, 0.5, -0.5) and (18, 0.5, -0.5) as neither real
+        # nor imaginary, where chain_census reads (0, 0, N)
+        def eigensystem_census(n, mu, gamma):
+            return classify_modes(chain_eigensystem(n, mu, gamma), mu, gamma).census
+
+        for n, mu, gamma in _off_locus_points():
+            assert (_census_outcome(eigensystem_census, n, mu, gamma)
+                    == _census_outcome(chain_census, n, mu, gamma)), (n, mu, gamma)
+
+    @pytest.mark.parametrize("mu", MIRROR_MU)
+    def test_the_mirrored_locus_is_the_locus_reversed(self, mu):
+        # h(-gamma) = P h(gamma) P: solved at +gamma_ep, on its route, the
+        # levels are the locus's bit for bit and the vectors reversed site
+        # for site (normalised in the reversed order, to an ulp); the census
+        # is chain_census's
+        for n in MIRROR_N:
+            gamma = gamma_ep(mu, n)
+            locus, mirrored = chain_eigensystem(n, mu, gamma), chain_eigensystem(n, mu, -gamma)
+            assert mirrored.eigenvalues.tobytes() == locus.eigenvalues.tobytes(), (n, mu)
+            assert np.max(np.abs(mirrored.right - locus.right[::-1])) <= 1e-15, (n, mu)
+            census = classify_modes(mirrored, mu, -gamma).census
+            assert census == chain_census(n, mu, -gamma) == chain_census(n, mu, gamma), (n, mu)
 
     def test_a_mixed_stack_makes_one_call_per_route(self, monkeypatch):
         calls, solve = [], np.linalg.eig
