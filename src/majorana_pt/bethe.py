@@ -23,6 +23,8 @@ Three solution families exhaust the spectrum:
   end-localized levels with imaginary eigenvalues
   (:func:`solve_evanescent_pair`).
 
+:func:`roots` lists the three families' roots in that order.
+
 The sign convention matches :func:`~.model.build_ssh` (positive couplings);
 closed-form amplitudes therefore carry the
 :func:`~.model.staggered_signs` pattern.
@@ -50,6 +52,7 @@ __all__ = [
     "normalized_residual",
     "solve_real_k",
     "solve_evanescent_pair",
+    "roots",
     "zero_mode",
     "zero_mode_amplitudes",
     "zero_mode_root",
@@ -66,6 +69,12 @@ _MAX_REFINEMENTS = 3
 
 #: Least working digits of the extended-precision evanescent root.
 _EVANESCENT_DPS = 60
+
+#: Largest ``|eps^2|`` at which :func:`solve_evanescent_pair` takes its converged
+#: root for the zero-mode root ``kappa = ln(1/mu)/2``, where ``eps^2 = 0``.  Near
+#: the onset of the imaginary pair, for N = 8 to 80, findroot's landings on that
+#: root left ``|eps^2| <= 1.5e-12`` and the true pairs ``|eps^2| >= 4.8e-6``.
+ZERO_ROOT_E2 = 1e-9
 
 
 class UniformChainError(ValueError):
@@ -344,6 +353,10 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     iteration stops only when the squared residual is under the working
     epsilon, so it works with ``max(60, 2 ceil(L) + 4)`` digits.
 
+    A converged root with ``|eps^2| <= ZERO_ROOT_E2`` is the zero-mode root,
+    not the pair, and one with ``eps^2 > 0`` is no imaginary level; both
+    raise :class:`RootScanError`.
+
     Returns the two branches (+i|eps|, -i|eps|) as :class:`BetheRoot` with
     sector "imaginary".
     """
@@ -367,7 +380,11 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
             raise RootScanError(f"the evanescent root did not converge for n={n}, mu={mu} "
                                 f"from the seed kappa={float(seed)!r}") from None
         e2 = 1 + mmu * mmu - 2 * mmu * cosh(2 * kappa)
-        if e2 >= 0:  # pragma: no cover - cannot happen at the locus
+        if abs(e2) <= ZERO_ROOT_E2:
+            raise RootScanError(f"the evanescent root for n={n}, mu={mu} is the zero-mode "
+                                f"root kappa = ln(1/mu)/2: |eps^2| = {float(abs(e2)):.1e} "
+                                f"<= {ZERO_ROOT_E2}")
+        if e2 > 0:
             raise RootScanError("evanescent root has non-imaginary eigenvalue")
         # the sinh(n kappa) rescaling cancels in the normalized residual
         residual = _normalized(_terms(kappa, mmu, mgam, n, sinh, cosh))
@@ -377,6 +394,19 @@ def solve_evanescent_pair(mu: float, gamma: float, n: int) -> list[BetheRoot]:
         BetheRoot(k=k_root, branch=+1, epsilon=1j * eps, residual=residual, sector="imaginary"),
         BetheRoot(k=k_root, branch=-1, epsilon=-1j * eps, residual=residual, sector="imaginary"),
     ]
+
+
+def roots(mu: float, gamma: float, n: int) -> list[BetheRoot]:
+    """Every root of the chain on the locus, in one list: :func:`solve_real_k`'s
+    roots, then the zero-mode root (:func:`zero_mode_root`, branch +,
+    ``eps = 0``), then for mu < 1 the :func:`solve_evanescent_pair`."""
+    found = solve_real_k(mu, gamma, n)
+    k = zero_mode_root(mu)
+    found.append(BetheRoot(k=k, branch=+1, epsilon=0.0, sector="imaginary",
+                           residual=normalized_residual(k, mu, gamma, n)))
+    if mu < 1:
+        found.extend(solve_evanescent_pair(mu, gamma, n))
+    return found
 
 
 def zero_mode_root(mu: float) -> complex:

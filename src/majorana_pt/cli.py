@@ -19,6 +19,9 @@ name flags of the subcommand, is parsed as those flags ahead of the command
 line's: flags override it, and its values are checked as flags are.  Each
 subcommand's formats and defaults are declared on its flags and shown by
 ``--help``; the effective configuration is echoed into every artifact.
+Each subcommand parses, makes its library call and writes the text of its
+writer in :mod:`.serialize`, which holds every artifact layout and the
+configuration echo: the CLI adds nothing to a payload.
 Flags must be spelled out in full.  ``spectrum`` solves the chain's real
 form once: ``left_residuals`` equal ``residuals``, and only ``|biorth|`` is
 basis-independent.  All computations are deterministic, so identical
@@ -34,7 +37,7 @@ import functools
 import re
 import sys
 
-from . import analysis, bethe, model, serialize, spectral, svgfig, verify
+from . import analysis, bethe, model, serialize, spectral, verify
 
 USAGE_ERROR, CLASSIFICATION_ERROR, VERIFY_FAILURE = 1, 2, 3
 
@@ -89,11 +92,6 @@ def _model_config(args):
     return n, mu, gamma, {"command": args.command, "N": n, "mu": mu, "gamma": gamma}
 
 
-def _config_lines(config: dict) -> list[str]:
-    return [f"{key}={config[key]!r}" if isinstance(config[key], str)
-            else f"{key}={config[key]}" for key in sorted(config)]
-
-
 def _emit(args, content: str) -> None:
     if args.out:
         serialize.atomic_write(args.out, content)
@@ -103,30 +101,8 @@ def _emit(args, content: str) -> None:
 
 def _cmd_spectrum(args) -> int:
     n, mu, gamma, config = _model_config(args)
-    es = spectral.chain_eigensystem(n, mu, gamma)
-    modes = spectral.classify_modes(es, mu, gamma)
-    ok, unmatched = spectral.pseudo_hermiticity_check(es.eigenvalues,
-                                                       spectral.CLASS_TOLERANCE * es.scale)
-    if args.format == "json":
-        census = modes.census
-        payload = serialize.eigensystem_to_json(es)
-        payload["config"] = config
-        payload["coalesced_eigenvalues"] = serialize.complex_pairs(modes.coalesced)
-        payload["mode_classes"] = [c.value for c in modes.mode_classes]
-        payload["census"] = {
-            "n_I": census.n_I, "n_EP": census.n_EP, "n_S": census.n_S, "N": census.n,
-        }
-        payload["pseudo_hermitian"] = ok
-        payload["unmatched"] = serialize.complex_pairs(unmatched)
-        _emit(args, serialize.dump_json(payload))
-    elif args.format == "csv":
-        _emit(args, serialize.spectrum_csv(modes, _config_lines(config)))
-    else:
-        lines = [f"# {l}" for l in _config_lines(config)]
-        lines.append(serialize.matrix_to_text(model.build_ssh(n, mu, gamma)).rstrip("\n"))
-        lines.append("eigenvalues: " + " ".join(
-            serialize.format_complex(z) for z in es.eigenvalues))
-        _emit(args, "\n".join(lines) + "\n")
+    modes = spectral.classify_modes(spectral.chain_eigensystem(n, mu, gamma), mu, gamma)
+    _emit(args, serialize.spectrum(args.format, modes, config))
     return 0
 
 
@@ -142,50 +118,21 @@ def _require_locus(n: int, mu: float, gamma: float, subject: str) -> None:
 def _cmd_zero_mode(args) -> int:
     n, mu, gamma, config = _model_config(args)
     _require_locus(n, mu, gamma, "the coalescing zero mode exists")
-    config["side"] = args.side
-    wavefunction = bethe.zero_mode(n, mu, args.side)
-    if args.format == "csv":
-        _emit(args, serialize.zero_mode_csv(wavefunction, _config_lines(config)))
-    else:
-        payload = {
-            "config": config,
-            "omega": wavefunction.omega,
-            "amplitudes": serialize.complex_pairs(wavefunction.amplitudes),
-        }
-        _emit(args, serialize.dump_json(payload))
+    _emit(args, serialize.zero_mode(args.format, bethe.zero_mode(n, mu, args.side),
+                                    {**config, "side": args.side}))
     return 0
 
 
 def _cmd_bethe(args) -> int:
     n, mu, gamma, config = _model_config(args)
     _require_locus(n, mu, gamma, "the zero-mode root exists")
-    roots = bethe.solve_real_k(mu, gamma, n)
-    zero_k = bethe.zero_mode_root(mu)
-    roots.append(bethe.BetheRoot(k=zero_k, branch=+1, epsilon=0.0, sector="imaginary",
-                                 residual=bethe.normalized_residual(zero_k, mu, gamma, n)))
-    if mu < 1:
-        roots.extend(bethe.solve_evanescent_pair(mu, gamma, n))
-    if args.format == "json":
-        payload = {"config": config, "roots": serialize.roots_to_json(roots)}
-        _emit(args, serialize.dump_json(payload))
-    else:
-        _emit(args, serialize.roots_csv(roots, _config_lines(config)))
+    _emit(args, serialize.bethe(args.format, bethe.roots(mu, gamma, n), config))
     return 0
 
 
 def _cmd_census(args) -> int:
     n, mu, gamma, config = _model_config(args)
-    census = spectral.chain_census(n, mu, gamma)
-    if args.format == "csv":
-        _emit(args, serialize.census_csv([(n, mu, gamma, census)],
-                                         _config_lines(config)))
-    else:
-        payload = {
-            "config": config,
-            "census": {"n_I": census.n_I, "n_EP": census.n_EP,
-                       "n_S": census.n_S, "N": census.n},
-        }
-        _emit(args, serialize.dump_json(payload))
+    _emit(args, serialize.census(args.format, spectral.chain_census(n, mu, gamma), config))
     return 0
 
 
@@ -193,27 +140,8 @@ def _cmd_sweep(args) -> int:
     n_grid, mu_grid = args.N_grid, args.mu_grid
     if not n_grid or not mu_grid:
         raise ValueError("sweep requires --N-grid and --mu-grid")
-    config = {
-        "command": "sweep",
-        "N_grid": ",".join(str(n) for n in n_grid),
-        "mu_grid": ",".join(repr(mu) for mu in mu_grid),
-    }
-    points = analysis.census_sweep(n_grid, mu_grid)
-    if args.format == "csv":
-        _emit(args, serialize.sweep_csv(points, _config_lines(config)))
-    else:
-        payload = {
-            "config": config,
-            "points": [
-                {
-                    "N": p.n, "mu": p.mu, "gamma": p.gamma,
-                    "n_I": p.census.n_I, "n_EP": p.census.n_EP,
-                    "n_S": p.census.n_S, "edge_modes": p.edge_modes,
-                }
-                for p in points
-            ],
-        }
-        _emit(args, serialize.dump_json(payload))
+    config = {"command": "sweep", "N_grid": n_grid, "mu_grid": mu_grid}
+    _emit(args, serialize.sweep(args.format, analysis.census_sweep(n_grid, mu_grid), config))
     return 0
 
 
@@ -221,47 +149,17 @@ def _cmd_plot(args) -> int:
     n_grid, mu = args.N_grid, args.mu
     if not n_grid or mu is None:
         raise ValueError("plot requires --N-grid and --mu")
-    config = {
-        "command": "plot",
-        "N_grid": ",".join(str(n) for n in n_grid),
-        "mu": mu,
-    }
-    panels = []
-    for n in sorted(n_grid, reverse=True):
-        profile = analysis.dirac_distribution(bethe.zero_mode(n, mu))
-        panels.append((f"N={n}, mu={mu}", list(profile)))
-    svg = svgfig.stem_panels(
-        panels,
-        title=f"Coalescing zero-mode profile P(j), mu={mu}",
-        comment="; ".join(_config_lines(config)),
-    )
-    _emit(args, svg)
+    config = {"command": "plot", "N_grid": n_grid, "mu": mu}
+    _emit(args, serialize.plot([bethe.zero_mode(n, mu) for n in sorted(n_grid, reverse=True)],
+                               config))
     return 0
 
 
 def _cmd_verify(args) -> int:
     results = verify.run_criteria(only=args.only)
-    lines = []
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        lines.append(f"{status} {result.criterion_id} ({result.elapsed:.3f} s): "
-                     f"{result.detail}")
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
+    sys.stdout.write(serialize.verify("text", results))
     if args.out:
-        payload = {
-            "criteria": [
-                {
-                    "id": r.criterion_id,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "elapsed": r.elapsed,
-                }
-                for r in results
-            ],
-            "all_passed": all(r.passed for r in results),
-        }
-        serialize.atomic_write(args.out, serialize.dump_json(payload))
+        serialize.atomic_write(args.out, serialize.verify("json", results))
     return 0 if all(r.passed for r in results) else VERIFY_FAILURE
 
 

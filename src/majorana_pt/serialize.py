@@ -1,4 +1,5 @@
-"""Deterministic JSON / CSV / text encodings of the library objects.
+"""Every artifact layout: deterministic JSON / CSV / text encodings of the
+library objects.
 
 Complex numbers are serialized as ``[re, im]`` pairs in JSON and as two
 adjacent columns in CSV; floats use the shortest round-trip representation,
@@ -13,6 +14,15 @@ pure Python, so :func:`dump_json` writes the common values itself (str keys
 and values, finite floats, ints, bools, ``None``, and lists of finite floats
 and of ``[re, im]`` pairs) and hands every other value to a
 ``json.JSONEncoder`` with the same settings.
+
+Every CLI artifact comes from one writer per subcommand, which takes the
+format, the solved object and the configuration and returns the artifact
+text: :func:`spectrum` (json, csv, text), :func:`zero_mode`,
+:func:`bethe`, :func:`census` and :func:`sweep` (csv, json), :func:`plot`
+(SVG) and :func:`verify` (the text report, or json for ``--out``).  The
+configuration is echoed into every artifact but the ``verify`` report, a
+list value as its items comma-joined: as ``# key=value`` lines
+(:func:`config_lines`) or as the JSON ``config`` object.
 """
 
 from __future__ import annotations
@@ -23,17 +33,20 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import analysis, model, spectral, svgfig
+
 __all__ = [
+    "spectrum",
+    "zero_mode",
+    "bethe",
+    "census",
+    "sweep",
+    "plot",
+    "verify",
+    "config_lines",
     "complex_pair",
     "complex_pairs",
     "matrix_to_text",
-    "eigensystem_to_json",
-    "spectrum_csv",
-    "census_csv",
-    "sweep_csv",
-    "roots_to_json",
-    "roots_csv",
-    "zero_mode_csv",
     "dump_json",
     "atomic_write",
 ]
@@ -69,93 +82,137 @@ def complex_pairs(values) -> list[list[float]]:
     return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
-def eigensystem_to_json(es) -> dict:
-    return {
-        "dim": es.dim,
-        "eigenvalues": complex_pairs(es.eigenvalues),
-        "residuals": np.asarray(es.residuals, dtype=float).tolist(),
-        "left_residuals": np.asarray(es.left_residuals, dtype=float).tolist(),
-        "biorth_norms": complex_pairs(es.biorth_norms),
-        "norm_inf": _f(es.norm_inf),
-    }
+def _echo(config: dict) -> dict:
+    """``config`` with each list value written as its items' reprs, comma-joined."""
+    return {key: ",".join(map(repr, value)) if isinstance(value, list) else value
+            for key, value in config.items()}
 
 
-def _csv(config_lines, header: str, rows) -> str:
-    """``# key=value`` comment lines, the header, then one line per row."""
-    lines = [f"# {line}" for line in config_lines] + [header, *rows]
-    return "\n".join(lines) + "\n"
+def config_lines(config: dict) -> list[str]:
+    """The ``key=value`` echo of ``config``, one line per key in sorted order;
+    a string value is written as its repr, a list as its items' reprs
+    comma-joined."""
+    return [f"{key}={value!r}" if isinstance(value, str) else f"{key}={value}"
+            for key, value in sorted(_echo(config).items())]
 
 
-SPECTRUM_HEADER = "re,im,residual,biorth_re,biorth_im,mode_class"
+def _commented(config: dict, lines) -> str:
+    """``# key=value`` lines echoing ``config``, then ``lines``, each ending in
+    a newline: a CSV artifact when ``lines`` are its header and rows."""
+    return "\n".join([*(f"# {line}" for line in config_lines(config)), *lines]) + "\n"
 
 
-def spectrum_csv(modes, config_lines=()) -> str:
-    """CSV ``re,im,residual,biorth_re,biorth_im,mode_class``, one row per level
-    of a classified chain ``modes`` (:class:`~.spectral.Classification`)."""
+def _json(config: dict, **fields) -> str:
+    """The JSON artifact of ``fields`` and the ``config`` object echoing ``config``."""
+    return dump_json({"config": _echo(config), **fields})
+
+
+def _census_fields(census) -> dict:
+    """The JSON fields of a :class:`~.spectral.ModeCensus`."""
+    return {"n_I": census.n_I, "n_EP": census.n_EP, "n_S": census.n_S, "N": census.n}
+
+
+def _census_row(n, mu, gamma, census) -> str:
+    return f"{n},{mu!r},{gamma!r},{census.n_I},{census.n_EP},{census.n_S}"
+
+
+def spectrum(fmt: str, modes, config: dict) -> str:
+    """The ``spectrum`` artifact of a classified chain ``modes``
+    (:class:`~.spectral.Classification`) at ``config``'s ``N``, ``mu`` and
+    ``gamma``.  Only the JSON layout reports the pseudo-Hermiticity check,
+    so only it runs the check."""
     es = modes.es
-    rows = [f"{z.real!r},{z.imag!r},{residual!r},{b.real!r},{b.imag!r},{mode_class.value}"
+    if fmt == "json":
+        ok, unmatched = spectral.pseudo_hermiticity_check(
+            es.eigenvalues, spectral.CLASS_TOLERANCE * es.scale)
+        return _json(
+            config,
+            dim=es.dim,
+            eigenvalues=complex_pairs(es.eigenvalues),
+            residuals=np.asarray(es.residuals, dtype=float).tolist(),
+            left_residuals=np.asarray(es.left_residuals, dtype=float).tolist(),
+            biorth_norms=complex_pairs(es.biorth_norms),
+            norm_inf=_f(es.norm_inf),
+            coalesced_eigenvalues=complex_pairs(modes.coalesced),
+            mode_classes=[c.value for c in modes.mode_classes],
+            census=_census_fields(modes.census),
+            pseudo_hermitian=ok,
+            unmatched=complex_pairs(unmatched),
+        )
+    if fmt == "csv":
+        return _commented(config, ["re,im,residual,biorth_re,biorth_im,mode_class", *(
+            f"{z.real!r},{z.imag!r},{residual!r},{b.real!r},{b.imag!r},{mode_class.value}"
             for z, residual, b, mode_class in zip(
                 es.eigenvalues.tolist(), es.residuals.tolist(), es.biorth_norms.tolist(),
-                modes.mode_classes)]
-    return _csv(config_lines, SPECTRUM_HEADER, rows)
+                modes.mode_classes))])
+    matrix = matrix_to_text(model.build_ssh(config["N"], config["mu"], config["gamma"]))
+    return _commented(config, [matrix.rstrip("\n"), "eigenvalues: " + " ".join(
+        format_complex(z) for z in es.eigenvalues)])
 
 
-CENSUS_HEADER = "N,mu,gamma,n_I,n_EP,n_S"
-SWEEP_HEADER = "N,mu,gamma,n_I,n_EP,n_S,edge_modes"
-
-
-def census_csv(rows, config_lines=()) -> str:
-    """CSV ``N,mu,gamma,n_I,n_EP,n_S``; rows are (n, mu, gamma, census)."""
-    return _csv(config_lines, CENSUS_HEADER, (
-        f"{n},{mu!r},{gamma!r},{census.n_I},{census.n_EP},{census.n_S}"
-        for n, mu, gamma, census in rows
-    ))
-
-
-def sweep_csv(points, config_lines=()) -> str:
-    return _csv(config_lines, SWEEP_HEADER, (
-        f"{p.n},{p.mu!r},{p.gamma!r},{p.census.n_I},{p.census.n_EP},"
-        f"{p.census.n_S},{p.edge_modes}"
-        for p in points
-    ))
-
-
-def roots_to_json(roots) -> list[dict]:
-    return [
-        {
-            "k": complex_pair(r.k),
-            "branch": "+" if r.branch > 0 else "-",
-            "sector": r.sector,
-            "epsilon": complex_pair(r.epsilon),
-            "residual": _f(r.residual),
-        }
-        for r in roots
-    ]
-
-
-ROOTS_HEADER = "k_re,k_im,branch,sector,eps_re,eps_im,residual"
-
-
-def roots_csv(roots, config_lines=()) -> str:
-    rows = []
-    for r in roots:
-        k, e = complex(r.k), complex(r.epsilon)
-        sign = "+" if r.branch > 0 else "-"
-        rows.append(f"{k.real!r},{k.imag!r},{sign},{r.sector},{e.real!r},"
-                    f"{e.imag!r},{r.residual!r}")
-    return _csv(config_lines, ROOTS_HEADER, rows)
-
-
-ZERO_MODE_HEADER = "j,re,im,P_j"
-
-
-def zero_mode_csv(wavefunction, config_lines=()) -> str:
-    """CSV ``j,re,im,P_j`` over the chain sites (1-based)."""
+def zero_mode(fmt: str, wavefunction, config: dict) -> str:
+    """The ``zero-mode`` artifact of a :class:`~.bethe.ZeroModeWavefunction`;
+    the CSV has one row per site ``j`` (1-based)."""
+    if fmt == "json":
+        return _json(config, omega=wavefunction.omega,
+                     amplitudes=complex_pairs(wavefunction.amplitudes))
     amps = (complex(amp) for amp in wavefunction.amplitudes)
-    return _csv(config_lines, ZERO_MODE_HEADER, (
-        f"{j},{amp.real!r},{amp.imag!r},{abs(amp)!r}"
-        for j, amp in enumerate(amps, start=1)
-    ))
+    return _commented(config, ["j,re,im,P_j", *(
+        f"{j},{amp.real!r},{amp.imag!r},{abs(amp)!r}" for j, amp in enumerate(amps, start=1))])
+
+
+def bethe(fmt: str, roots, config: dict) -> str:
+    """The ``bethe`` artifact of a list of :class:`~.bethe.BetheRoot`."""
+    fields = [(complex_pair(r.k), "+" if r.branch > 0 else "-", r.sector,
+               complex_pair(r.epsilon), _f(r.residual)) for r in roots]
+    if fmt == "json":
+        keys = ("k", "branch", "sector", "epsilon", "residual")
+        return _json(config, roots=[dict(zip(keys, f)) for f in fields])
+    return _commented(config, ["k_re,k_im,branch,sector,eps_re,eps_im,residual", *(
+        f"{k_re!r},{k_im!r},{branch},{sector},{eps_re!r},{eps_im!r},{residual!r}"
+        for (k_re, k_im), branch, sector, (eps_re, eps_im), residual in fields)])
+
+
+def census(fmt: str, mode_census, config: dict) -> str:
+    """The ``census`` artifact of a :class:`~.spectral.ModeCensus` at
+    ``config``'s ``N``, ``mu`` and ``gamma``."""
+    if fmt == "json":
+        return _json(config, census=_census_fields(mode_census))
+    return _commented(config, ["N,mu,gamma,n_I,n_EP,n_S", _census_row(
+        config["N"], config["mu"], config["gamma"], mode_census)])
+
+
+def sweep(fmt: str, points, config: dict) -> str:
+    """The ``sweep`` artifact of a list of :class:`~.analysis.SweepPoint`."""
+    if fmt == "json":
+        return _json(config, points=[
+            {**_census_fields(p.census), "mu": p.mu, "gamma": p.gamma,
+             "edge_modes": p.edge_modes} for p in points])
+    return _commented(config, ["N,mu,gamma,n_I,n_EP,n_S,edge_modes", *(
+        f"{_census_row(p.n, p.mu, p.gamma, p.census)},{p.edge_modes}" for p in points)])
+
+
+def plot(wavefunctions, config: dict) -> str:
+    """The ``plot`` SVG: one stem panel of the profile P(j) per zero mode
+    (:class:`~.bethe.ZeroModeWavefunction`), in the given order."""
+    panels = [(f"N={wf.n}, mu={wf.mu}", list(analysis.dirac_distribution(wf)))
+              for wf in wavefunctions]
+    return svgfig.stem_panels(panels, title=f"Coalescing zero-mode profile P(j), "
+                              f"mu={config['mu']}", comment="; ".join(config_lines(config)))
+
+
+def verify(fmt: str, results) -> str:
+    """The ``verify`` report of a list of :class:`~.verify.CriterionResult`:
+    one ``PASS``/``FAIL`` line per criterion (``text``), or the ``--out``
+    JSON report."""
+    if fmt == "text":
+        return "".join(f"{'PASS' if r.passed else 'FAIL'} {r.criterion_id} "
+                       f"({r.elapsed:.3f} s): {r.detail}\n" for r in results)
+    return dump_json({
+        "criteria": [{"id": r.criterion_id, "passed": r.passed, "detail": r.detail,
+                      "elapsed": r.elapsed} for r in results],
+        "all_passed": all(r.passed for r in results),
+    })
 
 
 #: The stdlib encoder :func:`dump_json` hands the values it does not write itself.

@@ -199,10 +199,10 @@ def bethe_spectrum_equivalence(solved):
     for n in CLOSED_FORM_N:
         for mu in CLOSED_FORM_MU:
             gamma, modes = _grid_chain(n, mu, solved)
-            pair = bethe.solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
-            analytic = [r.epsilon for r in bethe.solve_real_k(mu, gamma, n)]
-            analytic += [0.0, 0.0]
-            analytic += [r.epsilon for r in pair]
+            roots = bethe.roots(mu, gamma, n)
+            pair = roots[-2:] if mu < 1 else []
+            analytic = [r.epsilon for r in roots]
+            analytic.insert(analytic.index(0.0), 0.0)  # the coalescing pair's two levels
             worst_match = max(worst_match, spectral.match_multisets(modes.coalesced, analytic))
             residuals = bethe.match_spectrum_to_roots(modes, mu, gamma, n, pair)
             worst_root_res = max(worst_root_res, max(residuals))

@@ -395,6 +395,35 @@ class TestSolveEvanescentPair:
                                       f"mu={mu} from the seed kappa={seed!r}")
         assert refused.value.__cause__ is None and refused.value.__suppress_context__
 
+    @pytest.mark.parametrize("n,mu,e2", [(20, 0.98503756, "5.9e-14"),
+                                         (20, 0.98503383, "2.5e-14"),
+                                         (40, 0.99625282, "2.6e-13")])
+    def test_the_zero_mode_root_is_refused_as_the_pair(self, n, mu, e2):
+        # findroot lands on kappa = ln(1/mu)/2, where eps^2 = 0; at (20, 0.98503756)
+        # dense finds a real in-gap pair at +/-8.68e-3 and no imaginary one
+        with pytest.raises(RootScanError) as refused:
+            solve_evanescent_pair(mu, gamma_ep(mu, n), n)
+        assert str(refused.value) == (f"the evanescent root for n={n}, mu={mu} is the "
+                                      f"zero-mode root kappa = ln(1/mu)/2: |eps^2| = {e2} "
+                                      f"<= {bethe.ZERO_ROOT_E2}")
+
+    def test_a_root_with_a_real_eigenvalue_is_refused(self, monkeypatch):
+        # kappa = 0.1 < ln(2)/2 at mu = 0.5 gives eps^2 = 0.23 > 0
+        monkeypatch.setattr(bethe.mpmath, "findroot", lambda f, x0: mpmath.mpf("0.1"))
+        with pytest.raises(RootScanError, match="^evanescent root has non-imaginary eigenvalue$"):
+            solve_evanescent_pair(0.5, gamma_ep(0.5, 14), 14)
+
+
+class TestRoots:
+    @pytest.mark.parametrize("n,mu", [(6, 2.0), (14, 0.5), (30, 0.8), (22, 1.5)])
+    def test_real_k_then_zero_mode_then_pair(self, n, mu):
+        gamma = gamma_ep(mu, n)
+        k = zero_mode_root(mu)
+        zero = BetheRoot(k=k, branch=+1, epsilon=0.0, sector="imaginary",
+                         residual=normalized_residual(k, mu, gamma, n))
+        pair = solve_evanescent_pair(mu, gamma, n) if mu < 1 else []
+        assert bethe.roots(mu, gamma, n) == [*solve_real_k(mu, gamma, n), zero, *pair]
+
 
 class TestZeroMode:
     def test_six_site_mu2_vector(self):

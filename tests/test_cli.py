@@ -633,6 +633,15 @@ class TestNumericalFailures:
                               f"mu={mu} from the seed kappa=")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n,mu", [("20", "0.98503756"), ("20", "0.98503383"),
+                                      ("40", "0.99625282")])
+    def test_bethe_refuses_the_zero_mode_root_as_the_pair(self, capsys, n, mu):
+        code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: the evanescent root for n={n}, mu={mu} is the "
+                              "zero-mode root kappa = ln(1/mu)/2: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("n,mu", [("590", "0.3"), ("1024", "0.5")])
     def test_bethe_at_the_gamma_squared_edge_meets_the_root_bound(self, capsys, n, mu):
         code, out, err = run(capsys, "bethe", "--N", n, "--mu", mu)
@@ -736,6 +745,43 @@ class TestCsvArtifactBytes:
             "f7cbc12b1e3b3211527773946720b218426a260e9705f22e078b3bc16d4520c4",
         "spectrum --N 30 --mu 1.5 --gamma 1.0":
             "ace132f1abe4c3eddf920b631b59cd0d8ff064c29687d3c305708d3fa67fff2e",
+        # recorded before the writers moved into serialize: the split route,
+        # the N x N locus route and the mirrored locus
+        "spectrum --N 60 --mu 0.5":
+            "e03daf337aaff41677c73e4d94e90fbac434dd4312f74cf64c267d3884522ba4",
+        "census --N 60 --mu 0.5":
+            "794b13b7d8ac98ab1096e6edd47e2f87b5451810ba510af9d8d709914c673c9e",
+        "bethe --N 60 --mu 0.5":
+            "7f8838a72a0ec727f74ba7814a2577ab21b1c5b28e2ae922064b0745f0d26516",
+        "zero-mode --N 60 --mu 0.5":
+            "bb0d5f067e14d874f38ce79208362315e0d8c1b8eaabeeabc959872d6a761351",
+        "spectrum --N 30 --mu 0.8":
+            "d5c1bb53f0518f162e4dce06eb16c68590420772de2aede302e5f6e49161c5a5",
+        "census --N 30 --mu 0.8":
+            "e4717d405b3937019d5100fb89702755ebc92c42f47720c71932e00a3f4cb082",
+        "bethe --N 30 --mu 0.8":
+            "1b928525ebd9cd8cecd7e436c27e2e2b9d943062fced328e25035215e9ae68d9",
+        "zero-mode --N 30 --mu 0.8":
+            "6844105ae1c8e62bd7d3c126aba250a09c318ca26070b67ea58cb82d9140b33f",
+        "spectrum --N 14 --mu 0.5 --gamma=-64.0":
+            "bb665020cf86ce9492b425b766bba795f17c61d4d4331ebd5f5f3bb2863b3384",
+        "census --N 14 --mu 0.5 --gamma=-64.0":
+            "64d3bb64c38107ebc871439989880d07ec61f39492b382da91267a4fc999922f",
+    }
+
+    #: The text and SVG artifacts, recorded with the CSV ones above; each key
+    #: is the whole command line.
+    TEXT_DIGESTS = {
+        "spectrum --N 6 --mu 2.0 --format text":
+            "4e5e4a501f402de8ef0b6a92bbc8f8770fd8ee9793edb22370840da74746c522",
+        "spectrum --N 60 --mu 0.5 --format text":
+            "eb0df9f9bd16b15d97fce2c9e80000c72756c47d5a077d2b30de06b16a9f7b5c",
+        "spectrum --N 30 --mu 0.8 --format text":
+            "1ba78836530fce5559c6b928a9a00762537df30d023dd28ccb0883d34d4ff037",
+        "spectrum --N 14 --mu 0.5 --gamma=-64.0 --format text":
+            "76bc765302c3f5e6cf10a8a6a32560bb02c0dfa25957ae6255839bd697987584",
+        "plot --N-grid 14,22,30 --mu 1.5":
+            "c1a6f85da754b8b48c30cff3d672f6fd4daec2ba1e73478472ff590ec1c73010",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)
@@ -743,6 +789,12 @@ class TestCsvArtifactBytes:
         code, out, _ = run(capsys, *argv.split(), "--format", "csv")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+    @pytest.mark.parametrize("argv", TEXT_DIGESTS)
+    def test_text_sha256(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.TEXT_DIGESTS[argv]
 
 
 class TestJsonArtifactBytes:
@@ -776,6 +828,28 @@ class TestJsonArtifactBytes:
         # when the mode classes were read from per-level records
         "spectrum --N 30 --mu 1.5 --gamma 1.0":
             "58a316b9db4b098d36b62a079a72879a18e21562b1c23d55d53698da396c55dc",
+        # recorded before the writers moved into serialize: the split route,
+        # the N x N locus route and the mirrored locus
+        "spectrum --N 60 --mu 0.5":
+            "d183500bfcbf464997d5ec4a72540d0e235961ea279c62b02d65485236d6d391",
+        "census --N 60 --mu 0.5":
+            "b9af1fb4c1476e68f07e53bd3661f95c9a8a275c0cdae67daa037b0d6c32689c",
+        "bethe --N 60 --mu 0.5":
+            "17189f5e9dc1e222f37fc6dd5311e3fe8ace23550a1df91e1b71faab7d200b17",
+        "zero-mode --N 60 --mu 0.5":
+            "e503ef4f709b6dbbfb43f6d8b418bdc429ee2e76d6770c407e5465601428d72a",
+        "spectrum --N 30 --mu 0.8":
+            "84b4ae54b6e8a3ce7bb3bf5829db85db1e87b6f97f1caf7150454de8f9c6c5bc",
+        "census --N 30 --mu 0.8":
+            "ac96e480983a67132b61cc01564f71a0e267e7ae50866513529db5aae5673710",
+        "bethe --N 30 --mu 0.8":
+            "0448c23fd4e131dfb5532f4cf9e91af936539ac79486bb664181094ff2dd11ad",
+        "zero-mode --N 30 --mu 0.8":
+            "3c698fb17d0d5b93fb254c34091cb8e8278e21a19ae4dd82c3b23fca2b01a151",
+        "spectrum --N 14 --mu 0.5 --gamma=-64.0":
+            "2173cdca1ea8363051c63317b2510e80a9e598da7737cd0a8b0c00bc62aba338",
+        "census --N 14 --mu 0.5 --gamma=-64.0":
+            "9b120a2d74b25b67ef7f5b325f1c13bde66a16eb648db9d23ed68871405cad77",
     }
 
     @pytest.mark.parametrize("argv", DIGESTS)

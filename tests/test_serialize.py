@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from majorana_pt import bethe, build_ssh, cli, eig, zero_mode
+from majorana_pt import bethe, build_ssh, cli, eig, verify, zero_mode
 from majorana_pt import serialize
 from majorana_pt.analysis import census_sweep
 from majorana_pt.spectral import classify_modes
@@ -25,36 +25,83 @@ class TestMatrixFormats:
 
 
 class TestEigenSystemFormat:
+    CONFIG = {"command": "spectrum", "N": 6, "mu": 2.0, "gamma": 0.25}
+
     def test_keys_and_vectors_flag(self):
-        es = eig(build_ssh(4, 1.5, 0.2))
-        payload = serialize.eigensystem_to_json(es)
+        modes = classify_modes(eig(build_ssh(6, 2.0, 0.25)), 2.0, 0.25)
+        payload = json.loads(serialize.spectrum("json", modes, self.CONFIG))
         assert set(payload) == {
-            "dim", "eigenvalues", "residuals", "left_residuals",
-            "biorth_norms", "norm_inf",
+            "config", "dim", "eigenvalues", "residuals", "left_residuals",
+            "biorth_norms", "norm_inf", "coalesced_eigenvalues", "mode_classes",
+            "census", "pseudo_hermitian", "unmatched",
         }
-        assert "include_vectors" not in inspect.signature(
-            serialize.eigensystem_to_json).parameters
+        assert payload["census"] == {"n_I": 0, "n_EP": 1, "n_S": 4, "N": 6}
+        assert "include_vectors" not in inspect.signature(serialize.spectrum).parameters
+
+    @pytest.mark.parametrize("fmt,checks", [("json", 1), ("csv", 0), ("text", 0)])
+    def test_only_json_runs_the_pseudo_hermiticity_check(self, monkeypatch, fmt, checks):
+        calls, check = [], serialize.spectral.pseudo_hermiticity_check
+        monkeypatch.setattr(serialize.spectral, "pseudo_hermiticity_check",
+                            lambda *args: calls.append(args) or check(*args))
+        modes = classify_modes(eig(build_ssh(6, 2.0, 0.25)), 2.0, 0.25)
+        serialize.spectrum(fmt, modes, self.CONFIG)
+        assert len(calls) == checks
+
+
+class TestConfigEcho:
+    def test_sorted_lines_with_strings_in_repr_and_lists_joined(self):
+        config = {"mu_grid": [0.5, 2.0], "command": "sweep", "N_grid": [6, 30], "gamma": 0.25}
+        assert serialize.config_lines(config) == [
+            "N_grid='6,30'", "command='sweep'", "gamma=0.25", "mu_grid='0.5,2.0'"]
+
+    def test_sweep_json_echoes_the_grids_as_strings(self):
+        config = {"command": "sweep", "N_grid": [6], "mu_grid": [2.0]}
+        payload = json.loads(serialize.sweep("json", census_sweep([6], [2.0]), config))
+        assert payload["config"] == {"command": "sweep", "N_grid": "6", "mu_grid": "2.0"}
+        assert payload["points"] == [{"N": 6, "mu": 2.0, "gamma": 0.25, "n_I": 0,
+                                      "n_EP": 1, "n_S": 4, "edge_modes": 2}]
+
+
+class TestVerifyReport:
+    RESULTS = [verify.CriterionResult("one", True, "fine", 0.0125),
+               verify.CriterionResult("two", False, "off", 1.5)]
+
+    def test_text_lines(self):
+        assert serialize.verify("text", self.RESULTS) == (
+            "PASS one (0.013 s): fine\nFAIL two (1.500 s): off\n")
+
+    def test_json_report(self):
+        assert json.loads(serialize.verify("json", self.RESULTS)) == {
+            "all_passed": False,
+            "criteria": [{"id": "one", "passed": True, "detail": "fine", "elapsed": 0.0125},
+                         {"id": "two", "passed": False, "detail": "off", "elapsed": 1.5}],
+        }
 
 
 class TestCsvFormats:
+    """The CSV writers: the configuration echo, the header, then the rows."""
+
+    CONFIG = {"command": "census", "N": 6, "mu": 2.0, "gamma": 0.25}
+
     def test_census_header_and_row(self):
         es = eig(build_ssh(6, 2.0, 0.25))
         census = classify_modes(es, 2.0, 0.25).census
-        text = serialize.census_csv([(6, 2.0, 0.25, census)])
+        text = serialize.census("csv", census, self.CONFIG)
         lines = text.strip().split("\n")
-        assert lines[0] == "N,mu,gamma,n_I,n_EP,n_S"
-        assert lines[1] == "6,2.0,0.25,0,1,4"
+        assert lines[:4] == ["# N=6", "# command='census'", "# gamma=0.25", "# mu=2.0"]
+        assert lines[4] == "N,mu,gamma,n_I,n_EP,n_S"
+        assert lines[5] == "6,2.0,0.25,0,1,4"
 
     def test_sweep_header(self):
         result = census_sweep([6], [2.0])
-        text = serialize.sweep_csv(result, config_lines=["command=sweep"])
+        text = serialize.sweep("csv", result, {"command": "sweep"})
         lines = text.strip().split("\n")
-        assert lines[0] == "# command=sweep"
+        assert lines[0] == "# command='sweep'"
         assert lines[1] == "N,mu,gamma,n_I,n_EP,n_S,edge_modes"
         assert lines[2] == "6,2.0,0.25,0,1,4,2"
 
     def test_zero_mode_csv(self):
-        text = serialize.zero_mode_csv(zero_mode(6, 2.0))
+        text = serialize.zero_mode("csv", zero_mode(6, 2.0), {})
         lines = text.strip().split("\n")
         assert lines[0] == "j,re,im,P_j"
         assert len(lines) == 7
@@ -64,14 +111,14 @@ class TestCsvFormats:
 
     def test_roots_csv(self):
         roots = bethe.solve_real_k(2.0, 0.25, 6)
-        lines = serialize.roots_csv(roots).strip().split("\n")
+        lines = serialize.bethe("csv", roots, {}).strip().split("\n")
         assert lines[0] == "k_re,k_im,branch,sector,eps_re,eps_im,residual"
         assert len(lines) == 5
         assert lines[1].split(",")[2] in "+-"
 
     def test_roots_json(self):
         roots = bethe.solve_evanescent_pair(0.5, 4.0, 6)
-        payload = serialize.roots_to_json(roots)
+        payload = json.loads(serialize.bethe("json", roots, {}))["roots"]
         assert payload[0]["sector"] == "imaginary"
         assert payload[0]["branch"] == "+"
         assert payload[1]["branch"] == "-"
