@@ -10,15 +10,19 @@ V^-1`` with ``h_plus`` half an SSH chain, so :func:`eig` takes its whole
 levels ``eps / 2`` and ``conj(eps) / 2``, with right and left vectors lifted
 through ``V``.  Residuals and overlaps are still taken against the ring.
 :func:`chain_eigensystem` keeps that contract for the complex symmetric SSH
-chain with one real solve: ``left = conj(right)``, with equal residuals, and
-the overlaps ``v_i^T v_i`` have a basis-dependent phase, so only their
-modulus is meaningful.  On the locus with ``mu >= 1`` that solve is of the
-``n/2 x n/2`` sublattice product that :func:`chain_census` solves there,
-and with ``gamma >= SPLIT_GAMMA`` (``mu < 1``) of the ``(n/2 - 1) x (n/2 -
-1)`` product of the inner chain, the two end sites split off as the
-evanescent pair ``+/- i gamma``; the coalescing pair's two rows then share
-one solver vector, the product's null vector, and its residual is taken at
-``eps = 0``.
+chain with one real solve, and keeps the eigensystem in the chain's real
+form ``M = Q^dag h Q``: every residual and overlap is read from ``M``'s
+vectors, ``left = conj(right)`` with the same residuals, and the complex
+vectors are lifted only when first read.  The overlaps ``v_i^T v_i`` have a
+basis-dependent phase, so only their modulus is meaningful.  On the locus
+with ``mu >= 1`` that solve is of the ``n/2 x n/2`` sublattice product that
+:func:`chain_census` solves there, and with ``gamma >= SPLIT_GAMMA`` (``mu
+< 1``) of the ``(n/2 - 1) x (n/2 - 1)`` product of the inner chain, the two
+end sites split off as the evanescent pair ``+/- i gamma``; the coalescing
+pair's two rows then share one solver vector, the product's null vector,
+and its residual is taken at ``eps = 0``.  There the residuals come from the
+half-size solve too, so past ``M`` itself no ``n x n`` array is formed but
+its vectors.
 :func:`detect_coalescence` groups numerically split eigenvalue pairs whose
 eigenvectors have become parallel (the dense solver returns two nearly equal
 eigenvalues rather than a Jordan block at an exceptional point).
@@ -36,8 +40,12 @@ solve: on the locus with ``mu >= 1``, of the ``n/2 x n/2`` product of
 rule is written), whose eigenvalues are the levels squared; on the locus
 with ``gamma >= SPLIT_GAMMA``, of the same product of the inner chain left
 when the two end sites are split off as ``+/- i gamma``; elsewhere of
-``M``, since the product loses the pair for ``1 < gamma < SPLIT_GAMMA``
-and, off the locus, can read a real level near zero as imaginary.
+``M``.  Off the locus the product can read a real level near zero as
+imaginary.  On the locus with ``1 < gamma < SPLIT_GAMMA`` its diagonal
+entries ``1 - gamma^2`` swamp the pair's ``x`` without losing it at the
+points measured: the product's census is ``M``'s, or both refuse, at all but
+two points of a scan with mu from 0.2 to 0.9999 and ``n`` from 4 to 1000,
+where the product refuses a pair that ``M`` certifies (ROADMAP item 11).
 
 A classified chain is one :class:`Classification`: its eigensystem, the
 mode class code of each level, the coalescing pair's indices and the
@@ -61,6 +69,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,37 +130,47 @@ class EigenSystem:
     ----------
     eigenvalues : np.ndarray
         Sorted ascending by (real, imaginary) part.
-    right, left : np.ndarray
-        Unit-norm eigenvector columns; ``left[:, i]`` is an eigenvector of
-        the conjugate transpose for ``conj(eigenvalues[i])``.  From
-        :func:`eig` of a ring both are lifted from the chain's vectors ``x``
-        and ``conj(x)`` (:func:`_ring_eigenvectors`); of any other matrix
-        the left vectors come from a second solve, of the conjugate
-        transpose, paired greedily by nearest eigenvalue.  From
-        :func:`chain_eigensystem` ``left`` is ``conj(right)``; on its
-        product routes (the locus with ``mu >= 1`` or ``gamma >=
-        SPLIT_GAMMA``) the coalescing pair's two columns are one vector,
-        the null vector of the sublattice product.
+    vectors : np.ndarray
+        Unit-norm eigenvector columns.  From :func:`eig` the right vectors.
+        From :func:`chain_eigensystem` the vectors ``V`` of the chain's real
+        form ``M = Q^dag h Q`` at ``|gamma|`` (:func:`~.model.build_ssh_real`,
+        ``Q = (I + i P) / sqrt(2)``, ``P`` the site reversal), from which
+        ``right`` is lifted; on its product routes (the locus with ``mu >=
+        1`` or ``gamma >= SPLIT_GAMMA``) the coalescing pair's two columns
+        are one vector, the null vector of the sublattice product.
+    left_vectors : np.ndarray or None
+        From :func:`eig` the left vectors: ``left_vectors[:, i]`` is a unit
+        eigenvector of the conjugate transpose for ``conj(eigenvalues[i])``.
+        Of a ring both sets are lifted from the chain's vectors ``x`` and
+        ``conj(x)`` (:func:`_ring_eigenvectors`); of any other matrix the left
+        vectors come from a second solve, of the conjugate transpose, paired
+        greedily by nearest eigenvalue.  ``None`` from
+        :func:`chain_eigensystem`, where ``left = conj(right)``.
     residuals, left_residuals : np.ndarray
-        Per-column residual magnitudes, each against its own eigenvalue,
-        except the shared pair columns of :func:`chain_eigensystem` on its
-        product routes, taken at ``eps = 0``; equal for
-        :func:`chain_eigensystem`.
+        Per-column residual magnitudes of the unit right and left pairs,
+        each against its own eigenvalue, except the shared pair columns of
+        :func:`chain_eigensystem` on its product routes, taken at ``eps =
+        0``.  From :func:`chain_eigensystem` they are one array, read from
+        the real form (see there).
     biorth_norms : np.ndarray
         Complex overlaps ``<left_i|right_i>`` of the unit-norm pairs; these
         approach zero when two levels coalesce.  Only the modulus is
         independent of the phases the solver gave the vectors.
     norm_inf : float
         Infinity norm of the decomposed matrix, for residual scaling.
+    mirrored : bool
+        From :func:`chain_eigensystem` at ``gamma < 0``, where ``right`` is
+        ``P Q V``: ``h(-gamma) = P h(gamma) P``.
     """
 
     eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    vectors: np.ndarray
+    left_vectors: np.ndarray | None
     residuals: np.ndarray
     left_residuals: np.ndarray
     biorth_norms: np.ndarray
     norm_inf: float
+    mirrored: bool = False
 
     @property
     def dim(self) -> int:
@@ -162,6 +181,23 @@ class EigenSystem:
         """Largest eigenvalue magnitude (1.0 for the zero matrix)."""
         s = float(np.max(np.abs(self.eigenvalues))) if self.dim else 0.0
         return s if s > 0 else 1.0
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """The unit right vectors as columns: ``vectors`` from :func:`eig`;
+        from :func:`chain_eigensystem` ``Q V = (V + i V[::-1]) / sqrt(2)``,
+        reversed site for site when ``mirrored``, lifted on first read."""
+        if self.left_vectors is not None:
+            return self.vectors
+        v = self.vectors
+        first, second = (v[::-1], v) if self.mirrored else (v, v[::-1])
+        return (first + 1j * second) / np.sqrt(2)
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        """The unit left vectors as columns: ``conj(right)`` from
+        :func:`chain_eigensystem`, lifted on first read."""
+        return self.right.conj() if self.left_vectors is None else self.left_vectors
 
 
 def _sort_by_re_im(values: np.ndarray) -> np.ndarray:
@@ -194,46 +230,16 @@ def _greedy_pairing(gaps: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def _eigensystems(values, right, apply, norm_inf, left=None, shifts=None) -> list:
-    """Normalise each row of a stack, bound its residuals by
-    ``RESIDUAL_TOLERANCE * norm_inf`` and form ``biorth = sum(conj(left) *
-    right)``.
-
-    ``values`` is ``(s, n)``, ``right`` is ``(s, n, n)`` with each row's
-    vectors as columns, and ``norm_inf`` is ``(s,)``.  ``apply(x)`` is each
-    row's matrix times the columns of that row of ``x``; ``left`` is the
-    paired ``(vectors, values, apply)`` of the adjoint problem, or ``None``
-    for complex symmetric matrices: ``A^dag conj(v) = conj(A v)``, so ``left
-    = conj(right)`` with the same residuals.  The right residuals are taken
-    against ``shifts``, ``(s, n)``, where given, else against ``values``.
-    Row ``i`` becomes an :class:`EigenSystem`, or the ``RuntimeError``
-    naming its worst residual over the bound.
-    """
-    def unit_and_residuals(vectors, eps, apply):
-        vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
-        residuals = np.abs(apply(vectors) - vectors * eps[:, None, :])
-        return vectors, residuals.max(axis=-2, initial=0.0)
-
-    right, residuals = unit_and_residuals(right, values if shifts is None else shifts, apply)
-    if left is None:
-        left, left_residuals = right.conj(), residuals
-        biorth = np.einsum("sij,sij->sj", right, right)
-    else:
-        left, left_residuals = unit_and_residuals(*left)
-        biorth = np.einsum("sij,sij->sj", left.conj(), right)
-    peaks = np.maximum(residuals, left_residuals).max(axis=-1, initial=0.0).tolist()
-    rows = []
-    for i, norm in enumerate(norm_inf.tolist()):
-        rows.append(EigenSystem(values[i], right[i], left[i], residuals[i],
-                                left_residuals[i], biorth[i], norm))
-        bound = RESIDUAL_TOLERANCE * max(norm, 1e-300)
-        if peaks[i] > bound:
-            label, res = (("right", residuals[i]) if np.max(residuals[i]) > bound
-                          else ("left", left_residuals[i]))
-            worst = int(np.argmax(res))
-            rows[i] = RuntimeError(f"{label} eigenpair {worst} residual "
-                                   f"{res[worst]:.3e} exceeds {bound:.3e}")
-    return rows
+def _bounded(es: EigenSystem):
+    """``es``, or the ``RuntimeError`` naming its worst residual over
+    ``RESIDUAL_TOLERANCE * norm_inf``."""
+    bound = RESIDUAL_TOLERANCE * max(es.norm_inf, 1e-300)
+    for label, residuals in (("right", es.residuals), ("left", es.left_residuals)):
+        if np.max(residuals, initial=0.0) > bound:
+            worst = int(np.argmax(residuals))
+            return RuntimeError(f"{label} eigenpair {worst} residual "
+                                f"{residuals[worst]:.3e} exceeds {bound:.3e}")
+    return es
 
 
 def _ring_eigenvectors(a: np.ndarray):
@@ -283,6 +289,7 @@ def _ring_eigenvectors(a: np.ndarray):
     return values[order], lift(gx, gx.conj()), lift(gx.conj(), gx)
 
 
+
 def eig(a: np.ndarray) -> EigenSystem:
     """Dense eigendecomposition with verified residuals and left pairing.
 
@@ -293,7 +300,7 @@ def eig(a: np.ndarray) -> EigenSystem:
     matrix is solved with its conjugate transpose ``a^dag``, and each left
     vector is paired greedily, by nearest eigenvalue, with ``conj(eps)``.
     Either way the residuals and left residuals are computed against ``a``
-    and ``a^dag``.
+    and ``a^dag``, and ``biorth = sum(conj(left) * right)``.
 
     Parameters
     ----------
@@ -347,32 +354,50 @@ def eig(a: np.ndarray) -> EigenSystem:
                 f"(gap {gaps[worst]:.3e})"
             )
         left, left_values = left[:, assignment], left_values[assignment]
-    left = (left[None], left_values[None], adjoint.__matmul__)
-    return _served(_eigensystems(values[None], right[None], a.__matmul__,
-                                 np.array([norm_inf]), left)[0])
+
+    def unit_and_residuals(vectors, eps, matrix):
+        vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
+        return vectors, np.abs(matrix @ vectors - vectors * eps).max(axis=0, initial=0.0)
+
+    right, residuals = unit_and_residuals(right, values, a)
+    left, left_residuals = unit_and_residuals(left, left_values, adjoint)
+    biorth = np.einsum("ij,ij->j", left.conj(), right)
+    return _served(_bounded(EigenSystem(values, right, left, residuals, left_residuals,
+                                        biorth, norm_inf)))
 
 
 def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     """:func:`eig` of ``build_ssh(n, mu, gamma)`` from one real solve.
 
     The real form ``M = Q^dag h Q`` (:func:`~.model.build_ssh_real`) is
-    solved, and each of its vectors ``V`` gives ``right = Q V = (V + i
-    V[::-1]) / sqrt(2)``, with real levels exactly real.  On the locus with
-    ``gamma <= 1`` the one ``np.linalg.eig`` call is of the ``n/2 x n/2``
-    sublattice product of ``M`` (:func:`_sublattice_product`), and the
+    solved, and the eigensystem is kept in it: ``vectors`` are ``M``'s unit
+    vectors ``V``, and ``right = Q V = (V + i V[::-1]) / sqrt(2)`` and
+    ``left = conj(right)`` are lifted only when first read.  On the locus
+    with ``gamma <= 1`` the one ``np.linalg.eig`` call is of the ``n/2 x
+    n/2`` sublattice product of ``M`` (:func:`_sublattice_product`), and the
     coalescing pair's two levels ``+/- sqrt(x)`` share one vector, the
     product's null vector, whose residual is taken at ``eps = 0``.  On the
     locus with ``gamma >= SPLIT_GAMMA`` it is of the ``(n/2 - 1) x (n/2 -
     1)`` product of the inner chain, with the pair as above; each vector
     gains its two end rows, and the evanescent pair ``+/- i gamma`` lives on
-    the end sites (:func:`_with_end_sites`).  Elsewhere it is of ``M``.
+    the end sites (:func:`_end_sites`).  Elsewhere it is of ``M``.
     Each route is taken at ``|gamma|``: ``h(-gamma) = P h(gamma) P``, ``P``
-    the site reversal, so for ``gamma < 0`` the vectors are reversed site for
-    site, and the mirrored locus ``-gamma_ep`` takes the routes of the locus.
-    ``h`` is complex symmetric, so ``left = conj(right)``: no second solve
-    and no pairing.  Residuals are applied bond by bond
-    (:func:`~.model.apply_ssh`) and bounded as in :func:`eig`.  This is the
-    stack of one of :func:`chain_eigensystems`.
+    the site reversal, so for ``gamma < 0`` (``mirrored``) ``right`` is
+    reversed site for site, and the mirrored locus ``-gamma_ep`` takes the
+    routes of the locus.
+
+    ``h`` is complex symmetric, so ``left = conj(right)``: no second solve,
+    no pairing, and ``left_residuals`` is ``residuals``.  ``Q`` is unitary,
+    so every reported number comes from the real form.  With ``r = M v - s
+    v`` for a vector ``v`` of ``M`` at its shift ``s`` (the level, or 0 for
+    the pair on a product route), ``h Q v - s Q v = Q r``, and
+    ``residuals = max_j |r_j + i r_{n-1-j}| / (sqrt(2) |v|)``; since ``Q^T
+    Q = i P``, ``biorth_norms = i sum_j v_j v_{n-1-j} / |v|^2``.  On the
+    product routes ``r`` comes from the half-size solve
+    (:func:`_product_parts`), so no ``n x n`` array is formed but ``V``;
+    elsewhere ``M v`` is applied bond by bond.  The residuals are bounded
+    as in :func:`eig`.  This is the stack of one of
+    :func:`chain_eigensystems`.
     """
     return _served(chain_eigensystems(n, [mu], [gamma])[0])
 
@@ -413,7 +438,7 @@ def _sublattice_product(m: np.ndarray, n: int, mu: float, gamma: float):
     rule exact; at a level ``|eps| <= 1 + mu`` it drops ``eps / (eps^2 +
     gamma^2)`` on two diagonal entries and ``gamma / (eps^2 + gamma^2) -
     1/gamma`` on the corners, both under rounding.  The end sites carry the
-    evanescent pair ``+/- i gamma`` (:func:`_with_end_sites`).
+    evanescent pair ``+/- i gamma`` (:func:`_end_sites`).
     """
     if not model.on_locus(mu, n, gamma):
         return None
@@ -426,6 +451,7 @@ def _sublattice_product(m: np.ndarray, n: int, mu: float, gamma: float):
     own = len(m) // 2 % 2
     outward = m[1 - own::2, own::2]
     return split, own, outward, m[own::2, 1 - own::2] @ outward
+
 
 
 def _end_levels(gammas) -> np.ndarray:
@@ -443,61 +469,123 @@ def _product_levels(x: np.ndarray) -> np.ndarray:
     return np.concatenate([roots, 0.0 - roots], axis=-1)
 
 
-def _product_vectors(own: int, outward: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """``(levels, shifts, vectors)`` of a stack of chains from the
-    eigenpairs ``(x, w)`` of their sublattice products
-    (:func:`_sublattice_product`), unsorted.
+def _norms2(v: np.ndarray) -> np.ndarray:
+    """``|v|^2`` along the last axis."""
+    return (v * v.conj()).real.sum(axis=-1)
 
-    ``vectors[i, j]`` is the real-form vector of level ``levels[i, j]``.
-    The pair, the ``x`` of least modulus, gives both its levels ``+/-
-    sqrt(x)`` the vector ``w`` on the own sites and zero on the other, the
-    product's null vector; its ``shifts`` are 0, the level at which its
-    residual is taken, and every other level's shift is the level itself.
+
+def _folds(v: np.ndarray) -> np.ndarray:
+    """``sum_j v_j v_{n-1-j}`` along the last axis: ``-i (Q v)^T (Q v)``."""
+    return (v * v[..., ::-1]).sum(axis=-1)
+
+
+def _apply_real(mus: np.ndarray, gammas: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``build_ssh_real(n, mus[i], gammas[i]) @ v[i, j]`` for every vector
+    ``v[i, j]`` of a stack of ``(s, levels, n)``, bond by bond."""
+    n = v.shape[-1]
+    bonds = model._bonds(n, mus).T[:, None, :]
+    mv = np.zeros(v.shape, dtype=np.result_type(v, float))
+    mv[..., :-1] += bonds * v[..., 1:]
+    mv[..., 1:] += bonds * v[..., :-1]
+    mv[..., 0] -= gammas[:, None] * v[..., -1]
+    mv[..., -1] += gammas[:, None] * v[..., 0]
+    return mv
+
+
+def _lifted_peaks(r: np.ndarray) -> np.ndarray:
+    """``max_j |r_j + i r_{n-1-j}|`` along the last axis: ``sqrt(2) max |Q r|``."""
+    return np.abs(r + 1j * r[..., ::-1]).max(axis=-1, initial=0.0)
+
+
+def _full_route(mus, gammas, levels, v):
+    """``(levels, vectors, peaks, norms2, folds)`` of a stack of chains from
+    ``np.linalg.eig`` of their real forms ``M``, sorted level by level.
+
+    ``vectors[i, j]`` is the unit real-form vector of ``levels[i, j]``, and
+    ``peaks``, ``norms2`` and ``folds`` are ``max_j |r_j + i r_{n-1-j}|``
+    (:func:`_lifted_peaks`), ``|v|^2`` and ``sum_j v_j v_{n-1-j}`` of the
+    solver's vector ``v``, with ``r = M v - eps v`` applied bond by bond.
     """
-    s, half, _ = w.shape
+    rows, order = np.arange(len(levels))[:, None], _sort_by_re_im(levels)
+    levels = levels[rows, order]
+    vectors = v.transpose(0, 2, 1)[rows, order]  # level by level, a copy
+    peaks = _lifted_peaks(_apply_real(mus, gammas, vectors) - levels[..., None] * vectors)
+    norms2, folds = _norms2(vectors), _folds(vectors)
+    vectors /= np.sqrt(norms2)[..., None]
+    return levels.astype(complex), vectors, peaks, norms2, folds
+
+
+def _product_parts(outward, product, x, w):
+    """The levels of a stack of chains from the eigenpairs ``(x, w)`` of
+    their sublattice products (:func:`_sublattice_product`), unsorted:
+    ``+sqrt(x)``, then ``-sqrt(x)``.
+
+    Returns ``(levels, own, other, peaks, norms2, folds, kw)``.  Level
+    ``j``'s real-form vector ``v`` is ``own[:, j] w`` on the own sites next
+    to ``other[:, j] kw`` on the other, with ``kw = outward @ w`` and both
+    at column ``j mod n/2``: ``own`` is the level and ``other`` is 1, except
+    for the pair, the ``x`` of least modulus, whose two levels both take
+    the product's null vector, ``own = 1`` and ``other = 0``, at the shift
+    0; the other shifts are the levels, ``levels * other`` in all.  ``r = M
+    v - shift v`` vanishes off the own sites and is ``product @ w - x w`` on
+    them, one residual for both levels ``+/- sqrt(x)``; the pair's is
+    ``kw`` on the other sites.  The site reversal maps own site ``a`` to
+    other site ``n/2 - 1 - a``, so each ``|r_j + i r_{n-1-j}|`` is one
+    ``|r_j|``, and ``sum_j v_j v_{n-1-j} = 2 own other sum_a w_a
+    kw_{n/2-1-a}``.  ``peaks``, ``norms2`` and ``folds`` are these as in
+    :func:`_full_route`, of the unnormalised ``v``.
+    """
+    half = x.shape[1]
     levels = _product_levels(x)
-    vectors = np.empty((s, 2 * half, 2 * half), dtype=complex)
-    wt, kwt = w.transpose(0, 2, 1), (outward @ w).transpose(0, 2, 1)  # level by level
-    for block in (slice(None, half), slice(half, None)):  # +sqrt(x), then -sqrt(x)
-        vectors[:, block, own::2] = levels[:, block, None] * wt
-        vectors[:, block, 1 - own::2] = kwt
-    rows, pair = np.arange(s), np.argmin(np.abs(x), axis=1)
-    shifts = levels.copy()
-    for j in (pair, pair + half):
-        vectors[rows, j, own::2] = wt[rows, pair]
-        vectors[rows, j, 1 - own::2] = 0.0
-        shifts[rows, j] = 0.0
-    return levels, shifts, vectors
+    kw = outward @ w
+    pair = np.argmin(np.abs(x), axis=1)
+    in_pair = np.arange(2 * half) % half == pair[:, None]
+    own, other = np.where(in_pair, 1.0, levels), np.where(in_pair, 0.0, 1.0)
+
+    def doubled(a):  # a value of each column for both its levels
+        return np.concatenate([a, a], axis=-1)
+
+    pair_peaks = np.abs(kw[np.arange(len(x)), :, pair]).max(axis=-1, initial=0.0)
+    peaks = np.where(in_pair, pair_peaks[:, None],
+                     doubled(np.abs(product @ w - w * x[:, None, :]).max(axis=-2)))
+    columns, kw_columns = w.transpose(0, 2, 1), kw.transpose(0, 2, 1)
+    norms2 = ((own * own.conj()).real * doubled(_norms2(columns))
+              + other * doubled(_norms2(kw_columns)))
+    folds = 2 * own * other * doubled((columns * kw_columns[..., ::-1]).sum(axis=-1))
+    return levels, own, other, peaks, norms2, folds, kw
 
 
-def _with_end_sites(mus: np.ndarray, gammas: np.ndarray, levels, shifts, inner):
-    """``(levels, shifts, vectors)`` of a stack of chains on the split route
-    (:func:`_sublattice_product`), from those of their inner chains,
-    :func:`_product_vectors` of ``n - 2`` sites.
+def _end_sites(mus, gammas, levels, own, other, w, kw, own_sites):
+    """The two end sites of a stack of chains on the split route
+    (:func:`_sublattice_product`): ``(head, tail, ends, evanescent)``, for
+    the inner levels of :func:`_product_parts` of ``n - 2`` sites.
 
     An inner vector ``u`` at its shift ``eps`` gains the end rows ``[u_0,
-    u_{n-1}] = [[eps, -gamma], [gamma, eps]] [u_1, u_{n-2}] / (eps^2 +
-    gamma^2)``, written in ``t = eps / gamma`` so that ``gamma^2`` does not
-    overflow.  The evanescent pair ``+/- i gamma`` follows: ``(1, -/+ i)``
-    on the end sites, and on the inner ones the response ``(eps - K)^-1 b``
-    to the end values ``b`` that the unit end bonds carry to sites 1 and
-    ``n - 2``, from the first three terms of its Neumann series in ``K /
-    eps``, ``K`` the inner block of the real form, applied bond by bond; the
-    next term is under ``(2 / gamma)^3``.
-    The true pair lies within ``1 / gamma`` of ``+/- i gamma``, under half
-    an ulp of ``gamma``.
+    u_{n-1}] = [head, tail] = [[eps, -gamma], [gamma, eps]] [u_1, u_{n-2}] /
+    (eps^2 + gamma^2)``, written in ``t = eps / gamma`` so that ``gamma^2``
+    does not overflow; they solve the end rows of ``M v = eps v``, so ``r``
+    is the inner chain's there and zero on the end sites, up to the terms
+    the Schur complement drops.  The evanescent pair, the levels ``ends =
+    +/- i gamma``, has the vectors ``evanescent``: ``(1, -/+ i)`` on the end
+    sites, and on the inner ones the response ``(eps - K)^-1 b`` to the end
+    values ``b`` that the unit end bonds carry to sites 1 and ``n - 2``,
+    from the first three terms of its Neumann series in ``K / eps``, ``K``
+    the inner block of the real form, applied bond by bond; the next term is
+    under ``(2 / gamma)^3``.  The true pair lies within ``1 / gamma`` of
+    ``+/- i gamma``, under half an ulp of ``gamma``.
     """
-    s, k, _ = inner.shape
+    s, k = levels.shape
+    # inner site 0 is on the even sublattice and inner site k - 1 on the odd
+    w_ends, kw_ends = (np.tile(a[:, [0, -1], :], 2) for a in (w, kw))
+    own_ends, other_ends = own[:, None] * w_ends, other[:, None] * kw_ends
+    first, last = ((own_ends[:, 0], other_ends[:, 1]) if own_sites == 0
+                   else (other_ends[:, 0], own_ends[:, 1]))
     g = gammas[:, None]
-    t = shifts / g
+    t = levels * other / g
     scale = g * (1.0 + t * t)
-    first, last = inner[:, :, 0], inner[:, :, -1]
     ends = _end_levels(gammas)
-    vectors = np.zeros((s, k + 2, k + 2), dtype=complex)
-    vectors[:, :k, 1:-1] = inner
-    vectors[:, :k, 0] = (t * first - last) / scale
-    vectors[:, :k, -1] = (first + t * last) / scale
-    vectors[:, k:, 0], vectors[:, k:, -1] = 1.0, [-1j, 1j]
+    evanescent = np.zeros((s, 2, k + 2), dtype=complex)
+    evanescent[:, :, 0], evanescent[:, :, -1] = 1.0, [-1j, 1j]
     bonds = model._bonds(k + 2, mus)[1:-1].T[:, None, :]  # K's, (mu, 1, ..., 1, mu)
     term = np.zeros((s, 2, k), dtype=complex)  # b and its Neumann terms, level by level
     term[:, :, 0], term[:, :, -1] = 1.0, [-1j, 1j]
@@ -508,9 +596,83 @@ def _with_end_sites(mus: np.ndarray, gammas: np.ndarray, levels, shifts, inner):
         hop[:, :, 1:] += bonds * term[:, :, :-1]
         term = hop / ends[:, :, None]
         response += term
-    vectors[:, k:, 1:-1] = response / ends[:, :, None]
-    return (np.concatenate([levels, ends], axis=1),
-            np.concatenate([shifts, ends], axis=1), vectors)
+    evanescent[:, :, 1:-1] = response / ends[:, :, None]
+    return (t * first - last) / scale, (first + t * last) / scale, ends, evanescent
+
+
+def _write_product_vectors(out, own_sites, w, kw, columns, own, other) -> None:
+    """Write ``own w[:, columns]`` to the own sites and ``other
+    kw[:, columns]`` to the other sites of the vectors ``out``, one chain's
+    level by level: the real-form vectors of :func:`_product_parts`.  The
+    levels go in blocks of 128, so that the gathered columns stay small."""
+    other_sites = slice(1 - own_sites.start, None, 2)
+    for start in range(0, len(columns), 128):
+        block = slice(start, start + 128)
+        np.multiply(w[:, columns[block]].T, own[block, None], out=out[block, own_sites])
+        np.multiply(kw[:, columns[block]].T, other[block, None], out=out[block, other_sites])
+
+
+def _product_route(own_sites, outward, product, x, w, mus=None, gammas=None):
+    """``(levels, vectors, peaks, norms2, folds)`` of a stack of chains on a
+    product route, as :func:`_full_route` gives them, from the eigenpairs
+    ``(x, w)`` of their sublattice products (:func:`_product_parts`).
+
+    With ``gammas`` the chains are on the split route: ``w`` is of the inner
+    chains, each inner vector gains its end rows and the evanescent pair
+    joins the levels (:func:`_end_sites`), with its residuals applied bond by
+    bond.  Each chain's unit vectors are written into one array, level by
+    level in sorted order.
+    """
+    levels, own, other, peaks, norms2, folds, kw = _product_parts(outward, product, x, w)
+    s, k = levels.shape
+    inner = slice(None)
+    parts = [levels, own, other, peaks, norms2, folds]
+    if gammas is not None:
+        inner = slice(1, -1)
+        head, tail, ends, evanescent = _end_sites(mus, gammas, levels, own, other, w, kw,
+                                                  own_sites)
+        norms2 = norms2 + (head * head.conj()).real + (tail * tail.conj()).real
+        folds = folds + 2 * head * tail
+        end_peaks = _lifted_peaks(_apply_real(mus, gammas, evanescent)
+                                  - ends[:, :, None] * evanescent)
+        zeros = np.zeros((s, 2))
+        parts = [np.concatenate(pair, axis=1) for pair in (
+            (levels, ends), (own, zeros), (other, zeros), (peaks, end_peaks),
+            (norms2, _norms2(evanescent)), (folds, _folds(evanescent)),
+            (head, zeros), (tail, zeros))]
+    rows, order = np.arange(s)[:, None], _sort_by_re_im(parts[0])
+    levels, own, other, peaks, norms2, folds, *end_rows = (part[rows, order] for part in parts)
+    scale = 1.0 / np.sqrt(norms2)
+    vectors = np.empty((s,) + levels.shape[-1:] * 2, dtype=complex)
+    for i, source in enumerate(order):
+        solved = source < k  # the evanescent pair takes column 0, then its own vectors
+        _write_product_vectors(vectors[i, :, inner], slice(own_sites, None, 2), w[i], kw[i],
+                               np.where(solved, source, 0) % (k // 2),
+                               own[i] * scale[i], other[i] * scale[i])
+        if end_rows:
+            vectors[i, :, 0], vectors[i, :, -1] = (part[i] * scale[i] for part in end_rows)
+            at_ends = np.flatnonzero(~solved)
+            vectors[i, at_ends] = evanescent[i, source[at_ends] - k] * scale[i, at_ends, None]
+    return levels, vectors, peaks, norms2, folds
+
+
+def _route_stacks(n: int, mus: np.ndarray, sizes: np.ndarray) -> list:
+    """The chains of a stack grouped by route, as ``(rows, split, own,
+    matrices, outward)``: ``split`` is ``None`` for the ``n x n`` real forms
+    ``matrices``; else ``matrices`` are the sublattice products of
+    :func:`_sublattice_product`, with its ``split``, ``own`` and
+    ``outward``.  The real forms themselves are dropped on return."""
+    m = [model.build_ssh_real(n, mu, size) for mu, size in zip(mus, sizes)]
+    routes = [_sublattice_product(mi, n, mu, size) for mi, mu, size in zip(m, mus, sizes)]
+    full = [i for i, route in enumerate(routes) if route is None]
+    stacks = [(full, None, None, np.array([m[i] for i in full]), None)] if full else []
+    for split in (False, True):
+        halved = [i for i, route in enumerate(routes) if route and route[0] == split]
+        if halved:
+            stacks.append((halved, split, routes[halved[0]][1],
+                           np.array([routes[i][3] for i in halved]),
+                           np.array([routes[i][2] for i in halved])))
+    return stacks
 
 
 def chain_eigensystems(n: int, mus, gammas) -> list:
@@ -528,44 +690,27 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
         return []
     mus, gammas = np.asarray(mus, dtype=float), np.asarray(gammas, dtype=float)
     sizes = np.abs(gammas)
-    m = [model.build_ssh_real(n, mu, size) for mu, size in zip(mus, sizes)]
-    routes = [_sublattice_product(mi, n, mu, size) for mi, mu, size in zip(m, mus, sizes)]
-    full = [i for i, route in enumerate(routes) if route is None]
-    solved = []  # (rows of the stack, levels, shifts, real-form vectors level by level)
-    try:
-        if full:
-            levels, v = np.linalg.eig(np.array([m[i] for i in full]))
-            solved.append((full, levels, levels, v.transpose(0, 2, 1)))
-        for split in (False, True):
-            halved = [i for i, route in enumerate(routes) if route and route[0] == split]
-            if not halved:
-                continue
-            x, w = np.linalg.eig(np.array([routes[i][3] for i in halved]))
-            outward = np.array([routes[i][2] for i in halved])
-            product = _product_vectors(routes[halved[0]][1], outward, x, w)
-            if split:
-                product = _with_end_sites(mus[halved], sizes[halved], *product)
-            solved.append((halved, *product))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    values = np.empty((len(m), n), dtype=complex)
-    shifts = np.empty((len(m), n), dtype=complex)
-    # sorted level by level, so that each row's vectors are contiguous
-    # columns once transposed, as after a single solve's v[:, order]: norms
-    # and overlaps then sum in the same order
-    vt = np.empty((len(m), n, n), dtype=complex)
-    for index, levels, level_shifts, vectors in solved:
-        rows, order = np.arange(len(index))[:, None], _sort_by_re_im(levels)
-        values[index], shifts[index] = levels[rows, order], level_shifts[rows, order]
-        vt[index] = vectors[rows, order]
-    right = ((vt + 1j * vt[:, :, ::-1]) / np.sqrt(2)).transpose(0, 2, 1)
-    right[gammas < 0] = right[gammas < 0, ::-1]  # P, the site reversal
-
-    def apply(x):  # sites first for apply_ssh, one chain per stack row
-        hx = model.apply_ssh(n, mus[:, None], gammas[:, None], x.transpose(1, 0, 2))
-        return hx.transpose(1, 0, 2)
-
-    return _eigensystems(values, right, apply, 1.0 + np.maximum(mus, sizes), shifts=shifts)
+    norms_inf = (1.0 + np.maximum(mus, sizes)).tolist()
+    systems = [None] * len(mus)
+    for index, split, own, matrices, outward in _route_stacks(n, mus, sizes):
+        try:
+            solved = np.linalg.eig(matrices)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+            raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
+        if split is None:
+            solved = _full_route(mus[index], sizes[index], *solved)
+        elif split:
+            solved = _product_route(own, outward, matrices, *solved, mus[index], sizes[index])
+        else:
+            solved = _product_route(own, outward, matrices, *solved)
+        levels, vectors, peaks, norms2, folds = solved
+        residuals = peaks / (np.sqrt(2) * np.sqrt(norms2))
+        biorth = 1j * folds / norms2 + 0.0  # + 0.0: no -0.0 parts
+        for row, i in enumerate(index):
+            systems[i] = _bounded(EigenSystem(
+                levels[row], vectors[row].T, None, *[residuals[row]] * 2,
+                biorth[row], norms_inf[i], bool(gammas[i] < 0)))
+    return systems
 
 
 def pseudo_hermiticity_check(

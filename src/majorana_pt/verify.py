@@ -133,14 +133,17 @@ def mode_census(solved):
         # the eigenvector route: the pair's unit right vectors, and no other,
         # must be parallel to the unit closed-form zero mode that certified
         # the pair, and no two others to each other; one Gram stack for the
-        # six chains
-        right = np.array([classified.es.right for classified in modes])
+        # six chains.  At +gamma_ep right = Q V, with V the real-form vectors
+        # and Q unitary, so the overlaps and the Gram moduli are read from V
+        # and the zero mode in the real form, Q^dag psi = (psi - i P psi) / sqrt(2)
+        vectors = np.array([classified.es.vectors for classified in modes])
         paired = np.zeros((len(mus), n), dtype=bool)
         for row, classified in zip(paired, modes):
             row[classified.pair] = True
         psi = np.array([classified.psi for classified in modes])
-        along = np.abs(np.einsum("si,sij->sj", psi.conj(), right)) >= 1.0 - spectral.EP_TOLERANCE
-        gram = np.abs(right.conj().transpose(0, 2, 1) @ right)
+        psi = (psi - 1j * psi[:, ::-1]) / np.sqrt(2)
+        along = np.abs(np.einsum("si,sij->sj", psi.conj(), vectors)) >= 1.0 - spectral.EP_TOLERANCE
+        gram = np.abs(vectors.conj().transpose(0, 2, 1) @ vectors)
         gram[:, np.arange(n), np.arange(n)] = 0.0
         parallel = (gram >= 1.0 - spectral.EP_TOLERANCE) & ~paired[:, :, None] & ~paired[:, None, :]
         strays, merges = (along != paired).any(axis=1).tolist(), parallel.any(axis=(1, 2)).tolist()

@@ -213,7 +213,7 @@ def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
     original = verify.spectral.chain_eigensystems
 
     def orthonormal(n, mus, gammas):
-        return [dataclasses.replace(es, right=np.eye(n, dtype=complex))
+        return [dataclasses.replace(es, vectors=np.eye(n, dtype=complex))
                 for es in original(n, mus, gammas)]
 
     monkeypatch.setattr(verify.spectral, "chain_eigensystems", orthonormal)
@@ -224,26 +224,26 @@ def test_mode_census_confirms_the_pair_from_the_eigenvectors(monkeypatch):
 
 
 def _replaced_columns(monkeypatch, replace):
-    """Route the grid's eigensystems through ``replace(right, pair)``, which
-    overwrites a copy of each chain's right vectors in place."""
+    """Route the grid's eigensystems through ``replace(vectors, pair)``,
+    which overwrites a copy of each chain's real-form vectors in place."""
     original = verify.spectral.chain_eigensystems
 
     def replaced(n, mus, gammas):
         systems = []
         for es, mu, gamma in zip(original(n, mus, gammas), mus, gammas):
-            right = es.right.copy()
-            replace(right, verify.spectral.classify_modes(es, mu, gamma).pair)
-            systems.append(dataclasses.replace(es, right=right))
+            vectors = es.vectors.copy()
+            replace(vectors, verify.spectral.classify_modes(es, mu, gamma).pair)
+            systems.append(dataclasses.replace(es, vectors=vectors))
         return systems
 
     monkeypatch.setattr(verify.spectral, "chain_eigensystems", replaced)
 
 
 def test_mode_census_checks_the_pair_against_the_closed_form(monkeypatch):
-    # both pair columns become one site vector: parallel to each other, as
-    # on the product route, but not to the closed-form zero mode
-    def one_site(right, pair):
-        right[:, pair] = np.eye(len(right))[:, [0]]
+    # both pair columns become one site vector of the real form: parallel to
+    # each other, as on the product route, but not to the closed-form zero mode
+    def one_site(vectors, pair):
+        vectors[:, pair] = np.eye(len(vectors))[:, [0]]
 
     _replaced_columns(monkeypatch, one_site)
     result = verify._evaluate("mode-census", {})
@@ -253,8 +253,8 @@ def test_mode_census_checks_the_pair_against_the_closed_form(monkeypatch):
 
 
 def test_mode_census_refuses_parallel_levels_outside_the_pair(monkeypatch):
-    def duplicate(right, pair):
-        right[:, 1] = right[:, 0]
+    def duplicate(vectors, pair):
+        vectors[:, 1] = vectors[:, 0]
 
     _replaced_columns(monkeypatch, duplicate)
     result = verify._evaluate("mode-census", {})

@@ -713,14 +713,16 @@ class TestCsvArtifactBytes:
 
     The spectrum rows hold LAPACK residuals and overlaps, so their digests
     were recorded with numpy 2.4 on OpenBLAS; the other artifacts do not
-    depend on the BLAS build.
+    depend on the BLAS build.  The spectrum digests were re-recorded when
+    the residuals and overlaps came to be read from the real form; only the
+    residual and overlap columns changed, each within rounding.
     """
 
     DIGESTS = {
         # re-recorded when the chain on the locus with mu >= 1 took the
         # sublattice product solve
         "spectrum --N 6 --mu 2.0":
-            "9f6059f0a8fba379b387d8700370220e754fc7ffc9a4c0a7a0faf0b923ba71cc",
+            "2181a9549fac3eba5c36d8c4e38679d75289933d41ba7cc49ecb588ab5631277",
         "census --N 6 --mu 2.0":
             "83b9cfb163f67fb67cdcbb46f67b87279e3333d0525b794063864ae12157912b",
         "bethe --N 6 --mu 2.0":
@@ -730,7 +732,7 @@ class TestCsvArtifactBytes:
         "sweep --N-grid 6 --mu-grid 2.0":
             "86158557a45e4e503797deee7b01f04b40d2bb8eedd3b6f5aacda703c9796c2a",
         "spectrum --N 14 --mu 0.5":
-            "da3289a18e308803673be40cbfd1ea85651b60a6db84522004727292ce2c57d3",
+            "f728c7bc5774ea6125d6acce008f24a06ab9f0f30f473567b1d3ce267e371927",
         "census --N 14 --mu 0.5":
             "9637316d478283040e05a77dfdd1c6d73edda446f9c972fed5357bdad776f2e1",
         "bethe --N 14 --mu 0.5":
@@ -744,11 +746,11 @@ class TestCsvArtifactBytes:
         "sweep --N-grid 100,200,300,400 --mu-grid 0.95,1.05,1.1":
             "f7cbc12b1e3b3211527773946720b218426a260e9705f22e078b3bc16d4520c4",
         "spectrum --N 30 --mu 1.5 --gamma 1.0":
-            "ace132f1abe4c3eddf920b631b59cd0d8ff064c29687d3c305708d3fa67fff2e",
+            "784c1cee8e6c25ceffc63fde1fb762081317087bdca816f3d835dc7ffea1922f",
         # recorded before the writers moved into serialize: the split route,
         # the N x N locus route and the mirrored locus
         "spectrum --N 60 --mu 0.5":
-            "e03daf337aaff41677c73e4d94e90fbac434dd4312f74cf64c267d3884522ba4",
+            "a24b30252b6f084a9dd806d96df89ec875cac624b5ec37ee1c649ddc124b7eaf",
         "census --N 60 --mu 0.5":
             "794b13b7d8ac98ab1096e6edd47e2f87b5451810ba510af9d8d709914c673c9e",
         "bethe --N 60 --mu 0.5":
@@ -756,7 +758,7 @@ class TestCsvArtifactBytes:
         "zero-mode --N 60 --mu 0.5":
             "bb0d5f067e14d874f38ce79208362315e0d8c1b8eaabeeabc959872d6a761351",
         "spectrum --N 30 --mu 0.8":
-            "d5c1bb53f0518f162e4dce06eb16c68590420772de2aede302e5f6e49161c5a5",
+            "73f5418be0348b62b6d2de7f60416df737bbe3cbbabf2e40bf31e28efe7d2b0f",
         "census --N 30 --mu 0.8":
             "e4717d405b3937019d5100fb89702755ebc92c42f47720c71932e00a3f4cb082",
         "bethe --N 30 --mu 0.8":
@@ -764,7 +766,7 @@ class TestCsvArtifactBytes:
         "zero-mode --N 30 --mu 0.8":
             "6844105ae1c8e62bd7d3c126aba250a09c318ca26070b67ea58cb82d9140b33f",
         "spectrum --N 14 --mu 0.5 --gamma=-64.0":
-            "bb665020cf86ce9492b425b766bba795f17c61d4d4331ebd5f5f3bb2863b3384",
+            "1a3e3be5009faa709c53cc4e268ce11ec638d2084a1066f53cfc8b1b0fc11cef",
         "census --N 14 --mu 0.5 --gamma=-64.0":
             "64d3bb64c38107ebc871439989880d07ec61f39492b382da91267a4fc999922f",
     }
@@ -802,14 +804,15 @@ class TestJsonArtifactBytes:
 
     Recorded with the stdlib encoder, before ``serialize.dump_json`` wrote
     JSON itself; the spectrum digests depend on the BLAS build as in
-    :class:`TestCsvArtifactBytes`.
+    :class:`TestCsvArtifactBytes`, and were re-recorded with them when the
+    residuals and overlaps came to be read from the real form.
     """
 
     DIGESTS = {
         # re-recorded, and checked equal to the stdlib encoding, when the
         # chain on the locus with mu >= 1 took the sublattice product solve
         "spectrum --N 6 --mu 2.0":
-            "64d0cae068322d5c23adcd97ef136fedd51bd2a3a9a7bbe3b6aad0b290fd2cfb",
+            "66e6eea70609bf432a3698e1412479e5638aecd30d512e11588101c946b43303",
         "bethe --N 6 --mu 2.0":
             "6484a3087a33813bf99f94e3e738b22425832b6a86e3895d870723a696da301e",
         "zero-mode --N 6 --mu 2.0":
@@ -817,7 +820,7 @@ class TestJsonArtifactBytes:
         "census --N 6 --mu 2.0":
             "32392c8955d6048617578923eba739feff61d0d7b552c343af54ca9ece66d03e",
         "spectrum --N 14 --mu 0.5":
-            "3716a80ca2d9d28400b941c05767cded3e23cb1cef288d543c3bf2bb269f83fc",
+            "d0db8e36635d919c9bbd64b7e2210906280a5ce005d158322784cfad21d06577",
         "bethe --N 14 --mu 0.5":
             "a337c17cc7ac8584691e0275e1bde00e722988da0f44171664551830e1ceed72",
         "zero-mode --N 14 --mu 0.5":
@@ -827,11 +830,11 @@ class TestJsonArtifactBytes:
         # off the locus: no pair, two imaginary and 28 real levels; recorded
         # when the mode classes were read from per-level records
         "spectrum --N 30 --mu 1.5 --gamma 1.0":
-            "58a316b9db4b098d36b62a079a72879a18e21562b1c23d55d53698da396c55dc",
+            "ab909aff5ba942151d252b70e267b608ffe4c2727dd70f1c622d6eb6521aad61",
         # recorded before the writers moved into serialize: the split route,
         # the N x N locus route and the mirrored locus
         "spectrum --N 60 --mu 0.5":
-            "d183500bfcbf464997d5ec4a72540d0e235961ea279c62b02d65485236d6d391",
+            "d71f0430fb5f2097775ba3a6120306fb440ee56c8a8b3a1cec5ea056fe006d25",
         "census --N 60 --mu 0.5":
             "b9af1fb4c1476e68f07e53bd3661f95c9a8a275c0cdae67daa037b0d6c32689c",
         "bethe --N 60 --mu 0.5":
@@ -839,7 +842,7 @@ class TestJsonArtifactBytes:
         "zero-mode --N 60 --mu 0.5":
             "e503ef4f709b6dbbfb43f6d8b418bdc429ee2e76d6770c407e5465601428d72a",
         "spectrum --N 30 --mu 0.8":
-            "84b4ae54b6e8a3ce7bb3bf5829db85db1e87b6f97f1caf7150454de8f9c6c5bc",
+            "3dc1dc19af99b7cdd5f0fea96551d45194b6b393ce76bc3ad30366902ee1ab2e",
         "census --N 30 --mu 0.8":
             "ac96e480983a67132b61cc01564f71a0e267e7ae50866513529db5aae5673710",
         "bethe --N 30 --mu 0.8":
@@ -847,7 +850,7 @@ class TestJsonArtifactBytes:
         "zero-mode --N 30 --mu 0.8":
             "3c698fb17d0d5b93fb254c34091cb8e8278e21a19ae4dd82c3b23fca2b01a151",
         "spectrum --N 14 --mu 0.5 --gamma=-64.0":
-            "2173cdca1ea8363051c63317b2510e80a9e598da7737cd0a8b0c00bc62aba338",
+            "4a313fb8fed870c1345f720ed573648385dcafb6c194f4e229df2eef7235c9d0",
         "census --N 14 --mu 0.5 --gamma=-64.0":
             "9b120a2d74b25b67ef7f5b325f1c13bde66a16eb648db9d23ed68871405cad77",
     }

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -466,7 +468,12 @@ class TestChainEigensystem:
         dense = np.max(np.abs(h @ es.right - es.right * shifts), axis=0)
         assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
         assert np.allclose(np.linalg.norm(es.right, axis=0), 1.0)
-        assert np.array_equal(es.biorth_norms, np.einsum("ij,ij->j", es.right, es.right))
+        # biorth = right^T right = i sum_j v_j v_{n-1-j} of the real-form
+        # vectors, each to the rounding of an n-term sum
+        bound = np.sqrt(n) * 2.0 ** -52
+        assert np.max(np.abs(es.biorth_norms - np.einsum("ij,ij->j", es.right, es.right))) <= bound
+        folds = np.einsum("ij,ij->j", es.vectors, es.vectors[::-1])
+        assert np.max(np.abs(es.biorth_norms - 1j * folds)) <= bound
 
     def test_real_levels_are_exactly_real(self):
         es = chain_eigensystem(14, 0.5, gamma_ep(0.5, 14))
@@ -499,31 +506,44 @@ class TestChainEigensystem:
 
 
 def _product_solve(n, mu, gamma):
-    """Reference: the real-form levels, vectors (as columns) and residual
-    shifts of one chain on the product route, level by level.
+    """Reference: the real-form levels of one chain on the product route,
+    level by level, as ``(values, own, other, peaks, norms2, folds, w, kw)``.
 
     ``x, w`` solve the product of the sublattice blocks on the zero mode's
-    own sublattice; a level ``+/- sqrt(x)`` has the vector ``+/- sqrt(x) w``
-    there and ``outward @ w`` on the other, except the pair, the ``x`` of
-    least modulus, whose two levels both have ``w`` and zero, with their
-    residual taken at 0.
+    own sublattice; a level ``+/- sqrt(x)`` has the vector ``own w = +/-
+    sqrt(x) w`` there and ``other kw = outward @ w`` on the other, except the
+    pair, the ``x`` of least modulus, whose two levels both have ``w`` and
+    zero (``own = 1``, ``other = 0``), with their residual taken at 0.  The
+    residual ``r = M v - shift v`` is ``product @ w - x w`` on the own sites
+    and zero on the other, or the pair's ``kw`` on the other sites; ``peaks``
+    are ``max |r|``, ``norms2`` the squared norms of the unnormalised
+    vectors and ``folds`` their ``sum_j v_j v_{n-1-j}``, in which own site
+    ``a`` meets other site ``n/2 - 1 - a``.  The column sums run as in
+    ``chain_eigensystem``, over the columns of ``w`` at once.
     """
-    m, own, half = build_ssh_real(n, mu, gamma), n // 2 % 2, n // 2
-    outward = m[1 - own::2, own::2]
-    x, w = np.linalg.eig(m[own::2, 1 - own::2] @ outward)
+    m, own_sites, half = build_ssh_real(n, mu, gamma), n // 2 % 2, n // 2
+    outward = m[1 - own_sites::2, own_sites::2]
+    product = m[own_sites::2, 1 - own_sites::2] @ outward
+    x, w = np.linalg.eig(product)
     roots = np.sqrt(x.astype(complex))
     values = np.concatenate([roots, 0.0 - roots])
-    shifts, vectors = values.copy(), np.zeros((n, n), dtype=complex)
     pair, kw = int(np.argmin(np.abs(x))), outward @ w
-    for j in range(half):
-        for level in (j, j + half):
-            if j == pair:
-                vectors[own::2, level] = w[:, j]
-                shifts[level] = 0.0
-            else:
-                vectors[own::2, level] = values[level] * w[:, j]
-                vectors[1 - own::2, level] = kw[:, j]
-    return values, vectors, shifts
+    residual_peaks = np.abs(product @ w - w * x).max(axis=0)
+    w_norms2, kw_norms2 = ((a.T * a.T.conj()).real.sum(axis=-1) for a in (w, kw))
+    w_folds = (w.T * kw.T[:, ::-1]).sum(axis=-1)
+    own, other = values.copy(), np.ones(n)
+    peaks, norms2, folds = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+    for level in range(n):
+        j = level % half
+        if j == pair:
+            own[level], other[level] = 1.0, 0.0
+            peaks[level] = np.abs(kw[:, j]).max()
+        else:
+            peaks[level] = residual_peaks[j]
+        c = own[level]
+        norms2[level] = (c * c.conjugate()).real * w_norms2[j] + other[level] * kw_norms2[j]
+        folds[level] = 2 * c * other[level] * w_folds[j]
+    return values, own, other, peaks, norms2, folds, w, kw
 
 
 def _single_chain_reference(n, mu, gamma):
@@ -531,25 +551,49 @@ def _single_chain_reference(n, mu, gamma):
     coalesced)``.
 
     One real solve of one chain (of its sublattice product on the locus
-    with mu >= 1, :func:`_product_solve`), a per-level class loop with the
-    closed-form certificate of one zero mode, and the two-loop cluster
-    search; ``modes`` is ``(classes, pair, biorth, values)``, with
-    ``values`` the eigenvalues and the pair at ``complex(np.mean(...))`` of
-    its levels, or the error that refused them.
+    with mu >= 1, :func:`_product_solve`), the unit real-form vectors ``V``
+    level by level with the numbers read from them, a per-level class loop
+    with the closed-form certificate of one zero mode, and the two-loop
+    cluster search.  With ``r = M v - shift v``, applied bond by bond off
+    the product route, the residual is ``max_j |r_j + i r_{n-1-j}| / (sqrt(2)
+    |v|)`` and the overlap ``i sum_j v_j v_{n-1-j} / |v|^2``; ``right = (V +
+    i V[::-1]) / sqrt(2)`` and ``left = conj(right)``.  ``modes`` is
+    ``(classes, pair, biorth, values)``, with ``values`` the eigenvalues and
+    the pair at ``complex(np.mean(...))`` of its levels, or the error that
+    refused them.
     """
+    half, own_sites = n // 2, n // 2 % 2
     if on_locus(mu, n, gamma) and gamma <= 1:
-        values, v, shifts = _product_solve(n, mu, gamma)
+        values, own, other, peaks, norms2, folds, w, kw = _product_solve(n, mu, gamma)
+        order = np.lexsort((values.imag, values.real))
+        values, own, other, peaks, norms2, folds = (
+            a[order] for a in (values, own, other, peaks, norms2, folds))
+        scale = 1.0 / np.sqrt(norms2)
+        vectors = np.empty((n, n), dtype=complex)
+        for k, level in enumerate(order):
+            vectors[own_sites::2, k] = w[:, level % half] * (own[k] * scale[k])
+            vectors[1 - own_sites::2, k] = kw[:, level % half] * (other[k] * scale[k])
     else:
         values, v = np.linalg.eig(build_ssh_real(n, mu, gamma))
-        shifts = values
-    order = np.lexsort((values.imag, values.real))
-    values, shifts = values[order].astype(complex), shifts[order]
-    right = (v[:, order] + 1j * v[::-1, order]) / np.sqrt(2)
-    right = right / np.linalg.norm(right, axis=0)
-    residuals = np.max(np.abs(apply_ssh(n, mu, gamma, right) - right * shifts[None, :]), axis=0)
-    left = right.conj()
-    es = EigenSystem(values, right, left, residuals, residuals,
-                     np.einsum("ij,ij->j", left.conj(), right), 1.0 + max(mu, abs(gamma)))
+        order = np.lexsort((values.imag, values.real))
+        vt = v.T[order]  # level by level
+        bonds = np.where(np.arange(n - 1) % 2, mu, 1.0)
+        mv = np.zeros(vt.shape, dtype=np.result_type(vt, float))
+        mv[:, :-1] += bonds * vt[:, 1:]
+        mv[:, 1:] += bonds * vt[:, :-1]
+        mv[:, 0] -= gamma * vt[:, -1]
+        mv[:, -1] += gamma * vt[:, 0]
+        r = mv - values[order][:, None] * vt
+        peaks = np.abs(r + 1j * r[:, ::-1]).max(axis=-1)
+        norms2 = (vt * vt.conj()).real.sum(axis=-1)
+        folds = (vt * vt[:, ::-1]).sum(axis=-1)
+        vectors = (vt / np.sqrt(norms2)[:, None]).T
+        values = values[order].astype(complex)
+    residuals = peaks / (np.sqrt(2) * np.sqrt(norms2))
+    es = EigenSystem(values, vectors, None, residuals, residuals,
+                     1j * folds / norms2 + 0.0, 1.0 + max(mu, abs(gamma)))
+    right = (vectors + 1j * vectors[::-1]) / np.sqrt(2)
+    assert _bits(es.right, es.left) == _bits(right, right.conj())
     coalesced = values.copy()
     for idx, centroid, *_ in _double_loop_coalescence(es):
         coalesced[list(idx)] = centroid
@@ -590,7 +634,8 @@ class TestStackedChains:
     @staticmethod
     def _assert_matches_reference(n, mu, gamma, es, modes):
         ref, ref_modes, ref_coalesced = _single_chain_reference(n, mu, gamma)
-        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        fields = ("eigenvalues", "vectors", "right", "left", "residuals", "left_residuals",
+                  "biorth_norms")
         assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(ref, f) for f in fields))
         assert es.norm_inf == ref.norm_inf
         if ref_modes is ClassificationError:
@@ -1030,6 +1075,27 @@ def _split_gamma(mu, n):
         return False
 
 
+def _assert_real_form_identities(n, mu, gamma, es, pair=()):
+    """The numbers ``chain_eigensystem`` reads from the real form against
+    the lifted unit vectors ``right``, and the dense residuals, returned.
+
+    Each residual lies within ``1e-15 * norm_inf`` of the dense ``|h right -
+    right shift|`` (the pair's shift is 0), and each overlap within the
+    rounding of an n-term sum, ``sqrt(n) 2^-52``, of ``right^T right``;
+    ``left = conj(right)`` with the same residuals.
+    """
+    shifts = es.eigenvalues.copy()
+    shifts[list(pair)] = 0.0
+    dense = np.max(np.abs(build_ssh(n, mu, gamma) @ es.right - es.right * shifts), axis=0)
+    assert np.max(np.abs(es.residuals - dense)) <= 1e-15 * es.norm_inf, (n, mu, gamma)
+    lifted = np.einsum("ij,ij->j", es.right, es.right)
+    assert np.max(np.abs(es.biorth_norms - lifted)) <= np.sqrt(n) * 2.0 ** -52, (n, mu, gamma)
+    assert np.max(np.abs(np.linalg.norm(es.right, axis=0) - 1.0)) <= 1e-15, (n, mu, gamma)
+    assert es.left_residuals is es.residuals
+    assert np.array_equal(es.left, es.right.conj())
+    return dense
+
+
 class TestEigensystemRoutes:
     """``chain_eigensystem`` solves the (N/2) x (N/2) sublattice product on
     the locus with mu >= 1, the (N/2 - 1) x (N/2 - 1) product of the inner
@@ -1049,7 +1115,7 @@ class TestEigensystemRoutes:
             assert np.max(np.abs(u[1 - own::2])) <= 1e-15 * np.max(np.abs(u))
             assert np.max(np.abs(m[1 - own::2, own::2] @ u[own::2])) <= 1e-15 * (1 + mu)
             route = spectral._sublattice_product(m, n, mu, gamma)
-            if 1 < gamma < spectral.SPLIT_GAMMA:  # the product loses the pair
+            if 1 < gamma < spectral.SPLIT_GAMMA:  # the N x N solve is kept
                 assert route is None
             elif gamma <= 1:
                 assert route[:2] == (False, own)
@@ -1069,14 +1135,28 @@ class TestEigensystemRoutes:
             gammas = [gamma_ep(mu, n) for mu in ROUTE_MU]
             full = np.linalg.eigvals([build_ssh_real(n, mu, g) for mu, g in zip(ROUTE_MU, gammas)])
             stacked = chain_eigensystems(n, ROUTE_MU, gammas)
-            for mu, gamma, levels, es in zip(ROUTE_MU, gammas, full, stacked):
+            mirrored = chain_eigensystems(n, ROUTE_MU, [-g for g in gammas])
+            for mu, gamma, levels, es, es_m in zip(ROUTE_MU, gammas, full, stacked, mirrored):
                 self._assert_matches_the_full_solve(n, mu, gamma, levels, es)
+                self._assert_mirrors(n, mu, gamma, es, es_m)
+
+    @staticmethod
+    def _assert_mirrors(n, mu, gamma, es, mirrored):
+        # at -gamma the real form is solved at +gamma: every number read from
+        # it is the same, bit for bit, and the lifted vectors are reversed
+        fields = ("eigenvalues", "vectors", "residuals", "biorth_norms")
+        assert (_bits(*(getattr(mirrored, f) for f in fields))
+                == _bits(*(getattr(es, f) for f in fields))), (n, mu)
+        assert mirrored.right.tobytes() == es.right[::-1].tobytes(), (n, mu)
+        pair = classify_modes(mirrored, mu, -gamma).pair
+        _assert_real_form_identities(n, mu, -gamma, mirrored, pair)
 
     @staticmethod
     def _assert_matches_the_full_solve(n, mu, gamma, full, es):
         # each row of the stack is bit for bit the chain solved alone
         alone = chain_eigensystem(n, mu, gamma)
-        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        fields = ("eigenvalues", "vectors", "right", "left", "residuals", "left_residuals",
+                  "biorth_norms")
         assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(alone, f) for f in fields))
         modes = classify_modes(es, mu, gamma)
         census = chain_census(n, mu, gamma)
@@ -1095,11 +1175,7 @@ class TestEigensystemRoutes:
         assert abs(np.vdot(psi, es.right[:, pair[0]])) / np.linalg.norm(psi) >= 1 - 1e-14
         # the pair's residual is taken at eps = 0; every residual lies at
         # the LAPACK floor, a tenth of the bound or less
-        shifts = es.eigenvalues.copy()
-        shifts[pair] = 0.0
-        h = build_ssh(n, mu, gamma)
-        dense = np.max(np.abs(h @ es.right - es.right * shifts), axis=0)
-        assert np.allclose(es.residuals, dense, rtol=0, atol=1e-15 * es.norm_inf)
+        _assert_real_form_identities(n, mu, gamma, es, pair)
         assert float(np.max(es.residuals)) <= 0.1 * RESIDUAL_TOLERANCE * es.norm_inf
 
     @pytest.mark.parametrize("sizes,split_mu", [(SPLIT_N[:24], SPLIT_MU),
@@ -1111,13 +1187,16 @@ class TestEigensystemRoutes:
             gammas = [gamma_ep(mu, n) for mu in mus]
             full = np.linalg.eigvals([build_ssh_real(n, mu, g) for mu, g in zip(mus, gammas)])
             stacked = chain_eigensystems(n, mus, gammas)
-            for mu, gamma, levels, es in zip(mus, gammas, full, stacked):
+            mirrored = chain_eigensystems(n, mus, [-g for g in gammas])
+            for mu, gamma, levels, es, es_m in zip(mus, gammas, full, stacked, mirrored):
                 self._assert_split_route_matches(n, mu, gamma, levels, es)
+                self._assert_mirrors(n, mu, gamma, es, es_m)
 
     @staticmethod
     def _assert_split_route_matches(n, mu, gamma, full, es):
         alone = chain_eigensystem(n, mu, gamma)
-        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        fields = ("eigenvalues", "vectors", "right", "left", "residuals", "left_residuals",
+                  "biorth_norms")
         assert _bits(*(getattr(es, f) for f in fields)) == _bits(*(getattr(alone, f) for f in fields))
         modes = classify_modes(es, mu, gamma)
         census = chain_census(n, mu, gamma)
@@ -1139,11 +1218,20 @@ class TestEigensystemRoutes:
         psi = zero_mode_amplitudes(n, mu)
         assert abs(np.vdot(psi, es.right[:, pair[0]])) / np.linalg.norm(psi) >= 1 - 1e-14
         # every residual on the chain, the pair's at eps = 0, is at the LAPACK floor
-        shifts = es.eigenvalues.copy()
-        shifts[pair] = 0.0
-        dense = np.max(np.abs(build_ssh(n, mu, gamma) @ es.right - es.right * shifts), axis=0)
+        dense = _assert_real_form_identities(n, mu, gamma, es, pair)
         assert float(np.max(dense)) <= 1e-14 * (1 + mu), (n, mu)
         assert float(np.max(es.residuals)) <= 1e-14 * (1 + mu), (n, mu)
+
+    def test_full_route_reads_the_real_form(self):
+        # the N x N route off the locus, at both signs of gamma, and on it
+        # with 1 < gamma < 2^27: the numbers read from the real form against
+        # the lifted vectors, with no pair shift
+        points = [(n, mu, gamma) for n, mu, gamma in _off_locus_points() if n <= 100]
+        points += [(n, mu, s * gamma_ep(mu, n)) for mu in (0.5, 0.8, 0.9, 0.99)
+                   for n in (*range(4, 41, 2), 64, 100, 154, 200) for s in (1, -1)
+                   if 1 < gamma_ep(mu, n) < spectral.SPLIT_GAMMA]
+        for n, mu, gamma in points:
+            _assert_real_form_identities(n, mu, gamma, chain_eigensystem(n, mu, gamma))
 
     @pytest.mark.parametrize("n,mu,gamma,shape", [
         (6, 2.0, 0.25, (3, 3)),        # on the locus, mu > 1
@@ -1215,11 +1303,27 @@ class TestEigensystemRoutes:
         stacked = chain_eigensystems(n, mus, gammas)
         assert calls == [(np.float64, (1, 100, 100)), (np.float64, (2, 50, 50)),
                          (np.float64, (2, 49, 49))]
-        fields = ("eigenvalues", "right", "left", "residuals", "left_residuals", "biorth_norms")
+        fields = ("eigenvalues", "vectors", "right", "left", "residuals", "left_residuals",
+                  "biorth_norms")
         for mu, gamma, es in zip(mus, gammas, stacked):  # each row as when solved alone
             alone = chain_eigensystem(n, mu, gamma)
             assert (_bits(*(getattr(es, f) for f in fields))
                     == _bits(*(getattr(alone, f) for f in fields))), mu
+
+    @pytest.mark.parametrize("n,mu", [(1000, 1.1), (1000, 0.5)], ids=["product", "split"])
+    def test_half_size_routes_hold_one_real_form_array(self, n, mu):
+        # the 1000 x 1000 complex vectors V take 16 MB; the residuals and
+        # overlaps come from the half-size solve, and no lifted vector is
+        # built until read
+        chain_eigensystem(6, 2.0, 0.25)
+        tracemalloc.start()
+        try:
+            es = chain_eigensystem(n, mu, gamma_ep(mu, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, peak
+        assert "right" not in vars(es) and "left" not in vars(es)
 
 
 class TestPtActionOnEigenvectors:
