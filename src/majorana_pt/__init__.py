@@ -11,7 +11,6 @@ from .model import (
     BLOCK_GRAM,
     BlockDecomposition,
     ModelParams,
-    apply_ssh,
     build_majorana_ring,
     build_ssh,
     build_ssh_real,

@@ -61,8 +61,9 @@ __all__ = [
     "match_spectrum_to_roots",
 ]
 
-#: Largest :func:`normalized_residual` :func:`solve_real_k` accepts at a root.
-ROOT_TOLERANCE = 1e-12
+#: Largest :func:`normalized_residual` :func:`solve_real_k` accepts at a root,
+#: per site: the bound at ``n`` sites is ``ROOT_TOLERANCE * n``.
+ROOT_TOLERANCE = 1e-13
 
 #: Threefold grid refinements :func:`solve_real_k` makes before it gives up.
 _MAX_REFINEMENTS = 3
@@ -183,7 +184,7 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     ``eps^2`` is a duplicate.  On the coalescence locus the
     number of distinct roots must equal (n-2)/2 for mu > 1 and (n-4)/2 for
     mu < 1; the grid is refined threefold, up to three times, before giving
-    up.  A root whose normalized residual exceeds ``ROOT_TOLERANCE`` raises
+    up.  A root whose normalized residual exceeds ``ROOT_TOLERANCE * n`` raises
     :class:`RootScanError`.  A gamma that is not finite, or whose
     ``(1 + mu) gamma^2`` overflows a float, raises ``ValueError`` before the scan.
 
@@ -239,12 +240,12 @@ def solve_real_k(mu: float, gamma: float, n: int) -> list[BetheRoot]:
     polished, e2 = polished[distinct], e2[distinct]
     terms = _terms(polished, mu, gamma, n)
     residuals = np.abs(sum(terms)) / np.abs(terms).max(axis=0, initial=1e-300)
+    bound = ROOT_TOLERANCE * n
     roots: list[BetheRoot] = []
     for k, eps, res in zip(polished.tolist(), np.sqrt(e2).tolist(), residuals.tolist()):
-        if res > ROOT_TOLERANCE:
+        if res > bound:
             raise RootScanError(
-                f"polished root k={k} has normalized residual {res:.3e} > "
-                f"{ROOT_TOLERANCE}"
+                f"polished root k={k} has normalized residual {res:.3e} > {bound:.3e}"
             )
         for branch in (+1, -1):
             roots.append(

@@ -13,9 +13,8 @@ This module builds every matrix in that chain of reductions:
 * :func:`decompose_blocks` -- the two SSH blocks plus their off-block leakage,
 * :func:`build_ssh` -- the ``n x n`` non-Hermitian SSH chain itself,
 * :func:`build_ssh_real` -- the real matrix that the chain's PT symmetry
-  makes it similar to,
-* :func:`apply_ssh` -- the chain's product with a vector, in O(n), also for
-  a stack of chains of one length,
+  makes it similar to, the form in which :mod:`.spectral` solves every chain
+  and applies it to a vector,
 * :func:`gamma_ep` -- the coupling ``gamma = mu**(1 - n/2)`` at which the two
   zero modes of the SSH chain coalesce (the exceptional point used throughout),
   and :func:`on_locus`, the test that a coupling sits there.
@@ -42,7 +41,6 @@ __all__ = [
     "on_locus",
     "build_ssh",
     "build_ssh_real",
-    "apply_ssh",
     "build_majorana_ring",
     "decompose_blocks",
     "fit_block_scale",
@@ -208,30 +206,6 @@ def build_ssh_real(n: int, mu: float, gamma: float) -> np.ndarray:
     m[0, n - 1] = -gamma
     m[n - 1, 0] = gamma
     return m
-
-
-def apply_ssh(n: int, mu, gamma, v: np.ndarray) -> np.ndarray:
-    """``build_ssh(n, mu, gamma) @ v`` for a vector or an array of columns,
-    bond by bond without the matrix: O(n) per column.
-
-    ``v[j]`` holds site ``j``.  ``mu`` and ``gamma`` may be arrays that
-    broadcast against ``v[j]``, so that each column is multiplied by its own
-    chain of the same length: with ``v`` of shape ``(n, s, k)`` and ``mu``,
-    ``gamma`` of shape ``(s, 1)``, ``v[:, i]`` is multiplied by chain ``i``.
-    """
-    _require_even_sites(n)
-    if not (np.greater(mu, 0) & np.isfinite(mu) & np.isfinite(gamma)).all():
-        for chain_mu, chain_gamma in np.broadcast(mu, gamma):  # name the first refused
-            _require_chain(n, chain_mu, chain_gamma)
-    v = np.asarray(v)
-    bonds = _bonds(n, mu)
-    bonds = bonds.reshape((n - 1,) + (1,) * (v.ndim - bonds.ndim) + bonds.shape[1:])
-    hv = np.zeros(v.shape, dtype=complex)
-    hv[:-1] += bonds * v[1:]
-    hv[1:] += bonds * v[:-1]
-    hv[0] += 1j * gamma * v[0]
-    hv[-1] -= 1j * gamma * v[-1]
-    return hv
 
 
 def build_majorana_ring(params: ModelParams) -> np.ndarray:

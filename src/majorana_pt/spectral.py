@@ -133,11 +133,12 @@ class EigenSystem:
     vectors : np.ndarray
         Unit-norm eigenvector columns.  From :func:`eig` the right vectors.
         From :func:`chain_eigensystem` the vectors ``V`` of the chain's real
-        form ``M = Q^dag h Q`` at ``|gamma|`` (:func:`~.model.build_ssh_real`,
-        ``Q = (I + i P) / sqrt(2)``, ``P`` the site reversal), from which
-        ``right`` is lifted; on its product routes (the locus with ``mu >=
-        1`` or ``gamma >= SPLIT_GAMMA``) the coalescing pair's two columns
-        are one vector, the null vector of the sublattice product.
+        form ``M = Q^dag h Q`` (:func:`~.model.build_ssh_real`, ``Q = (I + i
+        P) / sqrt(2)``, ``P`` the site reversal), at either sign of gamma,
+        from which ``right = Q V`` is lifted; on its product routes (the
+        locus with ``mu >= 1`` or ``gamma >= SPLIT_GAMMA``) the coalescing
+        pair's two columns are one vector, the null vector of the sublattice
+        product.
     left_vectors : np.ndarray or None
         From :func:`eig` the left vectors: ``left_vectors[:, i]`` is a unit
         eigenvector of the conjugate transpose for ``conj(eigenvalues[i])``.
@@ -158,9 +159,6 @@ class EigenSystem:
         independent of the phases the solver gave the vectors.
     norm_inf : float
         Infinity norm of the decomposed matrix, for residual scaling.
-    mirrored : bool
-        From :func:`chain_eigensystem` at ``gamma < 0``, where ``right`` is
-        ``P Q V``: ``h(-gamma) = P h(gamma) P``.
     """
 
     eigenvalues: np.ndarray
@@ -170,7 +168,6 @@ class EigenSystem:
     left_residuals: np.ndarray
     biorth_norms: np.ndarray
     norm_inf: float
-    mirrored: bool = False
 
     @property
     def dim(self) -> int:
@@ -186,12 +183,10 @@ class EigenSystem:
     def right(self) -> np.ndarray:
         """The unit right vectors as columns: ``vectors`` from :func:`eig`;
         from :func:`chain_eigensystem` ``Q V = (V + i V[::-1]) / sqrt(2)``,
-        reversed site for site when ``mirrored``, lifted on first read."""
+        lifted on first read."""
         if self.left_vectors is not None:
             return self.vectors
-        v = self.vectors
-        first, second = (v[::-1], v) if self.mirrored else (v, v[::-1])
-        return (first + 1j * second) / np.sqrt(2)
+        return (self.vectors + 1j * self.vectors[::-1]) / np.sqrt(2)
 
     @cached_property
     def left(self) -> np.ndarray:
@@ -381,10 +376,10 @@ def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     1)`` product of the inner chain, with the pair as above; each vector
     gains its two end rows, and the evanescent pair ``+/- i gamma`` lives on
     the end sites (:func:`_end_sites`).  Elsewhere it is of ``M``.
-    Each route is taken at ``|gamma|``: ``h(-gamma) = P h(gamma) P``, ``P``
-    the site reversal, so for ``gamma < 0`` (``mirrored``) ``right`` is
-    reversed site for site, and the mirrored locus ``-gamma_ep`` takes the
-    routes of the locus.
+    Each route is taken at ``|gamma|``: ``M(-gamma) = P M(gamma) P``, ``P``
+    the site reversal, so for ``gamma < 0`` ``vectors`` are a view of those
+    of ``M(|gamma|)`` reversed site for site, which are ``M(gamma)``'s, and
+    the mirrored locus ``-gamma_ep`` takes the routes of the locus.
 
     ``h`` is complex symmetric, so ``left = conj(right)``: no second solve,
     no pairing, and ``left_residuals`` is ``residuals``.  ``Q`` is unitary,
@@ -395,7 +390,8 @@ def chain_eigensystem(n: int, mu: float, gamma: float) -> EigenSystem:
     Q = i P``, ``biorth_norms = i sum_j v_j v_{n-1-j} / |v|^2``.  On the
     product routes ``r`` comes from the half-size solve
     (:func:`_product_parts`), so no ``n x n`` array is formed but ``V``;
-    elsewhere ``M v`` is applied bond by bond.  The residuals are bounded
+    elsewhere ``M v`` is applied bond by bond, in blocks of levels
+    (:func:`_full_route`).  The residuals are bounded
     as in :func:`eig`.  This is the stack of one of
     :func:`chain_eigensystems`.
     """
@@ -481,7 +477,8 @@ def _folds(v: np.ndarray) -> np.ndarray:
 
 def _apply_real(mus: np.ndarray, gammas: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``build_ssh_real(n, mus[i], gammas[i]) @ v[i, j]`` for every vector
-    ``v[i, j]`` of a stack of ``(s, levels, n)``, bond by bond."""
+    ``v[i, j]`` of a stack of ``(s, levels, n)``, bond by bond: the one
+    product with a chain."""
     n = v.shape[-1]
     bonds = model._bonds(n, mus).T[:, None, :]
     mv = np.zeros(v.shape, dtype=np.result_type(v, float))
@@ -497,6 +494,17 @@ def _lifted_peaks(r: np.ndarray) -> np.ndarray:
     return np.abs(r + 1j * r[..., ::-1]).max(axis=-1, initial=0.0)
 
 
+def _real_form(psi: np.ndarray) -> np.ndarray:
+    """``Q^dag psi = (psi - i P psi) / sqrt(2)`` along the last axis: a chain
+    vector in the real form, where ``h psi = Q M Q^dag psi``."""
+    return (psi - 1j * psi[..., ::-1]) / np.sqrt(2)
+
+
+#: Levels per block where a route walks its vectors level by level, so that
+#: the temporaries stay ``128 x n``.
+_LEVEL_BLOCK = 128
+
+
 def _full_route(mus, gammas, levels, v):
     """``(levels, vectors, peaks, norms2, folds)`` of a stack of chains from
     ``np.linalg.eig`` of their real forms ``M``, sorted level by level.
@@ -505,13 +513,21 @@ def _full_route(mus, gammas, levels, v):
     ``peaks``, ``norms2`` and ``folds`` are ``max_j |r_j + i r_{n-1-j}|``
     (:func:`_lifted_peaks`), ``|v|^2`` and ``sum_j v_j v_{n-1-j}`` of the
     solver's vector ``v``, with ``r = M v - eps v`` applied bond by bond.
+    Past the solver's vectors one sorted copy is held, read and normalised
+    in blocks of ``_LEVEL_BLOCK`` levels.
     """
     rows, order = np.arange(len(levels))[:, None], _sort_by_re_im(levels)
     levels = levels[rows, order]
     vectors = v.transpose(0, 2, 1)[rows, order]  # level by level, a copy
-    peaks = _lifted_peaks(_apply_real(mus, gammas, vectors) - levels[..., None] * vectors)
-    norms2, folds = _norms2(vectors), _folds(vectors)
-    vectors /= np.sqrt(norms2)[..., None]
+    peaks, norms2 = np.empty(levels.shape), np.empty(levels.shape)
+    folds = np.empty(levels.shape, dtype=vectors.dtype)
+    for start in range(0, levels.shape[1], _LEVEL_BLOCK):
+        block = slice(start, start + _LEVEL_BLOCK)
+        part = vectors[:, block]
+        peaks[:, block] = _lifted_peaks(_apply_real(mus, gammas, part)
+                                        - levels[:, block, None] * part)
+        norms2[:, block], folds[:, block] = _norms2(part), _folds(part)
+        part /= np.sqrt(norms2[:, block])[..., None]
     return levels.astype(complex), vectors, peaks, norms2, folds
 
 
@@ -570,9 +586,10 @@ def _end_sites(mus, gammas, levels, own, other, w, kw, own_sites):
     sites, and on the inner ones the response ``(eps - K)^-1 b`` to the end
     values ``b`` that the unit end bonds carry to sites 1 and ``n - 2``,
     from the first three terms of its Neumann series in ``K / eps``, ``K``
-    the inner block of the real form, applied bond by bond; the next term is
-    under ``(2 / gamma)^3``.  The true pair lies within ``1 / gamma`` of
-    ``+/- i gamma``, under half an ulp of ``gamma``.
+    the inner block of the real form; ``M`` (:func:`_apply_real`) acts as
+    ``K`` on a term with zero end sites, whose end rows are then dropped.
+    The next term is under ``(2 / gamma)^3``.  The true pair lies within
+    ``1 / gamma`` of ``+/- i gamma``, under half an ulp of ``gamma``.
     """
     s, k = levels.shape
     # inner site 0 is on the even sublattice and inner site k - 1 on the odd
@@ -584,19 +601,15 @@ def _end_sites(mus, gammas, levels, own, other, w, kw, own_sites):
     t = levels * other / g
     scale = g * (1.0 + t * t)
     ends = _end_levels(gammas)
-    evanescent = np.zeros((s, 2, k + 2), dtype=complex)
-    evanescent[:, :, 0], evanescent[:, :, -1] = 1.0, [-1j, 1j]
-    bonds = model._bonds(k + 2, mus)[1:-1].T[:, None, :]  # K's, (mu, 1, ..., 1, mu)
-    term = np.zeros((s, 2, k), dtype=complex)  # b and its Neumann terms, level by level
-    term[:, :, 0], term[:, :, -1] = 1.0, [-1j, 1j]
+    term = np.zeros((s, 2, k + 2), dtype=complex)  # b and its Neumann terms, level by level
+    term[:, :, 1], term[:, :, -2] = 1.0, [-1j, 1j]
     response = term.copy()
     for _ in range(2):
-        hop = np.zeros_like(term)
-        hop[:, :, :-1] += bonds * term[:, :, 1:]
-        hop[:, :, 1:] += bonds * term[:, :, :-1]
-        term = hop / ends[:, :, None]
+        term = _apply_real(mus, gammas, term) / ends[:, :, None]
+        term[:, :, [0, -1]] = 0.0
         response += term
-    evanescent[:, :, 1:-1] = response / ends[:, :, None]
+    evanescent = response / ends[:, :, None]
+    evanescent[:, :, 0], evanescent[:, :, -1] = 1.0, [-1j, 1j]
     return (t * first - last) / scale, (first + t * last) / scale, ends, evanescent
 
 
@@ -604,10 +617,11 @@ def _write_product_vectors(out, own_sites, w, kw, columns, own, other) -> None:
     """Write ``own w[:, columns]`` to the own sites and ``other
     kw[:, columns]`` to the other sites of the vectors ``out``, one chain's
     level by level: the real-form vectors of :func:`_product_parts`.  The
-    levels go in blocks of 128, so that the gathered columns stay small."""
+    levels go in blocks of ``_LEVEL_BLOCK``, so that the gathered columns
+    stay small."""
     other_sites = slice(1 - own_sites.start, None, 2)
-    for start in range(0, len(columns), 128):
-        block = slice(start, start + 128)
+    for start in range(0, len(columns), _LEVEL_BLOCK):
+        block = slice(start, start + _LEVEL_BLOCK)
         np.multiply(w[:, columns[block]].T, own[block, None], out=out[block, own_sites])
         np.multiply(kw[:, columns[block]].T, other[block, None], out=out[block, other_sites])
 
@@ -706,10 +720,10 @@ def chain_eigensystems(n: int, mus, gammas) -> list:
         levels, vectors, peaks, norms2, folds = solved
         residuals = peaks / (np.sqrt(2) * np.sqrt(norms2))
         biorth = 1j * folds / norms2 + 0.0  # + 0.0: no -0.0 parts
-        for row, i in enumerate(index):
+        for row, i in enumerate(index):  # at gamma < 0 the sites reversed
             systems[i] = _bounded(EigenSystem(
-                levels[row], vectors[row].T, None, *[residuals[row]] * 2,
-                biorth[row], norms_inf[i], bool(gammas[i] < 0)))
+                levels[row], vectors[row].T[::-1 if gammas[i] < 0 else 1], None,
+                *[residuals[row]] * 2, biorth[row], norms_inf[i]))
     return systems
 
 
@@ -835,8 +849,9 @@ def _certify_zero_mode(n: int, mus, gammas) -> list:
     """The closed-form zero mode ``psi`` of each chain ``build_ssh(n,
     mus[i], gammas[i])``, once certified.
 
-    ``h`` is complex symmetric, so ``eta = conj(psi)``; ``h psi`` is applied
-    bond by bond (:func:`~.model.apply_ssh`), to all the chains at once.
+    ``h`` is complex symmetric, so ``eta = conj(psi)``.  ``h psi = Q M
+    Q^dag psi``, so ``|h psi|_inf`` is read from the real form, with ``M``
+    applied bond by bond (:func:`_apply_real`) to all the chains at once.
     Row ``i`` is a ``RuntimeError`` when ``|h psi|_inf`` exceeds
     ``RESIDUAL_TOLERANCE * |h|_inf`` or ``|psi^T psi|`` exceeds
     ``EP_TOLERANCE``.
@@ -847,7 +862,8 @@ def _certify_zero_mode(n: int, mus, gammas) -> list:
     # h(-gamma) = P h(gamma) P, P the site reversal: at -gamma_ep the zero mode is P psi
     psis = [bethe.zero_mode_amplitudes(n, mu)[::-1 if gamma < 0 else 1]
             for mu, gamma in zip(mus, gammas)]
-    residuals = np.abs(model.apply_ssh(n, mus, gammas, np.array(psis).T)).max(axis=0)
+    residuals = _lifted_peaks(_apply_real(mus, gammas, _real_form(np.array(psis))[:, None]))
+    residuals = residuals[:, 0] / np.sqrt(2)
     rows = []
     for psi, residual, mu, gamma in zip(psis, residuals.tolist(), mus.tolist(), gammas.tolist()):
         bound = RESIDUAL_TOLERANCE * (1.0 + max(mu, abs(gamma)))

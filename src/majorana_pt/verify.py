@@ -140,8 +140,7 @@ def mode_census(solved):
         paired = np.zeros((len(mus), n), dtype=bool)
         for row, classified in zip(paired, modes):
             row[classified.pair] = True
-        psi = np.array([classified.psi for classified in modes])
-        psi = (psi - 1j * psi[:, ::-1]) / np.sqrt(2)
+        psi = spectral._real_form(np.array([classified.psi for classified in modes]))
         along = np.abs(np.einsum("si,sij->sj", psi.conj(), vectors)) >= 1.0 - spectral.EP_TOLERANCE
         gram = np.abs(vectors.conj().transpose(0, 2, 1) @ vectors)
         gram[:, np.arange(n), np.arange(n)] = 0.0

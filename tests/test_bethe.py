@@ -11,8 +11,8 @@ from majorana_pt import (
     BetheRoot,
     RootScanError,
     UniformChainError,
-    apply_ssh,
     build_ssh,
+    build_ssh_real,
     classify_modes,
     coalesced_eigenvalues,
     eig,
@@ -168,7 +168,8 @@ class TestSolveRealK:
         if roots is None:
             expected = (n - 2) // 2 if mu > 1 else (n - 4) // 2
             assert len(reference) != expected or max(
-                normalized_residual(k, mu, gamma, n) for k, _ in reference) > 1e-12
+                normalized_residual(k, mu, gamma, n) for k, _ in reference) > (
+                    bethe.ROOT_TOLERANCE * n)
             return
         assert [(r.k.real, r.epsilon) for r in roots[::2]] == [
             (k, float(np.sqrt(e2))) for k, e2 in reference]
@@ -219,9 +220,24 @@ class TestSolveRealK:
             solve_real_k(1.5, 0.9, 10)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
+        # the bound is per site: 1e-30 at n = 6 refuses a residual over 6e-30
         monkeypatch.setattr(bethe, "ROOT_TOLERANCE", 1e-30)
-        with pytest.raises(RootScanError, match="> 1e-30"):
+        with pytest.raises(RootScanError, match=r"> 6\.000e-30$"):
             solve_real_k(2.0, 0.25, 6)
+
+    @pytest.mark.parametrize("n,mu", [(192, 0.8), (648, 3.0), (1026, 2.0), (1000, 1.1),
+                                      (1000, 0.5), (2000, 1.1)])
+    def test_long_chains_match_the_dense_spectrum(self, n, mu):
+        # refused under a fixed 1e-12 bound, with residuals of 1.0e-12 to
+        # 2.1e-12; under 1e-13 n every level matches the dense solve's
+        gamma = gamma_ep(mu, n)
+        roots = solve_real_k(mu, gamma, n)
+        assert len(roots) == 2 * ((n - 2) // 2 if mu > 1 else (n - 4) // 2)
+        assert max(root.residual for root in roots) <= bethe.ROOT_TOLERANCE * n
+        values = np.linalg.eigvals(build_ssh_real(n, mu, gamma))
+        values = np.delete(values, np.argsort(np.abs(values))[:2])  # the zero pair
+        real = values[np.abs(values.imag) <= 1e-8 * (1 + mu)]
+        assert match_multisets([root.epsilon for root in roots], real) <= 1e-12
 
     def test_uniform_chain_rejected(self):
         with pytest.raises(UniformChainError):
@@ -471,7 +487,7 @@ class TestZeroMode:
         psi = zero_mode(n, mu).amplitudes
         assert np.all(np.isfinite(psi))
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-13)
-        h_psi = apply_ssh(n, mu, gamma_ep(mu, n), psi)
+        h_psi = build_ssh(n, mu, gamma_ep(mu, n)) @ psi
         assert np.max(np.abs(h_psi)) <= 1e-15 * (1 + mu)
 
     def test_amplitudes_extend_to_the_uniform_chain(self):

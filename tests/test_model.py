@@ -4,7 +4,6 @@ import pytest
 from majorana_pt import (
     BLOCK_GRAM,
     ModelParams,
-    apply_ssh,
     build_majorana_ring,
     build_ssh,
     build_ssh_real,
@@ -150,31 +149,6 @@ class TestBuildSshReal:
         for args in [(5, 2.0, 0.1), (6, -2.0, 0.1), (6, 2.0, float("inf"))]:
             with pytest.raises(ValueError):
                 build_ssh_real(*args)
-
-
-class TestApplySsh:
-    @pytest.mark.parametrize("n,mu,gamma", [(6, 2.0, 0.25), (14, 0.5, 64.0), (8, 1.0, 0.0)])
-    def test_is_the_matrix_product(self, n, mu, gamma):
-        v = np.array([1, 1j]) @ np.random.default_rng(n).normal(size=(2, n))
-        assert np.allclose(apply_ssh(n, mu, gamma, v), build_ssh(n, mu, gamma) @ v,
-                           rtol=0, atol=1e-14)
-
-    def test_rejects_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            apply_ssh(5, 2.0, 0.1, np.ones(5))
-        with pytest.raises(ValueError, match="^mu must be positive, got -1.0$"):
-            apply_ssh(6, np.array([2.0, -1.0]), np.array([0.1, 0.1]), np.ones((6, 2)))
-        with pytest.raises(ValueError, match="^mu must be positive, got nan$"):
-            apply_ssh(6, np.array([[2.0], [np.nan]]), np.zeros((2, 1)), np.ones((6, 2, 3)))
-        with pytest.raises(ValueError, match="^gamma must be finite$"):
-            apply_ssh(6, np.array([2.0, 0.5]), np.array([0.1, np.inf]), np.ones((6, 2)))
-
-    def test_each_column_takes_its_own_chain(self):
-        n, mus, gammas = 8, np.array([2.0, 0.5, 1.0]), np.array([0.125, 8.0, 0.0])
-        v = np.random.default_rng(1).normal(size=(n, 3, 4)) * (1 + 1j)
-        stacked = apply_ssh(n, mus[:, None], gammas[:, None], v)
-        for i, (mu, gamma) in enumerate(zip(mus, gammas)):
-            assert np.array_equal(stacked[:, i], apply_ssh(n, mu, gamma, v[:, i]))
 
 
 class TestModelParams:

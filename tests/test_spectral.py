@@ -10,7 +10,6 @@ from majorana_pt import (
     EigenSystem,
     ModelParams,
     ModeClass,
-    apply_ssh,
     build_majorana_ring,
     build_ssh,
     build_ssh_real,
@@ -607,7 +606,7 @@ def _single_chain_reference(n, mu, gamma):
                 or magnitudes[second] > EP_TOLERANCE * scale):
             return es, ClassificationError, coalesced
         psi = zero_mode_amplitudes(n, mu)
-        assert np.max(np.abs(apply_ssh(n, mu, gamma, psi))) <= RESIDUAL_TOLERANCE * es.norm_inf
+        assert np.max(np.abs(build_ssh(n, mu, gamma) @ psi)) <= RESIDUAL_TOLERANCE * es.norm_inf
         biorth = complex(psi @ psi)
         pair = tuple(sorted((int(first), int(second))))
     classes, pair_values = [], values.copy()
@@ -906,6 +905,23 @@ class TestClassifyModes:
         with pytest.raises(error, match=match):
             chain_census(6, 0.8, gamma_ep(0.8, 6))
 
+    @pytest.mark.parametrize("n", [6, 30, 134])
+    def test_the_certificate_reads_h_psi_from_the_real_form(self, monkeypatch, n):
+        # a random complex psi in place of the zero mode: refused at either
+        # sign, with the residual of the dense product h psi (at -gamma_ep
+        # the certificate reverses psi)
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        monkeypatch.setattr(spectral.bethe, "zero_mode_amplitudes", lambda n, mu: psi)
+        mus = [0.5, 0.5, 2.0, 2.0]
+        gammas = [s * gamma_ep(mu, n) for mu, s in zip(mus, (1, -1, 1, -1))]
+        for mu, gamma, row in zip(mus, gammas, spectral._certify_zero_mode(n, mus, gammas)):
+            used = psi[::-1] if gamma < 0 else psi
+            residual = np.max(np.abs(build_ssh(n, mu, gamma) @ used))
+            assert isinstance(row, RuntimeError), (mu, gamma)
+            assert str(row).startswith(f"closed-form zero mode residual {residual:.3e} "), (
+                str(row), residual)
+
     def test_chain_census_matches_classify_modes_on_a_request_grid(self):
         # the couplings of the benchmark's requests; 20 log-spaced N in 6..200
         for mu in (0.5, 0.8, 1.1, 1.5, 2.0):
@@ -1096,6 +1112,20 @@ def _assert_real_form_identities(n, mu, gamma, es, pair=()):
     return dense
 
 
+def _assert_real_form_mirrors(n, mu, gamma, es, mirrored, pair=()):
+    """``mirrored``, the eigensystem at ``-gamma``, holds the vectors of
+    ``es``, at ``gamma > 0``, reversed site for site, bit for bit, and they
+    are those of its own real form ``build_ssh_real(n, mu, -gamma)``: each
+    column's ``max |M V - V shift|`` (the pair's shift is 0) lies within
+    ``1e-15 * norm_inf`` of the same at ``gamma``."""
+    assert mirrored.vectors.tobytes() == es.vectors[::-1].tobytes(), (n, mu, gamma)
+    shifts = es.eigenvalues.copy()
+    shifts[list(pair)] = 0.0
+    residual = [np.max(np.abs(build_ssh_real(n, mu, g) @ v - v * shifts), axis=0)
+                for g, v in ((gamma, es.vectors), (-gamma, mirrored.vectors))]
+    assert np.max(np.abs(residual[1] - residual[0])) <= 1e-15 * es.norm_inf, (n, mu, gamma)
+
+
 class TestEigensystemRoutes:
     """``chain_eigensystem`` solves the (N/2) x (N/2) sublattice product on
     the locus with mu >= 1, the (N/2 - 1) x (N/2 - 1) product of the inner
@@ -1143,12 +1173,13 @@ class TestEigensystemRoutes:
     @staticmethod
     def _assert_mirrors(n, mu, gamma, es, mirrored):
         # at -gamma the real form is solved at +gamma: every number read from
-        # it is the same, bit for bit, and the lifted vectors are reversed
-        fields = ("eigenvalues", "vectors", "residuals", "biorth_norms")
+        # it is the same, bit for bit, and the vectors are reversed
+        fields = ("eigenvalues", "residuals", "biorth_norms")
         assert (_bits(*(getattr(mirrored, f) for f in fields))
                 == _bits(*(getattr(es, f) for f in fields))), (n, mu)
         assert mirrored.right.tobytes() == es.right[::-1].tobytes(), (n, mu)
         pair = classify_modes(mirrored, mu, -gamma).pair
+        _assert_real_form_mirrors(n, mu, gamma, es, mirrored, pair)
         _assert_real_form_identities(n, mu, -gamma, mirrored, pair)
 
     @staticmethod
@@ -1225,13 +1256,17 @@ class TestEigensystemRoutes:
     def test_full_route_reads_the_real_form(self):
         # the N x N route off the locus, at both signs of gamma, and on it
         # with 1 < gamma < 2^27: the numbers read from the real form against
-        # the lifted vectors, with no pair shift
+        # the lifted vectors, with no pair shift; at gamma < 0 the vectors
+        # are those at |gamma| reversed, and its real form's
         points = [(n, mu, gamma) for n, mu, gamma in _off_locus_points() if n <= 100]
         points += [(n, mu, s * gamma_ep(mu, n)) for mu in (0.5, 0.8, 0.9, 0.99)
                    for n in (*range(4, 41, 2), 64, 100, 154, 200) for s in (1, -1)
                    if 1 < gamma_ep(mu, n) < spectral.SPLIT_GAMMA]
         for n, mu, gamma in points:
-            _assert_real_form_identities(n, mu, gamma, chain_eigensystem(n, mu, gamma))
+            es = chain_eigensystem(n, mu, gamma)
+            _assert_real_form_identities(n, mu, gamma, es)
+            if gamma < 0:
+                _assert_real_form_mirrors(n, mu, -gamma, chain_eigensystem(n, mu, -gamma), es)
 
     @pytest.mark.parametrize("n,mu,gamma,shape", [
         (6, 2.0, 0.25, (3, 3)),        # on the locus, mu > 1
@@ -1324,6 +1359,21 @@ class TestEigensystemRoutes:
             tracemalloc.stop()
         assert peak <= 32e6, peak
         assert "right" not in vars(es) and "left" not in vars(es)
+
+    def test_full_route_holds_one_sorted_copy(self):
+        # at (1000, 0.99), 1 < gamma < 2^27, the N x N route: the real form
+        # (8 MB), the solver's 1000 x 1000 complex vectors and their one
+        # sorted copy (16 MB each); the residuals, norms and overlaps are read
+        # 128 levels at a time
+        chain_eigensystem(6, 0.5, 0.3)
+        tracemalloc.start()
+        try:
+            es = chain_eigensystem(1000, 0.99, gamma_ep(0.99, 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48e6, peak
+        assert es.vectors.shape == (1000, 1000)
 
 
 class TestPtActionOnEigenvectors:
